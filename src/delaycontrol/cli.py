@@ -179,6 +179,23 @@ class RunConfig:
             problems.append(f"numerics: {exc}")
             return None
 
+    def dump_slices(self, n_t: int, problems: List[str]) -> Optional[List[int]]:
+        """Value-grid time slices to dump: None for "all", else indices in [0, n_t]."""
+        raw = self.get("numerics", "dump_slices", str, default="0", problems=problems)
+        if raw == "all":
+            return None
+        try:
+            slices = [int(v) for v in raw.split(",")]
+        except ValueError:
+            problems.append(f"numerics.dump_slices: expected 'all' or comma-separated "
+                            f"integers, got {raw!r}")
+            return None
+        outside = [v for v in slices if not 0 <= v <= n_t]
+        if outside:
+            problems.append(f"numerics.dump_slices: {outside} outside [0, {n_t}] "
+                            "(numerics.n_t_pde)")
+        return slices
+
     def n_paths(self, problems: List[str]) -> int:
         return self.get("numerics", "n_paths", int, default=10_000, problems=problems)
 
@@ -258,12 +275,18 @@ def write_manifest(cfg: RunConfig, subcommand: str, extra: Optional[Dict] = None
 # control resolution
 # ---------------------------------------------------------------------------
 
+CONTROL_TYPES = ("constant", "hjb")
+
+
 def _resolve_control(cfg: RunConfig, inst: Instance, problems: List[str],
                      need_hjb: bool = False):
     """Control from the [control] section: constant value, or the value-grid
     argmax feedback (optionally perturbed by a constant on the first half
     of the horizon)."""
     ctype = cfg.get("control", "type", str, default="constant", problems=problems)
+    if ctype not in CONTROL_TYPES:
+        raise ConfigError([f"control.type: unknown control type {ctype!r} "
+                           f"(expected {' | '.join(CONTROL_TYPES)})"])
     perturb = cfg.get("control", "perturb", float, default=0.0, problems=problems)
     vgrid = None
     if ctype == "constant" and not need_hjb:
@@ -347,14 +370,15 @@ def _cmd_solve_hjb(cfg: RunConfig) -> int:
     grid_cfg = cfg.hjb_grid(problems)
     if problems or inst is None or grid_cfg is None:
         raise ConfigError(problems or ["instance: invalid"])
+    slices = cfg.dump_slices(grid_cfg.n_t, problems)
+    if problems:
+        raise ConfigError(problems)
     variant = cfg.get("numerics", "hjb_variant", str,
                       default="Gtilde" if inst.driver is not None else "G",
                       problems=problems)
     vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
                       variant=variant, linear_driver=inst.driver)
     write_manifest(cfg, "solve-hjb")
-    slice_arg = cfg.get("numerics", "dump_slices", str, default="0", problems=problems)
-    slices = None if slice_arg == "all" else [int(v) for v in slice_arg.split(",")]
     dump_value_function(vgrid, os.path.join(cfg.out_dir, "value_function.csv"),
                         slices=slices)
     if cfg.get("numerics", "svg", bool, default=False, problems=problems):

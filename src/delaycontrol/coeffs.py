@@ -35,19 +35,24 @@ __all__ = [
 ]
 
 
-def _zero_like(*args):
-    out = 0.0
-    for a in args:
-        out = out + np.asarray(a, dtype=float) * 0.0
-    return out
+def _fill(value, *args):
+    """``value`` padded to the common shape of itself and ``args``; a value
+    that already involves every array argument is returned as it is."""
+    shape = np.broadcast(value, *args).shape
+    return value if np.shape(value) == shape else value + np.zeros(shape)
 
 
 @dataclass
 class CoefficientSet:
     """Evaluator bundle for one problem instance.
 
-    All evaluators broadcast; derivative evaluators must agree with
-    central finite differences of the values (see
+    All evaluators broadcast: the result has the common shape of the
+    state, cost and control arguments (``t`` excluded), also where the
+    formula does not involve all of them.  Registry evaluators reach that
+    shape by plain broadcasting and pad with zeros only when the formula
+    leaves arguments out, so a NaN in an argument an evaluator does not
+    use no longer propagates into its result.  Derivative evaluators must
+    agree with central finite differences of the values (see
     :func:`check_derivative_consistency`).
     """
 
@@ -84,32 +89,31 @@ def _linear_evaluators(p: Dict[str, float]):
     phi0, phix, phix1 = (p[k] for k in ("phi0", "phix", "phix1"))
 
     def b(t, x, x1, x2, u):
-        return b0 + bx * x + bx1 * x1 + bx2 * x2 + bu * u + _zero_like(x, x1, x2, u)
+        return b0 + bx * x + bx1 * x1 + bx2 * x2 + bu * u
 
     def sigma(t, x, x1, x2, u):
-        return s0 + sx * x + sx1 * x1 + sx2 * x2 + su * u + _zero_like(x, x1, x2, u)
+        return s0 + sx * x + sx1 * x1 + sx2 * x2 + su * u
 
     def f(t, x, x1, x2, y, z, u):
-        return (f0 + fx * x + fx1 * x1 + fx2 * x2 + fy * y + fz * z + fu * u
-                + _zero_like(x, x1, x2, y, z, u))
+        return f0 + fx * x + fx1 * x1 + fx2 * x2 + fy * y + fz * z + fu * u
 
     def phi(x, x1):
-        return phi0 + phix * x + phix1 * x1 + _zero_like(x, x1)
+        return phi0 + phix * x + phix1 * x1
 
     derivs = dict(
-        b_x=lambda t, x, x1, x2, u: bx + _zero_like(x, x1, x2, u),
-        b_x1=lambda t, x, x1, x2, u: bx1 + _zero_like(x, x1, x2, u),
-        b_x2=lambda t, x, x1, x2, u: bx2 + _zero_like(x, x1, x2, u),
-        sigma_x=lambda t, x, x1, x2, u: sx + _zero_like(x, x1, x2, u),
-        sigma_x1=lambda t, x, x1, x2, u: sx1 + _zero_like(x, x1, x2, u),
-        sigma_x2=lambda t, x, x1, x2, u: sx2 + _zero_like(x, x1, x2, u),
-        f_x=lambda t, x, x1, x2, y, z, u: fx + _zero_like(x, x1, x2, y, z, u),
-        f_x1=lambda t, x, x1, x2, y, z, u: fx1 + _zero_like(x, x1, x2, y, z, u),
-        f_x2=lambda t, x, x1, x2, y, z, u: fx2 + _zero_like(x, x1, x2, y, z, u),
-        f_y=lambda t, x, x1, x2, y, z, u: fy + _zero_like(x, x1, x2, y, z, u),
-        f_z=lambda t, x, x1, x2, y, z, u: fz + _zero_like(x, x1, x2, y, z, u),
-        phi_x=lambda x, x1: phix + _zero_like(x, x1),
-        phi_x1=lambda x, x1: phix1 + _zero_like(x, x1),
+        b_x=lambda t, x, x1, x2, u: _fill(bx, x, x1, x2, u),
+        b_x1=lambda t, x, x1, x2, u: _fill(bx1, x, x1, x2, u),
+        b_x2=lambda t, x, x1, x2, u: _fill(bx2, x, x1, x2, u),
+        sigma_x=lambda t, x, x1, x2, u: _fill(sx, x, x1, x2, u),
+        sigma_x1=lambda t, x, x1, x2, u: _fill(sx1, x, x1, x2, u),
+        sigma_x2=lambda t, x, x1, x2, u: _fill(sx2, x, x1, x2, u),
+        f_x=lambda t, x, x1, x2, y, z, u: _fill(fx, x, x1, x2, y, z, u),
+        f_x1=lambda t, x, x1, x2, y, z, u: _fill(fx1, x, x1, x2, y, z, u),
+        f_x2=lambda t, x, x1, x2, y, z, u: _fill(fx2, x, x1, x2, y, z, u),
+        f_y=lambda t, x, x1, x2, y, z, u: _fill(fy, x, x1, x2, y, z, u),
+        f_z=lambda t, x, x1, x2, y, z, u: _fill(fz, x, x1, x2, y, z, u),
+        phi_x=lambda x, x1: _fill(phix, x, x1),
+        phi_x1=lambda x, x1: _fill(phix1, x, x1),
     )
     return b, sigma, f, phi, derivs
 
@@ -192,31 +196,31 @@ def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
     phi_quad, phi_lin, phi0 = filled["phi_quad"], filled["phi_lin"], filled["phi0"]
 
     def b(t, x, x1, x2, u):
-        return b0 + a * x + bu * u + _zero_like(x, x1, x2, u)
+        return _fill(b0 + a * x + bu * u, x, x1, x2, u)
 
     def sigma(t, x, x1, x2, u):
-        return sigma0 + _zero_like(x, x1, x2, u)
+        return _fill(sigma0, x, x1, x2, u)
 
     def f(t, x, x1, x2, y, z, u):
-        return -(q * x ** 2 + r * u ** 2) + fy * y + _zero_like(x, x1, x2, y, z, u)
+        return _fill(-(q * x ** 2 + r * u ** 2) + fy * y, x, x1, x2, y, z, u)
 
     def phi(x, x1):
-        return phi_quad * x ** 2 + phi_lin * x + phi0 + _zero_like(x, x1)
+        return _fill(phi_quad * x ** 2 + phi_lin * x + phi0, x, x1)
 
     derivs = dict(
-        b_x=lambda t, x, x1, x2, u: a + _zero_like(x, x1, x2, u),
-        b_x1=lambda t, x, x1, x2, u: _zero_like(x, x1, x2, u),
-        b_x2=lambda t, x, x1, x2, u: _zero_like(x, x1, x2, u),
-        sigma_x=lambda t, x, x1, x2, u: _zero_like(x, x1, x2, u),
-        sigma_x1=lambda t, x, x1, x2, u: _zero_like(x, x1, x2, u),
-        sigma_x2=lambda t, x, x1, x2, u: _zero_like(x, x1, x2, u),
-        f_x=lambda t, x, x1, x2, y, z, u: -2.0 * q * x + _zero_like(x1, x2, y, z, u),
-        f_x1=lambda t, x, x1, x2, y, z, u: _zero_like(x, x1, x2, y, z, u),
-        f_x2=lambda t, x, x1, x2, y, z, u: _zero_like(x, x1, x2, y, z, u),
-        f_y=lambda t, x, x1, x2, y, z, u: fy + _zero_like(x, x1, x2, y, z, u),
-        f_z=lambda t, x, x1, x2, y, z, u: _zero_like(x, x1, x2, y, z, u),
-        phi_x=lambda x, x1: 2.0 * phi_quad * x + phi_lin + _zero_like(x1),
-        phi_x1=lambda x, x1: _zero_like(x, x1),
+        b_x=lambda t, x, x1, x2, u: _fill(a, x, x1, x2, u),
+        b_x1=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        b_x2=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        sigma_x=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        sigma_x1=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        sigma_x2=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        f_x=lambda t, x, x1, x2, y, z, u: _fill(-2.0 * q * x, x1, x2, y, z, u),
+        f_x1=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
+        f_x2=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
+        f_y=lambda t, x, x1, x2, y, z, u: _fill(fy, x, x1, x2, y, z, u),
+        f_z=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
+        phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1),
+        phi_x1=lambda x, x1: _fill(0.0, x, x1),
     )
     return CoefficientSet(name="linear_quadratic", lam=lam, b=b, sigma=sigma, f=f, phi=phi,
                           params=dict(p), **derivs)

@@ -289,17 +289,28 @@ def eval_G(variant: str, t, x, x1, x2, u, k, p, R, q, coeffs, delay: float,
     tr = transport_term(x, x1, x2, coeffs.lam, delay)
     if variant == "G":
         return 0.5 * R * sig ** 2 + p * b + q * tr + coeffs.f(t, x, x1, x2, k, p * sig, u)
+    gbar, fbar = linear_driver_terms(variant, t, linear_driver)
+    a = coeffs.f(t, x, x1, x2, 0.0, 0.0, u)
+    drift = b if gbar is None else b + sig * gbar
+    return 0.5 * R * sig ** 2 + p * drift + q * tr + a + fbar * k
+
+
+def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver]):
+    """(g(t) or None, fbar(t)) entering a linear variant of G at time t.
+
+    g is None unless the variant is "Gbar" and the driver carries a z-loading;
+    "Gtilde" refuses a driver whose g is not zero at t.
+    """
     if linear_driver is None:
         raise ConfigurationError(f"variant {variant!r} requires a linear driver")
-    if variant == "Gtilde" and linear_driver.gbar is not None:
+    gbar = None
+    if linear_driver.gbar is not None:
         gvals = linear_driver.gbar_at(t)
-        if np.any(np.abs(gvals) > 0.0):
+        if variant == "Gtilde" and np.any(np.abs(gvals) > 0.0):
             raise ConfigurationError("Gtilde requires g identically zero")
-    a = coeffs.f(t, x, x1, x2, 0.0, 0.0, u)
-    drift = b
-    if variant == "Gbar" and linear_driver.gbar is not None:
-        drift = b + sig * linear_driver.gbar_at(t)
-    return 0.5 * R * sig ** 2 + p * drift + q * tr + a + linear_driver.fbar_at(t) * k
+        if variant == "Gbar":
+            gbar = gvals
+    return gbar, linear_driver.fbar_at(t)
 
 
 # ---------------------------------------------------------------------------

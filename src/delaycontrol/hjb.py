@@ -26,7 +26,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigurationError, ControlDomain, HypothesisViolation,
-                   LinearDriver, TimeGrid, derived_rng, eval_G, transport_term)
+                   LinearDriver, TimeGrid, derived_rng, eval_G, linear_driver_terms,
+                   transport_term)
 
 __all__ = [
     "HjbGrid",
@@ -306,7 +307,8 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     U = np.empty_like(V)
     V[grid.n_t] = -coeffs.phi(X, X1)
     u_grid = domain.points()
-    tr = transport_term(X, X1, grid.x2_ref, coeffs.lam, tg.delay)
+    x2 = grid.x2_ref
+    tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
     dx, dx1 = grid.dx, grid.dx1
 
     for it in range(grid.n_t - 1, -1, -1):
@@ -331,17 +333,36 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         d2x[-1, :] = d2x[-2, :]
         vx1_up = np.where(tr >= 0.0, fwd_1, bwd_1)
 
-        ctr_x = 0.5 * (fwd_x + bwd_x)
+        # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed in the
+        # order of eval_G so both Hamiltonians below equal its values bit for
+        # bit; the control-independent pieces are formed once per step
+        k = -Vc
+        p_fwd, p_bwd = -fwd_x, -bwd_x
+        p_ctr = -(0.5 * (fwd_x + bwd_x))
+        half_R = 0.5 * -d2x
+        q_tr = -vx1_up * tr
+        if variant != "G":
+            gbar, fbar = linear_driver_terms(variant, t, linear_driver)
+            fbar_k = fbar * k
         best = np.full(Vc.shape, -np.inf)
         g_ctr = np.empty((len(u_grid),) + Vc.shape)
         for iu, u in enumerate(u_grid):
-            b_u = coeffs.b(t, X, X1, grid.x2_ref, u)
-            vx_up = np.where(b_u >= 0.0, fwd_x, bwd_x)
-            g = eval_G(variant, t, X, X1, grid.x2_ref, u, -Vc, -vx_up, -d2x,
-                       -vx1_up, coeffs, tg.delay, linear_driver)
-            best = np.maximum(best, g)
-            g_ctr[iu] = eval_G(variant, t, X, X1, grid.x2_ref, u, -Vc, -ctr_x, -d2x,
-                               -vx1_up, coeffs, tg.delay, linear_driver)
+            b_u = coeffs.b(t, X, X1, x2, u)
+            sig = coeffs.sigma(t, X, X1, x2, u)
+            p_up = np.where(b_u >= 0.0, p_fwd, p_bwd)
+            diffusion = half_R * sig ** 2
+            if variant == "G":
+                # f may be nonlinear in z = p * sigma, so each p needs its own f
+                g = (diffusion + p_up * b_u + q_tr
+                     + coeffs.f(t, X, X1, x2, k, p_up * sig, u))
+                g_ctr[iu] = (diffusion + p_ctr * b_u + q_tr
+                             + coeffs.f(t, X, X1, x2, k, p_ctr * sig, u))
+            else:
+                a = coeffs.f(t, X, X1, x2, 0.0, 0.0, u)
+                drift = b_u if gbar is None else b_u + sig * gbar
+                g = diffusion + p_up * drift + q_tr + a + fbar_k
+                g_ctr[iu] = diffusion + p_ctr * drift + q_tr + a + fbar_k
+            np.maximum(best, g, out=best)
         # the value update uses the monotone (upwind) discrete sup; the stored
         # argmax is taken from the central-difference Hamiltonian (second-order
         # in dx) and refined by a parabola through the three neighboring
@@ -433,22 +454,26 @@ def jet_membership(vgrid: GridValueFunction, point: Tuple[float, float, float],
     if not (radius <= k0 <= nx1 - 1 - radius):
         raise ValueError("point too close to the x1 boundary for the requested radius")
     nt = len(vgrid.times) - 1
+    # the (time, x, x1) neighborhood as one broadcast block, axes (it, j, k)
     its = np.arange(it0, min(it0 + radius, nt) + 1)
-    worst = -np.inf
-    for it in its:
-        dt = vgrid.times[it] - vgrid.times[it0]
-        for k in range(k0 - radius, k0 + radius + 1):
-            d1 = vgrid.x1s[k] - vgrid.x1s[k0]
-            js = np.arange(j0 - radius, j0 + radius + 1)
-            dxs = vgrid.xs[js] - vgrid.xs[j0]
-            rho = abs(dt) + dxs ** 2 + d1 ** 2
-            center = (it == it0) & (k == k0) & (js == j0)
-            model = (v0 + candidate.theta * dt + candidate.p * dxs
-                     + 0.5 * candidate.P * dxs ** 2 + candidate.q * d1)
-            resid = sign * (vgrid.V[it, js, k] - model)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                resid = np.where(center, -np.inf, resid / np.maximum(rho, 1e-300))
-            worst = max(worst, float(resid.max()))
+    js = np.arange(j0 - radius, j0 + radius + 1)
+    ks = np.arange(k0 - radius, k0 + radius + 1)
+    dt = (vgrid.times[its] - vgrid.times[it0])[:, None, None]
+    dxs = (vgrid.xs[js] - vgrid.xs[j0])[None, :, None]
+    d1 = vgrid.x1s[ks] - vgrid.x1s[k0]
+    # the x1 offsets are squared one by one as numpy scalars (libm pow), which
+    # can differ in the last bit from the array square; this keeps the
+    # residuals equal to those of the per-(time, x1)-row form
+    d1_sq = np.array([d ** 2 for d in d1])[None, None, :]
+    d1 = d1[None, None, :]
+    rho = np.abs(dt) + dxs ** 2 + d1_sq
+    model = (v0 + candidate.theta * dt + candidate.p * dxs
+             + 0.5 * candidate.P * dxs ** 2 + candidate.q * d1)
+    resid = sign * (vgrid.V[np.ix_(its, js, ks)] - model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = resid / np.maximum(rho, 1e-300)
+    resid[0, radius, radius] = -np.inf  # the point itself
+    worst = float(resid.max())
     return worst <= tol, worst
 
 

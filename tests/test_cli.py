@@ -139,6 +139,34 @@ class TestConfigValidation:
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("subcommand", ["check-mp", "simulate"])
+    def test_unknown_control_type_is_field_error(self, subcommand, lq_config, tmp_path,
+                                                 capsys):
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", lq_config, "--out", str(out),
+                   "--set", "control.type=bogus"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "control.type: unknown control type 'bogus'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "500", "0,-1"])
+    def test_bad_dump_slices_is_field_error(self, value, lq_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["solve-hjb", "--config", lq_config, "--out", str(out),
+                   "--set", f"numerics.dump_slices={value}"])
+        assert rc == 2
+        assert "numerics.dump_slices" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_dump_slices_accepts_both_ends(self, lq_config, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["solve-hjb", "--config", lq_config, "--out", str(out),
+                   "--set", "numerics.dump_slices=0,60"])
+        assert rc == 0
+        rows = (out / "value_function.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 61 * 31
+
 
 class TestSimulate:
     def test_outputs_and_manifest(self, lq_config, tmp_path):
