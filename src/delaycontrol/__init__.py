@@ -18,7 +18,7 @@ from .adjoint import (AdjointBundle, MPReport, check_sufficient_mp,
                       compute_p3_pathwise, solve_adjoint_p, solve_adjoints,
                       solve_gamma, solve_transformed_direct)
 from .variational import (PerturbationRun, ScalingReport, duality_processes,
-                          duality_scaling, remainder_scaling, simulate_variation)
+                          scaling_reports, simulate_variation)
 from .hjb import (GridValueFunction, HjbGrid, Jet, check_x2_independence,
                   extract_jet, feedback_control, jet_membership, solve_hjb,
                   viscosity_residual)

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .smdde import (NoiseSource, dump_trajectories, estimate_moment_bound,
 from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
                    solve_bsde_lsmc)
 from .adjoint import check_sufficient_mp, dump_adjoints, solve_adjoints, write_mp_report
-from .variational import duality_scaling, remainder_scaling, write_scaling_report
+from .variational import check_offsets, scaling_reports, write_scaling_report
 from .hjb import (HjbGrid, dump_value_function, feedback_control, heatmap_svg,
                   solve_hjb)
 from .connect import (check_duality_inclusion, girsanov_reduce, start_state,
@@ -55,6 +55,10 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration assembled from the INI file and overrides."""
@@ -75,7 +79,10 @@ class RunConfig:
             return None
         try:
             if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                word = raw.strip().lower()
+                if word not in _TRUE + _FALSE:
+                    raise ValueError(word)
+                return word in _TRUE
             return cast(raw)
         except ValueError:
             if problems is not None:
@@ -156,10 +163,16 @@ class RunConfig:
             local.append(f"{section}: {exc}")
             return None
 
-    def basis(self, problems: List[str]) -> RegressionBasis:
-        return RegressionBasis(
-            degree=self.get("numerics", "basis_degree", int, default=2, problems=problems),
-            eps_reg=self.get("numerics", "eps_reg", float, default=1e-9, problems=problems))
+    def basis(self, problems: List[str]) -> Optional[RegressionBasis]:
+        degree = self.get("numerics", "basis_degree", int, default=2, problems=problems)
+        eps_reg = self.get("numerics", "eps_reg", float, default=1e-9, problems=problems)
+        if degree is None or eps_reg is None:
+            return None
+        try:
+            return RegressionBasis(degree=degree, eps_reg=eps_reg)
+        except ConfigurationError as exc:
+            problems.append(f"numerics: {exc}")
+            return None
 
     def hjb_grid(self, problems: List[str]) -> Optional[HjbGrid]:
         vals = dict(
@@ -196,11 +209,52 @@ class RunConfig:
                             "(numerics.n_t_pde)")
         return slices
 
-    def n_paths(self, problems: List[str]) -> int:
-        return self.get("numerics", "n_paths", int, default=10_000, problems=problems)
+    def scaling(self, n_steps: int, problems: List[str]
+                ) -> Tuple[Optional[List[float]], Optional[List[int]], Optional[int]]:
+        """check-scaling settings: offsets, perturbation indices in
+        [0, n_steps - 1] (a variation needs t + dt <= T) and the moment p."""
+        raw = self.get("scaling", "offsets", str, default="0.2,0.1,0.05,0.025",
+                       problems=problems)
+        try:
+            offsets = [float(v) for v in raw.split(",")]
+            check_offsets(offsets)
+        except ValueError:
+            problems.append(f"scaling.offsets: expected comma-separated numbers, got {raw!r}")
+            offsets = None
+        except ConfigurationError as exc:
+            problems.append(f"scaling.offsets: {exc}, got {raw!r}")
+            offsets = None
+        raw = self.get("scaling", "t_indices", str, default=str(max(n_steps // 4, 1)),
+                       problems=problems)
+        try:
+            t_indices = [int(v) for v in raw.split(",")]
+        except ValueError:
+            problems.append(f"scaling.t_indices: expected comma-separated integers, "
+                            f"got {raw!r}")
+            t_indices = None
+        else:
+            outside = [v for v in t_indices if not 0 <= v <= n_steps - 1]
+            if outside:
+                problems.append(f"scaling.t_indices: {outside} outside [0, {n_steps - 1}] "
+                                "(a variation needs t + dt <= T)")
+        p = self.get("scaling", "p", int, default=2, problems=problems)
+        if p is not None and p < 1:
+            problems.append(f"scaling.p: must be a positive integer, got {p}")
+        return offsets, t_indices, p
 
-    def dump_paths(self, problems: List[str]) -> int:
-        return self.get("numerics", "dump_paths", int, default=100, problems=problems)
+    def n_paths(self, problems: List[str]) -> Optional[int]:
+        n = self.get("numerics", "n_paths", int, default=10_000, problems=problems)
+        if n is not None and n < 1:
+            problems.append(f"numerics.n_paths: must be a positive integer, got {n}")
+            return None
+        return n
+
+    def dump_paths(self, problems: List[str]) -> Optional[int]:
+        keep = self.get("numerics", "dump_paths", int, default=100, problems=problems)
+        if keep is not None and keep < 0:
+            problems.append(f"numerics.dump_paths: must be >= 0, got {keep}")
+            return None
+        return keep
 
     def effective_lines(self) -> List[str]:
         # thread count is excluded: results are scheduling-independent
@@ -282,28 +336,27 @@ def _resolve_control(cfg: RunConfig, inst: Instance, problems: List[str],
                      need_hjb: bool = False):
     """Control from the [control] section: constant value, or the value-grid
     argmax feedback (optionally perturbed by a constant on the first half
-    of the horizon)."""
+    of the horizon).
+
+    Raises every problem collected so far, the caller's included, before
+    the value grid is solved, so callers parse their own fields first.
+    """
     ctype = cfg.get("control", "type", str, default="constant", problems=problems)
     if ctype not in CONTROL_TYPES:
-        raise ConfigError([f"control.type: unknown control type {ctype!r} "
-                           f"(expected {' | '.join(CONTROL_TYPES)})"])
+        problems.append(f"control.type: unknown control type {ctype!r} "
+                        f"(expected {' | '.join(CONTROL_TYPES)})")
     perturb = cfg.get("control", "perturb", float, default=0.0, problems=problems)
+    value = (cfg.get("control", "value", float, default=0.0, problems=problems)
+             if ctype == "constant" else None)
+    grid_cfg = cfg.hjb_grid(problems) if need_hjb or ctype == "hjb" else None
+    if problems:
+        raise ConfigError(problems)
     vgrid = None
-    if ctype == "constant" and not need_hjb:
-        base = cfg.get("control", "value", float, default=0.0, problems=problems)
-        rule = float(base)
-    else:
-        grid_cfg = cfg.hjb_grid(problems)
-        if grid_cfg is None:
-            return None, None
+    if grid_cfg is not None:
         variant = "Gtilde" if inst.driver is not None else "G"
         vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
                           variant=variant, linear_driver=inst.driver)
-        if ctype == "constant":
-            base = cfg.get("control", "value", float, default=0.0, problems=problems)
-            rule = float(base)
-        else:
-            rule = feedback_control(vgrid, inst.domain)
+    rule = value if ctype == "constant" else feedback_control(vgrid, inst.domain)
     if perturb:
         half = 0.5 * (inst.grid.s + inst.grid.T)
         inner = rule
@@ -320,34 +373,38 @@ def _resolve_control(cfg: RunConfig, inst: Instance, problems: List[str],
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    problems: List[str] = []
+def _checked_instance(cfg: RunConfig, problems: List[str]) -> Instance:
     inst = cfg.instance(problems=problems)
     if problems or inst is None:
         raise ConfigError(problems or ["instance: invalid"])
-    control, _ = _resolve_control(cfg, inst, problems)
+    return inst
+
+
+def _cmd_simulate(cfg: RunConfig) -> int:
+    problems: List[str] = []
+    inst = _checked_instance(cfg, problems)
     n_paths = cfg.n_paths(problems)
+    keep = cfg.dump_paths(problems)
+    control, _ = _resolve_control(cfg, inst, problems)
     bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
                             NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
     write_manifest(cfg, "simulate", {"n_diverged": int(bundle.diverged.sum())})
     dump_trajectories(bundle, os.path.join(cfg.out_dir, "trajectories.csv"),
-                      max_paths=cfg.dump_paths(problems))
+                      max_paths=keep)
     return 0
 
 
 def _cmd_solve_bsde(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
-    control, _ = _resolve_control(cfg, inst, problems)
+    inst = _checked_instance(cfg, problems)
     basis = cfg.basis(problems)
+    n_paths = cfg.n_paths(problems)
+    keep = cfg.dump_paths(problems)
+    control, _ = _resolve_control(cfg, inst, problems)
     bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), cfg.n_paths(problems),
-                            threads=cfg.threads)
+                            NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
     sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
     write_manifest(cfg, "solve-bsde")
-    keep = cfg.dump_paths(problems)
     dump_trajectories(bundle, os.path.join(cfg.out_dir, "trajectories.csv"),
                       max_paths=keep, solution=sol)
     times = inst.grid.times()
@@ -371,17 +428,18 @@ def _cmd_solve_hjb(cfg: RunConfig) -> int:
     if problems or inst is None or grid_cfg is None:
         raise ConfigError(problems or ["instance: invalid"])
     slices = cfg.dump_slices(grid_cfg.n_t, problems)
-    if problems:
-        raise ConfigError(problems)
     variant = cfg.get("numerics", "hjb_variant", str,
                       default="Gtilde" if inst.driver is not None else "G",
                       problems=problems)
+    svg = cfg.get("numerics", "svg", bool, default=False, problems=problems)
+    if problems:
+        raise ConfigError(problems)
     vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
                       variant=variant, linear_driver=inst.driver)
     write_manifest(cfg, "solve-hjb")
     dump_value_function(vgrid, os.path.join(cfg.out_dir, "value_function.csv"),
                         slices=slices)
-    if cfg.get("numerics", "svg", bool, default=False, problems=problems):
+    if svg:
         heatmap_svg(vgrid.V[0], vgrid.xs, vgrid.x1s,
                     os.path.join(cfg.out_dir, "value_t0.svg"),
                     title=f"V at t={vgrid.times[0]:.3g}")
@@ -399,9 +457,12 @@ def _cmd_check_comparison(cfg: RunConfig) -> int:
         raise ConfigError(problems or ["instance/instance2: invalid"])
     tol = cfg.get("comparison", "tol", float, default=10.0 * inst1.grid.dt,
                   problems=problems)
+    n_paths = cfg.n_paths(problems)
+    if problems:
+        raise ConfigError(problems)
     _, _, report = simulate_coupled_pair(
         inst1.coeffs, inst2.coeffs, inst1.history, inst2.history, inst1.grid,
-        NoiseSource(cfg.seed), cfg.n_paths(problems), tol=tol, threads=cfg.threads)
+        NoiseSource(cfg.seed), n_paths, tol=tol, threads=cfg.threads)
     write_manifest(cfg, "check-comparison")
     times = inst1.grid.times()
     with open(os.path.join(cfg.out_dir, "violations.csv"), "w", newline="") as fh:
@@ -420,13 +481,13 @@ def _cmd_check_comparison(cfg: RunConfig) -> int:
 
 def _cmd_check_moments(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
+    inst = _checked_instance(cfg, problems)
     p = cfg.get("moments", "p", int, default=2, problems=problems)
+    n_paths = cfg.n_paths(problems)
+    if problems:
+        raise ConfigError(problems)
     rep = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, p,
-                                NoiseSource(cfg.seed), cfg.n_paths(problems),
-                                threads=cfg.threads)
+                                NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
     write_manifest(cfg, "check-moments")
     write_kv_report([
         f"p={rep.p}", f"lhs={rep.lhs:.12g}", f"lhs_se={rep.lhs_se:.6g}",
@@ -437,41 +498,41 @@ def _cmd_check_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def _pipeline(cfg: RunConfig, problems: List[str], need_hjb: bool):
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
-    control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=need_hjb)
+def _pipeline(cfg: RunConfig, inst: Instance, problems: List[str]):
+    """Constant-or-feedback control, forward paths and the backward solution;
+    ``problems`` (the caller's parse results) is raised before any solve."""
     basis = cfg.basis(problems)
+    n_paths = cfg.n_paths(problems)
+    control, _ = _resolve_control(cfg, inst, problems)
     bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), cfg.n_paths(problems),
-                            threads=cfg.threads)
+                            NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
     sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
-    return inst, control, vgrid, basis, bundle, sol
+    return basis, bundle, sol
 
 
 def _cmd_check_mp(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst, control, vgrid, basis, bundle, sol = _pipeline(cfg, problems, need_hjb=False)
+    inst = _checked_instance(cfg, problems)
+    keep = cfg.dump_paths(problems)
+    basis, bundle, sol = _pipeline(cfg, inst, problems)
     adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
     write_mp_report(report, os.path.join(cfg.out_dir, "mp_report.txt"))
     dump_adjoints(bundle, adjoints, os.path.join(cfg.out_dir, "adjoints.csv"),
-                  max_paths=cfg.dump_paths(problems))
+                  max_paths=keep)
     return 0
 
 
 def _cmd_check_duality(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
+    inst = _checked_instance(cfg, problems)
+    n_paths = cfg.n_paths(problems)
+    basis = cfg.basis(problems)
     control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
     report = check_duality_inclusion(inst, control, vgrid, NoiseSource(cfg.seed),
-                                     cfg.n_paths(problems), basis=cfg.basis(problems),
-                                     threads=cfg.threads)
+                                     n_paths, basis=basis, threads=cfg.threads)
     write_manifest(cfg, "check-duality")
     write_kv_report(report.kv_lines(), os.path.join(cfg.out_dir, "report.txt"))
     write_duality_detail(report, os.path.join(cfg.out_dir, "duality_detail.csv"))
@@ -480,37 +541,30 @@ def _cmd_check_duality(cfg: RunConfig) -> int:
 
 def _cmd_check_scaling(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst, control, vgrid, basis, bundle, sol = _pipeline(cfg, problems, need_hjb=False)
-    offsets = [float(v) for v in cfg.get(
-        "scaling", "offsets", str, default="0.2,0.1,0.05,0.025",
-        problems=problems).split(",")]
-    t_indices = [int(v) for v in cfg.get(
-        "scaling", "t_indices", str,
-        default=str(max(inst.grid.n_steps // 4, 1)), problems=problems).split(",")]
-    p = cfg.get("scaling", "p", int, default=2, problems=problems)
+    inst = _checked_instance(cfg, problems)
+    offsets, t_indices, p = cfg.scaling(inst.grid.n_steps, problems)
+    basis, bundle, sol = _pipeline(cfg, inst, problems)
     adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
     write_manifest(cfg, "check-scaling")
     for ti in t_indices:
-        rep = remainder_scaling(bundle, inst.coeffs, ti, offsets, p=p)
+        rep, repd = scaling_reports(bundle, inst.coeffs, ti, offsets, p=p,
+                                    adjoints=adjoints, basis=basis)
         write_scaling_report(rep, os.path.join(cfg.out_dir, f"remainders_t{ti}.csv"))
-        repd = duality_scaling(bundle, adjoints, inst.coeffs, basis, ti, offsets)
         write_scaling_report(repd, os.path.join(cfg.out_dir, f"duality_t{ti}.csv"))
     return 0
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
+    inst = _checked_instance(cfg, problems)
     if inst.driver is None:
         raise ConfigError(["driver: verify requires a [driver] section "
                            "(z-free linear form)"])
-    control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
     budget = cfg.get("numerics", "grid_budget", float, default=5e-2, problems=problems)
+    n_paths = cfg.n_paths(problems)
+    control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
     report = verify_optimality(inst, control, vgrid, NoiseSource(cfg.seed),
-                               cfg.n_paths(problems), budget=budget,
-                               threads=cfg.threads)
+                               n_paths, budget=budget, threads=cfg.threads)
     write_manifest(cfg, "verify")
     write_kv_report(report.kv_lines(), os.path.join(cfg.out_dir, "report.txt"))
     write_verification_detail(report,
@@ -520,14 +574,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 def _cmd_girsanov(cfg: RunConfig) -> int:
     problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
+    inst = _checked_instance(cfg, problems)
     if inst.driver is None:
         raise ConfigError(["driver: girsanov requires a [driver] section"])
-    reduction = girsanov_reduce(inst)
     n_paths = cfg.n_paths(problems)
     basis = cfg.basis(problems)
+    if problems:
+        raise ConfigError(problems)
+    reduction = girsanov_reduce(inst)
     bundle_p = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
                               NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
     w = reduction.weights(bundle_p)

@@ -118,11 +118,12 @@ class TrajectoryBundle:
         """Current state at grid index i (i may be negative down to -m)."""
         return self.X[:, i + self.grid.m]
 
-    def u_at(self, i: int, mask: Optional[np.ndarray] = None):
+    def u_at(self, i, mask: Optional[np.ndarray] = None):
         """Control applied on [t_i, t_{i+1}); broadcastable against paths.
 
-        With ``mask`` given, per-path controls are restricted to the
-        selected paths (scalars pass through unchanged).
+        ``i`` may also be an array of grid indices; the result then has one
+        column per index.  With ``mask`` given, per-path controls are
+        restricted to the selected paths (scalars pass through unchanged).
         """
         if self.u is None:
             return 0.0
@@ -130,8 +131,8 @@ class TrajectoryBundle:
             return self.u
         u = np.asarray(self.u)
         if u.ndim == 1:
-            return u[min(i, u.size - 1)]
-        col = u[:, min(i, u.shape[1] - 1)]
+            return u[np.minimum(i, u.size - 1)]
+        col = u[:, np.minimum(i, u.shape[1] - 1)]
         return col[mask] if mask is not None else col
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .smdde import TrajectoryBundle
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)     # map to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# path-steps per remainder slab: 16 steps at 500 paths keeps a slab's arrays
+# (64 KiB each) in cache
+_SLAB_PATH_STEPS = 8192
 
 
 @dataclass
@@ -58,21 +61,43 @@ def _sub_control(u, t_index: int):
     return arr[t_index:] if arr.ndim == 1 else arr[:, t_index:]
 
 
-def _averaged_derivative_gap(dfn, t, base_args, hat_args, u):
-    """Gauss-Legendre average of dfn(base + theta*hat) - dfn(base) over
-    theta in [0, 1] (exact for polynomial integrands of degree <= 15).
+def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray,
+                Xhat1: np.ndarray, Xhat2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """eps1/eps2 on the steps t_index..n-1: each derivative's Gauss-Legendre
+    average of d(base + theta*hat) - d(base) over theta in [0, 1] (exact for
+    polynomial integrands of degree <= 15), times the matching hat component.
 
     Averaging the gap rather than the derivative keeps the result exactly
     zero for constant derivatives, so linear families produce identically
-    vanishing remainders instead of rounding dust.
+    vanishing remainders instead of rounding dust.  Steps are taken in slabs
+    of (n_paths, slab) arrays; every element sees the same operations in the
+    same order as a step-by-step evaluation, so the result is bit-identical.
     """
-    x, x1, x2 = base_args
-    hx, hx1, hx2 = hat_args
-    star = dfn(t, x, x1, x2, u)
-    acc = 0.0
-    for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
-        acc = acc + w * (dfn(t, x + theta * hx, x1 + theta * hx1, x2 + theta * hx2, u) - star)
-    return acc
+    grid = bundle.grid
+    m, n = grid.m, grid.n_steps
+    n_paths, n_sub = bundle.n_paths, n - t_index
+    derivs = (coeffs.b_x, coeffs.b_x1, coeffs.b_x2,
+              coeffs.sigma_x, coeffs.sigma_x1, coeffs.sigma_x2)
+    eps1 = np.empty((n_paths, n_sub))
+    eps2 = np.empty((n_paths, n_sub))
+    slab = max(1, _SLAB_PATH_STEPS // n_paths)
+    for j0 in range(0, n_sub, slab):
+        j1 = min(j0 + slab, n_sub)
+        i0, i1 = t_index + j0, t_index + j1
+        steps = np.arange(i0, i1)
+        t = grid.time(steps)
+        u = bundle.u_at(steps)
+        x, x1, x2 = bundle.X[:, i0 + m : i1 + m], bundle.X1[:, i0:i1], bundle.X[:, i0:i1]
+        hx, hx1, hx2 = Xhat[:, j0:j1], Xhat1[:, j0:j1], Xhat2[:, j0:j1]
+        stars = [d(t, x, x1, x2, u) for d in derivs]
+        gaps = [0.0] * len(derivs)
+        for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
+            xs, x1s, x2s = x + theta * hx, x1 + theta * hx1, x2 + theta * hx2
+            gaps = [g + w * (d(t, xs, x1s, x2s, u) - star)
+                    for g, d, star in zip(gaps, derivs, stars)]
+        eps1[:, j0:j1] = gaps[0] * hx + gaps[1] * hx1 + gaps[2] * hx2
+        eps2[:, j0:j1] = gaps[3] * hx + gaps[4] * hx1 + gaps[5] * hx2
+    return eps1, eps2
 
 
 def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
@@ -133,20 +158,7 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     Xhat1 = X1p - bundle.X1[:, t_index:]
     Xhat2 = Xp[:, t_index : n + 1] - bundle.X[:, t_index : n + 1]
 
-    eps1 = np.zeros((n_paths, n_sub))
-    eps2 = np.zeros((n_paths, n_sub))
-    for i in range(t_index, n):
-        j = i - t_index
-        t = grid.time(i)
-        u = bundle.u_at(i)
-        base_args = (bundle.x_at(i), bundle.X1[:, i], bundle.X2[:, i])
-        hat_args = (Xhat[:, j], Xhat1[:, j], Xhat2[:, j])
-        for store, dx, dx1, dx2 in ((eps1, coeffs.b_x, coeffs.b_x1, coeffs.b_x2),
-                                    (eps2, coeffs.sigma_x, coeffs.sigma_x1, coeffs.sigma_x2)):
-            store[:, j] = (
-                _averaged_derivative_gap(dx, t, base_args, hat_args, u) * hat_args[0]
-                + _averaged_derivative_gap(dx1, t, base_args, hat_args, u) * hat_args[1]
-                + _averaged_derivative_gap(dx2, t, base_args, hat_args, u) * hat_args[2])
+    eps1, eps2 = _remainders(bundle, coeffs, t_index, Xhat, Xhat1, Xhat2)
     return PerturbationRun(t_index=t_index, offset=offset, sub_grid=sub_grid,
                            base_sub=base_sub, pert=pert, Xhat=Xhat, Xhat1=Xhat1,
                            Xhat2=Xhat2, eps1=eps1, eps2=eps2)
@@ -184,35 +196,26 @@ def _mc_stats(values: np.ndarray) -> Tuple[float, float]:
     return float(np.mean(values)), float(np.std(values) / np.sqrt(values.size))
 
 
-def remainder_scaling(bundle: TrajectoryBundle, coeffs, t_index: int,
-                      offsets: Sequence[float], p: int = 2) -> ScalingReport:
-    """Log-log slopes of the difference-path and remainder statistics.
-
-    Expected: slope ~ p for E sup|Xhat|^p (and the delayed variants),
-    slope > p for the eps integrals.  At least 3 offsets spanning a factor
-    of 4 are required for a meaningful fit.
-    """
+def check_offsets(offsets: Sequence[float]) -> np.ndarray:
+    """Offsets sorted in decreasing order; at least 3 positive, finite
+    offsets spanning a factor of 4 are required for a meaningful fit."""
     offsets = np.asarray(sorted(offsets, reverse=True), dtype=float)
-    if offsets.size < 3 or offsets.max() / offsets.min() < 4.0:
-        raise ConfigurationError("need >= 3 offsets spanning a factor >= 4")
-    dt = bundle.grid.dt
-    rows: List[ScalingRow] = []
-    series: Dict[str, List[float]] = {k: [] for k in
-                                      ("sup_xhat", "sup_xhat1", "sup_xhat2",
-                                       "eps1_int", "eps2_int")}
-    for h in offsets:
-        run = simulate_variation(bundle, coeffs, t_index, float(h))
-        stats = {
-            "sup_xhat": np.max(np.abs(run.Xhat), axis=1) ** p,
-            "sup_xhat1": np.max(np.abs(run.Xhat1), axis=1) ** p,
-            "sup_xhat2": np.max(np.abs(run.Xhat2), axis=1) ** p,
-            "eps1_int": (np.sum(run.eps1 ** 2, axis=1) * dt) ** (p / 2),
-            "eps2_int": (np.sum(run.eps2 ** 2, axis=1) * dt) ** (p / 2),
-        }
-        for key, vals in stats.items():
-            est, se = _mc_stats(vals)
-            rows.append(ScalingRow(quantity=key, offset=float(h), estimate=est, std_error=se))
-            series[key].append(est)
+    if (offsets.size < 3 or not np.all(np.isfinite(offsets) & (offsets > 0.0))
+            or offsets.max() / offsets.min() < 4.0):
+        raise ConfigurationError("need >= 3 positive offsets spanning a factor >= 4")
+    return offsets
+
+
+def _add_stats(rows: List[ScalingRow], series: Dict[str, List[float]], offset: float,
+               stats: Dict[str, np.ndarray]):
+    for key, vals in stats.items():
+        est, se = _mc_stats(vals)
+        rows.append(ScalingRow(quantity=key, offset=offset, estimate=est, std_error=se))
+        series.setdefault(key, []).append(est)
+
+
+def _report(offsets: np.ndarray, rows: List[ScalingRow],
+            series: Dict[str, List[float]]) -> ScalingReport:
     slopes = {key: _loglog_slope(offsets, np.asarray(vals)) for key, vals in series.items()}
     return ScalingReport(rows=rows, slopes=slopes)
 
@@ -237,15 +240,18 @@ class DualityProcesses:
     mean_abs_ytilde_t: float
 
 
-def duality_processes(run: PerturbationRun, adjoints, coeffs,
-                      basis: RegressionBasis) -> DualityProcesses:
+def duality_processes(run: PerturbationRun, adjoints, coeffs, basis: RegressionBasis,
+                      base_sol=None) -> DualityProcesses:
     """Form Yhat = ptilde*Xhat, Ycheck = pcheck*Xhat1 and the combination
     Ytilde = -Y_pert + Y_base - Yhat - Ycheck on the sub-horizon.
 
-    Both backward solutions are recomputed on the sub-horizon with the
-    same machinery so their regression biases cancel in the difference.
+    Both backward solutions are computed on the sub-horizon with the same
+    machinery so their regression biases cancel in the difference.  The
+    base solution depends only on the perturbation time; pass ``base_sol``
+    (the LSMC solution on ``run.base_sub``) to reuse it across offsets.
     """
-    base_sol = solve_bsde_lsmc(run.base_sub, coeffs, basis)
+    if base_sol is None:
+        base_sol = solve_bsde_lsmc(run.base_sub, coeffs, basis)
     pert_sol = solve_bsde_lsmc(run.pert, coeffs, basis)
     ti = run.t_index
     pt = adjoints.ptilde[:, ti:]
@@ -260,32 +266,52 @@ def duality_processes(run: PerturbationRun, adjoints, coeffs,
                             delta_y_t=delta_y, mean_abs_ytilde_t=mean_abs)
 
 
-def duality_scaling(bundle: TrajectoryBundle, adjoints, coeffs, basis: RegressionBasis,
-                    t_index: int, offsets: Sequence[float]) -> ScalingReport:
-    """Scaling of E|Ytilde(t)| and of the positive part of the first-order
-    expansion defect against the offset."""
-    offsets = np.asarray(sorted(offsets, reverse=True), dtype=float)
-    if offsets.size < 3 or offsets.max() / offsets.min() < 4.0:
-        raise ConfigurationError("need >= 3 offsets spanning a factor >= 4")
-    rows: List[ScalingRow] = []
-    ytilde: List[float] = []
-    expansion: List[float] = []
+def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
+                    offsets: Sequence[float], p: int = 2, adjoints=None,
+                    basis: Optional[RegressionBasis] = None
+                    ) -> Tuple[ScalingReport, Optional[ScalingReport]]:
+    """Log-log slopes of the remainder and, given adjoints, the duality
+    statistics against the offset, from one variation per offset.
+
+    Remainder report: slope ~ p for E sup|Xhat|^p (and the delayed
+    variants), slope > p for the eps integrals.  Duality report (None
+    without ``adjoints``): E|Ytilde(t)| and the positive part of the
+    first-order expansion defect, both o(h); it needs ``basis``.
+    """
+    offsets = check_offsets(offsets)
+    if adjoints is not None and basis is None:
+        raise ConfigurationError("the duality report needs a regression basis")
+    dt = bundle.grid.dt
     ok = ~bundle.diverged
+    rem_rows: List[ScalingRow] = []
+    rem_series: Dict[str, List[float]] = {}
+    dual_rows: List[ScalingRow] = []
+    dual_series: Dict[str, List[float]] = {}
+    base_sol = None
     for h in offsets:
-        run = simulate_variation(bundle, coeffs, t_index, float(h))
-        dual = duality_processes(run, adjoints, coeffs, basis)
-        est, se = _mc_stats(np.abs(dual.Ytilde[ok, 0]))
-        rows.append(ScalingRow("abs_ytilde_t", float(h), est, se))
-        ytilde.append(est)
-        defect = dual.delta_y_t[ok] - adjoints.ptilde[ok, t_index] * float(h)
-        pos, pos_se = _mc_stats(np.maximum(defect, 0.0))
-        rows.append(ScalingRow("expansion_defect_pos", float(h), pos, pos_se))
-        expansion.append(pos)
-    slopes = {
-        "abs_ytilde_t": _loglog_slope(offsets, np.asarray(ytilde)),
-        "expansion_defect_pos": _loglog_slope(offsets, np.asarray(expansion)),
-    }
-    return ScalingReport(rows=rows, slopes=slopes)
+        h = float(h)
+        run = simulate_variation(bundle, coeffs, t_index, h)
+        _add_stats(rem_rows, rem_series, h, {
+            "sup_xhat": np.max(np.abs(run.Xhat), axis=1) ** p,
+            "sup_xhat1": np.max(np.abs(run.Xhat1), axis=1) ** p,
+            "sup_xhat2": np.max(np.abs(run.Xhat2), axis=1) ** p,
+            "eps1_int": (np.sum(run.eps1 ** 2, axis=1) * dt) ** (p / 2),
+            "eps2_int": (np.sum(run.eps2 ** 2, axis=1) * dt) ** (p / 2),
+        })
+        if adjoints is not None:
+            if base_sol is None:
+                base_sol = solve_bsde_lsmc(run.base_sub, coeffs, basis)
+            dual = duality_processes(run, adjoints, coeffs, basis, base_sol=base_sol)
+            defect = dual.delta_y_t[ok] - adjoints.ptilde[ok, t_index] * h
+            _add_stats(dual_rows, dual_series, h, {
+                "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),
+                "expansion_defect_pos": np.maximum(defect, 0.0),
+            })
+            del dual
+        del run  # one run alive at a time
+    remainders = _report(offsets, rem_rows, rem_series)
+    duality = _report(offsets, dual_rows, dual_series) if adjoints is not None else None
+    return remainders, duality
 
 
 def write_scaling_report(report: ScalingReport, path: str):

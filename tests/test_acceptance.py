@@ -21,7 +21,7 @@ from delaycontrol.smdde import (NoiseSource, estimate_moment_bound,
 from delaycontrol.bsde import (RegressionBasis, linear_driver_oracle,
                                solve_bsde_lsmc)
 from delaycontrol.adjoint import check_sufficient_mp, solve_adjoints
-from delaycontrol.variational import duality_scaling, remainder_scaling
+from delaycontrol.variational import scaling_reports
 from delaycontrol.hjb import (HjbGrid, feedback_control, solve_hjb,
                               viscosity_residual)
 from delaycontrol.connect import (check_duality_inclusion, girsanov_reduce,
@@ -227,7 +227,7 @@ def test_criterion_6_scaling_laws():
     grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=10)
     bundle = simulate_smdde(bil, HistoryPath.constant(1.0, 10), 0.0, grid,
                             NoiseSource(61), 10_000)
-    rem = remainder_scaling(bundle, bil, 10, offsets, p=2)
+    rem, _ = scaling_reports(bundle, bil, 10, offsets, p=2)
     xhat_slope = rem.slope("sup_xhat")
     eps_slopes = (rem.slope("eps1_int"), rem.slope("eps2_int"))
 
@@ -239,7 +239,8 @@ def test_criterion_6_scaling_laws():
     adj = solve_adjoints(lq_bundle, sol, inst.coeffs, basis)
     ytilde_slopes = []
     for ti in (20, 50, 80):
-        rep = duality_scaling(lq_bundle, adj, inst.coeffs, basis, ti, offsets)
+        _, rep = scaling_reports(lq_bundle, inst.coeffs, ti, offsets, adjoints=adj,
+                                 basis=basis)
         ytilde_slopes.append(rep.slope("abs_ytilde_t"))
 
     ok = (abs(xhat_slope - 2.0) <= 0.2 and all(s >= 2.5 for s in eps_slopes)

@@ -150,6 +150,30 @@ class TestConfigValidation:
         assert "control.type: unknown control type 'bogus'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand,override,field", [
+        ("check-scaling", "scaling.offsets=0.1,x", "scaling.offsets"),
+        ("check-scaling", "scaling.offsets=0.2,0.15,0.1", "scaling.offsets"),
+        ("check-scaling", "scaling.t_indices=20,y", "scaling.t_indices"),
+        ("check-scaling", "scaling.t_indices=100", "scaling.t_indices"),
+        ("check-scaling", "scaling.p=0", "scaling.p"),
+        ("check-scaling", "numerics.n_paths=-1", "numerics.n_paths"),
+        ("simulate", "numerics.n_paths=-1", "numerics.n_paths"),
+        ("simulate", "control.value=abc", "control.value"),
+        ("simulate", "numerics.dump_paths=abc", "numerics.dump_paths"),
+        ("simulate", "numerics.dump_paths=-1", "numerics.dump_paths"),
+        ("simulate", "control.perturb=abc", "control.perturb"),
+        ("solve-bsde", "numerics.basis_degree=abc", "numerics.basis_degree"),
+        ("solve-hjb", "numerics.svg=abc", "numerics.svg"),
+    ])
+    def test_bad_value_exits_2_before_any_output(self, subcommand, override, field,
+                                                 lq_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", lq_config, "--out", str(out),
+                   "--set", override])
+        assert rc == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "500", "0,-1"])
     def test_bad_dump_slices_is_field_error(self, value, lq_config, tmp_path, capsys):
         out = tmp_path / "o"

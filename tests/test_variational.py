@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from delaycontrol import variational
 from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import solve_adjoints
-from delaycontrol.variational import (duality_processes, duality_scaling,
-                                      remainder_scaling, simulate_variation)
+from delaycontrol.variational import (_GL_NODES, _GL_WEIGHTS, duality_processes,
+                                      scaling_reports, simulate_variation)
 
 OFFSETS = [0.2, 0.1, 0.05, 0.025]
 
@@ -60,11 +63,80 @@ class TestSimulateVariation:
             simulate_variation(bundle, coeffs, bundle.grid.n_steps, 0.1)
 
 
+def _averaged_derivative_gap(dfn, t, base_args, hat_args, u):
+    x, x1, x2 = base_args
+    hx, hx1, hx2 = hat_args
+    star = dfn(t, x, x1, x2, u)
+    acc = 0.0
+    for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
+        acc = acc + w * (dfn(t, x + theta * hx, x1 + theta * hx1, x2 + theta * hx2, u) - star)
+    return acc
+
+
+def step_remainders(bundle, coeffs, run):
+    """Reference: eps1/eps2 one step (one column) at a time."""
+    n_sub = bundle.grid.n_steps - run.t_index
+    eps1 = np.zeros((bundle.n_paths, n_sub))
+    eps2 = np.zeros((bundle.n_paths, n_sub))
+    for j in range(n_sub):
+        i = run.t_index + j
+        t = bundle.grid.time(i)
+        u = bundle.u_at(i)
+        base_args = (bundle.x_at(i), bundle.X1[:, i], bundle.X2[:, i])
+        hat_args = (run.Xhat[:, j], run.Xhat1[:, j], run.Xhat2[:, j])
+        for store, dx, dx1, dx2 in ((eps1, coeffs.b_x, coeffs.b_x1, coeffs.b_x2),
+                                    (eps2, coeffs.sigma_x, coeffs.sigma_x1, coeffs.sigma_x2)):
+            store[:, j] = (
+                _averaged_derivative_gap(dx, t, base_args, hat_args, u) * hat_args[0]
+                + _averaged_derivative_gap(dx1, t, base_args, hat_args, u) * hat_args[1]
+                + _averaged_derivative_gap(dx2, t, base_args, hat_args, u) * hat_args[2])
+    return eps1, eps2
+
+
+class TestSlabRemainders:
+    # 700 paths: slabs of 8192 // 700 = 11 steps, which divide neither 50 nor 40
+    N_PATHS = 700
+
+    @staticmethod
+    def _coeffs(t_and_u_dependent):
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
+                                   bxx2=0.3, sxx1=0.2, sxx2=0.4, clip=2.5)
+        if not t_and_u_dependent:
+            return coeffs
+        # derivatives that also read t and u catch a slab fed the wrong step's
+        # time or control (the remainders need not match b and sigma here)
+        scaled = {name: (lambda d: lambda t, x, x1, x2, u: d(t, x, x1, x2, u)
+                         * (1.0 + t * np.cos(x + u)))(getattr(coeffs, name))
+                  for name in ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2")}
+        return dataclasses.replace(coeffs, **scaled)
+
+    @pytest.mark.parametrize("control", ["scalar", "per_step", "per_step_short",
+                                         "feedback"])
+    @pytest.mark.parametrize("t_and_u_dependent", [False, True])
+    def test_slabs_match_step_loop(self, control, t_and_u_dependent):
+        coeffs = self._coeffs(t_and_u_dependent)
+        n = 50
+        rule = {"scalar": 0.3,
+                "per_step": np.linspace(-0.5, 0.5, n),
+                "per_step_short": np.linspace(-0.5, 0.5, n),
+                "feedback": lambda t, x, x1: np.tanh(x - 0.5 * x1) * (1.0 - t)}[control]
+        bundle = make_bundle(coeffs, n_paths=self.N_PATHS, seed=7, control=rule)
+        if control == "per_step_short":
+            # fewer entries than steps: the last one holds to T
+            bundle = dataclasses.replace(bundle, u=bundle.u[:23])
+        for t_index in (0, 10, n - 1):
+            run = simulate_variation(bundle, coeffs, t_index, 0.1)
+            eps1, eps2 = step_remainders(bundle, coeffs, run)
+            assert np.any(eps1 != 0.0) and np.any(eps2 != 0.0)
+            assert np.array_equal(run.eps1, eps1)
+            assert np.array_equal(run.eps2, eps2)
+
+
 class TestRemainderScaling:
     def test_linear_family_slopes(self):
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, bx1=0.2, sx=0.2)
         bundle = make_bundle(coeffs)
-        rep = remainder_scaling(bundle, coeffs, 10, OFFSETS, p=2)
+        rep, _ = scaling_reports(bundle, coeffs, 10, OFFSETS, p=2)
         assert rep.slope("sup_xhat") == pytest.approx(2.0, abs=0.05)
         assert rep.slope("sup_xhat1") == pytest.approx(2.0, abs=0.05)
         assert rep.slope("sup_xhat2") == pytest.approx(2.0, abs=0.05)
@@ -75,7 +147,7 @@ class TestRemainderScaling:
         coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
                                    sxx2=0.4, clip=2.5)
         bundle = make_bundle(coeffs, seed=2)
-        rep = remainder_scaling(bundle, coeffs, 10, OFFSETS, p=2)
+        rep, _ = scaling_reports(bundle, coeffs, 10, OFFSETS, p=2)
         assert rep.slope("sup_xhat") == pytest.approx(2.0, abs=0.2)
         assert rep.slope("eps1_int") >= 3.0
         assert rep.slope("eps2_int") >= 3.0
@@ -84,9 +156,9 @@ class TestRemainderScaling:
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1)
         bundle = make_bundle(coeffs)
         with pytest.raises(ConfigurationError):
-            remainder_scaling(bundle, coeffs, 10, [0.2, 0.1], p=2)
+            scaling_reports(bundle, coeffs, 10, [0.2, 0.1], p=2)
         with pytest.raises(ConfigurationError):
-            remainder_scaling(bundle, coeffs, 10, [0.2, 0.15, 0.1], p=2)
+            scaling_reports(bundle, coeffs, 10, [0.2, 0.15, 0.1], p=2)
 
 
 class TestDualityProcesses:
@@ -121,8 +193,26 @@ class TestDualityProcesses:
         assert np.allclose(adj.ptilde[:, n],
                            -coeffs.phi_x(xT, bundle.X1[:, n]), atol=1e-12)
 
+    def test_one_variation_per_offset_and_one_base_solve(self, monkeypatch):
+        coeffs, bundle, basis, sol, adj = self._setup(500)
+        calls = {"variation": 0, "lsmc": 0}
+
+        def spy(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(variational, "simulate_variation",
+                            spy("variation", variational.simulate_variation))
+        monkeypatch.setattr(variational, "solve_bsde_lsmc",
+                            spy("lsmc", variational.solve_bsde_lsmc))
+        rem, dual = scaling_reports(bundle, coeffs, 20, OFFSETS, adjoints=adj, basis=basis)
+        assert calls == {"variation": 4, "lsmc": 5}
+        assert len(rem.rows) == 5 * 4 and len(dual.rows) == 2 * 4
+
     def test_ytilde_slope_exceeds_linear_rate(self):
         coeffs, bundle, basis, sol, adj = self._setup()
-        rep = duality_scaling(bundle, adj, coeffs, basis, 30, OFFSETS)
+        _, rep = scaling_reports(bundle, coeffs, 30, OFFSETS, adjoints=adj, basis=basis)
         assert rep.slope("abs_ytilde_t") >= 1.5
         assert rep.slope("expansion_defect_pos") >= 1.5
