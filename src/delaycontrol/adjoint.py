@@ -27,11 +27,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import ControlDomain, derived_rng
-from .bsde import BackwardSolution, ConditionalRegression, RegressionBasis
+from .bsde import BackwardSolution, RegressionBasis
 from .smdde import TrajectoryBundle
 
 
-def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, ok: np.ndarray):
+def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, ok):
     """State/cost arguments along the candidate trajectory at step i."""
     t = bundle.grid.time(i)
     return (t, bundle.x_at(i)[ok], bundle.X1[ok, i], bundle.X2[ok, i],
@@ -71,7 +71,7 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
     """
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
-    ok = ~bundle.diverged
+    ok = bundle.valid
     gamma = np.full((bundle.n_paths, n + 1), np.nan)
     gamma[ok, 0] = 1.0
     for i in range(n):
@@ -96,7 +96,7 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     lam = coeffs.lam
-    ok = ~bundle.diverged
+    ok = bundle.valid
     shape = (bundle.n_paths, n + 1)
     p1 = np.full(shape, np.nan)
     p2 = np.full(shape, np.nan)
@@ -109,7 +109,7 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         design = basis.design(x, x1, x2 if basis.include_x2 else None)
-        reg = ConditionalRegression(design, basis.eps_reg)
+        reg = solution.regression(bundle, basis, i, design)
         dw = bundle.dW[ok, i]
         p1_next, p2_next = p1[ok, i + 1], p2[ok, i + 1]
         p1_hat = reg.fit_values(p1_next)
@@ -140,7 +140,7 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     decay = math.exp(-coeffs.lam * grid.delay)
-    ok = ~bundle.diverged
+    ok = bundle.valid
     p3 = np.full((bundle.n_paths, n + 1), np.nan)
     p3[ok, n] = 0.0
     for i in range(n - 1, -1, -1):
@@ -159,7 +159,7 @@ def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
     gamma = solve_gamma(bundle, solution, coeffs)
     p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis)
     p3 = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs)
-    ok = ~bundle.diverged
+    ok = bundle.valid
     n = bundle.grid.n_steps
     fz = np.full_like(gamma, np.nan)
     for i in range(n + 1):
@@ -190,7 +190,7 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     lam = coeffs.lam
-    ok = ~bundle.diverged
+    ok = bundle.valid
     shape = (bundle.n_paths, n + 1)
     pt = np.full(shape, np.nan)
     pc = np.full(shape, np.nan)
@@ -203,7 +203,7 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         design = basis.design(x, x1, x2 if basis.include_x2 else None)
-        reg = ConditionalRegression(design, basis.eps_reg)
+        reg = solution.regression(bundle, basis, i, design)
         dw = bundle.dW[ok, i]
         pt_next, pc_next = pt[ok, i + 1], pc[ok, i + 1]
         pt_hat = reg.fit_values(pt_next)
@@ -357,7 +357,7 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     u_grid = domain.points()
     worst_var = -np.inf
     max_hu = 0.0
-    ok = ~bundle.diverged
+    ok = bundle.valid
     sub = rng.choice(ok_idx, size=min(n_path_samples, ok_idx.size), replace=False)
     sub_in_ok = np.searchsorted(ok_idx, sub)
     for i in sorted(rng.choice(n, size=min(n_time_samples, n), replace=False)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,16 @@ class RegressionBasis:
         return np.column_stack(cols)
 
 
+class RegressionFactor(NamedTuple):
+    """What a ConditionalRegression keeps of its design besides the matrix
+    itself: kept columns, column scale, Cholesky factor and final ridge."""
+
+    keep: np.ndarray
+    scale: np.ndarray
+    factor: np.ndarray
+    lam: float
+
+
 class ConditionalRegression:
     """One time-step conditional-expectation operator.
 
@@ -105,9 +115,25 @@ class ConditionalRegression:
                 lam = max(lam, 1e-12) * 100.0
         raise ConfigurationError("regression design is irreparably rank-deficient")
 
+    @classmethod
+    def from_factor(cls, design: np.ndarray, state: RegressionFactor) -> "ConditionalRegression":
+        """The operator on ``design`` from the factor of an earlier fit on the
+        same design: only the scaled matrix is rebuilt, with no Gram matrix,
+        condition check or Cholesky step."""
+        reg = cls.__new__(cls)
+        reg.keep, reg.scale, reg.factor, reg.lam = state
+        reg.A = design[:, reg.keep] / reg.scale
+        return reg
+
+    @property
+    def state(self) -> RegressionFactor:
+        return RegressionFactor(self.keep, self.scale, self.factor, self.lam)
+
     def fit_values(self, response: np.ndarray) -> np.ndarray:
         """Fitted conditional expectation of response at the design points."""
-        rhs = self.A.T @ response
+        # a strided column (a view of a path-major array) would be summed in
+        # a different order by BLAS when only the intercept is kept
+        rhs = self.A.T @ np.ascontiguousarray(response)
         coef = np.linalg.solve(self.factor.T, np.linalg.solve(self.factor, rhs))
         return self.A @ coef
 
@@ -122,7 +148,9 @@ class BackwardSolution:
 
     Y[:, n] equals phi(X(T), X1(T)) exactly per path.  ``y_s`` is the mean
     of Y at the start; ``y_s_se`` is the Monte Carlo standard error taken
-    from the pathwise integral representation of Y(s).
+    from the pathwise integral representation of Y(s).  ``factors[i]`` is
+    the step-i regression factor of the sweep in ``basis``, shared with the
+    adjoint sweeps on the same bundle (see ``regression``).
     """
 
     bundle: TrajectoryBundle
@@ -130,6 +158,17 @@ class BackwardSolution:
     Z: np.ndarray
     y_s: float
     y_s_se: float
+    basis: Optional[RegressionBasis] = None
+    factors: Optional[List[RegressionFactor]] = None
+
+    def regression(self, bundle: TrajectoryBundle, basis: RegressionBasis, i: int,
+                   design: np.ndarray) -> ConditionalRegression:
+        """Step-i operator on ``design``, the basis evaluated along ``bundle``:
+        from the stored factor when this solution was swept on that very
+        bundle in an equal basis, else fitted afresh."""
+        if self.factors is not None and self.bundle is bundle and self.basis == basis:
+            return ConditionalRegression.from_factor(design, self.factors[i])
+        return ConditionalRegression(design, basis.eps_reg)
 
 
 def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
@@ -163,12 +202,13 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     _lipschitz_gate(coeffs, bundle, dt)
-    ok = ~bundle.diverged
-    if not np.any(ok):
+    if bundle.diverged.all():
         raise ConfigurationError("all paths diverged; nothing to solve")
+    ok = bundle.valid
     n_paths = bundle.n_paths
     Y = np.full((n_paths, n + 1), np.nan)
     Z = np.full((n_paths, n + 1), np.nan)
+    factors: List[Optional[RegressionFactor]] = [None] * n
     xT = bundle.x_at(n)
     Y[ok, n] = coeffs.phi(xT[ok], bundle.X1[ok, n])
     for i in range(n - 1, -1, -1):
@@ -178,6 +218,7 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
         x2 = bundle.X2[ok, i]
         design = basis.design(x, x1, x2 if basis.include_x2 else None)
         reg = ConditionalRegression(design, basis.eps_reg)
+        factors[i] = reg.state
         y_next = Y[ok, i + 1]
         y_hat = reg.fit_values(y_next)
         resid = (y_next - y_hat) * bundle.dW[ok, i] / dt
@@ -188,11 +229,12 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
     Z[ok, n] = Z[ok, n - 1] if n > 0 else 0.0
     y_s = float(np.mean(Y[ok, 0]))
     y_s_se = _pathwise_se(bundle, coeffs, Y, Z, ok)
-    return BackwardSolution(bundle=bundle, Y=Y, Z=Z, y_s=y_s, y_s_se=y_s_se)
+    return BackwardSolution(bundle=bundle, Y=Y, Z=Z, y_s=y_s, y_s_se=y_s_se,
+                            basis=basis, factors=factors)
 
 
 def _pathwise_se(bundle: TrajectoryBundle, coeffs, Y: np.ndarray, Z: np.ndarray,
-                 ok: np.ndarray) -> float:
+                 ok) -> float:
     """Standard error of Y(s) from the pathwise representation
     phi(X_T, X1_T) + sum_i f(.) dt, using the solved (Y, Z) in the driver."""
     grid = bundle.grid
@@ -250,7 +292,7 @@ def linear_driver_oracle(coeffs, driver: LinearDriver, bundle: TrajectoryBundle,
     fbar = driver.fbar_at(times)
     cumF = np.concatenate([[0.0], np.cumsum(0.5 * (fbar[1:] + fbar[:-1]) * dt)])
     disc = np.exp(cumF)
-    ok = ~bundle.diverged
+    ok = bundle.valid
     total = disc[n] * coeffs.phi(bundle.x_at(n)[ok], bundle.X1[ok, n]).astype(float)
     # trapezoid in time for the running-cost integral
     for i in range(n + 1):

@@ -299,6 +299,8 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
     if effective_seed is None:
         problems.append("run.seed: a seed is required (config [run] seed or --seed); "
                         "no entropy default exists")
+    if threads < 1:
+        problems.append(f"--threads: must be a positive integer, got {threads}")
     if problems:
         raise ConfigError(problems)
     return RunConfig(parser=parser, seed=int(effective_seed), threads=threads,

@@ -24,6 +24,7 @@ from .core import (ConfigurationError, HistoryPath, TimeGrid, derived_rng,
                    x1_weights)
 
 DIVERGENCE_LIMIT = 1e12
+_WORD = (1 << 64) - 1
 
 Control = Union[float, np.ndarray, Callable]
 
@@ -71,10 +72,20 @@ class NoiseSource:
         out = np.empty((n_paths, n_steps))
         scale = np.sqrt(dt / r)
         two_pi = 2.0 * np.pi
+        # One generator per call.  Each path restores the fresh generator's
+        # state (counter 0, empty output buffer) with the 256-bit counter set
+        # to path * stride, carried across words: the state that
+        # Philox(key=seed).advance(path * stride) gives, without building it.
+        bg = np.random.Philox(key=self.seed)
+        gen = np.random.Generator(bg)
+        state = bg.state
+        counter = state["state"]["counter"]
+        uni = np.empty(2 * n_draws)
         for row, path in enumerate(range(first_path, first_path + n_paths)):
-            bg = np.random.Philox(key=self.seed)
-            bg.advance(path * self._PATH_STRIDE)
-            uni = np.random.Generator(bg).random(2 * n_draws)
+            c = path * self._PATH_STRIDE
+            counter[:] = [(c >> shift) & _WORD for shift in (0, 64, 128, 192)]
+            bg.state = state
+            gen.random(out=uni)
             z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(two_pi * uni[1::2])
             if r == 1:
                 out[row] = z * scale
@@ -110,6 +121,12 @@ class TrajectoryBundle:
         return self.X.shape[0]
 
     @property
+    def valid(self) -> Union[slice, np.ndarray]:
+        """Row index of the non-diverged paths: ``slice(None)`` when none
+        diverged (so column reads are views, not gathers), else the mask."""
+        return ~self.diverged if self.diverged.any() else slice(None)
+
+    @property
     def X2(self) -> np.ndarray:
         """X2[:, i] = X(t_i - delta) for grid indices 0..n (a view on X)."""
         return self.X[:, : self.grid.n_steps + 1]
@@ -118,7 +135,7 @@ class TrajectoryBundle:
         """Current state at grid index i (i may be negative down to -m)."""
         return self.X[:, i + self.grid.m]
 
-    def u_at(self, i, mask: Optional[np.ndarray] = None):
+    def u_at(self, i, mask: Optional[Union[slice, np.ndarray]] = None):
         """Control applied on [t_i, t_{i+1}); broadcastable against paths.
 
         ``i`` may also be an array of grid indices; the result then has one

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from delaycontrol import bsde
 from delaycontrol.core import ControlDomain, HistoryPath, TimeGrid
 from delaycontrol.coeffs import make_coefficients
-from delaycontrol.smdde import NoiseSource, simulate_smdde
+from delaycontrol.smdde import NoiseSource, TrajectoryBundle, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import (check_sufficient_mp, compute_p3_pathwise,
                                   solve_adjoint_p, solve_adjoints, solve_gamma,
@@ -161,6 +163,96 @@ class TestTransformedDirect:
         b = np.nanmean(pt_d[:, 0])
         se = (np.nanstd(adj.ptilde[:, 0]) + np.nanstd(pt_d[:, 0])) / math.sqrt(8000)
         assert abs(a - b) <= 3 * se + 5e-3
+
+
+class TestSweepSharing:
+    """Mask-free sweeps and the LSMC factors shared with the adjoint sweeps
+    must leave every array bit-identical."""
+
+    def _bundle(self, n_paths=300):
+        # tanh products in b and sigma, a driver with (y, z) feedback, an
+        # x1-dependent terminal cost and a per-path feedback control; the
+        # constant history makes step 0 an intercept-only fit
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, bx1=0.2, sx=0.15,
+                                   bxx1=0.8, sxx2=0.4, clip=2.5, fx=0.3, fx1=-0.2,
+                                   fx2=0.1, fy=-0.2, fz=0.3, phix=1.0, phix1=0.5)
+        g = grid(T=0.5)
+        bundle = simulate_smdde(coeffs, HistoryPath.constant(1.0, g.m),
+                                lambda t, x, x1: 0.2 * np.tanh(x - x1), g,
+                                NoiseSource(13), n_paths)
+        return coeffs, bundle
+
+    @staticmethod
+    def _outputs(bundle, coeffs, basis):
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        adj = solve_adjoints(bundle, sol, coeffs, basis)
+        direct = solve_transformed_direct(bundle, sol, coeffs, basis)
+        arrays = dict(Y=sol.Y, Z=sol.Z, gamma=adj.gamma, p1=adj.p1, p2=adj.p2,
+                      q1=adj.q1, q2=adj.q2, p3=adj.p3)
+        arrays.update(zip(("pt", "pc", "qt", "qc"), direct))
+        return sol, arrays
+
+    @pytest.mark.parametrize("include_x2", [False, True])
+    def test_diverged_rows_leave_valid_rows_unchanged(self, include_x2):
+        coeffs, clean = self._bundle()
+        n, m = clean.grid.n_steps, clean.grid.m
+        bad = np.zeros(clean.n_paths, dtype=bool)
+        bad[[0, 41, 299]] = True
+        X, X1 = clean.X.copy(), clean.X1.copy()
+        X[bad, m + 20:] = np.nan
+        X1[bad, 20:] = np.nan
+        mixed = TrajectoryBundle(grid=clean.grid, lam=clean.lam, X=X, X1=X1, u=clean.u,
+                                 dW=clean.dW, diverged=bad)
+        ok = ~bad
+        valid = TrajectoryBundle(grid=clean.grid, lam=clean.lam, X=X[ok], X1=X1[ok],
+                                 u=clean.u[ok], dW=clean.dW[ok],
+                                 diverged=np.zeros(ok.sum(), dtype=bool))
+        assert isinstance(mixed.valid, np.ndarray) and valid.valid == slice(None)
+        basis = RegressionBasis(degree=2, include_x2=include_x2)
+        sol_m, got = self._outputs(mixed, coeffs, basis)
+        sol_v, want = self._outputs(valid, coeffs, basis)
+        assert sol_m.y_s == sol_v.y_s and sol_m.y_s_se == sol_v.y_s_se
+        for name, arr in want.items():
+            assert arr.shape == (ok.sum(), n + 1)
+            assert np.array_equal(got[name][ok], arr), name
+            assert np.all(np.isnan(got[name][bad])), name
+
+    @pytest.mark.parametrize("include_x2", [False, True])
+    def test_shared_factors_match_fresh_fits(self, include_x2):
+        coeffs, bundle = self._bundle()
+        basis = RegressionBasis(degree=2, include_x2=include_x2)
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        assert len(sol.factors) == bundle.grid.n_steps
+        fresh = dataclasses.replace(sol, factors=None)
+        gamma = solve_gamma(bundle, sol, coeffs)
+        for shared, rebuilt in ((solve_adjoint_p(bundle, sol, gamma, coeffs, basis),
+                                 solve_adjoint_p(bundle, fresh, gamma, coeffs, basis)),
+                                (solve_transformed_direct(bundle, sol, coeffs, basis),
+                                 solve_transformed_direct(bundle, fresh, coeffs, basis))):
+            for a, b in zip(shared, rebuilt):
+                assert np.array_equal(a, b)
+
+    def test_one_factor_per_step(self, monkeypatch):
+        coeffs, bundle = self._bundle(n_paths=200)
+        basis = RegressionBasis(degree=2)
+        built = []
+        init = bsde.ConditionalRegression.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bsde.ConditionalRegression, "__init__", counted)
+        n = bundle.grid.n_steps
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        solve_adjoints(bundle, sol, coeffs, basis)
+        assert len(built) == n
+        # another basis, or another bundle, cannot reuse the factors
+        solve_adjoints(bundle, sol, coeffs, RegressionBasis(degree=2, include_x2=True))
+        assert len(built) == 2 * n
+        other = dataclasses.replace(bundle)
+        solve_adjoints(other, sol, coeffs, basis)
+        assert len(built) == 3 * n
 
 
 class TestSufficientMP:

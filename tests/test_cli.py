@@ -174,6 +174,16 @@ class TestConfigValidation:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bad_thread_count_exits_2_before_any_output(self, threads, lq_config, tmp_path,
+                                                        capsys):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", lq_config, "--out", str(out),
+                   "--threads", threads])
+        assert rc == 2
+        assert "config error: --threads: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "500", "0,-1"])
     def test_bad_dump_slices_is_field_error(self, value, lq_config, tmp_path, capsys):
         out = tmp_path / "o"

@@ -35,6 +35,23 @@ class TestNoiseSource:
         fine = NoiseSource(9).increments(0, 3, 50, 0.01)
         assert np.allclose(coarse, fine.reshape(3, 25, 2).sum(axis=2), atol=1e-15)
 
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("first_path", [0, 4097, 2**24 + 3])
+    def test_bits_match_one_philox_per_path(self, first_path, substeps):
+        # reference: a fresh Philox(key=seed) advanced to the path's block;
+        # from path 2**24 on, path * 2**40 carries into the second counter word
+        seed, n_paths, n_steps, dt = 0xDEADBEEF12345678, 5, 7, 0.01
+        got = NoiseSource(seed, substeps).increments(first_path, n_paths, n_steps, dt)
+        want = np.empty((n_paths, n_steps))
+        for row in range(n_paths):
+            bg = np.random.Philox(key=seed)
+            bg.advance((first_path + row) * 2**40)
+            uni = np.random.Generator(bg).random(2 * n_steps * substeps)
+            z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(2.0 * np.pi * uni[1::2])
+            z *= np.sqrt(dt / substeps)
+            want[row] = z if substeps == 1 else z.reshape(n_steps, substeps).sum(axis=1)
+        assert np.array_equal(got, want)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ConfigurationError):
             NoiseSource(-1)
