@@ -26,9 +26,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import ControlDomain, derived_rng
+from .core import ControlDomain, HypothesisViolation, derived_rng
 from .bsde import BackwardSolution, RegressionBasis
-from .smdde import TrajectoryBundle
+from .smdde import TrajectoryBundle, path_array
 
 
 def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, ok):
@@ -72,7 +72,7 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     ok = bundle.valid
-    gamma = np.full((bundle.n_paths, n + 1), np.nan)
+    gamma = path_array(bundle.n_paths, n + 1, np.nan)
     gamma[ok, 0] = 1.0
     for i in range(n):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
@@ -81,7 +81,7 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
         mult = 1.0 + fy * dt + fz * bundle.dW[ok, i]
         if np.any(mult <= 0.0):
             bad = int(np.argmax(mult <= 0.0))
-            raise RuntimeError(
+            raise HypothesisViolation(
                 f"gamma crossed zero at step {i} (t={t:.6g}); "
                 f"offending multiplier {float(np.min(mult)):.3e} (path #{bad} among valid); "
                 "reduce dt or check the driver's z-sensitivity")
@@ -97,11 +97,7 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
     n, dt = grid.n_steps, grid.dt
     lam = coeffs.lam
     ok = bundle.valid
-    shape = (bundle.n_paths, n + 1)
-    p1 = np.full(shape, np.nan)
-    p2 = np.full(shape, np.nan)
-    q1 = np.full(shape, np.nan)
-    q2 = np.full(shape, np.nan)
+    p1, p2, q1, q2 = (path_array(bundle.n_paths, n + 1, np.nan) for _ in range(4))
     xT = bundle.x_at(n)[ok]
     x1T = bundle.X1[ok, n]
     p1[ok, n] = -coeffs.phi_x(xT, x1T) * gamma[ok, n]
@@ -141,7 +137,7 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
     n, dt = grid.n_steps, grid.dt
     decay = math.exp(-coeffs.lam * grid.delay)
     ok = bundle.valid
-    p3 = np.full((bundle.n_paths, n + 1), np.nan)
+    p3 = path_array(bundle.n_paths, n + 1, np.nan)
     p3[ok, n] = 0.0
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
@@ -161,7 +157,7 @@ def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
     p3 = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs)
     ok = bundle.valid
     n = bundle.grid.n_steps
-    fz = np.full_like(gamma, np.nan)
+    fz = path_array(bundle.n_paths, n + 1, np.nan)
     for i in range(n + 1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, min(i, n), ok)
         fz[ok, i] = coeffs.f_z(t, x, x1, x2, y, z, u)
@@ -191,11 +187,7 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
     n, dt = grid.n_steps, grid.dt
     lam = coeffs.lam
     ok = bundle.valid
-    shape = (bundle.n_paths, n + 1)
-    pt = np.full(shape, np.nan)
-    pc = np.full(shape, np.nan)
-    qt = np.full(shape, np.nan)
-    qc = np.full(shape, np.nan)
+    pt, pc, qt, qc = (path_array(bundle.n_paths, n + 1, np.nan) for _ in range(4))
     xT = bundle.x_at(n)[ok]
     x1T = bundle.X1[ok, n]
     pt[ok, n] = -coeffs.phi_x(xT, x1T)
@@ -307,7 +299,7 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     rng = derived_rng(seed, 303)
     ok_idx = np.flatnonzero(~bundle.diverged)
     if ok_idx.size == 0:
-        raise RuntimeError("no valid paths to check")
+        raise HypothesisViolation("no valid paths to check")
 
     # (a) convexity by midpoint inequality
     steps = rng.choice(n, size=min(n_time_samples, n), replace=False)

@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import ConfigurationError, LinearDriver, derived_rng
-from .smdde import TrajectoryBundle
+from .smdde import TrajectoryBundle, path_array
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +49,34 @@ class RegressionBasis:
             raise ConfigurationError("ridge weight must be >= 0")
 
     def design(self, x: np.ndarray, x1: np.ndarray, x2: Optional[np.ndarray] = None) -> np.ndarray:
-        cols = [np.ones_like(x)]
+        """(n, k) matrix of the intercept and every monomial of degree
+        1..degree, lowest degree first; column-major, so each term is one
+        contiguous column."""
         vars_: List[np.ndarray] = [x, x1]
         if self.include_x2:
             if x2 is None:
                 raise ConfigurationError("basis includes x2 but none was supplied")
             vars_.append(x2)
-        for deg in range(1, self.degree + 1):
-            for combo in combinations_with_replacement(range(len(vars_)), deg):
-                term = np.ones_like(x)
-                for idx in combo:
-                    term = term * vars_[idx]
-                cols.append(term)
-        return np.column_stack(cols)
+        combos = [combo for deg in range(1, self.degree + 1)
+                  for combo in combinations_with_replacement(range(len(vars_)), deg)]
+        out = np.empty((len(x), 1 + len(combos)), order="F")
+        out[:, 0] = 1.0
+        for j, combo in enumerate(combos, start=1):
+            term = vars_[combo[0]]
+            for idx in combo[1:]:
+                term = term * vars_[idx]
+            out[:, j] = term
+        return out
+
+
+def _scaled_columns(design: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``design[:, keep] / scale``, one column at a time, in the column-major
+    layout that expression yields: the layout fixes the order in which BLAS
+    sums the terms of each fitted value."""
+    A = np.empty((design.shape[0], scale.size), order="F")
+    for j, col in enumerate(np.flatnonzero(keep)):
+        np.divide(design[:, col], scale[j], out=A[:, j])
+    return A
 
 
 class RegressionFactor(NamedTuple):
@@ -86,13 +101,13 @@ class ConditionalRegression:
     _COND_LIMIT = 1e12
 
     def __init__(self, design: np.ndarray, eps_reg: float):
+        # column by column; max and min are exact in any order
+        hi = np.array([col.max() for col in design.T])
+        lo = np.array([col.min() for col in design.T])
         self.keep = np.ones(design.shape[1], dtype=bool)
-        spread = design.max(axis=0) - design.min(axis=0)
-        self.keep[1:] = spread[1:] > 1e-12
-        A = design[:, self.keep]
-        self.scale = np.maximum(np.abs(A).max(axis=0), 1.0)
-        A = A / self.scale
-        self.A = A
+        self.keep[1:] = (hi - lo)[1:] > 1e-12
+        self.scale = np.maximum(np.maximum(np.abs(hi), np.abs(lo))[self.keep], 1.0)
+        A = self.A = _scaled_columns(design, self.keep, self.scale)
         gram = A.T @ A
         lam = eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
         # the intercept is never penalized, so constant responses fit exactly
@@ -122,7 +137,7 @@ class ConditionalRegression:
         condition check or Cholesky step."""
         reg = cls.__new__(cls)
         reg.keep, reg.scale, reg.factor, reg.lam = state
-        reg.A = design[:, reg.keep] / reg.scale
+        reg.A = _scaled_columns(design, reg.keep, reg.scale)
         return reg
 
     @property
@@ -131,8 +146,8 @@ class ConditionalRegression:
 
     def fit_values(self, response: np.ndarray) -> np.ndarray:
         """Fitted conditional expectation of response at the design points."""
-        # a strided column (a view of a path-major array) would be summed in
-        # a different order by BLAS when only the intercept is kept
+        # a strided response (a column of a row-major array) would be summed
+        # in a different order by BLAS when only the intercept is kept
         rhs = self.A.T @ np.ascontiguousarray(response)
         coef = np.linalg.solve(self.factor.T, np.linalg.solve(self.factor, rhs))
         return self.A @ coef
@@ -206,8 +221,8 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
         raise ConfigurationError("all paths diverged; nothing to solve")
     ok = bundle.valid
     n_paths = bundle.n_paths
-    Y = np.full((n_paths, n + 1), np.nan)
-    Z = np.full((n_paths, n + 1), np.nan)
+    Y = path_array(n_paths, n + 1, np.nan)
+    Z = path_array(n_paths, n + 1, np.nan)
     factors: List[Optional[RegressionFactor]] = [None] * n
     xT = bundle.x_at(n)
     Y[ok, n] = coeffs.phi(xT[ok], bundle.X1[ok, n])

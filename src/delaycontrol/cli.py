@@ -5,7 +5,10 @@ determined by (config file, overrides, seed) and write a manifest with
 the effective-config hash so any output directory can be reproduced.
 
 Exit codes: 0 success (and true verdicts), 1 verification verdict false,
-2 invalid configuration, 3 hypothesis-gate failure.
+2 invalid configuration (a bad field, or an INI file that cannot be
+parsed), 3 hypothesis-gate failure, including the numerical aborts raised
+as ``HypothesisViolation`` (gamma crossing zero, a non-finite perturbed
+path, no valid path left to check).
 """
 
 from __future__ import annotations
@@ -269,6 +272,15 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
+def _read_problem(path: str, exc: Exception) -> str:
+    """One diagnostic line for an INI file that cannot be read."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{exc.section}.{exc.option}: duplicate key ({path}, line {exc.lineno})"
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"config: no [section] header before line {exc.lineno} of {path}"
+    return f"config: cannot read {path}: " + " ".join(str(exc).split())
+
+
 def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
                 threads: int, out_dir: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
@@ -276,7 +288,10 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError([f"config: file not found: {path}"])
-        parser.read(path, encoding="utf-8")
+        try:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError([_read_problem(path, exc)]) from None
     for item in overrides:
         key, eq, value = item.partition("=")
         if not eq:
@@ -285,6 +300,9 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
         section, dot, option = key.rpartition(".")
         if not dot:
             problems.append(f"--set {item!r}: expected section.key=value")
+            continue
+        if section == parser.default_section:
+            problems.append(f"--set {item!r}: [{section}] is not a settable section")
             continue
         if not parser.has_section(section):
             parser.add_section(section)
@@ -547,10 +565,11 @@ def _cmd_check_scaling(cfg: RunConfig) -> int:
     offsets, t_indices, p = cfg.scaling(inst.grid.n_steps, problems)
     basis, bundle, sol = _pipeline(cfg, inst, problems)
     adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
+    reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, offsets, p=p,
+                                     adjoints=adjoints, basis=basis))
+               for ti in t_indices]
     write_manifest(cfg, "check-scaling")
-    for ti in t_indices:
-        rep, repd = scaling_reports(bundle, inst.coeffs, ti, offsets, p=p,
-                                    adjoints=adjoints, basis=basis)
+    for ti, rep, repd in reports:
         write_scaling_report(rep, os.path.join(cfg.out_dir, f"remainders_t{ti}.csv"))
         write_scaling_report(repd, os.path.join(cfg.out_dir, f"duality_t{ti}.csv"))
     return 0

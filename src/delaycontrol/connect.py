@@ -410,7 +410,10 @@ def girsanov_reduce(instance: Instance) -> GirsanovReduction:
             raise ConfigurationError("weight computation needs stored increments")
         n, dt = bundle.grid.n_steps, bundle.grid.dt
         g_on_grid = driver.gbar_at(bundle.grid.times())[:n]
-        expo = bundle.dW @ g_on_grid - 0.5 * float(np.sum(g_on_grid ** 2)) * dt
+        # row-major, as a gemv over the column-major increments sums each
+        # path's terms in another order
+        dW = np.ascontiguousarray(bundle.dW)
+        expo = dW @ g_on_grid - 0.5 * float(np.sum(g_on_grid ** 2)) * dt
         return np.exp(expo)
 
     return GirsanovReduction(instance=new_instance, weights=weights)

@@ -29,6 +29,16 @@ _WORD = (1 << 64) - 1
 Control = Union[float, np.ndarray, Callable]
 
 
+def path_array(n_paths: int, n_cols: int, fill: Optional[float] = None) -> np.ndarray:
+    """A per-path, per-step ``(n_paths, n_cols)`` array, indexed ``[path, step]``
+    but stored column-major, so the time slice ``arr[:, i]`` that every sweep
+    step reads or writes is one contiguous vector.  Uninitialised unless
+    ``fill`` is given."""
+    if fill is None:
+        return np.empty((n_paths, n_cols), order="F")
+    return np.full((n_paths, n_cols), fill, order="F")
+
+
 # ---------------------------------------------------------------------------
 # noise
 # ---------------------------------------------------------------------------
@@ -105,7 +115,9 @@ class TrajectoryBundle:
     ``X`` covers grid indices -m..n (column j holds index j - m); ``X1``
     covers 0..n.  ``X2`` is the exact m-step shift of X, exposed as a view.
     ``u`` is whatever control representation drove the run (scalar,
-    per-step vector, or per-path matrix for feedback rules).
+    per-step vector, or per-path matrix for feedback rules).  Simulated
+    per-path arrays come from ``path_array``: column-major, so a time
+    slice ``X[:, j]`` is contiguous.
     """
 
     grid: TimeGrid
@@ -186,15 +198,23 @@ def _for_chunks(n_paths: int, chunk_size: int, threads: int, work: Callable[[int
 def _step_chunk(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
                 dW: np.ndarray, X_out: np.ndarray, X1_out: np.ndarray,
                 u_out: Optional[np.ndarray]):
-    """Euler-Maruyama over one path chunk; writes into the provided slices."""
+    """Euler-Maruyama over one path chunk; writes into the provided slices.
+
+    The distributed-delay quadrature reads its m+1 states from a row-major
+    buffer two windows wide, shifted back when full: a gemv over a
+    column-major block of ``X_out`` would add the terms in another order.
+    """
     m, n, dt = grid.m, grid.n_steps, grid.dt
     w = x1_weights(m, coeffs.lam, dt)
     X_out[:, : m + 1] = history.samples
+    win = np.empty((X_out.shape[0], 2 * (m + 1)))
+    win[:, : m + 1] = history.samples
+    j = 0  # win[:, j : j + m + 1] holds X_out[:, i : i + m + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             col = i + m
             x = X_out[:, col]
-            x1 = X_out[:, i : col + 1] @ w
+            x1 = win[:, j : j + m + 1] @ w
             x2 = X_out[:, i]
             X1_out[:, i] = x1
             t = grid.time(i)
@@ -208,7 +228,12 @@ def _step_chunk(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
             if np.any(bad):
                 nxt = np.where(bad, np.nan, nxt)
             X_out[:, col + 1] = nxt
-        X1_out[:, n] = X_out[:, n : n + m + 1] @ w
+            if j == m + 1:
+                win[:, : m + 1] = win[:, m + 1 :]
+                j = 0
+            win[:, j + m + 1] = nxt
+            j += 1
+        X1_out[:, n] = win[:, j : j + m + 1] @ w
 
 
 def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
@@ -227,10 +252,10 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
             f"history has {history.m} delay steps, grid expects {grid.m}"
         )
     m, n = grid.m, grid.n_steps
-    X = np.empty((n_paths, m + n + 1))
-    X1 = np.empty((n_paths, n + 1))
-    dW_full = np.empty((n_paths, n)) if store_increments else None
-    u_full = np.empty((n_paths, n)) if callable(control) else None
+    X = path_array(n_paths, m + n + 1)
+    X1 = path_array(n_paths, n + 1)
+    dW_full = path_array(n_paths, n) if store_increments else None
+    u_full = path_array(n_paths, n) if callable(control) else None
 
     def work(lo: int, hi: int):
         dW = noise.increments(lo, hi - lo, n, grid.dt)

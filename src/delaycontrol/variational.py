@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConfigurationError, TimeGrid, x1_weights
+from .core import ConfigurationError, HypothesisViolation, TimeGrid, x1_weights
 from .bsde import RegressionBasis, solve_bsde_lsmc
 from .smdde import TrajectoryBundle
 
@@ -119,7 +119,8 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     n_paths = bundle.n_paths
     w = x1_weights(m, coeffs.lam, dt)
 
-    Xp = bundle.X.copy()
+    # row-major, so the window quadrature below is the simulation's gemv
+    Xp = bundle.X.copy(order="C")
     Xp[:, t_index + m] += offset
     n_sub = n - t_index
     X1p = np.empty((n_paths, n_sub + 1))
@@ -138,7 +139,7 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
                    + coeffs.sigma(t, x, x1, x2, u) * bundle.dW[:, i])
             if not np.all(np.isfinite(nxt)):
                 bad = int(np.argmax(~np.isfinite(nxt)))
-                raise RuntimeError(
+                raise HypothesisViolation(
                     f"perturbed path became non-finite at step {i} (path {bad}); "
                     "offset too large for this instance")
             Xp[:, col + 1] = nxt

@@ -232,6 +232,15 @@ class TestSweepSharing:
             for a, b in zip(shared, rebuilt):
                 assert np.array_equal(a, b)
 
+    def test_time_slices_are_contiguous(self):
+        # every sweep step reads and writes arr[:, i] for all paths at once
+        coeffs, bundle = self._bundle(n_paths=100)
+        _, arrays = self._outputs(bundle, coeffs, RegressionBasis(degree=2))
+        arrays.update(X=bundle.X, X1=bundle.X1, dW=bundle.dW, u=bundle.u)
+        for name, arr in arrays.items():
+            assert arr.shape[0] == bundle.n_paths, name
+            assert all(arr[:, i].flags.c_contiguous for i in range(arr.shape[1])), name
+
     def test_one_factor_per_step(self, monkeypatch):
         coeffs, bundle = self._bundle(n_paths=200)
         basis = RegressionBasis(degree=2)

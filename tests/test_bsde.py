@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from delaycontrol.core import (ConfigurationError, HistoryPath, LinearDriver,
                                TimeGrid)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
-from delaycontrol.bsde import (RegressionBasis, assert_linear_driver,
-                               cost_functional_J, linear_driver_oracle,
-                               solve_bsde_lsmc)
+from delaycontrol.bsde import (ConditionalRegression, RegressionBasis,
+                               assert_linear_driver, cost_functional_J,
+                               linear_driver_oracle, solve_bsde_lsmc)
 
 
 def grid(T=1.0, dt=0.01, m=10):
@@ -43,6 +44,75 @@ class TestBasis:
             RegressionBasis(degree=0)
         with pytest.raises(ConfigurationError):
             RegressionBasis(eps_reg=-1.0)
+
+
+def reference_design(basis, x, x1, x2=None):
+    """Column-stacked basis terms, each built up from a column of ones."""
+    cols = [np.ones_like(x)]
+    vars_ = [x, x1] + ([x2] if basis.include_x2 else [])
+    for deg in range(1, basis.degree + 1):
+        for combo in combinations_with_replacement(range(len(vars_)), deg):
+            term = np.ones_like(x)
+            for idx in combo:
+                term = term * vars_[idx]
+            cols.append(term)
+    return np.column_stack(cols)
+
+
+def reference_factor(design, eps_reg):
+    """Kept columns, scale, scaled matrix and Cholesky factor from axis-0
+    reductions."""
+    keep = np.ones(design.shape[1], dtype=bool)
+    spread = design.max(axis=0) - design.min(axis=0)
+    keep[1:] = spread[1:] > 1e-12
+    A = design[:, keep]
+    scale = np.maximum(np.abs(A).max(axis=0), 1.0)
+    A = A / scale
+    gram = A.T @ A
+    lam = eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
+    penalty = np.eye(gram.shape[0])
+    penalty[0, 0] = 0.0
+    return keep, scale, A, np.linalg.cholesky(gram + lam * penalty)
+
+
+class TestRegressionOperator:
+    """The design fill and the column-wise spread, scale and scaled matrix
+    must reproduce the column-stacked design, the axis-0 reductions and
+    their fits exactly."""
+
+    @staticmethod
+    def _states(kind, n=257):
+        rng = np.random.default_rng(11)
+        if kind == "deterministic":  # a constant first slice: intercept only
+            return np.full(n, 0.6), np.full(n, 0.35), np.full(n, 0.6)
+        # x spans beyond [-1, 1] (scale > 1), x1 stays inside (scale clipped
+        # to 1); a constant x2 gives zero-spread columns that are dropped
+        x2 = np.full(n, -1.7) if kind == "constant_x2" else rng.normal(0.0, 1.5, n)
+        return rng.normal(0.2, 2.0, n), rng.uniform(-0.6, 0.4, n), x2
+
+    @pytest.mark.parametrize("kind", ["random", "constant_x2", "deterministic"])
+    @pytest.mark.parametrize("include_x2", [False, True])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_column_stack_and_axis0_reductions(self, degree, include_x2, kind):
+        basis = RegressionBasis(degree=degree, include_x2=include_x2)
+        x, x1, x2 = self._states(kind)
+        design = basis.design(x, x1, x2)
+        assert np.array_equal(design, reference_design(basis, x, x1, x2))
+        reg = ConditionalRegression(design, basis.eps_reg)
+        keep, scale, A, factor = reference_factor(design, basis.eps_reg)
+        assert np.array_equal(reg.keep, keep)
+        assert np.array_equal(reg.scale, scale)
+        assert np.array_equal(reg.factor, factor)
+        # the layout of the scaled matrix fixes the summation order of a fit
+        y = np.sin(np.arange(x.size))
+        coef = np.linalg.solve(factor.T, np.linalg.solve(factor, A.T @ y))
+        assert np.array_equal(reg.fit_values(y), A @ coef)
+        if kind == "deterministic":
+            assert reg.keep.sum() == 1
+        elif kind == "constant_x2" and include_x2:
+            assert not reg.keep.all()
+        else:
+            assert reg.keep.all()
 
 
 class TestBackwardSolver:

@@ -139,6 +139,28 @@ class TestConfigValidation:
                    "--seed", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text,diagnostic", [
+        (b"family = linear\n", "config: no [section] header before line 1"),
+        (b"[instance]\nfamily = linear\nfamily = constant\n", "instance.family: duplicate key"),
+        (b"\xff\xfe[instance]\n", "config: cannot read"),
+    ])
+    def test_unreadable_config_file_exits_2(self, text, diagnostic, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(text)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(p), "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"config error: {diagnostic}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_section_override_exits_2(self, lq_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", lq_config, "--out", str(out),
+                   "--set", "DEFAULT.x=1"])
+        assert rc == 2
+        assert "config error: --set 'DEFAULT.x=1':" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand", ["check-mp", "simulate"])
     def test_unknown_control_type_is_field_error(self, subcommand, lq_config, tmp_path,
                                                  capsys):
@@ -329,6 +351,30 @@ class TestCheckers:
         kv = read_kv(os.path.join(out, "mp_report.txt"))
         assert kv["phi_linear_ok"] == "false"  # quadratic terminal here
         assert os.path.exists(os.path.join(out, "adjoints.csv"))
+
+    @pytest.mark.parametrize("subcommand,overrides,message", [
+        # a z-loading of 60 drives the gamma multiplier 1 + f_z dW below zero
+        ("check-mp", ["instance.params.fz=60.0"], "gamma crossed zero at step"),
+        # growth 1.1 per step overflows a 1e308 bump
+        ("check-scaling", ["instance.params.bx=10.0", "scaling.offsets=1e308,1e307,1e306"],
+         "perturbed path became non-finite at step"),
+    ])
+    def test_numerical_abort_exits_3_without_output(self, subcommand, overrides, message,
+                                                    tmp_path, capsys):
+        p = tmp_path / "lin.ini"
+        p.write_text("[instance]\nfamily = linear\nlambda = 0.0\ns = 0.0\nT = 0.2\n"
+                     "dt = 0.01\ndelay_steps = 10\nhistory = constant:1.0\n\n"
+                     "[instance.params]\nsx = 0.3\nphix = 1.0\n\n"
+                     "[numerics]\nn_paths = 500\n\n[run]\nseed = 7\n")
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", str(p), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"hypothesis gate: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_check_duality_exit_codes(self, lq_config, tmp_path):
         out = str(tmp_path / "dual")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid
+from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid, x1_weights
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import (NoiseSource, estimate_moment_bound,
                                 simulate_coupled_pair, simulate_smdde)
@@ -116,6 +116,32 @@ class TestSimulate:
         c = simulate_smdde(**kw, threads=1, chunk_size=128)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.X, c.X)
         assert np.array_equal(a.X1, b.X1)
+
+    @pytest.mark.parametrize("m,T", [(1, 0.05), (3, 0.5), (10, 0.5), (10, 0.05)])
+    def test_window_buffer_matches_row_major_reference(self, m, T):
+        # the quadrature reads a two-window ring buffer; the reference steps
+        # one row-major (paths, m + n + 1) array, as the layout did before
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, bx1=0.2, sx=0.15,
+                                   bxx1=0.8, sxx2=0.4, clip=2.5)
+        g = grid(T=T, m=m)
+        n, dt = g.n_steps, g.dt
+        hist = HistoryPath(np.linspace(0.5, 1.0, m + 1))
+        rule = lambda t, x, x1: 0.2 * np.tanh(x - x1)
+        got = simulate_smdde(coeffs, hist, rule, g, NoiseSource(8), 300)
+        dW = NoiseSource(8).increments(0, 300, n, dt)
+        w = x1_weights(m, coeffs.lam, dt)
+        X = np.empty((300, m + n + 1))
+        X1 = np.empty((300, n + 1))
+        X[:, : m + 1] = hist.samples
+        for i in range(n):
+            t, x, x1, x2 = g.time(i), X[:, i + m], X[:, i : i + m + 1] @ w, X[:, i]
+            X1[:, i] = x1
+            u = rule(t, x, x1)
+            X[:, i + m + 1] = (x + coeffs.b(t, x, x1, x2, u) * dt
+                               + coeffs.sigma(t, x, x1, x2, u) * dW[:, i])
+        X1[:, n] = X[:, n:] @ w
+        assert np.array_equal(got.X, X)
+        assert np.array_equal(got.X1, X1)
 
     def test_strong_convergence_under_refinement(self):
         # E|X_dt(T) - X_{dt/2}(T)| shrinks by a factor >= 1.3 per halving

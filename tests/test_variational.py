@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delaycontrol import variational
-from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid
+from delaycontrol.core import ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
@@ -55,6 +55,14 @@ class TestSimulateVariation:
         bundle = make_bundle(coeffs)
         run = simulate_variation(bundle, coeffs, 10, 0.2)
         assert np.all(run.Xhat1[:, 0] == 0.0)
+
+    def test_non_finite_perturbed_path_is_hypothesis_violation(self):
+        # growth 1 + bx*dt = 1.1 per step overflows a 1e308 bump within 7 steps
+        coeffs = make_coefficients("linear", lam=0.0, bx=10.0)
+        bundle = make_bundle(coeffs, n_paths=50)
+        assert not bundle.diverged.any()
+        with pytest.raises(HypothesisViolation, match="perturbed path became non-finite"):
+            simulate_variation(bundle, coeffs, 10, 1e308)
 
     def test_rejects_terminal_time(self):
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1)

@@ -1,0 +1,165 @@
+"""Byte-compare the --out directories of a fixed list of CLI calls between
+a git revision and the working tree.
+
+Usage (from the repository root):
+
+    python3 tools/outdiff.py REV [--seed N]
+
+REV is extracted with ``git archive`` into a temporary directory.  Every
+call runs in a fresh process (``python -m delaycontrol.cli``) once against
+REV's ``src/`` and once against the working tree's, on identical configs:
+the three perfbench workload configs at one seed, every subcommand on the
+LQ and CMP configs of ``tests/test_cli.py``, and ``girsanov`` on the config
+of its ``test_girsanov_report``.  One line is printed per
+output file; the exit status is 1 if any exit code, file list or file
+differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the linear instance with a z-dependent linear driver of test_girsanov_report
+GIRSANOV_INI = """
+[instance]
+family = linear
+lambda = 0.3
+s = 0.0
+T = 0.5
+dt = 0.01
+delay_steps = 5
+history = constant:1.0
+
+[instance.params]
+bx = 0.2
+s0 = 0.3
+fy = -0.1
+fz = 0.3
+
+[driver]
+fbar = -0.1
+gbar = 0.3
+
+[numerics]
+n_paths = 2000
+
+[run]
+seed = 4
+"""
+
+# (name, config, argv without --config/--out)
+TEST_CALLS: List[Tuple[str, str, List[str]]] = [
+    ("simulate", "lq", ["simulate"]),
+    ("simulate-threads2", "lq", ["simulate", "--threads", "2",
+                                 "--set", "numerics.n_paths=5000"]),
+    ("solve-bsde", "lq", ["solve-bsde"]),
+    ("solve-hjb", "lq", ["solve-hjb", "--set", "numerics.dump_slices=all",
+                         "--set", "numerics.svg=yes"]),
+    ("check-mp", "lq", ["check-mp"]),
+    ("check-mp-threads2", "lq", ["check-mp", "--threads", "2",
+                                 "--set", "numerics.n_paths=5000"]),
+    ("check-mp-hjb", "lq", ["check-mp", "--set", "control.type=hjb"]),
+    ("check-mp-perturb", "lq", ["check-mp", "--set", "control.perturb=0.2",
+                                "--set", "numerics.n_paths=333"]),
+    ("check-duality", "lq", ["check-duality"]),
+    ("check-scaling", "lq", ["check-scaling"]),
+    ("verify", "lq", ["verify"]),
+    ("girsanov", "girsanov", ["girsanov"]),
+    ("check-comparison", "cmp", ["check-comparison"]),
+    ("check-moments", "cmp", ["check-moments"]),
+]
+
+
+def test_configs() -> Dict[str, str]:
+    """LQ_INI and CMP_INI as written in tests/test_cli.py."""
+    with open(os.path.join(ROOT, "tests", "test_cli.py")) as fh:
+        tree = ast.parse(fh.read())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("LQ_INI", "CMP_INI"):
+                found[name[:-4].lower()] = ast.literal_eval(node.value)
+    return found
+
+
+def calls(seed: int) -> List[Tuple[str, str, List[str]]]:
+    """(name, config text, argv without --config/--out) for every call."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import WORKLOADS
+
+    out = [(name, wl.ini_text(seed), [wl.subcommand, "--threads", str(wl.threads)])
+           for name, wl in WORKLOADS.items()]
+    configs = dict(test_configs(), girsanov=GIRSANOV_INI)
+    out += [(name, configs[config], argv) for name, config, argv in TEST_CALLS]
+    return out
+
+
+def run(tree: str, argv: List[str], config: str, out: str) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    proc = subprocess.run([sys.executable, "-m", "delaycontrol.cli", *argv,
+                           "--config", config, "--out", out],
+                          env=env, cwd=tree, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    if proc.returncode not in (0, 1, 3):
+        print(proc.stderr, file=sys.stderr)
+    return proc.returncode
+
+
+def compare(name: str, old: str, new: str) -> int:
+    names = sorted(set(os.listdir(old) if os.path.isdir(old) else [])
+                   | set(os.listdir(new) if os.path.isdir(new) else []))
+    differences = 0
+    for fname in names:
+        a, b = os.path.join(old, fname), os.path.join(new, fname)
+        if not (os.path.isfile(a) and os.path.isfile(b)):
+            status = "MISSING"
+        elif filecmp.cmp(a, b, shallow=False):
+            status = "same"
+        else:
+            status = "DIFFERS"
+        differences += status != "same"
+        print(f"{status:8s} {name}/{fname}")
+    return differences
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--seed", type=int, default=601, help="perfbench workload seed")
+    args = parser.parse_args()
+    differences = 0
+    with tempfile.TemporaryDirectory(prefix="outdiff-") as tmp:
+        base = os.path.join(tmp, "rev")
+        os.makedirs(base)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        for name, text, argv in calls(args.seed):
+            config = os.path.join(tmp, f"{name}.ini")
+            with open(config, "w") as fh:
+                fh.write(text)
+            codes = []
+            for side, tree in (("rev", base), ("work", ROOT)):
+                codes.append(run(tree, argv, config, os.path.join(tmp, side, name)))
+            if codes[0] != codes[1]:
+                print(f"{'DIFFERS':8s} {name}: exit {codes[0]} at {args.rev}, "
+                      f"{codes[1]} in the working tree")
+                differences += 1
+            differences += compare(name, os.path.join(tmp, "rev", name),
+                                   os.path.join(tmp, "work", name))
+    print(f"{differences} difference(s)")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
