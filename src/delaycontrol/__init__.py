@@ -6,9 +6,8 @@ executable checkers for the duality and verification theorems.
 
 __version__ = "0.1.0"
 
-from .core import (AdjointVector, ConfigurationError, ControlDomain, DelayedState,
-                   HistoryPath, HypothesisViolation, Instance, LinearDriver,
-                   TimeGrid, eval_G, eval_H, eval_X1_quadrature)
+from .core import (ConfigurationError, ControlDomain, HistoryPath, HypothesisViolation,
+                   Instance, LinearDriver, TimeGrid, eval_G, eval_H, eval_X1_quadrature)
 from .coeffs import CoefficientSet, FAMILIES, make_coefficients
 from .smdde import (ComparisonReport, MomentReport, NoiseSource, TrajectoryBundle,
                     estimate_moment_bound, simulate_coupled_pair, simulate_smdde)

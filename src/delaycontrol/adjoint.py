@@ -19,14 +19,13 @@ as a cross-check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import ControlDomain, HypothesisViolation, derived_rng
+from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H
 from .bsde import BackwardSolution, RegressionBasis
 from .smdde import TrajectoryBundle, path_array
 
@@ -270,14 +269,6 @@ class MPReport:
         )
 
 
-def _hamiltonian_values(coeffs, delay, t, pts, adj_p1, adj_p2, adj_q1, adj_gamma):
-    x, x1, x2, y, z, u = (pts[:, j] for j in range(6))
-    tr = x - coeffs.lam * x1 - math.exp(-coeffs.lam * delay) * x2
-    return (adj_p1 * coeffs.b(t, x, x1, x2, u) + adj_p2 * tr
-            + adj_q1 * coeffs.sigma(t, x, x1, x2, u)
-            - adj_gamma * coeffs.f(t, x, x1, x2, y, z, u))
-
-
 def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
                         adjoints: AdjointBundle, coeffs, domain: ControlDomain, *,
                         seed: int = 0, n_convexity: int = 10_000, n_time_samples: int = 16,
@@ -323,9 +314,9 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         a1 = adjoints.p1[paths, i]
         a2 = adjoints.p2[paths, i]
         aq = adjoints.q1[paths, i]
-        h1 = _hamiltonian_values(coeffs, delay, t, w1, a1, a2, aq, g)
-        h2 = _hamiltonian_values(coeffs, delay, t, w2, a1, a2, aq, g)
-        hm = _hamiltonian_values(coeffs, delay, t, 0.5 * (w1 + w2), a1, a2, aq, g)
+        h1 = eval_H(t, *w1.T, g, a1, a2, aq, coeffs, delay)
+        h2 = eval_H(t, *w2.T, g, a1, a2, aq, coeffs, delay)
+        hm = eval_H(t, *(0.5 * (w1 + w2)).T, g, a1, a2, aq, coeffs, delay)
         gap = hm - 0.5 * (h1 + h2)
         worst_conv = max(worst_conv, float(np.max(gap)))
     scale_conv = 1e-9 * (1.0 + x_scale ** 2)
@@ -364,8 +355,8 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         h = 1e-5 * (np.abs(ustar) + 1.0)
         pts_up = np.column_stack([x, x1, x2, y, z, ustar + h])
         pts_dn = np.column_stack([x, x1, x2, y, z, ustar - h])
-        hu = (_hamiltonian_values(coeffs, delay, t, pts_up, a1, a2, aq, g)
-              - _hamiltonian_values(coeffs, delay, t, pts_dn, a1, a2, aq, g)) / (2.0 * h)
+        hu = (eval_H(t, *pts_up.T, g, a1, a2, aq, coeffs, delay)
+              - eval_H(t, *pts_dn.T, g, a1, a2, aq, coeffs, delay)) / (2.0 * h)
         gaps = hu[:, None] * (ustar[:, None] - u_grid[None, :])
         worst_var = max(worst_var, float(np.max(gaps)))
         # tolerance scale: |H_u| over the whole discretized control box, so
@@ -374,8 +365,8 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
             hp = 1e-5 * (abs(u_probe) + 1.0)
             pu = np.column_stack([x, x1, x2, y, z, np.full(x.size, u_probe + hp)])
             pd = np.column_stack([x, x1, x2, y, z, np.full(x.size, u_probe - hp)])
-            hu_probe = (_hamiltonian_values(coeffs, delay, t, pu, a1, a2, aq, g)
-                        - _hamiltonian_values(coeffs, delay, t, pd, a1, a2, aq, g)) / (2.0 * hp)
+            hu_probe = (eval_H(t, *pu.T, g, a1, a2, aq, coeffs, delay)
+                        - eval_H(t, *pd.T, g, a1, a2, aq, coeffs, delay)) / (2.0 * hp)
             max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
     tol_var = variational_rel_tol * max(max_hu, 1e-12)
     variational_ok = worst_var <= tol_var
@@ -385,32 +376,3 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
                     phi_residual=resid, p3_zero_ok=p3_ok, max_abs_p3=max_p3, p3_tol=tol_p3,
                     variational_ok=variational_ok, variational_worst=worst_var,
                     variational_tol=tol_var)
-
-
-# ---------------------------------------------------------------------------
-# output
-# ---------------------------------------------------------------------------
-
-def dump_adjoints(bundle: TrajectoryBundle, adjoints: AdjointBundle, path: str,
-                  max_paths: Optional[int] = None):
-    """CSV dump with header path,step,t,gamma,p1,p2,p3,q1,q2,ptilde,pcheck."""
-    n = bundle.grid.n_steps
-    times = bundle.grid.times()
-    keep = bundle.n_paths if max_paths is None else min(max_paths, bundle.n_paths)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["path", "step", "t", "gamma", "p1", "p2", "p3", "q1", "q2",
-                      "ptilde", "pcheck"])
-        for pth in range(keep):
-            for i in range(n + 1):
-                out.writerow([pth, i, f"{times[i]:.17g}"] + [
-                    f"{arr[pth, i]:.17g}" for arr in (
-                        adjoints.gamma, adjoints.p1, adjoints.p2, adjoints.p3,
-                        adjoints.q1, adjoints.q2, adjoints.ptilde, adjoints.pcheck)])
-
-
-def write_mp_report(report: MPReport, path: str):
-    """Serialize an MPReport as a flat key=value text block."""
-    with open(path, "w") as fh:
-        for line in report.lines():
-            fh.write(line + "\n")

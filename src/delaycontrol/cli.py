@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,17 +29,13 @@ from . import __version__
 from .core import (ConfigurationError, ControlDomain, HistoryPath, HypothesisViolation,
                    Instance, LinearDriver, TimeGrid)
 from .coeffs import FAMILIES, make_coefficients
-from .smdde import (NoiseSource, dump_trajectories, estimate_moment_bound,
-                    simulate_coupled_pair, simulate_smdde)
+from .smdde import NoiseSource, estimate_moment_bound, simulate_coupled_pair, simulate_smdde
 from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
                    solve_bsde_lsmc)
-from .adjoint import check_sufficient_mp, dump_adjoints, solve_adjoints, write_mp_report
-from .variational import check_offsets, scaling_reports, write_scaling_report
-from .hjb import (HjbGrid, dump_value_function, feedback_control, heatmap_svg,
-                  solve_hjb)
-from .connect import (check_duality_inclusion, girsanov_reduce, start_state,
-                      verify_optimality, write_duality_detail, write_kv_report,
-                      write_verification_detail)
+from .adjoint import check_sufficient_mp, solve_adjoints
+from .variational import check_offsets, scaling_reports
+from .hjb import HjbGrid, feedback_control, heatmap_svg, solve_hjb
+from .connect import check_duality_inclusion, girsanov_reduce, start_state, verify_optimality
 
 SUBCOMMANDS = ("simulate", "solve-bsde", "solve-hjb", "check-comparison",
                "check-moments", "check-mp", "check-duality", "check-scaling",
@@ -68,7 +64,6 @@ class RunConfig:
 
     parser: configparser.ConfigParser
     seed: int
-    threads: int
     out_dir: str
 
     def get(self, section: str, key: str, cast, default=None, problems=None):
@@ -260,7 +255,6 @@ class RunConfig:
         return keep
 
     def effective_lines(self) -> List[str]:
-        # thread count is excluded: results are scheduling-independent
         lines = [f"seed={self.seed}"]
         for section in sorted(self.parser.sections()):
             for key in sorted(self.parser.options(section)):
@@ -283,6 +277,8 @@ def _read_problem(path: str, exc: Exception) -> str:
 
 def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
                 threads: int, out_dir: str) -> RunConfig:
+    """Parse the INI file and the overrides.  ``threads`` (--threads) is
+    validated and otherwise ignored: paths are simulated serially."""
     parser = configparser.ConfigParser(interpolation=None)
     problems: List[str] = []
     if path is not None:
@@ -321,8 +317,7 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
         problems.append(f"--threads: must be a positive integer, got {threads}")
     if problems:
         raise ConfigError(problems)
-    return RunConfig(parser=parser, seed=int(effective_seed), threads=threads,
-                     out_dir=out_dir)
+    return RunConfig(parser=parser, seed=int(effective_seed), out_dir=out_dir)
 
 
 def write_manifest(cfg: RunConfig, subcommand: str, extra: Optional[Dict] = None):
@@ -343,6 +338,33 @@ def write_manifest(cfg: RunConfig, subcommand: str, extra: Optional[Dict] = None
     with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
+    """Every CSV in ``--out``: ``csv.writer`` quoting and ``\\r\\n`` row ends;
+    callers format floats (``%.17g`` unless stated otherwise)."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def write_kv(path: str, lines: Iterable[str]):
+    """Flat ``key=value`` text report, one line each."""
+    with open(path, "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_path_table(path: str, times: np.ndarray, keep: int, names: Sequence[str],
+                     arrays: Sequence[np.ndarray]):
+    """Per-path table with header path,step,t,<names>: one row per step of the
+    first ``keep`` paths, the columns read from the ``(n_paths, n_steps + 1)``
+    ``arrays`` and written as ``%.17g``."""
+    write_csv(path, ["path", "step", "t", *names],
+              ([pth, i, f"{t:.17g}"] + [f"{arr[pth, i]:.17g}" for arr in arrays]
+               for pth in range(min(keep, arrays[0].shape[0]))
+               for i, t in enumerate(times)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,37 +429,28 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     keep = cfg.dump_paths(problems)
     control, _ = _resolve_control(cfg, inst, problems)
     bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
+                            NoiseSource(cfg.seed), n_paths)
     write_manifest(cfg, "simulate", {"n_diverged": int(bundle.diverged.sum())})
-    dump_trajectories(bundle, os.path.join(cfg.out_dir, "trajectories.csv"),
-                      max_paths=keep)
+    write_path_table(os.path.join(cfg.out_dir, "trajectories.csv"), inst.grid.times(), keep,
+                     ["X", "X1", "X2"], [bundle.X[:, inst.grid.m:], bundle.X1, bundle.X2])
     return 0
 
 
 def _cmd_solve_bsde(cfg: RunConfig) -> int:
     problems: List[str] = []
     inst = _checked_instance(cfg, problems)
-    basis = cfg.basis(problems)
-    n_paths = cfg.n_paths(problems)
     keep = cfg.dump_paths(problems)
-    control, _ = _resolve_control(cfg, inst, problems)
-    bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
-    sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
+    _, bundle, sol = _pipeline(cfg, inst, problems)
     write_manifest(cfg, "solve-bsde")
-    dump_trajectories(bundle, os.path.join(cfg.out_dir, "trajectories.csv"),
-                      max_paths=keep, solution=sol)
     times = inst.grid.times()
-    with open(os.path.join(cfg.out_dir, "bsde.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["path", "step", "t", "Y", "Z"])
-        for pth in range(min(keep, bundle.n_paths)):
-            for i in range(inst.grid.n_steps + 1):
-                out.writerow([pth, i, f"{times[i]:.17g}", f"{sol.Y[pth, i]:.17g}",
-                              f"{sol.Z[pth, i]:.17g}"])
-    write_kv_report([f"y_s={sol.y_s:.12g}", f"y_s_se={sol.y_s_se:.6g}",
-                     f"J={cost_functional_J(sol):.12g}"],
-                    os.path.join(cfg.out_dir, "report.txt"))
+    write_path_table(os.path.join(cfg.out_dir, "trajectories.csv"), times, keep,
+                     ["X", "X1", "X2", "Y", "Z"],
+                     [bundle.X[:, inst.grid.m:], bundle.X1, bundle.X2, sol.Y, sol.Z])
+    write_path_table(os.path.join(cfg.out_dir, "bsde.csv"), times, keep, ["Y", "Z"],
+                     [sol.Y, sol.Z])
+    write_kv(os.path.join(cfg.out_dir, "report.txt"),
+             [f"y_s={sol.y_s:.12g}", f"y_s_se={sol.y_s_se:.6g}",
+              f"J={cost_functional_J(sol):.12g}"])
     return 0
 
 
@@ -457,15 +470,18 @@ def _cmd_solve_hjb(cfg: RunConfig) -> int:
     vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
                       variant=variant, linear_driver=inst.driver)
     write_manifest(cfg, "solve-hjb")
-    dump_value_function(vgrid, os.path.join(cfg.out_dir, "value_function.csv"),
-                        slices=slices)
+    its = range(len(vgrid.times)) if slices is None else slices
+    write_csv(os.path.join(cfg.out_dir, "value_function.csv"), ["t", "x", "x1", "V", "u_star"],
+              ([f"{vgrid.times[it]:.17g}", f"{x:.17g}", f"{x1:.17g}",
+                f"{vgrid.V[it, j, k]:.17g}", f"{vgrid.u_star[it, j, k]:.17g}"]
+               for it in its for j, x in enumerate(vgrid.xs) for k, x1 in enumerate(vgrid.x1s)))
     if svg:
         heatmap_svg(vgrid.V[0], vgrid.xs, vgrid.x1s,
                     os.path.join(cfg.out_dir, "value_t0.svg"),
                     title=f"V at t={vgrid.times[0]:.3g}")
     x0, x10 = start_state(inst)
-    write_kv_report([f"v_start={vgrid.value(inst.grid.s, x0, x10):.12g}"],
-                    os.path.join(cfg.out_dir, "report.txt"))
+    write_kv(os.path.join(cfg.out_dir, "report.txt"),
+             [f"v_start={vgrid.value(inst.grid.s, x0, x10):.12g}"])
     return 0
 
 
@@ -482,20 +498,18 @@ def _cmd_check_comparison(cfg: RunConfig) -> int:
         raise ConfigError(problems)
     _, _, report = simulate_coupled_pair(
         inst1.coeffs, inst2.coeffs, inst1.history, inst2.history, inst1.grid,
-        NoiseSource(cfg.seed), n_paths, tol=tol, threads=cfg.threads)
+        NoiseSource(cfg.seed), n_paths, tol=tol)
     write_manifest(cfg, "check-comparison")
     times = inst1.grid.times()
-    with open(os.path.join(cfg.out_dir, "violations.csv"), "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["step", "t", "violation_fraction"])
-        for i, frac in enumerate(report.violation_fraction):
-            out.writerow([i, f"{times[i]:.17g}", f"{frac:.17g}"])
+    write_csv(os.path.join(cfg.out_dir, "violations.csv"), ["step", "t", "violation_fraction"],
+              ([i, f"{times[i]:.17g}", f"{frac:.17g}"]
+               for i, frac in enumerate(report.violation_fraction)))
     lines = [f"tol={report.tol:.6g}",
              f"max_violation_fraction={report.max_violation_fraction:.6g}",
              f"worst_violation={report.worst_violation:.6g}",
              f"hypothesis_ok={str(report.hypothesis_ok).lower()}"]
     lines += [f"hypothesis_failure={msg}" for msg in report.hypothesis_failures]
-    write_kv_report(lines, os.path.join(cfg.out_dir, "report.txt"))
+    write_kv(os.path.join(cfg.out_dir, "report.txt"), lines)
     return 0 if report.hypothesis_ok else 3
 
 
@@ -507,14 +521,14 @@ def _cmd_check_moments(cfg: RunConfig) -> int:
     if problems:
         raise ConfigError(problems)
     rep = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, p,
-                                NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
+                                NoiseSource(cfg.seed), n_paths)
     write_manifest(cfg, "check-moments")
-    write_kv_report([
+    write_kv(os.path.join(cfg.out_dir, "report.txt"), [
         f"p={rep.p}", f"lhs={rep.lhs:.12g}", f"lhs_se={rep.lhs_se:.6g}",
         f"rhs_history={rep.rhs_history:.12g}", f"rhs_drift={rep.rhs_drift:.12g}",
         f"rhs_diffusion={rep.rhs_diffusion:.12g}", f"ratio={rep.ratio:.12g}",
         f"n_diverged={rep.n_diverged}",
-    ], os.path.join(cfg.out_dir, "report.txt"))
+    ])
     return 0
 
 
@@ -525,7 +539,7 @@ def _pipeline(cfg: RunConfig, inst: Instance, problems: List[str]):
     n_paths = cfg.n_paths(problems)
     control, _ = _resolve_control(cfg, inst, problems)
     bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
+                            NoiseSource(cfg.seed), n_paths)
     sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
     return basis, bundle, sol
 
@@ -539,9 +553,10 @@ def _cmd_check_mp(cfg: RunConfig) -> int:
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
-    write_mp_report(report, os.path.join(cfg.out_dir, "mp_report.txt"))
-    dump_adjoints(bundle, adjoints, os.path.join(cfg.out_dir, "adjoints.csv"),
-                  max_paths=keep)
+    write_kv(os.path.join(cfg.out_dir, "mp_report.txt"), report.lines())
+    names = ("gamma", "p1", "p2", "p3", "q1", "q2", "ptilde", "pcheck")
+    write_path_table(os.path.join(cfg.out_dir, "adjoints.csv"), inst.grid.times(), keep,
+                     names, [getattr(adjoints, a) for a in names])
     return 0
 
 
@@ -552,11 +567,25 @@ def _cmd_check_duality(cfg: RunConfig) -> int:
     basis = cfg.basis(problems)
     control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
     report = check_duality_inclusion(inst, control, vgrid, NoiseSource(cfg.seed),
-                                     n_paths, basis=basis, threads=cfg.threads)
+                                     n_paths, basis=basis)
     write_manifest(cfg, "check-duality")
-    write_kv_report(report.kv_lines(), os.path.join(cfg.out_dir, "report.txt"))
-    write_duality_detail(report, os.path.join(cfg.out_dir, "duality_detail.csv"))
+    write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
+    write_csv(os.path.join(cfg.out_dir, "duality_detail.csv"),
+              ["t", "n_points", "n_skipped", "membership_pass_fraction",
+               "smooth_fraction", "median_identity_rel_err"],
+              ([f"{r.t:.17g}", r.n_points, r.n_skipped, f"{r.membership_pass_fraction:.6f}",
+                f"{r.smooth_fraction:.6f}", f"{r.median_identity_rel_err:.6e}"]
+               for r in report.records))
     return 0 if report.applicable else 3
+
+
+def _scaling_rows(report):
+    """One row per (quantity, offset), then one slope row per quantity."""
+    for row in report.rows:
+        yield [row.quantity, f"{row.offset:.17g}", f"{row.estimate:.17g}",
+               f"{row.std_error:.17g}"]
+    for key, slope in sorted(report.slopes.items()):
+        yield [key, "slope", f"{slope:.17g}", ""]
 
 
 def _cmd_check_scaling(cfg: RunConfig) -> int:
@@ -569,9 +598,10 @@ def _cmd_check_scaling(cfg: RunConfig) -> int:
                                      adjoints=adjoints, basis=basis))
                for ti in t_indices]
     write_manifest(cfg, "check-scaling")
-    for ti, rep, repd in reports:
-        write_scaling_report(rep, os.path.join(cfg.out_dir, f"remainders_t{ti}.csv"))
-        write_scaling_report(repd, os.path.join(cfg.out_dir, f"duality_t{ti}.csv"))
+    for ti, *pair in reports:
+        for name, rep in zip((f"remainders_t{ti}.csv", f"duality_t{ti}.csv"), pair):
+            write_csv(os.path.join(cfg.out_dir, name),
+                      ["quantity", "offset", "estimate", "std_error"], _scaling_rows(rep))
     return 0
 
 
@@ -585,11 +615,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     n_paths = cfg.n_paths(problems)
     control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
     report = verify_optimality(inst, control, vgrid, NoiseSource(cfg.seed),
-                               n_paths, budget=budget, threads=cfg.threads)
+                               n_paths, budget=budget)
     write_manifest(cfg, "verify")
-    write_kv_report(report.kv_lines(), os.path.join(cfg.out_dir, "report.txt"))
-    write_verification_detail(report,
-                              os.path.join(cfg.out_dir, "verification_detail.csv"))
+    write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
+    write_csv(os.path.join(cfg.out_dir, "verification_detail.csv"), ["t", "mean_integrand"],
+              ([f"{t:.17g}", f"{v:.17g}"] for t, v in report.per_step))
     return 0 if report.verdict else 1
 
 
@@ -604,15 +634,15 @@ def _cmd_girsanov(cfg: RunConfig) -> int:
         raise ConfigError(problems)
     reduction = girsanov_reduce(inst)
     bundle_p = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
-                              NoiseSource(cfg.seed), n_paths, threads=cfg.threads)
+                              NoiseSource(cfg.seed), n_paths)
     w = reduction.weights(bundle_p)
     sol_p = solve_bsde_lsmc(bundle_p, inst.coeffs, basis)
     bundle_q = simulate_smdde(reduction.instance.coeffs, inst.history, 0.0, inst.grid,
-                              NoiseSource(cfg.seed + 1), n_paths, threads=cfg.threads)
+                              NoiseSource(cfg.seed + 1), n_paths)
     y_q, se_q = linear_driver_oracle(reduction.instance.coeffs,
                                      reduction.instance.driver, bundle_q)
     write_manifest(cfg, "girsanov")
-    write_kv_report([
+    write_kv(os.path.join(cfg.out_dir, "report.txt"), [
         f"mean_weight={np.mean(w):.9g}",
         f"weight_se={np.std(w) / np.sqrt(w.size):.6g}",
         f"y_s_original_lsmc={sol_p.y_s:.9g}",
@@ -620,7 +650,7 @@ def _cmd_girsanov(cfg: RunConfig) -> int:
         f"y_s_shifted_oracle={y_q:.9g}",
         f"y_s_shifted_se={se_q:.6g}",
         f"route_gap={abs(sol_p.y_s - y_q):.6g}",
-    ], os.path.join(cfg.out_dir, "report.txt"))
+    ])
     return 0
 
 
@@ -647,7 +677,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--config", help="INI config file with dotted sections")
     parser.add_argument("--seed", type=int, default=None, help="64-bit run seed")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored (must be >= 1); "
+                             "paths are simulated serially")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (section.key=value)")
     args = parser.parse_args(argv)

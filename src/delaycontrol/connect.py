@@ -16,7 +16,6 @@ candidate controls, and the measure-change reduction.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -96,8 +95,7 @@ def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunctio
                             n_path_sample: int = 200, membership_radius: int = 3,
                             membership_tol: float = 0.1, kink_rel_tol: float = 0.2,
                             p3_tol: Optional[float] = None,
-                            candidate_shift: float = 0.0,
-                            threads: int = 1) -> DualityReport:
+                            candidate_shift: float = 0.0) -> DualityReport:
     """Test the superdifferential inclusion and the smooth-case identity.
 
     Runs the full pipeline (forward paths, backward cost, adjoints) for
@@ -109,8 +107,7 @@ def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunctio
     basis = basis or RegressionBasis(degree=2)
     grid = instance.grid
     coeffs = instance.coeffs
-    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths,
-                            threads=threads)
+    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths)
     solution = solve_bsde_lsmc(bundle, coeffs, basis)
     adjoints = solve_adjoints(bundle, solution, coeffs, basis)
     tol_p3 = 10.0 * grid.dt if p3_tol is None else p3_tol
@@ -245,8 +242,7 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
                       user_jets: Optional[Callable] = None,
                       budget: float = 5e-2, membership_required: float = 0.95,
                       membership_tol: float = 0.1, membership_radius: int = 3,
-                      n_membership_sample: int = 400,
-                      threads: int = 1) -> VerificationReport:
+                      n_membership_sample: int = 400) -> VerificationReport:
     """Run the verification-theorem checks for a candidate control.
 
     Requires the instance driver in the z-free linear form (apply
@@ -268,8 +264,7 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     coeffs = instance.coeffs
     assert_linear_driver(coeffs, instance.driver, seed=noise.seed)
     grid = instance.grid
-    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths,
-                            threads=threads)
+    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths)
     n, dt = grid.n_steps, grid.dt
     ok = ~bundle.diverged
 
@@ -420,12 +415,12 @@ def girsanov_reduce(instance: Instance) -> GirsanovReduction:
 
 
 # ---------------------------------------------------------------------------
-# helpers and output
+# control tournament
 # ---------------------------------------------------------------------------
 
 def control_tournament(instance: Instance, noise: NoiseSource, n_paths: int,
-                       n_controls: int = 20, seed: int = 0,
-                       threads: int = 1) -> List[Tuple[float, float, float]]:
+                       n_controls: int = 20, seed: int = 0
+                       ) -> List[Tuple[float, float, float]]:
     """Costs of random constant controls (u, J, se) via the plain oracle."""
     if instance.driver is None:
         raise ConfigurationError("tournament needs the linear-driver form")
@@ -434,33 +429,7 @@ def control_tournament(instance: Instance, noise: NoiseSource, n_paths: int,
     for k in range(n_controls):
         u = float(rng.uniform(instance.domain.lower, instance.domain.upper))
         b = simulate_smdde(instance.coeffs, instance.history, u, instance.grid,
-                           NoiseSource(noise.seed + 1000 + k), n_paths, threads=threads)
+                           NoiseSource(noise.seed + 1000 + k), n_paths)
         y, se = linear_driver_oracle(instance.coeffs, instance.driver, b)
         out.append((u, -y, se))
     return out
-
-
-def write_kv_report(lines, path: str):
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def write_duality_detail(report: DualityReport, path: str):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "n_points", "n_skipped", "membership_pass_fraction",
-                      "smooth_fraction", "median_identity_rel_err"])
-        for r in report.records:
-            out.writerow([f"{r.t:.17g}", r.n_points, r.n_skipped,
-                          f"{r.membership_pass_fraction:.6f}",
-                          f"{r.smooth_fraction:.6f}",
-                          f"{r.median_identity_rel_err:.6e}"])
-
-
-def write_verification_detail(report: VerificationReport, path: str):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "mean_integrand"])
-        for t, v in report.per_step:
-            out.writerow([f"{t:.17g}", f"{v:.17g}"])

@@ -123,12 +123,6 @@ class HistoryPath:
     def constant(cls, value: float, m: int) -> "HistoryPath":
         return cls(np.full(m + 1, float(value)))
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float], m: int, delay: float) -> "HistoryPath":
-        """Sample fn(tau) at tau = -delay..0 on the m+1 history nodes."""
-        taus = np.linspace(-delay, 0.0, m + 1)
-        return cls(np.array([float(fn(t)) for t in taus]))
-
     def interp(self, tau: np.ndarray, delay: float) -> np.ndarray:
         """Linear interpolation at offsets tau in [-delay, 0]."""
         taus = np.linspace(-delay, 0.0, self.m + 1)
@@ -156,27 +150,6 @@ class ControlDomain:
 
     def clip(self, u):
         return np.clip(u, self.lower, self.upper)
-
-
-@dataclass
-class DelayedState:
-    """State triple (x, x1, x2); fields may be scalars or aligned arrays."""
-
-    x: float
-    x1: float
-    x2: float
-
-
-@dataclass
-class AdjointVector:
-    """Adjoint variables (gamma, p1, p2, p3, q1, q2) at one time point."""
-
-    gamma: float = 1.0
-    p1: float = 0.0
-    p2: float = 0.0
-    p3: float = 0.0
-    q1: float = 0.0
-    q2: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +193,19 @@ def transport_term(x, x1, x2, lam: float, delay: float):
     return x - lam * x1 - math.exp(-lam * delay) * x2
 
 
-def eval_H(t, state: DelayedState, y, z, u, adj: AdjointVector, coeffs, delay: float):
+def eval_H(t, x, x1, x2, y, z, u, gamma, p1, p2, q1, coeffs, delay: float):
     """Hamiltonian pairing state dynamics with the adjoint variables.
 
     H = p1*b + p2*(x - lam*x1 - e^{-lam*delta}*x2) + q1*sigma - gamma*f,
-    evaluated at the candidate point.  Affine in (gamma, p1, p2, q1).
+    evaluated at the candidate point.  Affine in (gamma, p1, p2, q1).  The
+    state, cost, control and adjoint arguments may be scalars or aligned
+    arrays.
     """
-    x, x1, x2 = state.x, state.x1, state.x2
     b = coeffs.b(t, x, x1, x2, u)
     sig = coeffs.sigma(t, x, x1, x2, u)
     f = coeffs.f(t, x, x1, x2, y, z, u)
     tr = transport_term(x, x1, x2, coeffs.lam, delay)
-    return adj.p1 * b + adj.p2 * tr + adj.q1 * sig - adj.gamma * f
-
-
-def eval_H_u(t, state: DelayedState, y, z, u, adj: AdjointVector, coeffs, delay: float,
-             step: float = 1e-5):
-    """Central-difference partial of the Hamiltonian in the control slot."""
-    h = step * (np.abs(u) + 1.0)
-    up = eval_H(t, state, y, z, u + h, adj, coeffs, delay)
-    dn = eval_H(t, state, y, z, u - h, adj, coeffs, delay)
-    return (up - dn) / (2.0 * h)
+    return p1 * b + p2 * tr + q1 * sig - gamma * f
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ checks.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -41,7 +40,6 @@ __all__ = [
     "jet_membership",
     "viscosity_residual",
     "feedback_control",
-    "dump_value_function",
     "heatmap_svg",
 ]
 
@@ -522,22 +520,6 @@ def feedback_control(vgrid: GridValueFunction, domain: ControlDomain):
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
-
-def dump_value_function(vgrid: GridValueFunction, path: str,
-                        slices: Optional[Sequence[int]] = None):
-    """CSV dump with header t,x,x1,V,u_star (selected time slices)."""
-    its = range(len(vgrid.times)) if slices is None else slices
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["t", "x", "x1", "V", "u_star"])
-        for it in its:
-            t = vgrid.times[it]
-            for j, x in enumerate(vgrid.xs):
-                for k, x1 in enumerate(vgrid.x1s):
-                    out.writerow([f"{t:.17g}", f"{x:.17g}", f"{x1:.17g}",
-                                  f"{vgrid.V[it, j, k]:.17g}",
-                                  f"{vgrid.u_star[it, j, k]:.17g}"])
-
 
 def heatmap_svg(field: np.ndarray, xs: np.ndarray, x1s: np.ndarray, path: str,
                 title: str = "", size: int = 560):

@@ -13,8 +13,6 @@ p-th-moment-estimate harness.
 
 from __future__ import annotations
 
-import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
@@ -50,7 +48,7 @@ class NoiseSource:
     from the seed and the path index alone), and its k-th increment is the
     Box-Muller transform of the uniform pair (2k, 2k+1) from that block.
     Hence identical (seed, path, step) always yields the identical
-    increment, independent of execution order, chunking, or thread count.
+    increment, independent of execution order or chunking.
 
     ``substeps`` refines the underlying Brownian path: with substeps = r,
     increment k is the sum of r sub-increments of variance dt/r, so
@@ -68,10 +66,6 @@ class NoiseSource:
         if substeps < 1:
             raise ConfigurationError("substeps must be >= 1")
         self.substeps = int(substeps)
-
-    def refine(self, factor: int) -> "NoiseSource":
-        """Same Brownian paths, increments split ``factor`` times finer."""
-        return NoiseSource(self.seed, self.substeps * int(factor))
 
     def increments(self, first_path: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
         """Gaussian increments of variance dt, shape (n_paths, n_steps)."""
@@ -176,21 +170,6 @@ def _control_value(control: Control, t: float, x: np.ndarray, x1: np.ndarray, i:
     return arr[:, i]
 
 
-def _for_chunks(n_paths: int, chunk_size: int, threads: int, work: Callable[[int, int], None]):
-    """Run work(lo, hi) over fixed-size path chunks, optionally threaded.
-
-    Chunk boundaries are independent of the thread count and every chunk
-    writes disjoint output slices, so results do not depend on scheduling.
-    """
-    bounds = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            work(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: work(*b), bounds))
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -246,6 +225,10 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     [-1e12, 1e12] or turns non-finite are aborted (NaN from that step on)
     and flagged in ``diverged``; registry families are linear-growth, so
     divergence indicates misconfiguration.
+
+    Paths are stepped in chunks of ``chunk_size``, which bounds the noise
+    buffer; the chunking does not change any result.  ``threads`` is
+    accepted and ignored: paths are always simulated serially.
     """
     if history.m != grid.m:
         raise ConfigurationError(
@@ -257,14 +240,13 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     dW_full = path_array(n_paths, n) if store_increments else None
     u_full = path_array(n_paths, n) if callable(control) else None
 
-    def work(lo: int, hi: int):
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
         dW = noise.increments(lo, hi - lo, n, grid.dt)
         if dW_full is not None:
             dW_full[lo:hi] = dW
         u_slice = u_full[lo:hi] if u_full is not None else None
         _step_chunk(coeffs, history, control, grid, dW, X[lo:hi], X1[lo:hi], u_slice)
-
-    _for_chunks(n_paths, chunk_size, threads, work)
     diverged = ~np.all(np.isfinite(X), axis=1)
     stored_u: Optional[Union[float, np.ndarray]]
     if callable(control):
@@ -337,7 +319,7 @@ def _comparison_hypotheses(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryP
 
 def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPath,
                           grid: TimeGrid, noise: NoiseSource, n_paths: int, *,
-                          tol: float = 0.0, threads: int = 1, chunk_size: int = 4096):
+                          tol: float = 0.0, chunk_size: int = 4096):
     """Simulate two instances with identical Brownian increments.
 
     Returns (bundle1, bundle2, ComparisonReport).  Under the ordering
@@ -353,13 +335,11 @@ def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPa
     X_b = np.empty((n_paths, m + n + 1))
     X1_b = np.empty((n_paths, n + 1))
 
-    def work(lo: int, hi: int):
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
         dW = noise.increments(lo, hi - lo, n, grid.dt)
         _step_chunk(coeffs1, hist1, 0.0, grid, dW, X_a[lo:hi], X1_a[lo:hi], None)
         _step_chunk(coeffs2, hist2, 0.0, grid, dW, X_b[lo:hi], X1_b[lo:hi], None)
-
-    _for_chunks(n_paths, chunk_size, threads, work)
-
     div_a = ~np.all(np.isfinite(X_a), axis=1)
     div_b = ~np.all(np.isfinite(X_b), axis=1)
     bundle1 = TrajectoryBundle(grid=grid, lam=coeffs1.lam, X=X_a, X1=X1_a, u=0.0,
@@ -412,8 +392,7 @@ class MomentReport:
 
 
 def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
-                          p: int, noise: NoiseSource, n_paths: int, *,
-                          threads: int = 1) -> MomentReport:
+                          p: int, noise: NoiseSource, n_paths: int) -> MomentReport:
     """Monte Carlo ingredients of the p-th-moment estimate (u = 0 reference).
 
     Divergent paths are excluded from the estimate and counted.
@@ -421,7 +400,7 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
     if p < 2 or p % 2 != 0:
         raise ConfigurationError("moment order p must be an even integer >= 2")
     bundle = simulate_smdde(coeffs, history, 0.0, grid, noise, n_paths,
-                            store_increments=False, threads=threads)
+                            store_increments=False)
     m = grid.m
     ok = ~bundle.diverged
     sup_p = np.max(np.abs(bundle.X[ok, m:]), axis=1) ** p
@@ -437,30 +416,3 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
     return MomentReport(p=p, lhs=lhs, lhs_se=lhs_se, rhs_history=rhs_hist,
                         rhs_drift=rhs_drift, rhs_diffusion=rhs_diff,
                         n_diverged=int(np.sum(bundle.diverged)))
-
-
-# ---------------------------------------------------------------------------
-# output
-# ---------------------------------------------------------------------------
-
-def dump_trajectories(bundle: TrajectoryBundle, path: str, max_paths: Optional[int] = None,
-                      solution=None):
-    """Write paths as CSV with header path,step,t,X,X1,X2 (plus Y,Z when a
-    backward solution is supplied)."""
-    n = bundle.grid.n_steps
-    m = bundle.grid.m
-    times = bundle.grid.times()
-    keep = bundle.n_paths if max_paths is None else min(max_paths, bundle.n_paths)
-    header = ["path", "step", "t", "X", "X1", "X2"]
-    if solution is not None:
-        header += ["Y", "Z"]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        for pth in range(keep):
-            for i in range(n + 1):
-                row = [pth, i, f"{times[i]:.17g}", f"{bundle.X[pth, i + m]:.17g}",
-                       f"{bundle.X1[pth, i]:.17g}", f"{bundle.X2[pth, i]:.17g}"]
-                if solution is not None:
-                    row += [f"{solution.Y[pth, i]:.17g}", f"{solution.Z[pth, i]:.17g}"]
-                out.writerow(row)

@@ -15,7 +15,6 @@ p-th mean, and E|Ytilde(t)| like o(h).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -313,15 +312,3 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
     remainders = _report(offsets, rem_rows, rem_series)
     duality = _report(offsets, dual_rows, dual_series) if adjoints is not None else None
     return remainders, duality
-
-
-def write_scaling_report(report: ScalingReport, path: str):
-    """CSV with header quantity,offset,estimate,std_error plus slope rows."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["quantity", "offset", "estimate", "std_error"])
-        for row in report.rows:
-            out.writerow([row.quantity, f"{row.offset:.17g}", f"{row.estimate:.17g}",
-                          f"{row.std_error:.17g}"])
-        for key, slope in sorted(report.slopes.items()):
-            out.writerow([key, "slope", f"{slope:.17g}", ""])

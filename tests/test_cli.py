@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from delaycontrol.cli import main
+from delaycontrol.cli import main, write_path_table
 
 LQ_INI = """
 [instance]
@@ -251,6 +251,23 @@ class TestSimulate:
             main(["simulate", "--config", lq_config, "--seed", seed, "--out", out])
             h.append(file_hashes(out)["trajectories.csv"])
         assert h[0] != h[1]
+
+
+class TestOutputFormat:
+    def test_path_table_bytes(self, tmp_path):
+        # header, %.17g cells (rounding, signed zero, tiny, nan), CRLF row ends,
+        # and only the first ``keep`` paths
+        a = np.array([[0.1, 1 / 3, -0.0], [1e-300, np.nan, 2.5], [7.0, 7.0, 7.0]])
+        path = tmp_path / "table.csv"
+        write_path_table(str(path), np.array([0.0, 0.1, 1 / 3]), 2, ["A", "B"], [a, -a])
+        assert path.read_bytes() == (
+            b"path,step,t,A,B\r\n"
+            b"0,0,0,0.10000000000000001,-0.10000000000000001\r\n"
+            b"0,1,0.10000000000000001,0.33333333333333331,-0.33333333333333331\r\n"
+            b"0,2,0.33333333333333331,-0,0\r\n"
+            b"1,0,0,1e-300,-1e-300\r\n"
+            b"1,1,0.10000000000000001,nan,nan\r\n"
+            b"1,2,0.33333333333333331,2.5,-2.5\r\n")
 
 
 class TestSolvers:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaycontrol.core import (AdjointVector, ConfigurationError, ControlDomain,
-                               DelayedState, HistoryPath, Instance, LinearDriver,
-                               TimeGrid, eval_G, eval_H, eval_X1_quadrature,
+from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
+                               LinearDriver, TimeGrid, eval_G, eval_H, eval_X1_quadrature,
                                x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
@@ -159,32 +158,30 @@ class TestX1Quadrature:
 # ---------------------------------------------------------------------------
 
 def _state(x=0.3, x1=-0.2, x2=0.7):
-    return DelayedState(x=x, x1=x1, x2=x2)
+    return x, x1, x2
 
 
 class TestHamiltonian:
     def test_zero_adjoints(self):
         coeffs = make_coefficients("linear", lam=0.5, bx=1.0, sx=0.5, fx=2.0)
-        h = eval_H(0.1, _state(), 0.0, 0.0, 0.2, AdjointVector(gamma=0.0), coeffs, 0.1)
+        h = eval_H(0.1, *_state(), 0.0, 0.0, 0.2, 0.0, 0.0, 0.0, 0.0, coeffs, 0.1)
         assert h == pytest.approx(0.0)
 
     def test_drift_pairing(self):
         coeffs = make_coefficients("constant", b0=1.7)
-        h = eval_H(0.0, _state(), 0.0, 0.0, 0.0,
-                   AdjointVector(gamma=0.0, p1=1.0), coeffs, 0.1)
+        h = eval_H(0.0, *_state(), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, coeffs, 0.1)
         assert h == pytest.approx(1.7)
 
     def test_driver_sign(self):
         coeffs = make_coefficients("constant", f0=2.5)
-        h = eval_H(0.0, _state(), 0.0, 0.0, 0.0, AdjointVector(gamma=1.0), coeffs, 0.1)
+        h = eval_H(0.0, *_state(), 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, coeffs, 0.1)
         assert h == pytest.approx(-2.5)
 
     def test_transport_pairing(self):
         lam, delay = 0.4, 0.25
         coeffs = make_coefficients("constant", lam=lam)
         st_ = _state(x=1.0, x1=2.0, x2=3.0)
-        h = eval_H(0.0, st_, 0.0, 0.0, 0.0, AdjointVector(gamma=0.0, p2=1.0),
-                   coeffs, delay)
+        h = eval_H(0.0, *st_, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, coeffs, delay)
         assert h == pytest.approx(1.0 - lam * 2.0 - math.exp(-lam * delay) * 3.0)
 
     @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
@@ -198,9 +195,8 @@ class TestHamiltonian:
         args = (0.3, stt, 0.4, -0.1, 0.2)
 
         def H(gamma, a1, a2, aq):
-            return eval_H(args[0], args[1], args[2], args[3], args[4],
-                          AdjointVector(gamma=gamma, p1=a1, p2=a2, q1=aq),
-                          coeffs, 0.1)
+            return eval_H(args[0], *args[1], args[2], args[3], args[4],
+                          gamma, a1, a2, aq, coeffs, 0.1)
 
         lhs = H(scale * g, scale * p1, scale * p2, scale * q1)
         assert lhs == pytest.approx(scale * H(g, p1, p2, q1), rel=1e-9, abs=1e-9)

@@ -113,7 +113,7 @@ class TestSimulate:
                   control=0.0, grid=grid(), noise=NoiseSource(77), n_paths=1000)
         a = simulate_smdde(**kw, threads=1, chunk_size=128)
         b = simulate_smdde(**kw, threads=8, chunk_size=128)
-        c = simulate_smdde(**kw, threads=1, chunk_size=128)
+        c = simulate_smdde(**kw, threads=1, chunk_size=4096)  # one chunk
         assert np.array_equal(a.X, b.X) and np.array_equal(a.X, c.X)
         assert np.array_equal(a.X1, b.X1)
 
