@@ -21,13 +21,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .core import (ConfigurationError, ControlDomain, HistoryPath, HypothesisViolation,
-                   Instance, LinearDriver, TimeGrid)
+from .core import (G_VARIANTS, ConfigurationError, ControlDomain, HistoryPath,
+                   HypothesisViolation, Instance, LinearDriver, TimeGrid)
 from .coeffs import FAMILIES, make_coefficients
 from .smdde import NoiseSource, estimate_moment_bound, simulate_coupled_pair, simulate_smdde
 from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
@@ -36,11 +37,6 @@ from .adjoint import check_sufficient_mp, solve_adjoints
 from .variational import check_offsets, scaling_reports
 from .hjb import HjbGrid, feedback_control, heatmap_svg, solve_hjb
 from .connect import check_duality_inclusion, girsanov_reduce, start_state, verify_optimality
-
-SUBCOMMANDS = ("simulate", "solve-bsde", "solve-hjb", "check-comparison",
-               "check-moments", "check-mp", "check-duality", "check-scaling",
-               "verify", "girsanov")
-
 
 class ConfigError(Exception):
     """Invalid configuration; carries field-level diagnostics."""
@@ -66,14 +62,15 @@ class RunConfig:
     seed: int
     out_dir: str
 
-    def get(self, section: str, key: str, cast, default=None, problems=None):
+    def get(self, section: str, key: str, cast, problems: List[str], default=None, lower=None):
+        """One field; a missing key without a default, a value that does not
+        parse, or one below ``lower`` is recorded in ``problems`` as None."""
         try:
             raw = self.parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
-            if default is not None or default == 0:
+            if default is not None:
                 return default
-            if problems is not None:
-                problems.append(f"{section}.{key}: required key missing")
+            problems.append(f"{section}.{key}: required key missing")
             return None
         try:
             if cast is bool:
@@ -81,15 +78,19 @@ class RunConfig:
                 if word not in _TRUE + _FALSE:
                     raise ValueError(word)
                 return word in _TRUE
-            return cast(raw)
+            value = cast(raw)
         except ValueError:
-            if problems is not None:
-                problems.append(f"{section}.{key}: cannot parse {raw!r} as {cast.__name__}")
+            problems.append(f"{section}.{key}: cannot parse {raw!r} as {cast.__name__}")
             return None
+        if lower is not None and value < lower:
+            bound = "a positive integer" if lower == 1 else f">= {lower}"
+            problems.append(f"{section}.{key}: must be {bound}, got {value}")
+            return None
+        return value
 
     def _history(self, section: str, key: str, m: int, delay: float,
                  problems: List[str]) -> Optional[HistoryPath]:
-        raw = self.get(section, key, str, default="constant:0.0")
+        raw = self.get(section, key, str, problems, "constant:0.0")
         try:
             kind, _, arg = raw.partition(":")
             if kind == "constant":
@@ -125,40 +126,39 @@ class RunConfig:
         gbar = self.get("driver", "gbar", float, default=0.0, problems=problems)
         return LinearDriver.constants(fbar=fbar or 0.0, gbar=gbar or 0.0)
 
-    def instance(self, section: str = "instance", problems: Optional[List[str]] = None,
+    def instance(self, problems: List[str], section: str = "instance",
                  with_driver: bool = True) -> Optional[Instance]:
-        local = [] if problems is None else problems
-        family = self.get(section, "family", str, problems=local)
-        lam = self.get(section, "lambda", float, default=0.0, problems=local)
-        s = self.get(section, "s", float, default=0.0, problems=local)
-        T = self.get(section, "T", float, problems=local)
-        dt = self.get(section, "dt", float, problems=local)
-        delay_steps = self.get(section, "delay_steps", int, problems=local)
-        u_min = self.get(section, "u_min", float, default=-1.0, problems=local)
-        u_max = self.get(section, "u_max", float, default=1.0, problems=local)
-        n_u = self.get("numerics", "n_u", int, default=21, problems=local)
+        family = self.get(section, "family", str, problems=problems)
+        lam = self.get(section, "lambda", float, default=0.0, problems=problems)
+        s = self.get(section, "s", float, default=0.0, problems=problems)
+        T = self.get(section, "T", float, problems=problems)
+        dt = self.get(section, "dt", float, problems=problems)
+        delay_steps = self.get(section, "delay_steps", int, problems=problems)
+        u_min = self.get(section, "u_min", float, default=-1.0, problems=problems)
+        u_max = self.get(section, "u_max", float, default=1.0, problems=problems)
+        n_u = self.get("numerics", "n_u", int, default=21, problems=problems)
         if family is not None and family not in FAMILIES:
-            local.append(f"{section}.family: unknown family {family!r} "
-                         f"(known: {sorted(FAMILIES)})")
-        if None in (family, T, dt, delay_steps) or family not in FAMILIES:
+            problems.append(f"{section}.family: unknown family {family!r} "
+                            f"(known: {sorted(FAMILIES)})")
+        if family not in FAMILIES or None in (lam, s, T, dt, delay_steps, u_min, u_max, n_u):
             return None
         try:
             param_problems: List[str] = []
             params = self._params(section + ".params", param_problems)
             if param_problems:
-                local.extend(param_problems)
+                problems.extend(param_problems)
                 return None
             coeffs = make_coefficients(family, lam=lam, **params)
             grid = TimeGrid(s=s, T=T, dt=dt, delay_steps=delay_steps)
-            history = self._history(section, "history", grid.m, grid.delay, local)
+            history = self._history(section, "history", grid.m, grid.delay, problems)
             domain = ControlDomain(u_min, u_max, n_u=n_u)
             if history is None:
                 return None
-            driver = self._driver(local) if with_driver else None
+            driver = self._driver(problems) if with_driver else None
             return Instance(coeffs=coeffs, grid=grid, history=history,
                             domain=domain, driver=driver)
         except ConfigurationError as exc:
-            local.append(f"{section}: {exc}")
+            problems.append(f"{section}: {exc}")
             return None
 
     def basis(self, problems: List[str]) -> Optional[RegressionBasis]:
@@ -190,23 +190,6 @@ class RunConfig:
             problems.append(f"numerics: {exc}")
             return None
 
-    def dump_slices(self, n_t: int, problems: List[str]) -> Optional[List[int]]:
-        """Value-grid time slices to dump: None for "all", else indices in [0, n_t]."""
-        raw = self.get("numerics", "dump_slices", str, default="0", problems=problems)
-        if raw == "all":
-            return None
-        try:
-            slices = [int(v) for v in raw.split(",")]
-        except ValueError:
-            problems.append(f"numerics.dump_slices: expected 'all' or comma-separated "
-                            f"integers, got {raw!r}")
-            return None
-        outside = [v for v in slices if not 0 <= v <= n_t]
-        if outside:
-            problems.append(f"numerics.dump_slices: {outside} outside [0, {n_t}] "
-                            "(numerics.n_t_pde)")
-        return slices
-
     def scaling(self, n_steps: int, problems: List[str]
                 ) -> Tuple[Optional[List[float]], Optional[List[int]], Optional[int]]:
         """check-scaling settings: offsets, perturbation indices in
@@ -224,35 +207,9 @@ class RunConfig:
             offsets = None
         raw = self.get("scaling", "t_indices", str, default=str(max(n_steps // 4, 1)),
                        problems=problems)
-        try:
-            t_indices = [int(v) for v in raw.split(",")]
-        except ValueError:
-            problems.append(f"scaling.t_indices: expected comma-separated integers, "
-                            f"got {raw!r}")
-            t_indices = None
-        else:
-            outside = [v for v in t_indices if not 0 <= v <= n_steps - 1]
-            if outside:
-                problems.append(f"scaling.t_indices: {outside} outside [0, {n_steps - 1}] "
-                                "(a variation needs t + dt <= T)")
-        p = self.get("scaling", "p", int, default=2, problems=problems)
-        if p is not None and p < 1:
-            problems.append(f"scaling.p: must be a positive integer, got {p}")
-        return offsets, t_indices, p
-
-    def n_paths(self, problems: List[str]) -> Optional[int]:
-        n = self.get("numerics", "n_paths", int, default=10_000, problems=problems)
-        if n is not None and n < 1:
-            problems.append(f"numerics.n_paths: must be a positive integer, got {n}")
-            return None
-        return n
-
-    def dump_paths(self, problems: List[str]) -> Optional[int]:
-        keep = self.get("numerics", "dump_paths", int, default=100, problems=problems)
-        if keep is not None and keep < 0:
-            problems.append(f"numerics.dump_paths: must be >= 0, got {keep}")
-            return None
-        return keep
+        t_indices = _indices("scaling.t_indices", raw, n_steps - 1,
+                             "a variation needs t + dt <= T", problems)
+        return offsets, t_indices, self.get("scaling", "p", int, problems, 2, lower=1)
 
     def effective_lines(self) -> List[str]:
         lines = [f"seed={self.seed}"]
@@ -264,6 +221,20 @@ class RunConfig:
     def config_hash(self) -> str:
         payload = "\n".join(self.effective_lines()).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def _indices(field: str, raw: str, top: int, why: str, problems: List[str],
+             expected: str = "comma-separated integers") -> Optional[List[int]]:
+    """Comma-separated integers in [0, top]; ``why`` says what sets ``top``."""
+    try:
+        values = [int(v) for v in raw.split(",")]
+    except ValueError:
+        problems.append(f"{field}: expected {expected}, got {raw!r}")
+        return None
+    outside = [v for v in values if not 0 <= v <= top]
+    if outside:
+        problems.append(f"{field}: {outside} outside [0, {top}] ({why})")
+    return values
 
 
 def _read_problem(path: str, exc: Exception) -> str:
@@ -313,6 +284,11 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
     if effective_seed is None:
         problems.append("run.seed: a seed is required (config [run] seed or --seed); "
                         "no entropy default exists")
+    else:
+        try:
+            NoiseSource(effective_seed)
+        except ConfigurationError as exc:
+            problems.append(f"{'run.seed' if seed is None else '--seed'}: {exc}")
     if threads < 1:
         problems.append(f"--threads: must be a positive integer, got {threads}")
     if problems:
@@ -368,42 +344,87 @@ def write_path_table(path: str, times: np.ndarray, keep: int, names: Sequence[st
 
 
 # ---------------------------------------------------------------------------
-# control resolution
+# the parse pass
 # ---------------------------------------------------------------------------
 
 CONTROL_TYPES = ("constant", "hjb")
 
 
-def _resolve_control(cfg: RunConfig, inst: Instance, problems: List[str],
-                     need_hjb: bool = False):
-    """Control from the [control] section: constant value, or the value-grid
-    argmax feedback (optionally perturbed by a constant on the first half
-    of the horizon).
-
-    Raises every problem collected so far, the caller's included, before
-    the value grid is solved, so callers parse their own fields first.
-    """
-    ctype = cfg.get("control", "type", str, default="constant", problems=problems)
-    if ctype not in CONTROL_TYPES:
-        problems.append(f"control.type: unknown control type {ctype!r} "
-                        f"(expected {' | '.join(CONTROL_TYPES)})")
-    perturb = cfg.get("control", "perturb", float, default=0.0, problems=problems)
-    value = (cfg.get("control", "value", float, default=0.0, problems=problems)
-             if ctype == "constant" else None)
-    grid_cfg = cfg.hjb_grid(problems) if need_hjb or ctype == "hjb" else None
+def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
+    """Parse the instance and every field group in ``needs`` of subcommand
+    ``name`` and raise all problems before anything is solved.  Instance
+    problems are raised first: the other groups' defaults depend on it."""
+    problems: List[str] = []
+    inst = cfg.instance(problems, with_driver="comparison" not in needs)
+    inst2 = (cfg.instance(problems, "instance2", with_driver=False)
+             if "comparison" in needs else None)
     if problems:
         raise ConfigError(problems)
-    vgrid = None
-    if grid_cfg is not None:
-        variant = "Gtilde" if inst.driver is not None else "G"
-        vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
-                          variant=variant, linear_driver=inst.driver)
-    rule = value if ctype == "constant" else feedback_control(vgrid, inst.domain)
-    if perturb:
+    got = SimpleNamespace(inst=inst, inst2=inst2, ctype=None, grid=None,
+                          variant="Gtilde" if inst.driver is not None else "G")
+    if "driver" in needs and inst.driver is None:
+        note = " (z-free linear form)" if name == "verify" else ""
+        problems.append(f"driver: {name} requires a [driver] section{note}")
+    if "n_paths" in needs:
+        got.n_paths = cfg.get("numerics", "n_paths", int, problems, 10_000, lower=1)
+    if "dump_paths" in needs:
+        got.keep = cfg.get("numerics", "dump_paths", int, problems, 100, lower=0)
+    if "basis" in needs:
+        got.basis = cfg.basis(problems)
+    if "control" in needs:
+        got.ctype = cfg.get("control", "type", str, problems, "constant")
+        if got.ctype not in CONTROL_TYPES:
+            problems.append(f"control.type: unknown control type {got.ctype!r} "
+                            f"(expected {' | '.join(CONTROL_TYPES)})")
+        got.perturb = cfg.get("control", "perturb", float, problems, 0.0)
+        if got.ctype == "constant":
+            got.value = cfg.get("control", "value", float, problems, 0.0)
+    if "hjb_grid" in needs or got.ctype == "hjb":
+        got.grid = cfg.hjb_grid(problems)
+    if "value_output" in needs:
+        raw = cfg.get("numerics", "dump_slices", str, problems, "0")
+        got.slices = None  # all of them
+        if raw != "all" and got.grid is not None:
+            got.slices = _indices("numerics.dump_slices", raw, got.grid.n_t, "numerics.n_t_pde",
+                                  problems, expected="'all' or comma-separated integers")
+        got.variant = cfg.get("numerics", "hjb_variant", str, problems, got.variant)
+        if got.variant not in G_VARIANTS:
+            problems.append(f"numerics.hjb_variant: unknown variant {got.variant!r} "
+                            f"(expected {' | '.join(G_VARIANTS)})")
+        got.svg = cfg.get("numerics", "svg", bool, problems, False)
+    if "scaling" in needs:
+        got.offsets, got.t_indices, got.p = cfg.scaling(inst.grid.n_steps, problems)
+    if "moments" in needs:
+        got.p = cfg.get("moments", "p", int, problems, 2)
+    if "comparison" in needs:
+        got.tol = cfg.get("comparison", "tol", float, problems, 10.0 * inst.grid.dt)
+    if "grid_budget" in needs:
+        got.budget = cfg.get("numerics", "grid_budget", float, problems, 5e-2)
+    if problems:
+        raise ConfigError(problems)
+    return got
+
+
+def _value_grid(inputs: SimpleNamespace):
+    """The value function on ``inputs.grid`` for generalized Hamiltonian ``inputs.variant``."""
+    inst = inputs.inst
+    return solve_hjb(inst.coeffs, inst.domain, inputs.grid, inst.grid,
+                     variant=inputs.variant, linear_driver=inst.driver)
+
+
+def _control(inputs: SimpleNamespace):
+    """Control from the [control] section: constant value, or the value-grid
+    argmax feedback (optionally perturbed by a constant on the first half
+    of the horizon); and the value grid, solved when ``inputs.grid`` is set.
+    """
+    inst = inputs.inst
+    vgrid = None if inputs.grid is None else _value_grid(inputs)
+    rule = inputs.value if inputs.ctype == "constant" else feedback_control(vgrid, inst.domain)
+    if inputs.perturb:
         half = 0.5 * (inst.grid.s + inst.grid.T)
         inner = rule
 
-        def rule(t, x, x1, _inner=inner, _half=half, _d=perturb, _dom=inst.domain):
+        def rule(t, x, x1, _inner=inner, _half=half, _d=inputs.perturb):
             base_u = _inner(t, x, x1) if callable(_inner) else _inner
             bump = _d if t < _half else 0.0
             return np.asarray(base_u) + bump + 0.0 * np.asarray(x)
@@ -411,38 +432,30 @@ def _resolve_control(cfg: RunConfig, inst: Instance, problems: List[str],
     return rule, vgrid
 
 
+def _simulate(cfg: RunConfig, inputs: SimpleNamespace):
+    """Forward paths under the [control] rule."""
+    inst = inputs.inst
+    return simulate_smdde(inst.coeffs, inst.history, _control(inputs)[0], inst.grid,
+                          NoiseSource(cfg.seed), inputs.n_paths)
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each only computes and writes
 # ---------------------------------------------------------------------------
 
-def _checked_instance(cfg: RunConfig, problems: List[str]) -> Instance:
-    inst = cfg.instance(problems=problems)
-    if problems or inst is None:
-        raise ConfigError(problems or ["instance: invalid"])
-    return inst
-
-
-def _cmd_simulate(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    n_paths = cfg.n_paths(problems)
-    keep = cfg.dump_paths(problems)
-    control, _ = _resolve_control(cfg, inst, problems)
-    bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), n_paths)
+def _cmd_simulate(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, keep, bundle = inputs.inst, inputs.keep, _simulate(cfg, inputs)
     write_manifest(cfg, "simulate", {"n_diverged": int(bundle.diverged.sum())})
     write_path_table(os.path.join(cfg.out_dir, "trajectories.csv"), inst.grid.times(), keep,
                      ["X", "X1", "X2"], [bundle.X[:, inst.grid.m:], bundle.X1, bundle.X2])
     return 0
 
 
-def _cmd_solve_bsde(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    keep = cfg.dump_paths(problems)
-    _, bundle, sol = _pipeline(cfg, inst, problems)
+def _cmd_solve_bsde(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, bundle = inputs.inst, _simulate(cfg, inputs)
+    sol = solve_bsde_lsmc(bundle, inst.coeffs, inputs.basis)
     write_manifest(cfg, "solve-bsde")
-    times = inst.grid.times()
+    times, keep = inst.grid.times(), inputs.keep
     write_path_table(os.path.join(cfg.out_dir, "trajectories.csv"), times, keep,
                      ["X", "X1", "X2", "Y", "Z"],
                      [bundle.X[:, inst.grid.m:], bundle.X1, bundle.X2, sol.Y, sol.Z])
@@ -454,28 +467,15 @@ def _cmd_solve_bsde(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_solve_hjb(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = cfg.instance(problems=problems)
-    grid_cfg = cfg.hjb_grid(problems)
-    if problems or inst is None or grid_cfg is None:
-        raise ConfigError(problems or ["instance: invalid"])
-    slices = cfg.dump_slices(grid_cfg.n_t, problems)
-    variant = cfg.get("numerics", "hjb_variant", str,
-                      default="Gtilde" if inst.driver is not None else "G",
-                      problems=problems)
-    svg = cfg.get("numerics", "svg", bool, default=False, problems=problems)
-    if problems:
-        raise ConfigError(problems)
-    vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
-                      variant=variant, linear_driver=inst.driver)
+def _cmd_solve_hjb(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, vgrid = inputs.inst, _value_grid(inputs)
     write_manifest(cfg, "solve-hjb")
-    its = range(len(vgrid.times)) if slices is None else slices
+    its = range(len(vgrid.times)) if inputs.slices is None else inputs.slices
     write_csv(os.path.join(cfg.out_dir, "value_function.csv"), ["t", "x", "x1", "V", "u_star"],
               ([f"{vgrid.times[it]:.17g}", f"{x:.17g}", f"{x1:.17g}",
                 f"{vgrid.V[it, j, k]:.17g}", f"{vgrid.u_star[it, j, k]:.17g}"]
                for it in its for j, x in enumerate(vgrid.xs) for k, x1 in enumerate(vgrid.x1s)))
-    if svg:
+    if inputs.svg:
         heatmap_svg(vgrid.V[0], vgrid.xs, vgrid.x1s,
                     os.path.join(cfg.out_dir, "value_t0.svg"),
                     title=f"V at t={vgrid.times[0]:.3g}")
@@ -485,20 +485,11 @@ def _cmd_solve_hjb(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_check_comparison(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst1 = cfg.instance("instance", problems=problems, with_driver=False)
-    inst2 = cfg.instance("instance2", problems=problems, with_driver=False)
-    if problems or inst1 is None or inst2 is None:
-        raise ConfigError(problems or ["instance/instance2: invalid"])
-    tol = cfg.get("comparison", "tol", float, default=10.0 * inst1.grid.dt,
-                  problems=problems)
-    n_paths = cfg.n_paths(problems)
-    if problems:
-        raise ConfigError(problems)
+def _cmd_check_comparison(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst1, inst2 = inputs.inst, inputs.inst2
     _, _, report = simulate_coupled_pair(
         inst1.coeffs, inst2.coeffs, inst1.history, inst2.history, inst1.grid,
-        NoiseSource(cfg.seed), n_paths, tol=tol)
+        NoiseSource(cfg.seed), inputs.n_paths, tol=inputs.tol)
     write_manifest(cfg, "check-comparison")
     times = inst1.grid.times()
     write_csv(os.path.join(cfg.out_dir, "violations.csv"), ["step", "t", "violation_fraction"],
@@ -513,15 +504,10 @@ def _cmd_check_comparison(cfg: RunConfig) -> int:
     return 0 if report.hypothesis_ok else 3
 
 
-def _cmd_check_moments(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    p = cfg.get("moments", "p", int, default=2, problems=problems)
-    n_paths = cfg.n_paths(problems)
-    if problems:
-        raise ConfigError(problems)
-    rep = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, p,
-                                NoiseSource(cfg.seed), n_paths)
+def _cmd_check_moments(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst = inputs.inst
+    rep = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, inputs.p,
+                                NoiseSource(cfg.seed), inputs.n_paths)
     write_manifest(cfg, "check-moments")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), [
         f"p={rep.p}", f"lhs={rep.lhs:.12g}", f"lhs_se={rep.lhs_se:.6g}",
@@ -532,42 +518,24 @@ def _cmd_check_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def _pipeline(cfg: RunConfig, inst: Instance, problems: List[str]):
-    """Constant-or-feedback control, forward paths and the backward solution;
-    ``problems`` (the caller's parse results) is raised before any solve."""
-    basis = cfg.basis(problems)
-    n_paths = cfg.n_paths(problems)
-    control, _ = _resolve_control(cfg, inst, problems)
-    bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(cfg.seed), n_paths)
-    sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
-    return basis, bundle, sol
-
-
-def _cmd_check_mp(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    keep = cfg.dump_paths(problems)
-    basis, bundle, sol = _pipeline(cfg, inst, problems)
-    adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
+def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, bundle = inputs.inst, _simulate(cfg, inputs)
+    sol = solve_bsde_lsmc(bundle, inst.coeffs, inputs.basis)
+    adjoints = solve_adjoints(bundle, sol, inst.coeffs, inputs.basis)
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
     write_kv(os.path.join(cfg.out_dir, "mp_report.txt"), report.lines())
     names = ("gamma", "p1", "p2", "p3", "q1", "q2", "ptilde", "pcheck")
-    write_path_table(os.path.join(cfg.out_dir, "adjoints.csv"), inst.grid.times(), keep,
-                     names, [getattr(adjoints, a) for a in names])
+    write_path_table(os.path.join(cfg.out_dir, "adjoints.csv"), inst.grid.times(),
+                     inputs.keep, names, [getattr(adjoints, a) for a in names])
     return 0
 
 
-def _cmd_check_duality(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    n_paths = cfg.n_paths(problems)
-    basis = cfg.basis(problems)
-    control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
-    report = check_duality_inclusion(inst, control, vgrid, NoiseSource(cfg.seed),
-                                     n_paths, basis=basis)
+def _cmd_check_duality(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    control, vgrid = _control(inputs)
+    report = check_duality_inclusion(inputs.inst, control, vgrid, NoiseSource(cfg.seed),
+                                     inputs.n_paths, basis=inputs.basis)
     write_manifest(cfg, "check-duality")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
     write_csv(os.path.join(cfg.out_dir, "duality_detail.csv"),
@@ -588,15 +556,13 @@ def _scaling_rows(report):
         yield [key, "slope", f"{slope:.17g}", ""]
 
 
-def _cmd_check_scaling(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    offsets, t_indices, p = cfg.scaling(inst.grid.n_steps, problems)
-    basis, bundle, sol = _pipeline(cfg, inst, problems)
+def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, basis, bundle = inputs.inst, inputs.basis, _simulate(cfg, inputs)
+    sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
     adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
-    reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, offsets, p=p,
+    reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, inputs.offsets, p=inputs.p,
                                      adjoints=adjoints, basis=basis))
-               for ti in t_indices]
+               for ti in inputs.t_indices]
     write_manifest(cfg, "check-scaling")
     for ti, *pair in reports:
         for name, rep in zip((f"remainders_t{ti}.csv", f"duality_t{ti}.csv"), pair):
@@ -605,17 +571,10 @@ def _cmd_check_scaling(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    if inst.driver is None:
-        raise ConfigError(["driver: verify requires a [driver] section "
-                           "(z-free linear form)"])
-    budget = cfg.get("numerics", "grid_budget", float, default=5e-2, problems=problems)
-    n_paths = cfg.n_paths(problems)
-    control, vgrid = _resolve_control(cfg, inst, problems, need_hjb=True)
-    report = verify_optimality(inst, control, vgrid, NoiseSource(cfg.seed),
-                               n_paths, budget=budget)
+def _cmd_verify(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    control, vgrid = _control(inputs)
+    report = verify_optimality(inputs.inst, control, vgrid, NoiseSource(cfg.seed),
+                               inputs.n_paths, budget=inputs.budget)
     write_manifest(cfg, "verify")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
     write_csv(os.path.join(cfg.out_dir, "verification_detail.csv"), ["t", "mean_integrand"],
@@ -623,22 +582,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.verdict else 1
 
 
-def _cmd_girsanov(cfg: RunConfig) -> int:
-    problems: List[str] = []
-    inst = _checked_instance(cfg, problems)
-    if inst.driver is None:
-        raise ConfigError(["driver: girsanov requires a [driver] section"])
-    n_paths = cfg.n_paths(problems)
-    basis = cfg.basis(problems)
-    if problems:
-        raise ConfigError(problems)
+def _cmd_girsanov(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    inst, n_paths = inputs.inst, inputs.n_paths
     reduction = girsanov_reduce(inst)
-    bundle_p = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
-                              NoiseSource(cfg.seed), n_paths)
+    noise_p, noise_q = NoiseSource(cfg.seed), NoiseSource(cfg.seed + 1)
+    bundle_p = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid, noise_p, n_paths)
     w = reduction.weights(bundle_p)
-    sol_p = solve_bsde_lsmc(bundle_p, inst.coeffs, basis)
+    sol_p = solve_bsde_lsmc(bundle_p, inst.coeffs, inputs.basis)
     bundle_q = simulate_smdde(reduction.instance.coeffs, inst.history, 0.0, inst.grid,
-                              NoiseSource(cfg.seed + 1), n_paths)
+                              noise_q, n_paths)
     y_q, se_q = linear_driver_oracle(reduction.instance.coeffs,
                                      reduction.instance.driver, bundle_q)
     write_manifest(cfg, "girsanov")
@@ -654,17 +606,19 @@ def _cmd_girsanov(cfg: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "solve-bsde": _cmd_solve_bsde,
-    "solve-hjb": _cmd_solve_hjb,
-    "check-comparison": _cmd_check_comparison,
-    "check-moments": _cmd_check_moments,
-    "check-mp": _cmd_check_mp,
-    "check-duality": _cmd_check_duality,
-    "check-scaling": _cmd_check_scaling,
-    "verify": _cmd_verify,
-    "girsanov": _cmd_girsanov,
+# subcommand: (run, the field groups _inputs parses for it besides the
+# instance); the README's "Configuration" table mirrors it
+COMMANDS = {
+    "simulate": (_cmd_simulate, ("n_paths", "dump_paths", "control")),
+    "solve-bsde": (_cmd_solve_bsde, ("n_paths", "dump_paths", "basis", "control")),
+    "solve-hjb": (_cmd_solve_hjb, ("hjb_grid", "value_output")),
+    "check-comparison": (_cmd_check_comparison, ("comparison", "n_paths")),
+    "check-moments": (_cmd_check_moments, ("moments", "n_paths")),
+    "check-mp": (_cmd_check_mp, ("n_paths", "dump_paths", "basis", "control")),
+    "check-duality": (_cmd_check_duality, ("n_paths", "basis", "control", "hjb_grid")),
+    "check-scaling": (_cmd_check_scaling, ("n_paths", "basis", "control", "scaling")),
+    "verify": (_cmd_verify, ("driver", "n_paths", "control", "hjb_grid", "grid_budget")),
+    "girsanov": (_cmd_girsanov, ("driver", "n_paths", "basis")),
 }
 
 
@@ -673,7 +627,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="delaycontrol",
         description="Mixed-delay stochastic control toolkit: simulators, "
                     "backward solvers, and theorem checkers.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=COMMANDS)
     parser.add_argument("--config", help="INI config file with dotted sections")
     parser.add_argument("--seed", type=int, default=None, help="64-bit run seed")
     parser.add_argument("--out", default="out", help="output directory")
@@ -685,7 +639,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set, args.seed, args.threads, args.out)
-        return _COMMANDS[args.subcommand](cfg)
+        run, needs = COMMANDS[args.subcommand]
+        return run(cfg, _inputs(cfg, args.subcommand, needs))
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -123,11 +123,6 @@ class HistoryPath:
     def constant(cls, value: float, m: int) -> "HistoryPath":
         return cls(np.full(m + 1, float(value)))
 
-    def interp(self, tau: np.ndarray, delay: float) -> np.ndarray:
-        """Linear interpolation at offsets tau in [-delay, 0]."""
-        taus = np.linspace(-delay, 0.0, self.m + 1)
-        return np.interp(np.asarray(tau, dtype=float), taus, self.samples)
-
 
 @dataclass(frozen=True)
 class ControlDomain:

@@ -217,7 +217,7 @@ def _step_chunk(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
 
 def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
                    noise: NoiseSource, n_paths: int, *, store_increments: bool = True,
-                   threads: int = 1, chunk_size: int = 4096) -> TrajectoryBundle:
+                   chunk_size: int = 4096) -> TrajectoryBundle:
     """Simulate the mixed-delay SDE forward on [s, T].
 
     ``control`` is a scalar, a per-step vector of length n, or a feedback
@@ -227,8 +227,8 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     divergence indicates misconfiguration.
 
     Paths are stepped in chunks of ``chunk_size``, which bounds the noise
-    buffer; the chunking does not change any result.  ``threads`` is
-    accepted and ignored: paths are always simulated serially.
+    buffer; the chunking does not change any result.  Paths are simulated
+    serially.
     """
     if history.m != grid.m:
         raise ConfigurationError(

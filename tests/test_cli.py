@@ -186,14 +186,45 @@ class TestConfigValidation:
         ("simulate", "control.perturb=abc", "control.perturb"),
         ("solve-bsde", "numerics.basis_degree=abc", "numerics.basis_degree"),
         ("solve-hjb", "numerics.svg=abc", "numerics.svg"),
+        ("solve-hjb", "numerics.hjb_variant=bogus", "numerics.hjb_variant"),
+        ("simulate", "instance.lambda=abc", "instance.lambda"),
+        ("simulate", "instance.u_min=abc", "instance.u_min"),
+        ("check-comparison", "comparison.tol=abc", "comparison.tol"),
+        ("check-moments", "moments.p=abc", "moments.p"),
+        ("check-duality", "numerics.nx=abc", "numerics.nx"),
+        ("verify", "numerics.grid_budget=abc", "numerics.grid_budget"),
     ])
     def test_bad_value_exits_2_before_any_output(self, subcommand, override, field,
-                                                 lq_config, tmp_path, capsys):
+                                                 lq_config, cmp_config, tmp_path, capsys):
         out = tmp_path / "o"
-        rc = main([subcommand, "--config", lq_config, "--out", str(out),
+        config = cmp_config if subcommand == "check-comparison" else lq_config
+        rc = main([subcommand, "--config", config, "--out", str(out),
                    "--set", override])
         assert rc == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,field", [
+        (["--seed", "-1"], "--seed"),
+        (["--seed", str(2 ** 64)], "--seed"),
+        (["--set", "run.seed=-1"], "run.seed"),
+    ])
+    def test_seed_outside_64_bits_exits_2(self, args, field, lq_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["solve-hjb", "--config", lq_config, "--out", str(out), *args])
+        assert rc == 2
+        assert f"config error: {field}: seed must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["verify", "girsanov"])
+    def test_missing_driver_exits_2(self, subcommand, tmp_path, capsys):
+        p = tmp_path / "nodriver.ini"
+        p.write_text(LQ_INI.replace("[driver]\nfbar = 0.0\ngbar = 0.0\n", ""))
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", str(p), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: driver: {subcommand} requires a [driver] section" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -58,11 +58,6 @@ class TestHistoryPath:
         with pytest.raises(ValueError, match="invalid history"):
             HistoryPath(np.array([1.0, np.nan, 2.0]))
 
-    def test_interp_linear(self):
-        h = HistoryPath(np.array([0.0, 1.0, 2.0]))
-        assert h.interp(-0.05, 0.1) == pytest.approx(1.0)
-        assert h.interp(-0.025, 0.1) == pytest.approx(1.5)
-
     def test_instance_rejects_mismatched_history(self):
         grid = TimeGrid(s=0.0, T=1.0, dt=0.01, delay_steps=10)
         with pytest.raises(ConfigurationError):

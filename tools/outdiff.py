@@ -1,5 +1,6 @@
 """Byte-compare the --out directories of a fixed list of CLI calls between
-a git revision and the working tree.
+a git revision and the working tree, and the diagnostics of a fixed list of
+bad-config calls.
 
 Usage (from the repository root):
 
@@ -11,8 +12,10 @@ REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, and ``girsanov`` on the config
 of its ``test_girsanov_report``.  One line is printed per
-output file; the exit status is 1 if any exit code, file list or file
-differs, else 0.
+output file.  The bad-config calls each carry one fault, at least one per
+subcommand, and their exit code and exact stderr text are compared; one
+line is printed per call.  The exit status is 1 if any exit code, stderr
+text, file list or file differs, else 0.
 """
 
 from __future__ import annotations
@@ -78,6 +81,26 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-moments", "cmp", ["check-moments"]),
 ]
 
+# one fault each; "lq-nodriver" is the LQ config without its [driver] section
+BAD_CALLS: List[Tuple[str, str, List[str]]] = [
+    ("bad-simulate-family", "lq", ["simulate", "--set", "instance.family=woble"]),
+    ("bad-simulate-n_paths", "lq", ["simulate", "--set", "numerics.n_paths=-1"]),
+    ("bad-simulate-threads", "lq", ["simulate", "--threads", "0"]),
+    ("bad-solve-bsde-basis", "lq", ["solve-bsde", "--set", "numerics.basis_degree=abc"]),
+    ("bad-solve-hjb-slices", "lq", ["solve-hjb", "--set", "numerics.dump_slices=500"]),
+    ("bad-solve-hjb-svg", "lq", ["solve-hjb", "--set", "numerics.svg=abc"]),
+    ("bad-check-comparison-tol", "cmp", ["check-comparison", "--set", "comparison.tol=abc"]),
+    ("bad-check-moments-p", "cmp", ["check-moments", "--set", "moments.p=abc"]),
+    ("bad-check-mp-control", "lq", ["check-mp", "--set", "control.type=bogus"]),
+    ("bad-check-mp-dump_paths", "lq", ["check-mp", "--set", "numerics.dump_paths=-1"]),
+    ("bad-check-duality-nx", "lq", ["check-duality", "--set", "numerics.nx=abc"]),
+    ("bad-check-scaling-offsets", "lq", ["check-scaling", "--set", "scaling.offsets=0.1,x"]),
+    ("bad-check-scaling-t_indices", "lq", ["check-scaling", "--set", "scaling.t_indices=100"]),
+    ("bad-verify-budget", "lq", ["verify", "--set", "numerics.grid_budget=abc"]),
+    ("bad-verify-nodriver", "lq-nodriver", ["verify"]),
+    ("bad-girsanov-nodriver", "lq-nodriver", ["girsanov"]),
+]
+
 
 def test_configs() -> Dict[str, str]:
     """LQ_INI and CMP_INI as written in tests/test_cli.py."""
@@ -92,27 +115,29 @@ def test_configs() -> Dict[str, str]:
     return found
 
 
-def calls(seed: int) -> List[Tuple[str, str, List[str]]]:
-    """(name, config text, argv without --config/--out) for every call."""
+def calls(seed: int) -> List[Tuple[str, str, List[str], bool]]:
+    """(name, config text, argv without --config/--out, is a bad-config call)
+    for every call."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
 
-    out = [(name, wl.ini_text(seed), [wl.subcommand, "--threads", str(wl.threads)])
+    out = [(name, wl.ini_text(seed), [wl.subcommand, "--threads", str(wl.threads)], False)
            for name, wl in WORKLOADS.items()]
     configs = dict(test_configs(), girsanov=GIRSANOV_INI)
-    out += [(name, configs[config], argv) for name, config, argv in TEST_CALLS]
+    configs["lq-nodriver"] = configs["lq"].replace("[driver]\nfbar = 0.0\ngbar = 0.0\n", "")
+    out += [(name, configs[config], argv, False) for name, config, argv in TEST_CALLS]
+    out += [(name, configs[config], argv, True) for name, config, argv in BAD_CALLS]
     return out
 
 
-def run(tree: str, argv: List[str], config: str, out: str) -> int:
+def run(tree: str, argv: List[str], config: str, out: str) -> Tuple[int, str]:
+    """Exit code and stderr text of one call."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-m", "delaycontrol.cli", *argv,
                            "--config", config, "--out", out],
                           env=env, cwd=tree, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
-    if proc.returncode not in (0, 1, 3):
-        print(proc.stderr, file=sys.stderr)
-    return proc.returncode
+    return proc.returncode, proc.stderr
 
 
 def compare(name: str, old: str, new: str) -> int:
@@ -144,17 +169,23 @@ def main() -> int:
         archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev],
                                  check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
-        for name, text, argv in calls(args.seed):
+        for name, text, argv, bad in calls(args.seed):
             config = os.path.join(tmp, f"{name}.ini")
             with open(config, "w") as fh:
                 fh.write(text)
-            codes = []
-            for side, tree in (("rev", base), ("work", ROOT)):
-                codes.append(run(tree, argv, config, os.path.join(tmp, side, name)))
-            if codes[0] != codes[1]:
-                print(f"{'DIFFERS':8s} {name}: exit {codes[0]} at {args.rev}, "
-                      f"{codes[1]} in the working tree")
+            (code_old, err_old), (code_new, err_new) = (
+                run(tree, argv, config, os.path.join(tmp, side, name))
+                for side, tree in (("rev", base), ("work", ROOT)))
+            if not bad and code_new not in (0, 1, 3):
+                print(err_new, file=sys.stderr)
+            if code_old != code_new:
+                print(f"{'DIFFERS':8s} {name}: exit {code_old} at {args.rev}, "
+                      f"{code_new} in the working tree")
                 differences += 1
+            if bad:
+                status = "same" if err_old == err_new else "DIFFERS"
+                print(f"{status:8s} {name}: stderr (exit {code_new})")
+                differences += status != "same"
             differences += compare(name, os.path.join(tmp, "rev", name),
                                    os.path.join(tmp, "work", name))
     print(f"{differences} difference(s)")
