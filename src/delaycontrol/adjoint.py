@@ -360,14 +360,14 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         gaps = hu[:, None] * (ustar[:, None] - u_grid[None, :])
         worst_var = max(worst_var, float(np.max(gaps)))
         # tolerance scale: |H_u| over the whole discretized control box, so
-        # the near-stationarity of the candidate does not shrink its own gate
-        for u_probe in u_grid:
-            hp = 1e-5 * (abs(u_probe) + 1.0)
-            pu = np.column_stack([x, x1, x2, y, z, np.full(x.size, u_probe + hp)])
-            pd = np.column_stack([x, x1, x2, y, z, np.full(x.size, u_probe - hp)])
-            hu_probe = (eval_H(t, *pu.T, g, a1, a2, aq, coeffs, delay)
-                        - eval_H(t, *pd.T, g, a1, a2, aq, coeffs, delay)) / (2.0 * hp)
-            max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
+        # the near-stationarity of the candidate does not shrink its own gate;
+        # one (path, control) block per step
+        col = (x[:, None], x1[:, None], x2[:, None], y[:, None], z[:, None])
+        adj = (g[:, None], a1[:, None], a2[:, None], aq[:, None])
+        hp = 1e-5 * (np.abs(u_grid) + 1.0)
+        hu_probe = (eval_H(t, *col, u_grid + hp, *adj, coeffs, delay)
+                    - eval_H(t, *col, u_grid - hp, *adj, coeffs, delay)) / (2.0 * hp)
+        max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
     tol_var = variational_rel_tol * max(max_hu, 1e-12)
     variational_ok = worst_var <= tol_var
 

@@ -61,6 +61,7 @@ class RunConfig:
     parser: configparser.ConfigParser
     seed: int
     out_dir: str
+    seed_field: str  # "--seed" or "run.seed", whichever set the seed
 
     def get(self, section: str, key: str, cast, problems: List[str], default=None, lower=None):
         """One field; a missing key without a default, a value that does not
@@ -281,6 +282,7 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
         except ValueError:
             problems.append("run.seed: not an integer")
     effective_seed = seed if seed is not None else cfg_seed
+    seed_field = "run.seed" if seed is None else "--seed"
     if effective_seed is None:
         problems.append("run.seed: a seed is required (config [run] seed or --seed); "
                         "no entropy default exists")
@@ -288,12 +290,13 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
         try:
             NoiseSource(effective_seed)
         except ConfigurationError as exc:
-            problems.append(f"{'run.seed' if seed is None else '--seed'}: {exc}")
+            problems.append(f"{seed_field}: {exc}")
     if threads < 1:
         problems.append(f"--threads: must be a positive integer, got {threads}")
     if problems:
         raise ConfigError(problems)
-    return RunConfig(parser=parser, seed=int(effective_seed), out_dir=out_dir)
+    return RunConfig(parser=parser, seed=int(effective_seed), out_dir=out_dir,
+                     seed_field=seed_field)
 
 
 def write_manifest(cfg: RunConfig, subcommand: str, extra: Optional[Dict] = None):
@@ -397,7 +400,11 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
     if "moments" in needs:
         got.p = cfg.get("moments", "p", int, problems, 2)
     if "comparison" in needs:
-        got.tol = cfg.get("comparison", "tol", float, problems, 10.0 * inst.grid.dt)
+        got.tol = cfg.get("comparison", "tol", float, problems, 10.0 * inst.grid.dt,
+                          lower=0.0)
+    if "seed_plus_1" in needs and cfg.seed + 1 > 0xFFFFFFFFFFFFFFFF:
+        problems.append(f"{cfg.seed_field}: {name} also draws noise from seed + 1, "
+                        f"which must fit in 64 bits; got seed {cfg.seed}")
     if "grid_budget" in needs:
         got.budget = cfg.get("numerics", "grid_budget", float, problems, 5e-2)
     if problems:
@@ -618,7 +625,7 @@ COMMANDS = {
     "check-duality": (_cmd_check_duality, ("n_paths", "basis", "control", "hjb_grid")),
     "check-scaling": (_cmd_check_scaling, ("n_paths", "basis", "control", "scaling")),
     "verify": (_cmd_verify, ("driver", "n_paths", "control", "hjb_grid", "grid_budget")),
-    "girsanov": (_cmd_girsanov, ("driver", "n_paths", "basis")),
+    "girsanov": (_cmd_girsanov, ("driver", "n_paths", "basis", "seed_plus_1")),
 }
 
 

@@ -131,31 +131,23 @@ def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunctio
         xs = bundle.x_at(int(i))[sample]
         x1s = bundle.X1[sample, int(i)]
         pts = adjoints.ptilde[sample, int(i)] + candidate_shift
-        n_pass = 0
-        n_checked = 0
-        n_skipped = 0
-        rels: List[float] = []
-        n_smooth = 0
-        for x, x1, cand in zip(xs, x1s, pts):
-            inside = bool(vgrid.is_interior(x, x1, margin=membership_radius))
-            if not inside:
-                n_skipped += 1
-                continue
-            ok, _ = jet_membership(vgrid, (t, x, x1), cand, side="super",
-                                   radius=membership_radius, tol=membership_tol,
-                                   x_slope_only=True)
-            n_checked += 1
-            n_pass += int(ok)
-            vx = float(vgrid.value_x(t, x, x1))
-            kink = float(vgrid.kink_measure(t, x, x1))
-            if kink <= kink_rel_tol * (1.0 + abs(vx)):
-                n_smooth += 1
-                rels.append(abs(cand - candidate_shift - vx) / (1.0 + abs(vx)))
+        inside = vgrid.is_interior(xs, x1s, margin=membership_radius)
+        x, x1, cand = xs[inside], x1s[inside], pts[inside]
+        n_checked = x.size
+        n_skipped = xs.size - n_checked
+        ok, _ = jet_membership(vgrid, (t, x, x1), cand, side="super",
+                               radius=membership_radius, tol=membership_tol,
+                               x_slope_only=True)
+        n_pass = int(np.sum(ok))
+        vx = vgrid.value_x(t, x, x1)
+        smooth = vgrid.kink_measure(t, x, x1) <= kink_rel_tol * (1.0 + np.abs(vx))
+        n_smooth = int(np.sum(smooth))
+        rels = np.abs(cand[smooth] - candidate_shift - vx[smooth]) / (1.0 + np.abs(vx[smooth]))
         total_points += n_checked
         total_skipped += n_skipped
         total_pass += n_pass
-        med = float(np.median(rels)) if rels else float("nan")
-        if rels:
+        med = float(np.median(rels)) if rels.size else float("nan")
+        if rels.size:
             medians.append(med)
         records.append(DualityTimeRecord(
             t=float(t), n_points=n_checked, n_skipped=n_skipped,
@@ -308,20 +300,19 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     steps = rng.choice(n, size=min(12, n), replace=False)
     n_pass = 0
     n_checked = 0
+    paths = sample[: max(n_membership_sample // len(steps), 1)]
     for i in sorted(int(s) for s in steps):
+        # t, and with it the time window, is shared by the step's points
         t = grid.time(i)
-        for pth in sample[: max(n_membership_sample // len(steps), 1)]:
-            x = float(bundle.X[pth, i + grid.m])
-            x1 = float(bundle.X1[pth, i])
-            if not bool(vgrid.is_interior(x, x1, margin=membership_radius)):
-                continue
-            theta, p, q, P, v0, inside = _jets_along(
-                vgrid, t, np.array([x]), np.array([x1]))
-            jet = Jet(theta=float(theta[0]), p=float(p[0]), q=float(q[0]), P=float(P[0]))
-            good, _ = jet_membership(vgrid, (t, x, x1), jet, side="super",
-                                     radius=membership_radius, tol=membership_tol)
-            n_checked += 1
-            n_pass += int(good)
+        x = bundle.X[paths, i + grid.m]
+        x1 = bundle.X1[paths, i]
+        keep = vgrid.is_interior(x, x1, margin=membership_radius)
+        x, x1 = x[keep], x1[keep]
+        theta, p, q, P, v0, inside = _jets_along(vgrid, t, x, x1)
+        good, _ = jet_membership(vgrid, (t, x, x1), Jet(theta=theta, p=p, q=q, P=P),
+                                 side="super", radius=membership_radius, tol=membership_tol)
+        n_checked += x.size
+        n_pass += int(np.sum(good))
     membership_frac = n_pass / max(n_checked, 1)
 
     j_est, j_se = linear_driver_oracle(coeffs, instance.driver, bundle)

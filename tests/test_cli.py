@@ -190,6 +190,7 @@ class TestConfigValidation:
         ("simulate", "instance.lambda=abc", "instance.lambda"),
         ("simulate", "instance.u_min=abc", "instance.u_min"),
         ("check-comparison", "comparison.tol=abc", "comparison.tol"),
+        ("check-comparison", "comparison.tol=-1", "comparison.tol"),
         ("check-moments", "moments.p=abc", "moments.p"),
         ("check-duality", "numerics.nx=abc", "numerics.nx"),
         ("verify", "numerics.grid_budget=abc", "numerics.grid_budget"),
@@ -214,6 +215,20 @@ class TestConfigValidation:
         rc = main(["solve-hjb", "--config", lq_config, "--out", str(out), *args])
         assert rc == 2
         assert f"config error: {field}: seed must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,field", [
+        (["--seed", str(2 ** 64 - 1)], "--seed"),
+        (["--set", f"run.seed={2 ** 64 - 1}"], "run.seed"),
+    ])
+    def test_girsanov_seed_plus_1_outside_64_bits_exits_2(self, args, field, lq_config,
+                                                          tmp_path, capsys):
+        # girsanov's second noise source draws from seed + 1
+        out = tmp_path / "o"
+        rc = main(["girsanov", "--config", lq_config, "--out", str(out), *args])
+        assert rc == 2
+        assert f"config error: {field}: girsanov also draws noise from seed + 1" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["verify", "girsanov"])

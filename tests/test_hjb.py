@@ -7,6 +7,7 @@ import pytest
 from delaycontrol.core import (ConfigurationError, ControlDomain,
                                HypothesisViolation, LinearDriver, TimeGrid,
                                eval_G, transport_term)
+from delaycontrol import hjb
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.hjb import (GridValueFunction, HjbGrid, Jet, ProbeSet,
                               _refine_argmax, check_x2_independence,
@@ -177,10 +178,16 @@ def reference_sweep(coeffs, domain, grid, time_grid, variant, driver):
     return V, U
 
 
-def sweep_coeffs(z_nonlinear):
-    """LQ coefficients whose terminal cost also depends on x1, so the x1
-    transport term of G is live; optionally with f nonlinear in z."""
-    base = make_coefficients("linear_quadratic", lam=LQ_LAM, fy=-0.2, **LQ_PARAMS)
+def sweep_coeffs(z_nonlinear, family="linear_quadratic"):
+    """LQ (or bilinear, with tanh-saturated products) coefficients whose
+    terminal cost also depends on x1, so the x1 transport term of G is live;
+    optionally with f nonlinear in z."""
+    if family == "bilinear":
+        base = make_coefficients("bilinear", lam=LQ_LAM, bx=0.1, bu=0.5, bxx1=0.3,
+                                 s0=0.2, su=0.1, sxx1=0.05, fx=-0.2, fy=-0.2, fu=0.3,
+                                 phix=0.5, clip=2.0)
+    else:
+        base = make_coefficients("linear_quadratic", lam=LQ_LAM, fy=-0.2, **LQ_PARAMS)
 
     def phi(x, x1):
         return base.phi(x, x1) + 0.3 * np.sin(x1)
@@ -194,8 +201,10 @@ def sweep_coeffs(z_nonlinear):
 
 
 class TestSweepEquivalence:
-    """The sweep shares b, sigma and f between the two Hamiltonians of a
-    control; V and the argmax must equal the eval_G sweep bit for bit."""
+    """The sweep evaluates b, sigma and f once per block of controls and
+    shares them between the two Hamiltonians; V and the argmax must equal
+    the per-control eval_G sweep bit for bit, also when the last block is
+    partial (19 and 41 controls are not multiples of the block)."""
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
@@ -203,18 +212,45 @@ class TestSweepEquivalence:
         ("Gtilde", LinearDriver.constants(fbar=0.1)),
     ])
     def test_matches_eval_G_sweep(self, variant, driver):
-        coeffs = sweep_coeffs(z_nonlinear=variant == "G")
-        dom = ControlDomain(-1.0, 1.0, n_u=7)
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
-        # x1-slope probes at zero: the x1 dependence enters through phi only
-        p = default_probe_set(coeffs, grid, tg())
-        probes = dataclasses.replace(p, q=np.zeros_like(p.q))
-        vg = solve_hjb(coeffs, dom, grid, tg(), variant=variant, linear_driver=driver,
-                       probes=probes)
-        assert np.ptp(vg.V[0], axis=1).max() > 0.1  # V varies in x1
-        V, U = reference_sweep(coeffs, dom, grid, tg(), variant, driver)
-        assert np.array_equal(vg.V, V)
-        assert np.array_equal(vg.u_star, U)
+        for family in ("linear_quadratic", "bilinear"):
+            coeffs = sweep_coeffs(z_nonlinear=variant == "G", family=family)
+            # x1-slope probes at zero: the x1 dependence enters through phi only
+            p = default_probe_set(coeffs, grid, tg())
+            probes = dataclasses.replace(p, q=np.zeros_like(p.q))
+            for n_u in (7, 19, 41):
+                assert n_u == 7 or n_u % hjb.U_BLOCK
+                dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+                vg = solve_hjb(coeffs, dom, grid, tg(), variant=variant,
+                               linear_driver=driver, probes=probes)
+                assert np.ptp(vg.V[0], axis=1).max() > 0.1  # V varies in x1
+                V, U = reference_sweep(coeffs, dom, grid, tg(), variant, driver)
+                assert np.array_equal(vg.V, V), (family, n_u)
+                assert np.array_equal(vg.u_star, U), (family, n_u)
+
+    @pytest.mark.parametrize("n_u", [1, 8, 19])
+    def test_one_coefficient_call_per_block_and_step(self, n_u, monkeypatch):
+        # the CFL bound and the x2 gate are stubbed out, so every call of b
+        # comes from the sweep
+        monkeypatch.setattr(hjb, "_cfl_bound", lambda *args: np.inf)
+        monkeypatch.setattr(hjb, "check_x2_independence", lambda *args, **kw: (True, 0.0))
+        calls = []
+        base = lq_coeffs()
+
+        def b(t, x, x1, x2, u):
+            calls.append((float(t), np.ravel(u).tolist()))
+            return base.b(t, x, x1, x2, u)
+
+        dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
+        vg = solve_hjb(dataclasses.replace(base, b=b), dom, grid, tg())
+        n_blocks = math.ceil(n_u / hjb.U_BLOCK)
+        assert len(calls) == grid.n_t * n_blocks
+        for t in vg.times[1:]:
+            blocks = [u for s, u in calls if s == t]
+            assert len(blocks) == n_blocks
+            assert all(len(u) <= hjb.U_BLOCK for u in blocks)
+            assert sum(blocks, []) == dom.points().tolist()
 
     def test_gtilde_refuses_nonzero_g(self):
         driver = LinearDriver.constants(gbar=0.3)
@@ -298,6 +334,70 @@ class TestMembershipEquivalence:
         got = jet_membership(vg, point, jet, side="super", tol=1.0)
         assert got == reference_membership(vg, point, jet, "super", 3, 1.0)
         assert got[1] < 0.0
+
+
+class TestArrayMembership:
+    """One call on the points of a time step equals the per-point calls."""
+
+    def _grid(self):
+        rng = np.random.default_rng(5)
+        xs = np.linspace(-2.0, 2.0, 41)
+        x1s = np.linspace(-1.3, 1.7, 23)
+        times = np.linspace(0.0, 1.0, 13)
+        T, X, X1 = np.meshgrid(times, xs, x1s, indexing="ij")
+        V = (np.sin(2.0 * X) * np.cos(X1) - 0.7 * T * X ** 2
+             + 0.05 * rng.normal(size=X.shape))
+        return GridValueFunction(times=times, xs=xs, x1s=x1s, V=V,
+                                 u_star=np.zeros_like(V), x2_ref=0.0, variant="G")
+
+    # the last two times are within the radius of T: the time window is cut
+    @pytest.mark.parametrize("it", [0, 5, 10, 11])
+    @pytest.mark.parametrize("side", ["super", "sub"])
+    @pytest.mark.parametrize("slope_only", [False, True])
+    def test_matches_scalar_calls(self, it, side, slope_only):
+        vg = self._grid()
+        rng = np.random.default_rng(it)
+        t = vg.times[it]
+        x = rng.uniform(-1.3, 1.3, 25)
+        x1 = rng.uniform(-0.7, 1.1, 25)
+        jets = [extract_jet(vg, t, a, b) for a, b in zip(x, x1)]
+        theta, p, q, P = (np.array([getattr(j, f) for j in jets]) + rng.normal(size=25)
+                          for f in ("theta", "p", "q", "P"))
+        if slope_only:
+            cand, cands = p, list(p)
+        else:
+            cand = Jet(theta, p, q, P)
+            cands = [Jet(*args) for args in zip(theta, p, q, P)]
+        _, got = jet_membership(vg, (t, x, x1), cand, side=side, x_slope_only=slope_only)
+        tol = float(np.median(got))  # some points pass, some fail
+        got_ok, got = jet_membership(vg, (t, x, x1), cand, side=side, tol=tol,
+                                     x_slope_only=slope_only)
+        want = [jet_membership(vg, (t, a, b), c, side=side, tol=tol, x_slope_only=slope_only)
+                for a, b, c in zip(x, x1, cands)]
+        assert isinstance(want[0][0], bool) and isinstance(want[0][1], float)
+        assert np.array_equal(got, [w for _, w in want])
+        assert np.array_equal(got_ok, [ok for ok, _ in want])
+        assert 0 < np.sum(got_ok) < got_ok.size
+
+    def test_each_point_itself_excluded(self):
+        # V = -(x^2 + x1^2) - t lies strictly below the model with the exact
+        # space slopes at the node and theta = P = 0 at every neighbor, so
+        # each worst is negative
+        vg = self._grid()
+        X, X1 = np.meshgrid(vg.xs, vg.x1s, indexing="ij")
+        vg.V[:] = -(X ** 2 + X1 ** 2)[None] - vg.times[:, None, None]
+        x, x1 = vg.xs[[11, 21, 32]], vg.x1s[[14, 6, 16]]
+        jet = Jet(np.zeros(3), -2.0 * x, -2.0 * x1, np.zeros(3))
+        ok, worst = jet_membership(vg, (vg.times[4], x, x1), jet, tol=0.0)
+        assert np.all(ok) and np.all(worst < 0.0)
+
+    def test_no_points(self):
+        vg = self._grid()
+        empty = np.empty(0)
+        for cand in (empty, Jet(empty, empty, empty, empty)):
+            ok, worst = jet_membership(vg, (vg.times[3], empty, empty), cand,
+                                       x_slope_only=not isinstance(cand, Jet))
+            assert ok.shape == worst.shape == (0,)
 
 
 class TestJets:

@@ -67,6 +67,10 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("solve-bsde", "lq", ["solve-bsde"]),
     ("solve-hjb", "lq", ["solve-hjb", "--set", "numerics.dump_slices=all",
                          "--set", "numerics.svg=yes"]),
+    ("solve-hjb-gbar", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gbar",
+                              "--set", "driver.gbar=0.3"]),
+    ("solve-hjb-gtilde", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
+                                "--set", "driver.fbar=0.1"]),
     ("check-mp", "lq", ["check-mp"]),
     ("check-mp-threads2", "lq", ["check-mp", "--threads", "2",
                                  "--set", "numerics.n_paths=5000"]),
