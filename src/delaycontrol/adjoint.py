@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H
-from .bsde import BackwardSolution, RegressionBasis
+from .bsde import BackwardSolution, RegressionBasis, backward_sweep
 from .smdde import TrajectoryBundle, path_array
 
 
@@ -92,25 +92,13 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
                     gamma: np.ndarray, coeffs, basis: RegressionBasis,
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward LSMC sweep for the coupled linear pair (p1, q1), (p2, q2)."""
-    grid = bundle.grid
-    n, dt = grid.n_steps, grid.dt
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
     lam = coeffs.lam
     ok = bundle.valid
-    p1, p2, q1, q2 = (path_array(bundle.n_paths, n + 1, np.nan) for _ in range(4))
-    xT = bundle.x_at(n)[ok]
-    x1T = bundle.X1[ok, n]
-    p1[ok, n] = -coeffs.phi_x(xT, x1T) * gamma[ok, n]
-    p2[ok, n] = -coeffs.phi_x1(xT, x1T) * gamma[ok, n]
-    for i in range(n - 1, -1, -1):
+
+    def update(i, hats, qs):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        design = basis.design(x, x1, x2 if basis.include_x2 else None)
-        reg = solution.regression(bundle, basis, i, design)
-        dw = bundle.dW[ok, i]
-        p1_next, p2_next = p1[ok, i + 1], p2[ok, i + 1]
-        p1_hat = reg.fit_values(p1_next)
-        p2_hat = reg.fit_values(p2_next)
-        q1_hat = reg.fit_values((p1_next - p1_hat) * dw / dt)
-        q2_hat = reg.fit_values((p2_next - p2_hat) * dw / dt)
+        (p1_hat, p2_hat), q1_hat = hats, qs[0]
         g = gamma[ok, i]
         H_x = (p1_hat * coeffs.b_x(t, x, x1, x2, u) + p2_hat
                + q1_hat * coeffs.sigma_x(t, x, x1, x2, u)
@@ -118,12 +106,12 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
         H_x1 = (p1_hat * coeffs.b_x1(t, x, x1, x2, u) - lam * p2_hat
                 + q1_hat * coeffs.sigma_x1(t, x, x1, x2, u)
                 - g * coeffs.f_x1(t, x, x1, x2, y, z, u))
-        p1[ok, i] = p1_hat + H_x * dt
-        p2[ok, i] = p2_hat + H_x1 * dt
-        q1[ok, i] = q1_hat
-        q2[ok, i] = q2_hat
-    q1[ok, n] = q1[ok, n - 1]
-    q2[ok, n] = q2[ok, n - 1]
+        return p1_hat + H_x * dt, p2_hat + H_x1 * dt
+
+    xT, x1T = bundle.x_at(n)[ok], bundle.X1[ok, n]
+    terminal = (-coeffs.phi_x(xT, x1T) * gamma[ok, n], -coeffs.phi_x1(xT, x1T) * gamma[ok, n])
+    (p1, p2), (q1, q2), _ = backward_sweep(bundle, basis, terminal, update,
+                                           solution.shared_factors(bundle, basis))
     return p1, p2, q1, q2
 
 
@@ -182,25 +170,13 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
     Cross-validates the identity ptilde = p1/gamma without ever forming
     gamma.
     """
-    grid = bundle.grid
-    n, dt = grid.n_steps, grid.dt
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
     lam = coeffs.lam
     ok = bundle.valid
-    pt, pc, qt, qc = (path_array(bundle.n_paths, n + 1, np.nan) for _ in range(4))
-    xT = bundle.x_at(n)[ok]
-    x1T = bundle.X1[ok, n]
-    pt[ok, n] = -coeffs.phi_x(xT, x1T)
-    pc[ok, n] = -coeffs.phi_x1(xT, x1T)
-    for i in range(n - 1, -1, -1):
+
+    def update(i, hats, qs):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        design = basis.design(x, x1, x2 if basis.include_x2 else None)
-        reg = solution.regression(bundle, basis, i, design)
-        dw = bundle.dW[ok, i]
-        pt_next, pc_next = pt[ok, i + 1], pc[ok, i + 1]
-        pt_hat = reg.fit_values(pt_next)
-        pc_hat = reg.fit_values(pc_next)
-        qt_hat = reg.fit_values((pt_next - pt_hat) * dw / dt)
-        qc_hat = reg.fit_values((pc_next - pc_hat) * dw / dt)
+        (pt_hat, pc_hat), (qt_hat, qc_hat) = hats, qs
         bx = coeffs.b_x(t, x, x1, x2, u)
         bx1 = coeffs.b_x1(t, x, x1, x2, u)
         sx = coeffs.sigma_x(t, x, x1, x2, u)
@@ -212,12 +188,12 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
         drift_t = fx - pt_hat * (bx + fy + sx * fz) - qt_hat * (sx + fz) - pc_hat
         drift_c = (pc_hat * (lam - fy) - qc_hat * fz + fx1
                    - pt_hat * (bx1 + fz * sx1) - qt_hat * sx1)
-        pt[ok, i] = pt_hat - drift_t * dt
-        pc[ok, i] = pc_hat - drift_c * dt
-        qt[ok, i] = qt_hat
-        qc[ok, i] = qc_hat
-    qt[ok, n] = qt[ok, n - 1]
-    qc[ok, n] = qc[ok, n - 1]
+        return pt_hat - drift_t * dt, pc_hat - drift_c * dt
+
+    xT, x1T = bundle.x_at(n)[ok], bundle.X1[ok, n]
+    (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis,
+                                           (-coeffs.phi_x(xT, x1T), -coeffs.phi_x1(xT, x1T)),
+                                           update, solution.shared_factors(bundle, basis))
     return pt, pc, qt, qc
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class BackwardSolution:
     of Y at the start; ``y_s_se`` is the Monte Carlo standard error taken
     from the pathwise integral representation of Y(s).  ``factors[i]`` is
     the step-i regression factor of the sweep in ``basis``, shared with the
-    adjoint sweeps on the same bundle (see ``regression``).
+    adjoint sweeps on the same bundle (see ``shared_factors``).
     """
 
     bundle: TrajectoryBundle
@@ -176,14 +176,12 @@ class BackwardSolution:
     basis: Optional[RegressionBasis] = None
     factors: Optional[List[RegressionFactor]] = None
 
-    def regression(self, bundle: TrajectoryBundle, basis: RegressionBasis, i: int,
-                   design: np.ndarray) -> ConditionalRegression:
-        """Step-i operator on ``design``, the basis evaluated along ``bundle``:
-        from the stored factor when this solution was swept on that very
-        bundle in an equal basis, else fitted afresh."""
-        if self.factors is not None and self.bundle is bundle and self.basis == basis:
-            return ConditionalRegression.from_factor(design, self.factors[i])
-        return ConditionalRegression(design, basis.eps_reg)
+    def shared_factors(self, bundle: TrajectoryBundle, basis: RegressionBasis):
+        """The step factors if this solution was swept on ``bundle`` itself in
+        an equal basis, else None (another sweep must fit afresh)."""
+        if self.bundle is bundle and self.basis == basis:
+            return self.factors
+        return None
 
 
 def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
@@ -203,6 +201,46 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
             f"step too large for driver Lipschitz constant ({worst:.3g} * dt >= 1)")
 
 
+def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
+                   terminal: Sequence[np.ndarray], update: Callable,
+                   factors: Optional[List[RegressionFactor]] = None):
+    """The backward LSMC sweep of a system of BSDEs along ``bundle``.
+
+    ``terminal`` holds each component's values at T on the valid rows.  At
+    step i one regression on the state gives each component's continuation
+    hat = E[next | state] and q = E[(next - hat) dW | state] / dt, and
+    ``update(i, hats, qs)`` returns the components' values at step i.  The
+    operator is fitted afresh, or rebuilt from ``factors[i]`` of an earlier
+    sweep on this bundle in this basis.  Returns (values, qs, factors), the
+    arrays NaN on diverged rows; q at step n copies step n - 1.
+    """
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
+    ok = bundle.valid
+    values = [path_array(bundle.n_paths, n + 1, np.nan) for _ in terminal]
+    qs = [path_array(bundle.n_paths, n + 1, np.nan) for _ in terminal]
+    used: List[RegressionFactor] = [None] * n
+    for v, term in zip(values, terminal):
+        v[ok, n] = term
+    for i in range(n - 1, -1, -1):
+        x2 = bundle.X2[ok, i] if basis.include_x2 else None
+        design = basis.design(bundle.x_at(i)[ok], bundle.X1[ok, i], x2)
+        if factors is None:
+            reg = ConditionalRegression(design, basis.eps_reg)
+        else:
+            reg = ConditionalRegression.from_factor(design, factors[i])
+        used[i] = reg.state
+        dw = bundle.dW[ok, i]
+        nxts = [v[ok, i + 1] for v in values]
+        hats = [reg.fit_values(nxt) for nxt in nxts]
+        q_hats = [reg.fit_values((nxt - hat) * dw / dt) for nxt, hat in zip(nxts, hats)]
+        for v, q, new, q_hat in zip(values, qs, update(i, hats, q_hats), q_hats):
+            v[ok, i] = new
+            q[ok, i] = q_hat
+    for q in qs:
+        q[ok, n] = q[ok, n - 1]
+    return values, qs, used
+
+
 def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) -> BackwardSolution:
     """Backward LSMC sweep for the recursive cost.
 
@@ -220,28 +258,15 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
     if bundle.diverged.all():
         raise ConfigurationError("all paths diverged; nothing to solve")
     ok = bundle.valid
-    n_paths = bundle.n_paths
-    Y = path_array(n_paths, n + 1, np.nan)
-    Z = path_array(n_paths, n + 1, np.nan)
-    factors: List[Optional[RegressionFactor]] = [None] * n
-    xT = bundle.x_at(n)
-    Y[ok, n] = coeffs.phi(xT[ok], bundle.X1[ok, n])
-    for i in range(n - 1, -1, -1):
-        t = grid.time(i)
+
+    def update(i, hats, qs):
         x = bundle.x_at(i)[ok]
-        x1 = bundle.X1[ok, i]
-        x2 = bundle.X2[ok, i]
-        design = basis.design(x, x1, x2 if basis.include_x2 else None)
-        reg = ConditionalRegression(design, basis.eps_reg)
-        factors[i] = reg.state
-        y_next = Y[ok, i + 1]
-        y_hat = reg.fit_values(y_next)
-        resid = (y_next - y_hat) * bundle.dW[ok, i] / dt
-        z_hat = reg.fit_values(resid)
-        u_ok = bundle.u_at(i, mask=ok)
-        Y[ok, i] = y_hat + coeffs.f(t, x, x1, x2, y_hat, z_hat, u_ok) * dt
-        Z[ok, i] = z_hat
-    Z[ok, n] = Z[ok, n - 1] if n > 0 else 0.0
+        drift = coeffs.f(grid.time(i), x, bundle.X1[ok, i], bundle.X2[ok, i], hats[0],
+                         qs[0], bundle.u_at(i, mask=ok))
+        return [hats[0] + drift * dt]
+
+    terminal = coeffs.phi(bundle.x_at(n)[ok], bundle.X1[ok, n])
+    (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update)
     y_s = float(np.mean(Y[ok, 0]))
     y_s_se = _pathwise_se(bundle, coeffs, Y, Z, ok)
     return BackwardSolution(bundle=bundle, Y=Y, Z=Z, y_s=y_s, y_s_se=y_s_se,

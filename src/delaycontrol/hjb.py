@@ -36,6 +36,7 @@ __all__ = [
     "default_probe_set",
     "check_x2_independence",
     "solve_hjb",
+    "jets_along",
     "extract_jet",
     "jet_membership",
     "viscosity_residual",
@@ -123,9 +124,14 @@ class GridValueFunction:
     def dx1(self) -> float:
         return float(self.x1s[1] - self.x1s[0])
 
+    def slice_index(self, t: float, top: Optional[int] = None) -> int:
+        """Nearest time slice to t, clipped to 0..top (default the last)."""
+        top = len(self.times) - 1 if top is None else top
+        return int(np.clip(round((t - self.times[0]) / self.dt), 0, top))
+
     def indices(self, t: float, x: float, x1: float) -> Tuple[int, int, int]:
         """Nearest grid node (clipped to the grid)."""
-        it = int(np.clip(round((t - self.times[0]) / self.dt), 0, len(self.times) - 1))
+        it = self.slice_index(t)
         j = int(np.clip(round((x - self.xs[0]) / self.dx), 0, len(self.xs) - 1))
         k = int(np.clip(round((x1 - self.x1s[0]) / self.dx1), 0, len(self.x1s) - 1))
         return it, j, k
@@ -152,22 +158,17 @@ class GridValueFunction:
 
     def value(self, t: float, x, x1):
         """V at arbitrary points: bilinear in space, nearest slice in time."""
-        it = int(np.clip(round((t - self.times[0]) / self.dt), 0, len(self.times) - 1))
-        return self._interp_slice(self.V[it], x, x1)
-
-    def vx_slice(self, it: int) -> np.ndarray:
-        """Central-difference V_x on slice it (one-sided at the edges)."""
-        return np.gradient(self.V[it], self.dx, axis=0)
+        return self._interp_slice(self.V[self.slice_index(t)], x, x1)
 
     def value_x(self, t: float, x, x1):
-        """Numerical V_x at arbitrary points (bilinear in space)."""
-        it = int(np.clip(round((t - self.times[0]) / self.dt), 0, len(self.times) - 1))
-        return self._interp_slice(self.vx_slice(it), x, x1)
+        """Numerical V_x at arbitrary points: the central difference on the
+        nearest slice (one-sided at the edges), bilinear in space."""
+        vx = np.gradient(self.V[self.slice_index(t)], self.dx, axis=0)
+        return self._interp_slice(vx, x, x1)
 
     def kink_measure(self, t: float, x, x1):
         """Jump of the one-sided x-slopes, a detector for non-smooth points."""
-        it = int(np.clip(round((t - self.times[0]) / self.dt), 0, len(self.times) - 1))
-        V = self.V[it]
+        V = self.V[self.slice_index(t)]
         jump = np.zeros_like(V)
         jump[1:-1, :] = np.abs((V[2:, :] - V[1:-1, :]) - (V[1:-1, :] - V[:-2, :])) / self.dx
         return self._interp_slice(jump, x, x1)
@@ -406,24 +407,38 @@ def _refine_argmax(g_all: np.ndarray, iu_best: np.ndarray, u_grid: np.ndarray) -
 # jets and membership
 # ---------------------------------------------------------------------------
 
-def extract_jet(vgrid: GridValueFunction, t: float, x: float, x1: float) -> Jet:
-    """Numerical jet at (the node nearest to) an interior point with t < T.
+def jets_along(vgrid: GridValueFunction, t: float, x, x1):
+    """Numerical jets at the nodes nearest to (t, x, x1), scalars or aligned
+    arrays: (theta, p, q, P, v, interior mask).
 
     The time slope is right-sided (toward T), matching the one-sided
-    superdifferential; space slopes are central, the curvature a second
-    central difference.
+    superdifferential, with the slice clipped below T; space slopes are
+    central, the curvature a second central difference.  Points outside
+    the one-cell interior are masked out.
     """
-    it, j, k = vgrid.indices(t, x, x1)
-    nt = len(vgrid.times) - 1
-    if it >= nt:
-        raise ValueError("jet extraction requires t < T")
-    if not (1 <= j <= len(vgrid.xs) - 2 and 1 <= k <= len(vgrid.x1s) - 2):
-        raise ValueError("jet extraction requires an interior grid point")
+    it = vgrid.slice_index(t, top=len(vgrid.times) - 2)
+    j = np.round((x - vgrid.xs[0]) / vgrid.dx).astype(int)
+    k = np.round((x1 - vgrid.x1s[0]) / vgrid.dx1).astype(int)
+    inside = (j >= 1) & (j <= len(vgrid.xs) - 2) & (k >= 1) & (k <= len(vgrid.x1s) - 2)
+    j = np.clip(j, 1, len(vgrid.xs) - 2)
+    k = np.clip(k, 1, len(vgrid.x1s) - 2)
     V = vgrid.V
-    theta = (V[it + 1, j, k] - V[it, j, k]) / vgrid.dt
-    p = (V[it, j + 1, k] - V[it, j - 1, k]) / (2.0 * vgrid.dx)
-    q = (V[it, j, k + 1] - V[it, j, k - 1]) / (2.0 * vgrid.dx1)
-    P = (V[it, j + 1, k] - 2.0 * V[it, j, k] + V[it, j - 1, k]) / vgrid.dx ** 2
+    v0 = V[it, j, k]
+    theta = (V[it + 1, j, k] - v0) / vgrid.dt
+    p = (V[it, j + 1, k] - V[it, j - 1, k]) / (2 * vgrid.dx)
+    q = (V[it, j, k + 1] - V[it, j, k - 1]) / (2 * vgrid.dx1)
+    P = (V[it, j + 1, k] - 2 * v0 + V[it, j - 1, k]) / vgrid.dx ** 2
+    return theta, p, q, P, v0, inside
+
+
+def extract_jet(vgrid: GridValueFunction, t: float, x: float, x1: float) -> Jet:
+    """Numerical jet (see ``jets_along``) at the node nearest to an interior
+    point with t < T."""
+    if vgrid.slice_index(t) >= len(vgrid.times) - 1:
+        raise ValueError("jet extraction requires t < T")
+    theta, p, q, P, _, inside = jets_along(vgrid, t, x, x1)
+    if not inside:
+        raise ValueError("jet extraction requires an interior grid point")
     return Jet(theta=float(theta), p=float(p), q=float(q), P=float(P))
 
 
@@ -449,7 +464,7 @@ def jet_membership(vgrid: GridValueFunction, point: Tuple[float, float, float],
     t, x, x1 = point
     scalar = np.ndim(x) == 0
     nt, nx, nx1 = len(vgrid.times) - 1, len(vgrid.xs), len(vgrid.x1s)
-    it0 = int(np.clip(round((t - vgrid.times[0]) / vgrid.dt), 0, nt))
+    it0 = vgrid.slice_index(t)
     j0 = np.clip(np.round((np.atleast_1d(x) - vgrid.xs[0]) / vgrid.dx).astype(int), 0, nx - 1)
     k0 = np.clip(np.round((np.atleast_1d(x1) - vgrid.x1s[0]) / vgrid.dx1).astype(int),
                  0, nx1 - 1)
@@ -532,8 +547,7 @@ def feedback_control(vgrid: GridValueFunction, domain: ControlDomain):
     """Feedback rule u(t, x, x1) interpolated from the stored argmax field."""
 
     def rule(t, x, x1):
-        it = int(np.clip(round((t - vgrid.times[0]) / vgrid.dt), 0, len(vgrid.times) - 1))
-        return domain.clip(vgrid._interp_slice(vgrid.u_star[it], x, x1))
+        return domain.clip(vgrid._interp_slice(vgrid.u_star[vgrid.slice_index(t)], x, x1))
 
     return rule
 

@@ -165,19 +165,24 @@ def _control_value(control: Control, t: float, x: np.ndarray, x1: np.ndarray, i:
     if np.isscalar(control):
         return float(control)
     arr = np.asarray(control, dtype=float)
-    if arr.ndim == 1:
-        return float(arr[i])
-    return arr[:, i]
+    i = min(i, arr.shape[-1] - 1)  # as in TrajectoryBundle.u_at: the last entry holds to T
+    return float(arr[i]) if arr.ndim == 1 else arr[:, i]
 
 
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
 
-def _step_chunk(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
-                dW: np.ndarray, X_out: np.ndarray, X1_out: np.ndarray,
-                u_out: Optional[np.ndarray]):
-    """Euler-Maruyama over one path chunk; writes into the provided slices.
+def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
+                X_out: np.ndarray, X1_out: np.ndarray, u_out: Optional[np.ndarray],
+                start: int = 0, x1_start: Optional[np.ndarray] = None):
+    """Euler-Maruyama over one path chunk from grid step ``start`` to T.
+
+    Column k of ``X_out`` holds grid index start - m + k, and its first m+1
+    columns the window the caller filled; column k of ``X1_out``, ``dW``
+    and ``u_out`` holds step start + k.  ``x1_start`` replaces the
+    quadrature at ``start``.  Times and the control are read by full-grid
+    step.  A state that turns non-finite or leaves [-1e12, 1e12] is NaN.
 
     The distributed-delay quadrature reads its m+1 states from a row-major
     buffer two windows wide, shifted back when full: a gemv over a
@@ -185,34 +190,32 @@ def _step_chunk(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
     """
     m, n, dt = grid.m, grid.n_steps, grid.dt
     w = x1_weights(m, coeffs.lam, dt)
-    X_out[:, : m + 1] = history.samples
     win = np.empty((X_out.shape[0], 2 * (m + 1)))
-    win[:, : m + 1] = history.samples
-    j = 0  # win[:, j : j + m + 1] holds X_out[:, i : i + m + 1]
+    win[:, : m + 1] = X_out[:, : m + 1]
+    j = 0  # win[:, j : j + m + 1] holds X_out[:, k : k + m + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            col = i + m
-            x = X_out[:, col]
-            x1 = win[:, j : j + m + 1] @ w
-            x2 = X_out[:, i]
-            X1_out[:, i] = x1
+        for k, i in enumerate(range(start, n)):
+            x = X_out[:, k + m]
+            x1 = x1_start if k == 0 and x1_start is not None else win[:, j : j + m + 1] @ w
+            x2 = X_out[:, k]
+            X1_out[:, k] = x1
             t = grid.time(i)
             u = _control_value(control, t, x, x1, i)
             if u_out is not None:
-                u_out[:, i] = u
+                u_out[:, k] = u
             drift = coeffs.b(t, x, x1, x2, u)
             diffusion = coeffs.sigma(t, x, x1, x2, u)
-            nxt = x + drift * dt + diffusion * dW[:, i]
+            nxt = x + drift * dt + diffusion * dW[:, k]
             bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
             if np.any(bad):
                 nxt = np.where(bad, np.nan, nxt)
-            X_out[:, col + 1] = nxt
+            X_out[:, k + m + 1] = nxt
             if j == m + 1:
                 win[:, : m + 1] = win[:, m + 1 :]
                 j = 0
             win[:, j + m + 1] = nxt
             j += 1
-        X1_out[:, n] = win[:, j : j + m + 1] @ w
+        X1_out[:, n - start] = win[:, j : j + m + 1] @ w
 
 
 def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
@@ -220,8 +223,9 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
                    chunk_size: int = 4096) -> TrajectoryBundle:
     """Simulate the mixed-delay SDE forward on [s, T].
 
-    ``control`` is a scalar, a per-step vector of length n, or a feedback
-    rule u(t, x, x1) evaluated pathwise.  Paths whose state leaves
+    ``control`` is a scalar, a per-step vector (whose last entry holds to T
+    when it has fewer than n entries), or a feedback rule u(t, x, x1)
+    evaluated pathwise.  Paths whose state leaves
     [-1e12, 1e12] or turns non-finite are aborted (NaN from that step on)
     and flagged in ``diverged``; registry families are linear-growth, so
     divergence indicates misconfiguration.
@@ -246,7 +250,8 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
         if dW_full is not None:
             dW_full[lo:hi] = dW
         u_slice = u_full[lo:hi] if u_full is not None else None
-        _step_chunk(coeffs, history, control, grid, dW, X[lo:hi], X1[lo:hi], u_slice)
+        X[lo:hi, : m + 1] = history.samples
+        _step_chunk(coeffs, control, grid, dW, X[lo:hi], X1[lo:hi], u_slice)
     diverged = ~np.all(np.isfinite(X), axis=1)
     stored_u: Optional[Union[float, np.ndarray]]
     if callable(control):
@@ -338,8 +343,10 @@ def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPa
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
         dW = noise.increments(lo, hi - lo, n, grid.dt)
-        _step_chunk(coeffs1, hist1, 0.0, grid, dW, X_a[lo:hi], X1_a[lo:hi], None)
-        _step_chunk(coeffs2, hist2, 0.0, grid, dW, X_b[lo:hi], X1_b[lo:hi], None)
+        X_a[lo:hi, : m + 1] = hist1.samples
+        X_b[lo:hi, : m + 1] = hist2.samples
+        _step_chunk(coeffs1, 0.0, grid, dW, X_a[lo:hi], X1_a[lo:hi], None)
+        _step_chunk(coeffs2, 0.0, grid, dW, X_b[lo:hi], X1_b[lo:hi], None)
     div_a = ~np.all(np.isfinite(X_a), axis=1)
     div_b = ~np.all(np.isfinite(X_b), axis=1)
     bundle1 = TrajectoryBundle(grid=grid, lam=coeffs1.lam, X=X_a, X1=X1_a, u=0.0,

@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConfigurationError, HypothesisViolation, TimeGrid, x1_weights
+from .core import ConfigurationError, HypothesisViolation, TimeGrid
 from .bsde import RegressionBasis, solve_bsde_lsmc
-from .smdde import TrajectoryBundle
+from .smdde import TrajectoryBundle, _step_chunk, path_array
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)     # map to [0, 1]
@@ -57,7 +57,8 @@ def _sub_control(u, t_index: int):
     if u is None or np.isscalar(u):
         return u
     arr = np.asarray(u)
-    return arr[t_index:] if arr.ndim == 1 else arr[:, t_index:]
+    # a short per-step vector's last entry holds to T
+    return arr[min(t_index, arr.size - 1):] if arr.ndim == 1 else arr[:, t_index:]
 
 
 def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray,
@@ -106,8 +107,10 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     The perturbed path consumes the increments stored in the base bundle
     (exact coupling: offset 0 reproduces the base bit for bit), keeps the
     same per-step control, and restarts the distributed-delay state at its
-    base value.  The remainders eps1/eps2 measure how far the realized
-    difference dynamics are from their linearization around the base path.
+    base value.  It is stepped by the simulation's own Euler loop, so a path
+    that turns non-finite or leaves [-1e12, 1e12] diverges, which aborts the
+    run.  The remainders eps1/eps2 measure how far the realized difference
+    dynamics are from their linearization around the base path.
     """
     if bundle.dW is None:
         raise ConfigurationError("base bundle must store increments for coupling")
@@ -115,48 +118,33 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     m, n, dt = grid.m, grid.n_steps, grid.dt
     if not (0 <= t_index <= n - 1):
         raise ConfigurationError("perturbation time must satisfy t + dt <= T")
-    n_paths = bundle.n_paths
-    w = x1_weights(m, coeffs.lam, dt)
-
-    # row-major, so the window quadrature below is the simulation's gemv
-    Xp = bundle.X.copy(order="C")
-    Xp[:, t_index + m] += offset
-    n_sub = n - t_index
-    X1p = np.empty((n_paths, n_sub + 1))
-    X1p[:, 0] = bundle.X1[:, t_index]  # distributed delay restarts at its base value
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(t_index, n):
-            col = i + m
-            x = Xp[:, col]
-            x1 = X1p[:, i - t_index] if i == t_index else Xp[:, i : col + 1] @ w
-            if i != t_index:
-                X1p[:, i - t_index] = x1
-            x2 = Xp[:, i]
-            t = grid.time(i)
-            u = bundle.u_at(i)
-            nxt = (x + coeffs.b(t, x, x1, x2, u) * dt
-                   + coeffs.sigma(t, x, x1, x2, u) * bundle.dW[:, i])
-            if not np.all(np.isfinite(nxt)):
-                bad = int(np.argmax(~np.isfinite(nxt)))
-                raise HypothesisViolation(
-                    f"perturbed path became non-finite at step {i} (path {bad}); "
-                    "offset too large for this instance")
-            Xp[:, col + 1] = nxt
-        X1p[:, n_sub] = Xp[:, n : n + m + 1] @ w
+    n_paths, n_sub = bundle.n_paths, n - t_index
+    sub_dW = bundle.dW[:, t_index:]
+    Xp = path_array(n_paths, n_sub + m + 1)
+    Xp[:, : m + 1] = bundle.X[:, t_index : t_index + m + 1]
+    Xp[:, m] += offset
+    X1p = path_array(n_paths, n_sub + 1)
+    # the distributed delay restarts at its base value
+    _step_chunk(coeffs, 0.0 if bundle.u is None else bundle.u, grid, sub_dW, Xp, X1p,
+                None, start=t_index, x1_start=bundle.X1[:, t_index])
+    finite = np.isfinite(Xp[:, m + 1 :])
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=0)))
+        raise HypothesisViolation(
+            f"perturbed path became non-finite at step {t_index + k} "
+            f"(path {int(np.argmin(finite[:, k]))}); offset too large for this instance")
 
     sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=dt, delay_steps=m)
     sub_u = _sub_control(bundle.u, t_index)
-    sub_dW = bundle.dW[:, t_index:]
     base_sub = TrajectoryBundle(grid=sub_grid, lam=bundle.lam,
                                 X=bundle.X[:, t_index:], X1=bundle.X1[:, t_index:],
                                 u=sub_u, dW=sub_dW, diverged=bundle.diverged)
-    pert = TrajectoryBundle(grid=sub_grid, lam=bundle.lam,
-                            X=Xp[:, t_index:], X1=X1p, u=sub_u, dW=sub_dW,
-                            diverged=bundle.diverged)
+    pert = TrajectoryBundle(grid=sub_grid, lam=bundle.lam, X=Xp, X1=X1p, u=sub_u,
+                            dW=sub_dW, diverged=bundle.diverged)
 
-    Xhat = Xp[:, t_index + m :] - bundle.X[:, t_index + m :]
+    Xhat = Xp[:, m:] - bundle.X[:, t_index + m :]
     Xhat1 = X1p - bundle.X1[:, t_index:]
-    Xhat2 = Xp[:, t_index : n + 1] - bundle.X[:, t_index : n + 1]
+    Xhat2 = Xp[:, : n_sub + 1] - bundle.X[:, t_index : n + 1]
 
     eps1, eps2 = _remainders(bundle, coeffs, t_index, Xhat, Xhat1, Xhat2)
     return PerturbationRun(t_index=t_index, offset=offset, sub_grid=sub_grid,

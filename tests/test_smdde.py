@@ -166,6 +166,17 @@ class TestSimulate:
                            NoiseSource(1), 8)
         assert b.diverged.all()
 
+    def test_short_per_step_control_holds_last_entry(self):
+        # 23 entries on a 50-step grid: the last entry holds to T
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8)
+        g = grid()
+        short = np.linspace(-0.5, 0.5, 23)
+        padded = np.concatenate([short, np.full(g.n_steps - short.size, short[-1])])
+        runs = [simulate_smdde(coeffs, HistoryPath.constant(1.0, 10), u, g,
+                               NoiseSource(4), 64) for u in (short, padded)]
+        assert np.array_equal(runs[0].X, runs[1].X)
+        assert np.array_equal(runs[0].X1, runs[1].X1)
+
     def test_feedback_control_stored_per_path(self):
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1, sx=0.3)
         g = grid()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from delaycontrol import variational
-from delaycontrol.core import ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid
+from delaycontrol.core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
+                              x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
@@ -63,6 +64,56 @@ class TestSimulateVariation:
         assert not bundle.diverged.any()
         with pytest.raises(HypothesisViolation, match="perturbed path became non-finite"):
             simulate_variation(bundle, coeffs, 10, 1e308)
+
+    def test_short_per_step_control_holds_on_sub_horizon(self):
+        coeffs = make_coefficients("linear", lam=0.4, bx=0.1, sx=0.2)
+        bundle = make_bundle(coeffs, n_paths=50, control=np.linspace(-0.5, 0.5, 50))
+        bundle = dataclasses.replace(bundle, u=bundle.u[:23])
+        for t_index in (10, 40):
+            run = simulate_variation(bundle, coeffs, t_index, 0.1)
+            steps = range(bundle.grid.n_steps - t_index)
+            assert ([run.pert.u_at(j) for j in steps]
+                    == [bundle.u_at(t_index + j) for j in steps])
+
+    def test_finite_path_beyond_divergence_limit_is_hypothesis_violation(self):
+        # a 5e12 bump stays finite but leaves [-1e12, 1e12], the simulation's
+        # divergence rule
+        coeffs = make_coefficients("linear", lam=0.0, bx=0.1, sx=0.2)
+        bundle = make_bundle(coeffs, n_paths=50)
+        with pytest.raises(HypothesisViolation,
+                           match=r"non-finite at step 10 \(path 0\)"):
+            simulate_variation(bundle, coeffs, 10, 5e12)
+
+    @pytest.mark.parametrize("t_index", [0, 7, 49])
+    def test_matches_row_major_euler_loop(self, t_index):
+        # b and sigma read t, so a step fed a sub-grid time s_t + j*dt (which
+        # rounds differently from the grid time s + i*dt) moves the path
+        base = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
+                                 sxx2=0.4, clip=2.5)
+        coeffs = dataclasses.replace(
+            base, b=lambda t, x, x1, x2, u: base.b(t, x, x1, x2, u) * (1.0 + np.sin(7.0 * t)),
+            sigma=lambda t, x, x1, x2, u: base.sigma(t, x, x1, x2, u) * (1.0 + t))
+        rule = lambda t, x, x1: np.tanh(x - 0.5 * x1) * (1.0 - t)
+        bundle = make_bundle(coeffs, n_paths=300, seed=9, control=rule)
+        g = bundle.grid
+        m, n, dt = g.m, g.n_steps, g.dt
+        assert n == 50 and bundle.u.shape == (300, n)
+        w = x1_weights(m, coeffs.lam, dt)
+        X = np.array(bundle.X[:, t_index:], order="C")
+        X[:, m] += 0.1
+        X1 = np.empty((bundle.n_paths, n - t_index + 1))
+        X1[:, 0] = bundle.X1[:, t_index]
+        for k, i in enumerate(range(t_index, n)):
+            t, x, x2 = g.time(i), X[:, k + m], X[:, k]
+            x1 = X1[:, 0] if k == 0 else X[:, k : k + m + 1] @ w
+            X1[:, k] = x1
+            u = bundle.u[:, i]
+            X[:, k + m + 1] = (x + coeffs.b(t, x, x1, x2, u) * dt
+                               + coeffs.sigma(t, x, x1, x2, u) * bundle.dW[:, i])
+        X1[:, -1] = X[:, -(m + 1):] @ w
+        pert = simulate_variation(bundle, coeffs, t_index, 0.1).pert
+        assert np.array_equal(pert.X, X)
+        assert np.array_equal(pert.X1, X1)
 
     def test_rejects_terminal_time(self):
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1)

@@ -79,6 +79,9 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                 "--set", "numerics.n_paths=333"]),
     ("check-duality", "lq", ["check-duality"]),
     ("check-scaling", "lq", ["check-scaling"]),
+    ("check-scaling-hjb", "lq", ["check-scaling", "--set", "control.type=hjb"]),
+    ("check-scaling-perturb", "lq", ["check-scaling", "--set", "control.perturb=0.2",
+                                     "--set", "numerics.n_paths=333"]),
     ("verify", "lq", ["verify"]),
     ("girsanov", "girsanov", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
