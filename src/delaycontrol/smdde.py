@@ -22,7 +22,7 @@ from .core import (ConfigurationError, HistoryPath, TimeGrid, derived_rng,
                    x1_weights)
 
 DIVERGENCE_LIMIT = 1e12
-_WORD = (1 << 64) - 1
+_BLOCK_BYTES = 100 * 1024  # uniforms per Box-Muller block: 64 rows at 100 steps
 
 Control = Union[float, np.ndarray, Callable]
 
@@ -69,6 +69,9 @@ class NoiseSource:
 
     def increments(self, first_path: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
         """Gaussian increments of variance dt, shape (n_paths, n_steps)."""
+        if first_path < 0 or n_paths < 0:
+            raise ConfigurationError(
+                f"first_path and n_paths must be >= 0, got {first_path} and {n_paths}")
         r = self.substeps
         n_draws = n_steps * r
         if 2 * n_draws > self._PATH_STRIDE:
@@ -76,25 +79,34 @@ class NoiseSource:
         out = np.empty((n_paths, n_steps))
         scale = np.sqrt(dt / r)
         two_pi = 2.0 * np.pi
-        # One generator per call.  Each path restores the fresh generator's
-        # state (counter 0, empty output buffer) with the 256-bit counter set
-        # to path * stride, carried across words: the state that
-        # Philox(key=seed).advance(path * stride) gives, without building it.
+        # One generator per call.  A path's 2 * n_draws uniforms move the
+        # counter by ceil(2 * n_draws / 4) (four 64-bit words per Philox
+        # block); one advance by the rest of the block lands on the next
+        # path's block and empties the output buffer, so each path starts
+        # from the state of Philox(key=seed).advance(path * stride).
+        # Box-Muller runs in place over blocks of rows whose uniforms fit
+        # _BLOCK_BYTES, so long horizons do not grow the buffer.
         bg = np.random.Philox(key=self.seed)
         gen = np.random.Generator(bg)
-        state = bg.state
-        counter = state["state"]["counter"]
-        uni = np.empty(2 * n_draws)
-        for row, path in enumerate(range(first_path, first_path + n_paths)):
-            c = path * self._PATH_STRIDE
-            counter[:] = [(c >> shift) & _WORD for shift in (0, 64, 128, 192)]
-            bg.state = state
-            gen.random(out=uni)
-            z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(two_pi * uni[1::2])
-            if r == 1:
-                out[row] = z * scale
-            else:
-                out[row] = (z * scale).reshape(n_steps, r).sum(axis=1)
+        bg.advance(first_path * self._PATH_STRIDE)
+        skip = self._PATH_STRIDE - (2 * n_draws + 3) // 4
+        rows = max(1, _BLOCK_BYTES // max(1, 16 * n_draws))
+        uni = np.empty((min(rows, n_paths), 2 * n_draws))
+        for lo in range(0, n_paths, rows):
+            block = uni[: min(rows, n_paths - lo)]
+            for row in block:
+                gen.random(out=row)
+                bg.advance(skip)
+            k = block.shape[0]
+            # sqrt(-2 log1p(-u0)) * cos(2 pi u1) * scale; one substep: in `out`
+            z = np.log1p(-block[:, 0::2], out=out[lo : lo + k] if r == 1 else None)
+            z *= -2.0
+            np.sqrt(z, out=z)
+            c = np.multiply(two_pi, block[:, 1::2])
+            z *= np.cos(c, out=c)
+            z *= scale
+            if r > 1:
+                out[lo : lo + k] = z.reshape(k, n_steps, r).sum(axis=2)
         return out
 
 

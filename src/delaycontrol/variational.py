@@ -174,6 +174,8 @@ class ScalingReport:
 
 
 def _loglog_slope(offsets: np.ndarray, estimates: np.ndarray) -> float:
+    if not np.all(np.isfinite(estimates)):
+        return float("nan")  # no rate can be read off a non-finite estimate
     mask = estimates > 0.0
     if mask.sum() < 2:
         return float("inf")  # identically-zero remainders: faster than any power
@@ -264,13 +266,15 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
     Remainder report: slope ~ p for E sup|Xhat|^p (and the delayed
     variants), slope > p for the eps integrals.  Duality report (None
     without ``adjoints``): E|Ytilde(t)| and the positive part of the
-    first-order expansion defect, both o(h); it needs ``basis``.
+    first-order expansion defect, both o(h); it needs ``basis``.  Both
+    reports average over the non-diverged base paths only; a non-finite
+    estimate gives a NaN slope.
     """
     offsets = check_offsets(offsets)
     if adjoints is not None and basis is None:
         raise ConfigurationError("the duality report needs a regression basis")
     dt = bundle.grid.dt
-    ok = ~bundle.diverged
+    ok = bundle.valid
     rem_rows: List[ScalingRow] = []
     rem_series: Dict[str, List[float]] = {}
     dual_rows: List[ScalingRow] = []
@@ -280,11 +284,11 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
         h = float(h)
         run = simulate_variation(bundle, coeffs, t_index, h)
         _add_stats(rem_rows, rem_series, h, {
-            "sup_xhat": np.max(np.abs(run.Xhat), axis=1) ** p,
-            "sup_xhat1": np.max(np.abs(run.Xhat1), axis=1) ** p,
-            "sup_xhat2": np.max(np.abs(run.Xhat2), axis=1) ** p,
-            "eps1_int": (np.sum(run.eps1 ** 2, axis=1) * dt) ** (p / 2),
-            "eps2_int": (np.sum(run.eps2 ** 2, axis=1) * dt) ** (p / 2),
+            "sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
+            "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
+            "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p,
+            "eps1_int": (np.sum(run.eps1[ok] ** 2, axis=1) * dt) ** (p / 2),
+            "eps2_int": (np.sum(run.eps2[ok] ** 2, axis=1) * dt) ** (p / 2),
         })
         if adjoints is not None:
             if base_sol is None:

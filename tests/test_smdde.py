@@ -5,7 +5,7 @@ import pytest
 
 from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid, x1_weights
 from delaycontrol.coeffs import make_coefficients
-from delaycontrol.smdde import (NoiseSource, estimate_moment_bound,
+from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, estimate_moment_bound,
                                 simulate_coupled_pair, simulate_smdde)
 
 from oracles import steps_segment_1, steps_segment_2
@@ -51,6 +51,32 @@ class TestNoiseSource:
             z *= np.sqrt(dt / substeps)
             want[row] = z if substeps == 1 else z.reshape(n_steps, substeps).sum(axis=1)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("first_path", [0, 2**24 - 2])
+    def test_bits_match_across_blocks(self, first_path, substeps):
+        # 51 * substeps draws: 2 * 51 * substeps uniforms, not a multiple of 4,
+        # so each path leaves part of a Philox block unread; from first_path
+        # 2**24 - 2 the carry into the second counter word falls inside a call
+        seed, n_steps, dt = 0xDEADBEEF12345678, 51, 0.01
+        rows = _BLOCK_BYTES // (16 * n_steps * substeps)
+        ns = NoiseSource(seed, substeps)
+        for n_paths in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+            got = ns.increments(first_path, n_paths, n_steps, dt)
+            want = np.empty((n_paths, n_steps))
+            for row in range(n_paths):
+                bg = np.random.Philox(key=seed)
+                bg.advance((first_path + row) * 2**40)
+                uni = np.random.Generator(bg).random(2 * n_steps * substeps)
+                z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(2.0 * np.pi * uni[1::2])
+                z *= np.sqrt(dt / substeps)
+                want[row] = z if substeps == 1 else z.reshape(n_steps, substeps).sum(axis=1)
+            assert np.array_equal(got, want), n_paths
+
+    @pytest.mark.parametrize("first_path,n_paths", [(-1, 3), (0, -1)])
+    def test_rejects_negative_path_range(self, first_path, n_paths):
+        with pytest.raises(ConfigurationError, match="must be >= 0"):
+            NoiseSource(5).increments(first_path, n_paths, 10, 0.01)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ConfigurationError):

@@ -211,6 +211,32 @@ class TestRemainderScaling:
         assert rep.slope("eps1_int") >= 3.0
         assert rep.slope("eps2_int") >= 3.0
 
+    def test_diverged_base_path_is_left_out(self):
+        # one base path NaN from step 30 on: every remainder statistic (and
+        # so every slope) equals that of the run on the 49 valid paths
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
+                                   sxx2=0.4, clip=2.5)
+        bundle = make_bundle(coeffs, n_paths=50)
+        m = bundle.grid.m
+        bundle.X[7, m + 30 :] = np.nan
+        bundle.X1[7, 30:] = np.nan
+        bundle.diverged[7] = True
+        keep = np.arange(50) != 7
+        valid = dataclasses.replace(bundle, X=bundle.X[keep], X1=bundle.X1[keep],
+                                    dW=bundle.dW[keep], diverged=bundle.diverged[keep])
+        offsets = [0.2, 0.1, 0.05]
+        rep, _ = scaling_reports(bundle, coeffs, 5, offsets)
+        want, _ = scaling_reports(valid, coeffs, 5, offsets)
+        assert all(np.isfinite(slope) for slope in want.slopes.values())
+        assert rep.slopes == want.slopes
+        assert [r.estimate for r in rep.rows] == [r.estimate for r in want.rows]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_has_nan_slope(self, bad):
+        offsets = np.array([0.2, 0.1, 0.05])
+        assert np.isnan(variational._loglog_slope(offsets, np.array([0.04, bad, 0.0025])))
+        assert variational._loglog_slope(offsets, np.zeros(3)) == float("inf")
+
     def test_requires_spread_offsets(self):
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1)
         bundle = make_bundle(coeffs)

@@ -64,6 +64,10 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("simulate", "lq", ["simulate"]),
     ("simulate-threads2", "lq", ["simulate", "--threads", "2",
                                  "--set", "numerics.n_paths=5000"]),
+    # every path of a second chunk and of partial noise blocks, 20 steps each
+    ("simulate-long-dump", "lq", ["simulate", "--set", "numerics.n_paths=4163",
+                                  "--set", "numerics.dump_paths=4163",
+                                  "--set", "instance.T=0.2"]),
     ("solve-bsde", "lq", ["solve-bsde"]),
     ("solve-hjb", "lq", ["solve-hjb", "--set", "numerics.dump_slices=all",
                          "--set", "numerics.svg=yes"]),
