@@ -494,7 +494,7 @@ def _cmd_solve_hjb(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_check_comparison(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     inst1, inst2 = inputs.inst, inputs.inst2
-    _, _, report = simulate_coupled_pair(
+    report = simulate_coupled_pair(
         inst1.coeffs, inst2.coeffs, inst1.history, inst2.history, inst1.grid,
         NoiseSource(cfg.seed), inputs.n_paths, tol=inputs.tol)
     write_manifest(cfg, "check-comparison")

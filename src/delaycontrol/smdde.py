@@ -8,7 +8,7 @@ The state follows
 with X1 the exponentially weighted distributed delay (recomputed by
 trapezoidal quadrature each step) and X2(t) = X(t - delta) an exact grid
 read.  Also provides the coupled-path comparison harness and the
-p-th-moment-estimate harness.
+p-th-moment-estimate harness, which return only their reports.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .core import (ConfigurationError, HistoryPath, TimeGrid, derived_rng,
-                   x1_weights)
+from .core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
+                   derived_rng, x1_weights)
 
 DIVERGENCE_LIMIT = 1e12
+CHUNK_PATHS = 4096  # paths stepped per chunk; bounds every per-chunk buffer
 _BLOCK_BYTES = 100 * 1024  # uniforms per Box-Muller block: 64 rows at 100 steps
 
 Control = Union[float, np.ndarray, Callable]
@@ -127,10 +128,9 @@ class TrajectoryBundle:
     """
 
     grid: TimeGrid
-    lam: float
     X: np.ndarray
     X1: np.ndarray
-    u: Optional[Union[float, np.ndarray]]
+    u: Union[float, np.ndarray]
     dW: Optional[np.ndarray]
     diverged: np.ndarray
 
@@ -160,8 +160,6 @@ class TrajectoryBundle:
         column per index.  With ``mask`` given, per-path controls are
         restricted to the selected paths (scalars pass through unchanged).
         """
-        if self.u is None:
-            return 0.0
         if np.isscalar(self.u):
             return self.u
         u = np.asarray(self.u)
@@ -194,7 +192,7 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
     columns the window the caller filled; column k of ``X1_out``, ``dW``
     and ``u_out`` holds step start + k.  ``x1_start`` replaces the
     quadrature at ``start``.  Times and the control are read by full-grid
-    step.  A state that turns non-finite or leaves [-1e12, 1e12] is NaN.
+    step.  A state that turns non-finite or leaves [-1e12, 1e12] is NaN to T.
 
     The distributed-delay quadrature reads its m+1 states from a row-major
     buffer two windows wide, shifted back when full: a gemv over a
@@ -231,8 +229,7 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
 
 
 def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGrid,
-                   noise: NoiseSource, n_paths: int, *, store_increments: bool = True,
-                   chunk_size: int = 4096) -> TrajectoryBundle:
+                   noise: NoiseSource, n_paths: int) -> TrajectoryBundle:
     """Simulate the mixed-delay SDE forward on [s, T].
 
     ``control`` is a scalar, a per-step vector (whose last entry holds to T
@@ -242,7 +239,7 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     and flagged in ``diverged``; registry families are linear-growth, so
     divergence indicates misconfiguration.
 
-    Paths are stepped in chunks of ``chunk_size``, which bounds the noise
+    Paths are stepped in chunks of ``CHUNK_PATHS``, which bounds the noise
     buffer; the chunking does not change any result.  Paths are simulated
     serially.
     """
@@ -253,27 +250,50 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     m, n = grid.m, grid.n_steps
     X = path_array(n_paths, m + n + 1)
     X1 = path_array(n_paths, n + 1)
-    dW_full = path_array(n_paths, n) if store_increments else None
+    dW = path_array(n_paths, n)
     u_full = path_array(n_paths, n) if callable(control) else None
 
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        dW = noise.increments(lo, hi - lo, n, grid.dt)
-        if dW_full is not None:
-            dW_full[lo:hi] = dW
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
+        dW[lo:hi] = noise.increments(lo, hi - lo, n, grid.dt)
         u_slice = u_full[lo:hi] if u_full is not None else None
         X[lo:hi, : m + 1] = history.samples
-        _step_chunk(coeffs, control, grid, dW, X[lo:hi], X1[lo:hi], u_slice)
+        _step_chunk(coeffs, control, grid, dW[lo:hi], X[lo:hi], X1[lo:hi], u_slice)
     diverged = ~np.all(np.isfinite(X), axis=1)
-    stored_u: Optional[Union[float, np.ndarray]]
+    stored_u: Union[float, np.ndarray]
     if callable(control):
         stored_u = u_full
     elif np.isscalar(control):
         stored_u = float(control)
     else:
         stored_u = np.asarray(control, dtype=float)
-    return TrajectoryBundle(grid=grid, lam=coeffs.lam, X=X, X1=X1, u=stored_u,
-                            dW=dW_full, diverged=diverged)
+    return TrajectoryBundle(grid=grid, X=X, X1=X1, u=stored_u, dW=dW, diverged=diverged)
+
+
+def _zero_control_chunks(runs, grid: TimeGrid, noise: NoiseSource, n_paths: int):
+    """Step each ``(coeffs, history)`` of ``runs`` at u = 0 on shared increments,
+    ``CHUNK_PATHS`` paths at a time.  Yields per chunk the mask of paths that
+    diverged in no run and every run's ``X``, on buffers that the next chunk
+    overwrites; raises ``HypothesisViolation`` at the end if no path is valid."""
+    for _, history in runs:
+        if history.m != grid.m:
+            raise ConfigurationError(f"history has {history.m} delay steps, grid expects {grid.m}")
+    m, n = grid.m, grid.n_steps
+    size = min(CHUNK_PATHS, n_paths)
+    X1 = path_array(size, n + 1)  # written by every run, read by none
+    Xs = [path_array(size, m + n + 1) for _ in runs]
+    n_ok = 0
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        k = min(CHUNK_PATHS, n_paths - lo)
+        dW = noise.increments(lo, k, n, grid.dt)
+        for (coeffs, history), X in zip(runs, Xs):
+            X[:k, : m + 1] = history.samples
+            _step_chunk(coeffs, 0.0, grid, dW, X[:k], X1[:k], None)
+        ok = ~np.any([np.isnan(X[:k, -1]) for X in Xs], axis=0)  # a NaN holds to T
+        n_ok += np.count_nonzero(ok)
+        yield ok, [X[:k] for X in Xs]
+    if n_ok == 0:
+        raise HypothesisViolation(f"no valid path left to check: all {n_paths} paths diverged")
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +306,9 @@ class ComparisonReport:
 
     ``violation_fraction[i]`` is the fraction of paths with
     X1(t_i) < X2(t_i) - tol; ``worst_violation`` is the largest positive
-    excursion of X2 - X1.  Hypothesis failures are reported, not raised:
-    probing what happens when an assumption is dropped is part of the
-    harness's job.
+    excursion of X2 - X1, both over the pairs where neither path diverged.
+    Hypothesis failures are reported, not raised: probing what happens when
+    an assumption is dropped is part of the harness's job.
     """
 
     tol: float
@@ -336,47 +356,27 @@ def _comparison_hypotheses(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryP
 
 def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPath,
                           grid: TimeGrid, noise: NoiseSource, n_paths: int, *,
-                          tol: float = 0.0, chunk_size: int = 4096):
+                          tol: float = 0.0) -> ComparisonReport:
     """Simulate two instances with identical Brownian increments.
 
-    Returns (bundle1, bundle2, ComparisonReport).  Under the ordering
-    hypotheses (ordered histories and drifts, shared diffusion, drift
-    increasing in the discrete delay), the coupled paths stay ordered and
-    the violation fraction is zero.
+    Under the ordering hypotheses (ordered histories and drifts, shared
+    diffusion, drift increasing in the discrete delay), the coupled paths
+    stay ordered and the violation fraction is zero.  Each chunk is reduced
+    as soon as it is stepped.  Raises ``HypothesisViolation`` when every
+    pair has a diverged path.
     """
-    if hist1.m != grid.m or hist2.m != grid.m:
-        raise ConfigurationError("histories must match the grid delay depth")
-    m, n = grid.m, grid.n_steps
-    X_a = np.empty((n_paths, m + n + 1))
-    X1_a = np.empty((n_paths, n + 1))
-    X_b = np.empty((n_paths, m + n + 1))
-    X1_b = np.empty((n_paths, n + 1))
-
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        dW = noise.increments(lo, hi - lo, n, grid.dt)
-        X_a[lo:hi, : m + 1] = hist1.samples
-        X_b[lo:hi, : m + 1] = hist2.samples
-        _step_chunk(coeffs1, 0.0, grid, dW, X_a[lo:hi], X1_a[lo:hi], None)
-        _step_chunk(coeffs2, 0.0, grid, dW, X_b[lo:hi], X1_b[lo:hi], None)
-    div_a = ~np.all(np.isfinite(X_a), axis=1)
-    div_b = ~np.all(np.isfinite(X_b), axis=1)
-    bundle1 = TrajectoryBundle(grid=grid, lam=coeffs1.lam, X=X_a, X1=X1_a, u=0.0,
-                               dW=None, diverged=div_a)
-    bundle2 = TrajectoryBundle(grid=grid, lam=coeffs2.lam, X=X_b, X1=X1_b, u=0.0,
-                               dW=None, diverged=div_b)
-    ok = ~(div_a | div_b)
-    gap = X_b[ok, m:] - X_a[ok, m:]  # positive where ordering fails
-    if gap.size:
-        frac = np.mean(gap > tol, axis=0)
-        worst = float(max(gap.max(), 0.0))
-    else:
-        frac = np.zeros(n + 1)
-        worst = float("nan")
+    count = np.zeros(grid.n_steps + 1, dtype=np.int64)  # valid pairs with gap > tol
+    n_ok, worst = 0, -np.inf
+    runs = [(coeffs1, hist1), (coeffs2, hist2)]
+    for ok, (X_a, X_b) in _zero_control_chunks(runs, grid, noise, n_paths):
+        gap = X_b[ok, grid.m :] - X_a[ok, grid.m :]  # positive where ordering fails
+        count += np.count_nonzero(gap > tol, axis=0)
+        n_ok += gap.shape[0]
+        worst = max(worst, float(gap.max(initial=-np.inf)))
     failures = _comparison_hypotheses(coeffs1, coeffs2, hist1, hist2, grid, noise.seed)
-    report = ComparisonReport(tol=tol, violation_fraction=frac, worst_violation=worst,
-                              hypothesis_ok=not failures, hypothesis_failures=failures)
-    return bundle1, bundle2, report
+    return ComparisonReport(tol=tol, violation_fraction=count / n_ok,
+                            worst_violation=max(worst, 0.0),
+                            hypothesis_ok=not failures, hypothesis_failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +414,16 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
                           p: int, noise: NoiseSource, n_paths: int) -> MomentReport:
     """Monte Carlo ingredients of the p-th-moment estimate (u = 0 reference).
 
-    Divergent paths are excluded from the estimate and counted.
+    Only each path's sup |X| is kept.  Divergent paths are excluded from
+    the estimate and counted; raises ``HypothesisViolation`` if all diverged.
     """
     if p < 2 or p % 2 != 0:
         raise ConfigurationError("moment order p must be an even integer >= 2")
-    bundle = simulate_smdde(coeffs, history, 0.0, grid, noise, n_paths,
-                            store_increments=False)
-    m = grid.m
-    ok = ~bundle.diverged
-    sup_p = np.max(np.abs(bundle.X[ok, m:]), axis=1) ** p
+    chunks = _zero_control_chunks([(coeffs, history)], grid, noise, n_paths)
+    sup_p = np.concatenate([np.max(np.abs(X[ok, grid.m :]), axis=1)
+                            for ok, (X,) in chunks]) ** p  # over [s, T], valid paths
     lhs = float(np.mean(sup_p))
-    lhs_se = float(np.std(sup_p) / np.sqrt(max(sup_p.size, 1)))
+    lhs_se = float(np.std(sup_p) / np.sqrt(sup_p.size))
     times = grid.times()
     zeros = np.zeros_like(times)
     b0 = np.abs(coeffs.b(times, zeros, zeros, zeros, zeros))
@@ -434,4 +433,4 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
     rhs_hist = float(np.max(np.abs(history.samples)) ** p)
     return MomentReport(p=p, lhs=lhs, lhs_se=lhs_se, rhs_history=rhs_hist,
                         rhs_drift=rhs_drift, rhs_diffusion=rhs_diff,
-                        n_diverged=int(np.sum(bundle.diverged)))
+                        n_diverged=n_paths - sup_p.size)

@@ -54,7 +54,7 @@ class PerturbationRun:
 
 
 def _sub_control(u, t_index: int):
-    if u is None or np.isscalar(u):
+    if np.isscalar(u):
         return u
     arr = np.asarray(u)
     # a short per-step vector's last entry holds to T
@@ -125,8 +125,8 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     Xp[:, m] += offset
     X1p = path_array(n_paths, n_sub + 1)
     # the distributed delay restarts at its base value
-    _step_chunk(coeffs, 0.0 if bundle.u is None else bundle.u, grid, sub_dW, Xp, X1p,
-                None, start=t_index, x1_start=bundle.X1[:, t_index])
+    _step_chunk(coeffs, bundle.u, grid, sub_dW, Xp, X1p, None, start=t_index,
+                x1_start=bundle.X1[:, t_index])
     finite = np.isfinite(Xp[:, m + 1 :])
     if not finite.all():
         k = int(np.argmin(finite.all(axis=0)))
@@ -136,11 +136,11 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
 
     sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=dt, delay_steps=m)
     sub_u = _sub_control(bundle.u, t_index)
-    base_sub = TrajectoryBundle(grid=sub_grid, lam=bundle.lam,
-                                X=bundle.X[:, t_index:], X1=bundle.X1[:, t_index:],
-                                u=sub_u, dW=sub_dW, diverged=bundle.diverged)
-    pert = TrajectoryBundle(grid=sub_grid, lam=bundle.lam, X=Xp, X1=X1p, u=sub_u,
-                            dW=sub_dW, diverged=bundle.diverged)
+    base_sub = TrajectoryBundle(grid=sub_grid, X=bundle.X[:, t_index:],
+                                X1=bundle.X1[:, t_index:], u=sub_u, dW=sub_dW,
+                                diverged=bundle.diverged)
+    pert = TrajectoryBundle(grid=sub_grid, X=Xp, X1=X1p, u=sub_u, dW=sub_dW,
+                            diverged=bundle.diverged)
 
     Xhat = Xp[:, m:] - bundle.X[:, t_index + m :]
     Xhat1 = X1p - bundle.X1[:, t_index:]

@@ -71,7 +71,7 @@ def test_criterion_1_comparison_theorem():
     ]
     worst_frac = 0.0
     for name, c1, c2, h1, h2 in pairs:
-        _, _, rep = simulate_coupled_pair(
+        rep = simulate_coupled_pair(
             c1, c2, HistoryPath.constant(h1, grid.m), HistoryPath.constant(h2, grid.m),
             grid, NoiseSource(1001), N_PATHS_MC, tol=tol)
         assert rep.hypothesis_ok, (name, rep.hypothesis_failures)

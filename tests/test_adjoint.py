@@ -201,10 +201,10 @@ class TestSweepSharing:
         X, X1 = clean.X.copy(), clean.X1.copy()
         X[bad, m + 20:] = np.nan
         X1[bad, 20:] = np.nan
-        mixed = TrajectoryBundle(grid=clean.grid, lam=clean.lam, X=X, X1=X1, u=clean.u,
+        mixed = TrajectoryBundle(grid=clean.grid, X=X, X1=X1, u=clean.u,
                                  dW=clean.dW, diverged=bad)
         ok = ~bad
-        valid = TrajectoryBundle(grid=clean.grid, lam=clean.lam, X=X[ok], X1=X1[ok],
+        valid = TrajectoryBundle(grid=clean.grid, X=X[ok], X1=X1[ok],
                                  u=clean.u[ok], dW=clean.dW[ok],
                                  diverged=np.zeros(ok.sum(), dtype=bool))
         assert isinstance(mixed.valid, np.ndarray) and valid.valid == slice(None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations_with_replacement
 
@@ -160,7 +161,8 @@ class TestBackwardSolver:
         coeffs = make_coefficients("constant", lam=0.0)
         g = grid(T=0.2)
         b = simulate_smdde(coeffs, HistoryPath.constant(0.0, g.m), 0.0, g,
-                           NoiseSource(1), 16, store_increments=False)
+                           NoiseSource(1), 16)
+        b = dataclasses.replace(b, dW=None)
         with pytest.raises(ConfigurationError, match="increments"):
             solve_bsde_lsmc(b, coeffs, RegressionBasis())
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,26 @@ class TestCheckers:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"hypothesis gate: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand,overrides", [
+        ("check-comparison", ["instance.params.b0=0", "instance.params.bx=3000",
+                              "instance2.params.bx=3000", "instance.params.sx=50",
+                              "instance2.params.sx=50"]),
+        ("check-moments", ["instance.params.bx=3000", "instance.params.sx=50"]),
+    ])
+    def test_every_path_diverged_exits_3(self, subcommand, overrides, cmp_config,
+                                         tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", cmp_config, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis gate: no valid path left to check")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -5,6 +5,7 @@ import pytest
 
 from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid, x1_weights
 from delaycontrol.coeffs import make_coefficients
+from delaycontrol import smdde
 from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, estimate_moment_bound,
                                 simulate_coupled_pair, simulate_smdde)
 
@@ -133,12 +134,13 @@ class TestSimulate:
         for i in (0, 3, g.n_steps):
             assert np.array_equal(b.X2[:, i], b.x_at(i - g.m))
 
-    def test_determinism_across_chunks_and_threads(self):
+    def test_determinism_across_chunks_and_threads(self, monkeypatch):
         coeffs = make_coefficients("linear", lam=0.2, bx=0.3, sx=0.4)
         kw = dict(coeffs=coeffs, history=HistoryPath.constant(1.0, 10),
                   control=0.0, grid=grid(), noise=NoiseSource(77), n_paths=1000)
-        a = simulate_smdde(**kw, chunk_size=128)
-        b = simulate_smdde(**kw, chunk_size=4096)  # one chunk
+        b = simulate_smdde(**kw)  # one chunk
+        monkeypatch.setattr(smdde, "CHUNK_PATHS", 128)
+        a = simulate_smdde(**kw)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.X1, b.X1)
 
@@ -218,19 +220,26 @@ class TestComparison:
         self.grid = TimeGrid(s=0.0, T=0.3, dt=0.001, delay_steps=20)
         self.hist = HistoryPath.constant(1.0, 20)
 
+    def coupled_paths(self, c1, c2, h1, h2, seed, n_paths):
+        # the noise depends only on (seed, path, step): two runs on one seed
+        # are the coupled pair
+        return [simulate_smdde(c, h, 0.0, self.grid, NoiseSource(seed), n_paths).X
+                for c, h in ((c1, h1), (c2, h2))]
+
     def test_identical_instances_are_identical(self):
         c = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.2)
-        b1, b2, rep = simulate_coupled_pair(c, c, self.hist, self.hist, self.grid,
-                                            NoiseSource(5), 500)
-        assert np.array_equal(b1.X, b2.X)
+        rep = simulate_coupled_pair(c, c, self.hist, self.hist, self.grid,
+                                    NoiseSource(5), 500)
+        X1, X2 = self.coupled_paths(c, c, self.hist, self.hist, 5, 500)
+        assert np.array_equal(X1, X2)
         assert rep.max_violation_fraction == 0.0
         assert rep.hypothesis_ok
 
     def test_ordered_drifts_give_pathwise_ordering(self):
         c1 = make_coefficients("linear", lam=0.0, b0=1.0, bx2=1.0, sx=0.2)
         c2 = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.2)
-        _, _, rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
-                                          NoiseSource(6), 2000)
+        rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
+                                    NoiseSource(6), 2000)
         assert rep.hypothesis_ok, rep.hypothesis_failures
         assert rep.max_violation_fraction == 0.0
         assert rep.worst_violation <= 0.0
@@ -238,32 +247,33 @@ class TestComparison:
     def test_ordered_histories_give_pathwise_ordering(self):
         c = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.2)
         hist_hi = HistoryPath.constant(1.5, 20)
-        b1, b2, rep = simulate_coupled_pair(c, c, hist_hi, self.hist, self.grid,
-                                            NoiseSource(7), 2000)
+        rep = simulate_coupled_pair(c, c, hist_hi, self.hist, self.grid,
+                                    NoiseSource(7), 2000)
         assert rep.hypothesis_ok
         assert rep.max_violation_fraction == 0.0
-        assert np.all(b1.X >= b2.X - 1e-12)
+        X1, X2 = self.coupled_paths(c, c, hist_hi, self.hist, 7, 2000)
+        assert np.all(X1 >= X2 - 1e-12)
 
     def test_drift_order_violation_reported_not_raised(self):
         c1 = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.2)
         c2 = make_coefficients("linear", lam=0.0, b0=1.0, bx2=1.0, sx=0.2)
-        _, _, rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
-                                          NoiseSource(8), 200)
+        rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
+                                    NoiseSource(8), 200)
         assert not rep.hypothesis_ok
         assert any("drift ordering" in msg for msg in rep.hypothesis_failures)
         assert rep.max_violation_fraction > 0.0  # counterexample realized
 
     def test_decreasing_x2_dependence_reported(self):
         c1 = make_coefficients("linear", lam=0.0, bx2=-1.0, sx=0.2)
-        _, _, rep = simulate_coupled_pair(c1, c1, self.hist, self.hist, self.grid,
-                                          NoiseSource(9), 100)
+        rep = simulate_coupled_pair(c1, c1, self.hist, self.hist, self.grid,
+                                    NoiseSource(9), 100)
         assert any("decreasing in x2" in msg for msg in rep.hypothesis_failures)
 
     def test_differing_diffusions_reported(self):
         c1 = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.2)
         c2 = make_coefficients("linear", lam=0.0, bx2=1.0, sx=0.3)
-        _, _, rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
-                                          NoiseSource(10), 100)
+        rep = simulate_coupled_pair(c1, c2, self.hist, self.hist, self.grid,
+                                    NoiseSource(10), 100)
         assert any("diffusions differ" in msg for msg in rep.hypothesis_failures)
 
 
@@ -303,3 +313,26 @@ class TestMomentBound:
         with pytest.raises(ConfigurationError):
             estimate_moment_bound(coeffs, HistoryPath.constant(0.0, 10), grid(),
                                   3, NoiseSource(1), 10)
+
+
+def test_harness_reductions_independent_of_chunking(monkeypatch):
+    # explosive dynamics: some paths diverge, in more than one chunk
+    g = TimeGrid(s=0.0, T=0.1, dt=0.001, delay_steps=10)
+    hist = HistoryPath.constant(1.0, 10)
+    c1 = make_coefficients("linear", lam=0.0, bx=400.0, bx2=1.0, sx=20.0)
+    c2 = make_coefficients("linear", lam=0.0, b0=1.0, bx=400.0, bx2=1.0, sx=20.0)
+
+    def run():
+        cmp = simulate_coupled_pair(c1, c2, hist, hist, g, NoiseSource(3), 700)
+        mom = estimate_moment_bound(c1, hist, g, 2, NoiseSource(3), 700)
+        return cmp, mom
+
+    one_chunk = run()
+    monkeypatch.setattr(smdde, "CHUNK_PATHS", 64)
+    chunked = run()
+    assert 0 < one_chunk[1].n_diverged < 700
+    assert one_chunk[0].max_violation_fraction > 0.0
+    assert np.array_equal(chunked[0].violation_fraction, one_chunk[0].violation_fraction)
+    assert chunked[0].worst_violation == one_chunk[0].worst_violation
+    for name in ("lhs", "lhs_se", "n_diverged"):
+        assert getattr(chunked[1], name) == getattr(one_chunk[1], name)

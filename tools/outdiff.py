@@ -90,6 +90,18 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("girsanov", "girsanov", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
     ("check-moments", "cmp", ["check-moments"]),
+    # the per-chunk reductions across a chunk boundary, with and without
+    # diverged paths (bx=400, sx=20: 450 of 4163 moment paths diverge)
+    ("check-comparison-long", "cmp", ["check-comparison", "--set", "numerics.n_paths=4163"]),
+    ("check-comparison-diverged", "cmp", ["check-comparison", "--set", "numerics.n_paths=4163",
+                                          "--set", "instance.params.bx=400",
+                                          "--set", "instance2.params.bx=400",
+                                          "--set", "instance.params.sx=20",
+                                          "--set", "instance2.params.sx=20"]),
+    ("check-moments-long", "cmp", ["check-moments", "--set", "numerics.n_paths=4163"]),
+    ("check-moments-diverged", "cmp", ["check-moments", "--set", "numerics.n_paths=4163",
+                                       "--set", "instance.params.bx=400",
+                                       "--set", "instance.params.sx=20"]),
 ]
 
 # one fault each; "lq-nodriver" is the LQ config without its [driver] section
