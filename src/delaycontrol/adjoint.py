@@ -11,10 +11,9 @@ evaluated along the candidate quadruple, the adjoints solve
 p3 is computed as a plain pathwise backward integral: the theory only
 uses it through the reduction hypothesis "p3 identically zero", so
 max|p3| is treated as a hypothesis-violation metric rather than a solved
-adjoint.  The normalized pair ptilde = p1/gamma, pcheck = p2/gamma (with
-qtilde = q1/gamma - ptilde*f_z, qcheck = q2/gamma - pcheck*f_z) is stored
-alongside, and can also be solved directly from its own backward system
-as a cross-check.
+adjoint.  The normalized pair ptilde = p1/gamma, pcheck = p2/gamma is
+stored alongside, and can also be solved directly from its own backward
+system (with its martingale loadings qtilde, qcheck) as a cross-check.
 """
 
 from __future__ import annotations
@@ -30,11 +29,10 @@ from .bsde import BackwardSolution, RegressionBasis, backward_sweep
 from .smdde import TrajectoryBundle, path_array
 
 
-def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, ok):
-    """State/cost arguments along the candidate trajectory at step i."""
-    t = bundle.grid.time(i)
-    return (t, bundle.x_at(i)[ok], bundle.X1[ok, i], bundle.X2[ok, i],
-            solution.Y[ok, i], solution.Z[ok, i], bundle.u_at(i, mask=ok))
+def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, rows):
+    """(t, x, x1, x2, y, z, u) along the candidate trajectory at step i."""
+    t, x, x1, x2, u = bundle.state(i, rows)
+    return t, x, x1, x2, solution.Y[rows, i], solution.Z[rows, i], u
 
 
 @dataclass
@@ -42,7 +40,7 @@ class AdjointBundle:
     """Adjoint paths on grid indices 0..n for the non-diverged paths.
 
     gamma[:, 0] = 1 and p3[:, n] = 0 hold by construction; ptilde/pcheck
-    are the gamma-normalized first-order adjoints.
+    are the gamma-normalized first-order adjoints p1/gamma and p2/gamma.
     """
 
     gamma: np.ndarray
@@ -53,8 +51,6 @@ class AdjointBundle:
     q2: np.ndarray
     ptilde: np.ndarray
     pcheck: np.ndarray
-    qtilde: np.ndarray
-    qcheck: np.ndarray
 
     @property
     def max_abs_p3(self) -> float:
@@ -108,7 +104,7 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
                 - g * coeffs.f_x1(t, x, x1, x2, y, z, u))
         return p1_hat + H_x * dt, p2_hat + H_x1 * dt
 
-    xT, x1T = bundle.x_at(n)[ok], bundle.X1[ok, n]
+    _, xT, x1T, _, _ = bundle.state(n, ok)
     terminal = (-coeffs.phi_x(xT, x1T) * gamma[ok, n], -coeffs.phi_x1(xT, x1T) * gamma[ok, n])
     (p1, p2), (q1, q2), _ = backward_sweep(bundle, basis, terminal, update,
                                            solution.shared_factors(bundle, basis))
@@ -142,18 +138,8 @@ def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
     gamma = solve_gamma(bundle, solution, coeffs)
     p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis)
     p3 = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs)
-    ok = bundle.valid
-    n = bundle.grid.n_steps
-    fz = path_array(bundle.n_paths, n + 1, np.nan)
-    for i in range(n + 1):
-        t, x, x1, x2, y, z, u = _along(bundle, solution, min(i, n), ok)
-        fz[ok, i] = coeffs.f_z(t, x, x1, x2, y, z, u)
-    ptilde = p1 / gamma
-    pcheck = p2 / gamma
-    qtilde = q1 / gamma - ptilde * fz
-    qcheck = q2 / gamma - pcheck * fz
     return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2,
-                         ptilde=ptilde, pcheck=pcheck, qtilde=qtilde, qcheck=qcheck)
+                         ptilde=p1 / gamma, pcheck=p2 / gamma)
 
 
 def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolution,
@@ -190,7 +176,7 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
                    - pt_hat * (bx1 + fz * sx1) - qt_hat * sx1)
         return pt_hat - drift_t * dt, pc_hat - drift_c * dt
 
-    xT, x1T = bundle.x_at(n)[ok], bundle.X1[ok, n]
+    _, xT, x1T, _, _ = bundle.state(n, ok)
     (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis,
                                            (-coeffs.phi_x(xT, x1T), -coeffs.phi_x1(xT, x1T)),
                                            update, solution.shared_factors(bundle, basis))
@@ -275,15 +261,9 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     x_scale = 1.0 + float(np.nanmax(np.abs(bundle.X)))
     for i in sorted(steps):
         i = int(i)
-        t = grid.time(i)
         paths = rng.choice(ok_idx, size=per_step)
-        u_i = bundle.u_at(i)
-        u_col = (u_i[paths] if isinstance(u_i, np.ndarray) and u_i.ndim == 1
-                 else np.full(per_step, float(u_i)))
-        center = np.column_stack([
-            bundle.x_at(i)[paths], bundle.X1[paths, i], bundle.X2[paths, i],
-            solution.Y[paths, i], solution.Z[paths, i], u_col,
-        ])
+        t, *point = _along(bundle, solution, i, paths)
+        center = np.column_stack(np.broadcast_arrays(*point))
         w1 = center + rng.normal(0.0, x_scale, center.shape)
         w2 = center + rng.normal(0.0, x_scale, center.shape)
         g = adjoints.gamma[paths, i]
@@ -316,14 +296,11 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     u_grid = domain.points()
     worst_var = -np.inf
     max_hu = 0.0
-    ok = bundle.valid
     sub = rng.choice(ok_idx, size=min(n_path_samples, ok_idx.size), replace=False)
-    sub_in_ok = np.searchsorted(ok_idx, sub)
     for i in sorted(rng.choice(n, size=min(n_time_samples, n), replace=False)):
         i = int(i)
-        t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        x, x1, x2, y, z = (arr[sub_in_ok] for arr in (x, x1, x2, y, z))
-        ustar = u[sub_in_ok] if isinstance(u, np.ndarray) else np.full(sub.size, float(u))
+        t, x, x1, x2, y, z, u = _along(bundle, solution, i, sub)
+        ustar = np.broadcast_to(u, sub.shape)
         g = adjoints.gamma[sub, i]
         a1 = adjoints.p1[sub, i]
         a2 = adjoints.p2[sub, i]

@@ -189,12 +189,9 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
     probe_steps = sorted({0, n // 2, max(n - 1, 0)})
     worst = 0.0
     for i in probe_steps:
-        t = bundle.grid.time(i)
-        x = bundle.x_at(i)
-        fy = coeffs.f_y(t, x, bundle.X1[:, i], bundle.X2[:, i], x * 0.0, x * 0.0,
-                        bundle.u_at(i))
-        fz = coeffs.f_z(t, x, bundle.X1[:, i], bundle.X2[:, i], x * 0.0, x * 0.0,
-                        bundle.u_at(i))
+        t, x, x1, x2, u = bundle.state(i)
+        fy = coeffs.f_y(t, x, x1, x2, x * 0.0, x * 0.0, u)
+        fz = coeffs.f_z(t, x, x1, x2, x * 0.0, x * 0.0, u)
         worst = max(worst, float(np.nanmax(np.abs(fy))), float(np.nanmax(np.abs(fz))))
     if worst * dt >= 1.0:
         raise ConfigurationError(
@@ -222,8 +219,8 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
     for v, term in zip(values, terminal):
         v[ok, n] = term
     for i in range(n - 1, -1, -1):
-        x2 = bundle.X2[ok, i] if basis.include_x2 else None
-        design = basis.design(bundle.x_at(i)[ok], bundle.X1[ok, i], x2)
+        _, x, x1, x2, _ = bundle.state(i, ok)
+        design = basis.design(x, x1, x2)
         if factors is None:
             reg = ConditionalRegression(design, basis.eps_reg)
         else:
@@ -252,20 +249,18 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
     """
     if bundle.dW is None:
         raise ConfigurationError("bundle must store Brownian increments for the backward solve")
-    grid = bundle.grid
-    n, dt = grid.n_steps, grid.dt
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
     _lipschitz_gate(coeffs, bundle, dt)
     if bundle.diverged.all():
         raise ConfigurationError("all paths diverged; nothing to solve")
     ok = bundle.valid
 
     def update(i, hats, qs):
-        x = bundle.x_at(i)[ok]
-        drift = coeffs.f(grid.time(i), x, bundle.X1[ok, i], bundle.X2[ok, i], hats[0],
-                         qs[0], bundle.u_at(i, mask=ok))
-        return [hats[0] + drift * dt]
+        t, x, x1, x2, u = bundle.state(i, ok)
+        return [hats[0] + coeffs.f(t, x, x1, x2, hats[0], qs[0], u) * dt]
 
-    terminal = coeffs.phi(bundle.x_at(n)[ok], bundle.X1[ok, n])
+    _, xT, x1T, _, _ = bundle.state(n, ok)
+    terminal = coeffs.phi(xT, x1T)
     (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update)
     y_s = float(np.mean(Y[ok, 0]))
     y_s_se = _pathwise_se(bundle, coeffs, Y, Z, ok)
@@ -277,14 +272,12 @@ def _pathwise_se(bundle: TrajectoryBundle, coeffs, Y: np.ndarray, Z: np.ndarray,
                  ok) -> float:
     """Standard error of Y(s) from the pathwise representation
     phi(X_T, X1_T) + sum_i f(.) dt, using the solved (Y, Z) in the driver."""
-    grid = bundle.grid
-    n, dt = grid.n_steps, grid.dt
-    total = coeffs.phi(bundle.x_at(n)[ok], bundle.X1[ok, n]).astype(float)
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
+    _, xT, x1T, _, _ = bundle.state(n, ok)
+    total = coeffs.phi(xT, x1T).astype(float)
     for i in range(n):
-        t = grid.time(i)
-        u_ok = bundle.u_at(i, mask=ok)
-        total += coeffs.f(t, bundle.x_at(i)[ok], bundle.X1[ok, i], bundle.X2[ok, i],
-                          Y[ok, i], Z[ok, i], u_ok) * dt
+        t, x, x1, x2, u = bundle.state(i, ok)
+        total += coeffs.f(t, x, x1, x2, Y[ok, i], Z[ok, i], u) * dt
     return float(np.std(total) / np.sqrt(total.size))
 
 
@@ -333,14 +326,12 @@ def linear_driver_oracle(coeffs, driver: LinearDriver, bundle: TrajectoryBundle,
     cumF = np.concatenate([[0.0], np.cumsum(0.5 * (fbar[1:] + fbar[:-1]) * dt)])
     disc = np.exp(cumF)
     ok = bundle.valid
-    total = disc[n] * coeffs.phi(bundle.x_at(n)[ok], bundle.X1[ok, n]).astype(float)
+    _, xT, x1T, _, _ = bundle.state(n, ok)
+    total = disc[n] * coeffs.phi(xT, x1T).astype(float)
     # trapezoid in time for the running-cost integral
     for i in range(n + 1):
         w = dt if 0 < i < n else 0.5 * dt
-        t = times[i]
-        u_ok = bundle.u_at(min(i, n - 1), mask=ok)
-        a = coeffs.a_part(t, bundle.x_at(i)[ok], bundle.X1[ok, i], bundle.X2[ok, i], u_ok)
-        total += w * disc[i] * a
+        total += w * disc[i] * coeffs.a_part(*bundle.state(i, ok))
     est = float(np.mean(total))
     se = float(np.std(total) / np.sqrt(total.size))
     return est, se

@@ -127,9 +127,7 @@ def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunctio
     total_pass = 0
     medians: List[float] = []
     for i in time_indices:
-        t = grid.time(int(i))
-        xs = bundle.x_at(int(i))[sample]
-        x1s = bundle.X1[sample, int(i)]
+        t, xs, x1s, _, _ = bundle.state(int(i), sample)
         pts = adjoints.ptilde[sample, int(i)] + candidate_shift
         inside = vgrid.is_interior(xs, x1s, margin=membership_radius)
         x, x1, cand = xs[inside], x1s[inside], pts[inside]
@@ -243,13 +241,10 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     n_total = 0
     per_step: List[Tuple[float, float]] = []
     for i in range(n):
-        t = grid.time(i)
-        x = bundle.x_at(i)
-        x1 = bundle.X1[:, i]
+        t, x, x1, x2, u = bundle.state(i)
         theta, p, q, P, v0, inside = jets_along(vgrid, t, x, x1)
         inside &= ok
-        u = bundle.u_at(i)
-        g = eval_G("Gtilde", t, x, x1, bundle.X2[:, i], u, -v0, -p, -P, -q,
+        g = eval_G("Gtilde", t, x, x1, x2, u, -v0, -p, -P, -q,
                    coeffs, grid.delay, instance.driver)
         step_term = np.where(inside, theta - g, 0.0)
         integrand += step_term * dt
@@ -275,9 +270,7 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     paths = sample[: max(n_membership_sample // len(steps), 1)]
     for i in sorted(int(s) for s in steps):
         # t, and with it the time window, is shared by the step's points
-        t = grid.time(i)
-        x = bundle.X[paths, i + grid.m]
-        x1 = bundle.X1[paths, i]
+        t, x, x1, _, _ = bundle.state(i, paths)
         keep = vgrid.is_interior(x, x1, margin=membership_radius)
         x, x1 = x[keep], x1[keep]
         jet = Jet(*jets_along(vgrid, t, x, x1)[:4])

@@ -121,10 +121,12 @@ class TrajectoryBundle:
 
     ``X`` covers grid indices -m..n (column j holds index j - m); ``X1``
     covers 0..n.  ``X2`` is the exact m-step shift of X, exposed as a view.
-    ``u`` is whatever control representation drove the run (scalar,
-    per-step vector, or per-path matrix for feedback rules).  Simulated
-    per-path arrays come from ``path_array``: column-major, so a time
-    slice ``X[:, j]`` is contiguous.
+    ``u`` is the control that drove the run as it was given (scalar,
+    per-step vector or per-path array), or for a feedback rule the per-path
+    array of its values.  ``state`` and ``u_at`` are the one reader of a
+    step: nothing else needs the history offset m or the control's form.
+    Simulated per-path arrays come from ``path_array``: column-major, so a
+    time slice ``X[:, j]`` is contiguous.
     """
 
     grid: TimeGrid
@@ -153,30 +155,30 @@ class TrajectoryBundle:
         """Current state at grid index i (i may be negative down to -m)."""
         return self.X[:, i + self.grid.m]
 
-    def u_at(self, i, mask: Optional[Union[slice, np.ndarray]] = None):
-        """Control applied on [t_i, t_{i+1}); broadcastable against paths.
+    def state(self, i: int, rows: Union[slice, np.ndarray] = slice(None)):
+        """``(t, x, x1, x2, u)`` at grid index i on ``rows``, with ``u`` the
+        control applied on [t_i, t_{i+1}).  Whole columns are views; a mask
+        or an index array gathers."""
+        m = self.grid.m
+        return (self.grid.time(i), self.X[rows, i + m], self.X1[rows, i],
+                self.X[rows, i], self.u_at(i, rows))
 
-        ``i`` may also be an array of grid indices; the result then has one
-        column per index.  With ``mask`` given, per-path controls are
-        restricted to the selected paths (scalars pass through unchanged).
-        """
-        if np.isscalar(self.u):
-            return self.u
-        u = np.asarray(self.u)
-        if u.ndim == 1:
-            return u[np.minimum(i, u.size - 1)]
-        col = u[:, np.minimum(i, u.shape[1] - 1)]
-        return col[mask] if mask is not None else col
+    def u_at(self, i, rows: Union[slice, np.ndarray] = slice(None)):
+        """Control applied on [t_i, t_{i+1}) on ``rows`` (see ``held``)."""
+        return self.held(self.u, i, rows)
 
-
-def _control_value(control: Control, t: float, x: np.ndarray, x1: np.ndarray, i: int):
-    if callable(control):
-        return np.asarray(control(t, x, x1), dtype=float)
-    if np.isscalar(control):
-        return float(control)
-    arr = np.asarray(control, dtype=float)
-    i = min(i, arr.shape[-1] - 1)  # as in TrajectoryBundle.u_at: the last entry holds to T
-    return float(arr[i]) if arr.ndim == 1 else arr[:, i]
+    @staticmethod
+    def held(u, i, rows: Union[slice, np.ndarray] = slice(None)):
+        """A stored control at grid index ``i`` on ``rows``: a scalar, or the
+        entry of a per-step vector or per-path ``(n_paths, k)`` array, whose
+        last entry holds to T.  With ``rows`` a slice, ``i`` may also be an
+        array of grid indices; the result then has one entry or column per
+        index."""
+        if np.ndim(u) == 0:
+            return float(u)
+        u = np.asarray(u, dtype=float)
+        i = np.minimum(i, u.shape[-1] - 1)
+        return u[i] if u.ndim == 1 else u[rows, i]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,9 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
     columns the window the caller filled; column k of ``X1_out``, ``dW``
     and ``u_out`` holds step start + k.  ``x1_start`` replaces the
     quadrature at ``start``.  Times and the control are read by full-grid
-    step.  A state that turns non-finite or leaves [-1e12, 1e12] is NaN to T.
+    step: a feedback rule is evaluated into ``u_out``, a stored control read
+    by ``TrajectoryBundle.held`` on every row of the chunk.  A state that
+    turns non-finite or leaves [-1e12, 1e12] is NaN to T.
 
     The distributed-delay quadrature reads its m+1 states from a row-major
     buffer two windows wide, shifted back when full: a gemv over a
@@ -210,7 +214,10 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
             x2 = X_out[:, k]
             X1_out[:, k] = x1
             t = grid.time(i)
-            u = _control_value(control, t, x, x1, i)
+            if callable(control):
+                u = np.asarray(control(t, x, x1), dtype=float)
+            else:
+                u = TrajectoryBundle.held(control, i)
             if u_out is not None:
                 u_out[:, k] = u
             drift = coeffs.b(t, x, x1, x2, u)
@@ -232,9 +239,9 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
                    noise: NoiseSource, n_paths: int) -> TrajectoryBundle:
     """Simulate the mixed-delay SDE forward on [s, T].
 
-    ``control`` is a scalar, a per-step vector (whose last entry holds to T
-    when it has fewer than n entries), or a feedback rule u(t, x, x1)
-    evaluated pathwise.  Paths whose state leaves
+    ``control`` is a scalar, a per-step vector or a per-path ``(n_paths, k)``
+    array (whose last entry holds to T when k < n), or a feedback rule
+    u(t, x, x1) evaluated pathwise.  Paths whose state leaves
     [-1e12, 1e12] or turns non-finite are aborted (NaN from that step on)
     and flagged in ``diverged``; registry families are linear-growth, so
     divergence indicates misconfiguration.
@@ -251,23 +258,18 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     X = path_array(n_paths, m + n + 1)
     X1 = path_array(n_paths, n + 1)
     dW = path_array(n_paths, n)
-    u_full = path_array(n_paths, n) if callable(control) else None
-
+    u = path_array(n_paths, n) if callable(control) else control
     for lo in range(0, n_paths, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, n_paths)
-        dW[lo:hi] = noise.increments(lo, hi - lo, n, grid.dt)
-        u_slice = u_full[lo:hi] if u_full is not None else None
-        X[lo:hi, : m + 1] = history.samples
-        _step_chunk(coeffs, control, grid, dW[lo:hi], X[lo:hi], X1[lo:hi], u_slice)
+        rows = slice(lo, min(lo + CHUNK_PATHS, n_paths))
+        dW[rows] = noise.increments(lo, rows.stop - lo, n, grid.dt)
+        X[rows, : m + 1] = history.samples
+        if callable(control):
+            _step_chunk(coeffs, control, grid, dW[rows], X[rows], X1[rows], u[rows])
+        else:  # the chunk's rows of the stored control, one entry per step
+            _step_chunk(coeffs, TrajectoryBundle.held(u, np.arange(n), rows), grid,
+                        dW[rows], X[rows], X1[rows], None)
     diverged = ~np.all(np.isfinite(X), axis=1)
-    stored_u: Union[float, np.ndarray]
-    if callable(control):
-        stored_u = u_full
-    elif np.isscalar(control):
-        stored_u = float(control)
-    else:
-        stored_u = np.asarray(control, dtype=float)
-    return TrajectoryBundle(grid=grid, X=X, X1=X1, u=stored_u, dW=dW, diverged=diverged)
+    return TrajectoryBundle(grid=grid, X=X, X1=X1, u=u, dW=dW, diverged=diverged)
 
 
 def _zero_control_chunks(runs, grid: TimeGrid, noise: NoiseSource, n_paths: int):

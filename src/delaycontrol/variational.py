@@ -53,14 +53,6 @@ class PerturbationRun:
     eps2: np.ndarray
 
 
-def _sub_control(u, t_index: int):
-    if np.isscalar(u):
-        return u
-    arr = np.asarray(u)
-    # a short per-step vector's last entry holds to T
-    return arr[min(t_index, arr.size - 1):] if arr.ndim == 1 else arr[:, t_index:]
-
-
 def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray,
                 Xhat1: np.ndarray, Xhat2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """eps1/eps2 on the steps t_index..n-1: each derivative's Gauss-Legendre
@@ -135,7 +127,7 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
             f"(path {int(np.argmin(finite[:, k]))}); offset too large for this instance")
 
     sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=dt, delay_steps=m)
-    sub_u = _sub_control(bundle.u, t_index)
+    sub_u = bundle.u_at(np.arange(t_index, n))
     base_sub = TrajectoryBundle(grid=sub_grid, X=bundle.X[:, t_index:],
                                 X1=bundle.X1[:, t_index:], u=sub_u, dW=sub_dW,
                                 diverged=bundle.diverged)

@@ -297,6 +297,24 @@ class TestSufficientMP:
         assert not rp.variational_ok
         assert rp.variational_worst > 10 * rp.variational_tol
 
+    def test_constant_control_forms_agree(self):
+        # a scalar, a per-step vector and a per-path array of one constant
+        # drive the same paths, sweeps and report
+        inst = make_lq_instance(LQ_MP_PARAMS, T=0.5)
+        n, n_paths, c = inst.grid.n_steps, 400, 0.1
+        runs = []
+        for control in (c, np.full(n, c), np.full((n_paths, n), c)):
+            bundle, sol, basis = pipeline(inst.coeffs, inst.grid, n_paths=n_paths,
+                                          control=control, x0=0.6)
+            adj = solve_adjoints(bundle, sol, inst.coeffs, basis)
+            rep = check_sufficient_mp(bundle, sol, adj, inst.coeffs, inst.domain, seed=2)
+            runs.append(([bundle.X, sol.Y, sol.Z, adj.p1, adj.q1, adj.p3],
+                         sol.y_s_se, list(rep.lines())))
+        for arrays, y_s_se, lines in runs[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, runs[0][0]))
+            assert y_s_se == runs[0][1]
+            assert lines == runs[0][2]
+
     def test_quadratic_terminal_fails_linearity(self, lq_small):
         rep = check_sufficient_mp(lq_small["bundle"], lq_small["solution"],
                                   lq_small["adjoints"], lq_small["inst"].coeffs,

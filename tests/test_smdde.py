@@ -144,6 +144,19 @@ class TestSimulate:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.X1, b.X1)
 
+    def test_per_path_control_across_chunks(self, monkeypatch):
+        # each chunk reads its own rows of a per-path (n_paths, n) control
+        coeffs = make_coefficients("linear", lam=0.2, bx=0.3, bu=0.5, sx=0.4)
+        g = grid()
+        control = np.linspace(-1.0, 1.0, 300 * g.n_steps).reshape(300, g.n_steps)
+        kw = dict(coeffs=coeffs, history=HistoryPath.constant(1.0, 10),
+                  control=control, grid=g, noise=NoiseSource(77), n_paths=300)
+        b = simulate_smdde(**kw)  # one chunk
+        monkeypatch.setattr(smdde, "CHUNK_PATHS", 128)
+        a = simulate_smdde(**kw)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.X1, b.X1)
+
     @pytest.mark.parametrize("m,T", [(1, 0.05), (3, 0.5), (10, 0.5), (10, 0.05)])
     def test_window_buffer_matches_row_major_reference(self, m, T):
         # the quadrature reads a two-window ring buffer; the reference steps

@@ -79,6 +79,9 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-mp-threads2", "lq", ["check-mp", "--threads", "2",
                                  "--set", "numerics.n_paths=5000"]),
     ("check-mp-hjb", "lq", ["check-mp", "--set", "control.type=hjb"]),
+    # a feedback-control record across a chunk boundary, read by every sweep
+    ("check-mp-hjb-long", "lq", ["check-mp", "--set", "control.type=hjb",
+                                 "--set", "numerics.n_paths=4163"]),
     ("check-mp-perturb", "lq", ["check-mp", "--set", "control.perturb=0.2",
                                 "--set", "numerics.n_paths=333"]),
     ("check-duality", "lq", ["check-duality"]),
