@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class AdjointBundle:
     @property
     def max_abs_p3(self) -> float:
         return float(np.nanmax(np.abs(self.p3)))
+
+    def p3_gate(self, dt: float) -> Tuple[bool, float]:
+        """The reduction hypothesis max|p3| <= 10*dt: (holds, tolerance)."""
+        tol = 10.0 * dt
+        return self.max_abs_p3 <= tol, tol
 
 
 def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) -> np.ndarray:
@@ -231,18 +236,23 @@ class MPReport:
         )
 
 
+# probe sizes and the variational gate of check_sufficient_mp
+N_CONVEXITY = 10_000     # midpoint probes, split over the sampled steps
+N_TIME_SAMPLES = 16      # sampled steps, for (a) and for (d)
+N_PATH_SAMPLES = 64      # sampled paths for (d)
+VARIATIONAL_REL_TOL = 1e-3
+
+
 def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
                         adjoints: AdjointBundle, coeffs, domain: ControlDomain, *,
-                        seed: int = 0, n_convexity: int = 10_000, n_time_samples: int = 16,
-                        n_path_samples: int = 64, p3_tol: Optional[float] = None,
-                        variational_rel_tol: float = 1e-3) -> MPReport:
+                        seed: int = 0) -> MPReport:
     """Evaluate the four sufficient-condition flags for the candidate control.
 
     (a) joint convexity of the Hamiltonian in (x, x1, x2, y, z, u), probed
         by midpoint inequalities at random point pairs (statistical, with
         witnesses reported);
     (b) linearity of the terminal cost (fit M*x + N*x1, zero residual);
-    (c) the reduction hypothesis max|p3| below tolerance (default 10*dt);
+    (c) the reduction hypothesis max|p3| <= 10*dt (``AdjointBundle.p3_gate``);
     (d) the variational inequality H_u(t) * (u*(t) - u) <= tol over the
         discretized control set along sampled paths and times.
     """
@@ -255,8 +265,8 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         raise HypothesisViolation("no valid paths to check")
 
     # (a) convexity by midpoint inequality
-    steps = rng.choice(n, size=min(n_time_samples, n), replace=False)
-    per_step = max(n_convexity // max(len(steps), 1), 1)
+    steps = rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)
+    per_step = max(N_CONVEXITY // max(len(steps), 1), 1)
     worst_conv = 0.0
     x_scale = 1.0 + float(np.nanmax(np.abs(bundle.X)))
     for i in sorted(steps):
@@ -288,16 +298,14 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     phi_linear_ok = resid <= 1e-8 * (1.0 + float(np.max(np.abs(vals))))
 
     # (c) reduction hypothesis
-    tol_p3 = 10.0 * dt if p3_tol is None else p3_tol
-    max_p3 = adjoints.max_abs_p3
-    p3_ok = max_p3 <= tol_p3
+    p3_ok, tol_p3 = adjoints.p3_gate(dt)
 
     # (d) variational inequality over the discretized control set
     u_grid = domain.points()
     worst_var = -np.inf
     max_hu = 0.0
-    sub = rng.choice(ok_idx, size=min(n_path_samples, ok_idx.size), replace=False)
-    for i in sorted(rng.choice(n, size=min(n_time_samples, n), replace=False)):
+    sub = rng.choice(ok_idx, size=min(N_PATH_SAMPLES, ok_idx.size), replace=False)
+    for i in sorted(rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)):
         i = int(i)
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, sub)
         ustar = np.broadcast_to(u, sub.shape)
@@ -321,11 +329,11 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         hu_probe = (eval_H(t, *col, u_grid + hp, *adj, coeffs, delay)
                     - eval_H(t, *col, u_grid - hp, *adj, coeffs, delay)) / (2.0 * hp)
         max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
-    tol_var = variational_rel_tol * max(max_hu, 1e-12)
+    tol_var = VARIATIONAL_REL_TOL * max(max_hu, 1e-12)
     variational_ok = worst_var <= tol_var
 
     return MPReport(convexity_ok=convexity_ok, convexity_worst=worst_conv,
                     phi_linear_ok=phi_linear_ok, phi_m=float(coef[0]), phi_n=float(coef[1]),
-                    phi_residual=resid, p3_zero_ok=p3_ok, max_abs_p3=max_p3, p3_tol=tol_p3,
-                    variational_ok=variational_ok, variational_worst=worst_var,
-                    variational_tol=tol_var)
+                    phi_residual=resid, p3_zero_ok=p3_ok, max_abs_p3=adjoints.max_abs_p3,
+                    p3_tol=tol_p3, variational_ok=variational_ok,
+                    variational_worst=worst_var, variational_tol=tol_var)

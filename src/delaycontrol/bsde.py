@@ -173,8 +173,8 @@ class BackwardSolution:
     Z: np.ndarray
     y_s: float
     y_s_se: float
-    basis: Optional[RegressionBasis] = None
-    factors: Optional[List[RegressionFactor]] = None
+    basis: RegressionBasis
+    factors: List[RegressionFactor]
 
     def shared_factors(self, bundle: TrajectoryBundle, basis: RegressionBasis):
         """The step factors if this solution was swept on ``bundle`` itself in

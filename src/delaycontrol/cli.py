@@ -440,10 +440,21 @@ def _control(inputs: SimpleNamespace):
 
 
 def _simulate(cfg: RunConfig, inputs: SimpleNamespace):
-    """Forward paths under the [control] rule."""
+    """Forward paths under the [control] rule, and the value grid (or None)."""
     inst = inputs.inst
-    return simulate_smdde(inst.coeffs, inst.history, _control(inputs)[0], inst.grid,
-                          NoiseSource(cfg.seed), inputs.n_paths)
+    control, vgrid = _control(inputs)
+    return simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
+                          NoiseSource(cfg.seed), inputs.n_paths), vgrid
+
+
+def _solved(cfg: RunConfig, inputs: SimpleNamespace):
+    """The run's pipeline, solved once for every check that reads it: forward
+    paths, their backward solution and adjoints in the configured basis, and
+    the value grid (or None)."""
+    coeffs, basis = inputs.inst.coeffs, inputs.basis
+    bundle, vgrid = _simulate(cfg, inputs)
+    sol = solve_bsde_lsmc(bundle, coeffs, basis)
+    return bundle, sol, solve_adjoints(bundle, sol, coeffs, basis), vgrid
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +462,7 @@ def _simulate(cfg: RunConfig, inputs: SimpleNamespace):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    inst, keep, bundle = inputs.inst, inputs.keep, _simulate(cfg, inputs)
+    inst, keep, bundle = inputs.inst, inputs.keep, _simulate(cfg, inputs)[0]
     write_manifest(cfg, "simulate", {"n_diverged": int(bundle.diverged.sum())})
     write_path_table(os.path.join(cfg.out_dir, "trajectories.csv"), inst.grid.times(), keep,
                      ["X", "X1", "X2"], [bundle.X[:, inst.grid.m:], bundle.X1, bundle.X2])
@@ -459,7 +470,7 @@ def _cmd_simulate(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_solve_bsde(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    inst, bundle = inputs.inst, _simulate(cfg, inputs)
+    inst, bundle = inputs.inst, _simulate(cfg, inputs)[0]
     sol = solve_bsde_lsmc(bundle, inst.coeffs, inputs.basis)
     write_manifest(cfg, "solve-bsde")
     times, keep = inst.grid.times(), inputs.keep
@@ -526,9 +537,8 @@ def _cmd_check_moments(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    inst, bundle = inputs.inst, _simulate(cfg, inputs)
-    sol = solve_bsde_lsmc(bundle, inst.coeffs, inputs.basis)
-    adjoints = solve_adjoints(bundle, sol, inst.coeffs, inputs.basis)
+    inst = inputs.inst
+    bundle, sol, adjoints, _ = _solved(cfg, inputs)
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
@@ -540,9 +550,8 @@ def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_check_duality(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    control, vgrid = _control(inputs)
-    report = check_duality_inclusion(inputs.inst, control, vgrid, NoiseSource(cfg.seed),
-                                     inputs.n_paths, basis=inputs.basis)
+    bundle, _, adjoints, vgrid = _solved(cfg, inputs)
+    report = check_duality_inclusion(bundle, adjoints, vgrid, cfg.seed)
     write_manifest(cfg, "check-duality")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
     write_csv(os.path.join(cfg.out_dir, "duality_detail.csv"),
@@ -564,11 +573,10 @@ def _scaling_rows(report):
 
 
 def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    inst, basis, bundle = inputs.inst, inputs.basis, _simulate(cfg, inputs)
-    sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
-    adjoints = solve_adjoints(bundle, sol, inst.coeffs, basis)
+    inst = inputs.inst
+    bundle, sol, adjoints, _ = _solved(cfg, inputs)
     reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, inputs.offsets, p=inputs.p,
-                                     adjoints=adjoints, basis=basis))
+                                     solution=sol, adjoints=adjoints))
                for ti in inputs.t_indices]
     write_manifest(cfg, "check-scaling")
     for ti, *pair in reports:

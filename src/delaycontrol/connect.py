@@ -17,18 +17,20 @@ candidate controls, and the measure-change reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .core import (ConfigurationError, Instance, LinearDriver, derived_rng,
                    eval_G, eval_X1_quadrature)
 from .coeffs import CoefficientSet
-from .bsde import (RegressionBasis, assert_linear_driver, linear_driver_oracle,
-                   solve_bsde_lsmc)
-from .adjoint import solve_adjoints
+from .bsde import assert_linear_driver, linear_driver_oracle
 from .hjb import GridValueFunction, Jet, jet_membership, jets_along
 from .smdde import NoiseSource, TrajectoryBundle, simulate_smdde
+
+# jet membership in both checks: grid-edge margin in cells, and slack
+MEMBERSHIP_RADIUS = 3
+MEMBERSHIP_TOL = 0.1
 
 
 def start_state(instance: Instance) -> Tuple[float, float]:
@@ -88,36 +90,24 @@ class DualityReport:
         )
 
 
-def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunction,
-                            noise: NoiseSource, n_paths: int, *,
-                            basis: Optional[RegressionBasis] = None,
-                            time_indices: Optional[Sequence[int]] = None,
-                            n_path_sample: int = 200, membership_radius: int = 3,
-                            membership_tol: float = 0.1, kink_rel_tol: float = 0.2,
-                            p3_tol: Optional[float] = None,
+DUALITY_TIME_SAMPLES = 16  # check_duality_inclusion reads every n//16-th step
+KINK_REL_TOL = 0.2
+
+
+def check_duality_inclusion(bundle: TrajectoryBundle, adjoints, vgrid: GridValueFunction,
+                            seed: int, *, n_path_sample: int = 200,
                             candidate_shift: float = 0.0) -> DualityReport:
     """Test the superdifferential inclusion and the smooth-case identity.
 
-    Runs the full pipeline (forward paths, backward cost, adjoints) for
-    the given control, gates on max|p3|, and at sampled (t, path) points
-    checks (a) super-side slope membership of ptilde + candidate_shift and
-    (b) |ptilde - V_x| at points where the kink detector is quiet.
-    Points outside the grid interior are skipped and counted.
+    Reads the adjoints solved along ``bundle``, gates on max|p3|, and at
+    sampled (t, path) points checks (a) super-side slope membership of
+    ptilde + candidate_shift and (b) |ptilde - V_x| at points where the
+    kink detector is quiet.  Points outside the grid interior are skipped
+    and counted.
     """
-    basis = basis or RegressionBasis(degree=2)
-    grid = instance.grid
-    coeffs = instance.coeffs
-    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths)
-    solution = solve_bsde_lsmc(bundle, coeffs, basis)
-    adjoints = solve_adjoints(bundle, solution, coeffs, basis)
-    tol_p3 = 10.0 * grid.dt if p3_tol is None else p3_tol
-    applicable = adjoints.max_abs_p3 <= tol_p3
-
-    n = grid.n_steps
-    if time_indices is None:
-        step = max(n // 16, 1)
-        time_indices = list(range(0, n, step))
-    rng = derived_rng(noise.seed, 606)
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
+    applicable, tol_p3 = adjoints.p3_gate(dt)
+    rng = derived_rng(seed, 606)
     ok_idx = np.flatnonzero(~bundle.diverged)
     sample = rng.choice(ok_idx, size=min(n_path_sample, ok_idx.size), replace=False)
 
@@ -126,19 +116,19 @@ def check_duality_inclusion(instance: Instance, control, vgrid: GridValueFunctio
     total_skipped = 0
     total_pass = 0
     medians: List[float] = []
-    for i in time_indices:
-        t, xs, x1s, _, _ = bundle.state(int(i), sample)
-        pts = adjoints.ptilde[sample, int(i)] + candidate_shift
-        inside = vgrid.is_interior(xs, x1s, margin=membership_radius)
+    for i in range(0, n, max(n // DUALITY_TIME_SAMPLES, 1)):
+        t, xs, x1s, _, _ = bundle.state(i, sample)
+        pts = adjoints.ptilde[sample, i] + candidate_shift
+        inside = vgrid.is_interior(xs, x1s, margin=MEMBERSHIP_RADIUS)
         x, x1, cand = xs[inside], x1s[inside], pts[inside]
         n_checked = x.size
         n_skipped = xs.size - n_checked
         ok, _ = jet_membership(vgrid, (t, x, x1), cand, side="super",
-                               radius=membership_radius, tol=membership_tol,
+                               radius=MEMBERSHIP_RADIUS, tol=MEMBERSHIP_TOL,
                                x_slope_only=True)
         n_pass = int(np.sum(ok))
         vx = vgrid.value_x(t, x, x1)
-        smooth = vgrid.kink_measure(t, x, x1) <= kink_rel_tol * (1.0 + np.abs(vx))
+        smooth = vgrid.kink_measure(t, x, x1) <= KINK_REL_TOL * (1.0 + np.abs(vx))
         n_smooth = int(np.sum(smooth))
         rels = np.abs(cand[smooth] - candidate_shift - vx[smooth]) / (1.0 + np.abs(vx[smooth]))
         total_points += n_checked
@@ -204,11 +194,13 @@ class VerificationReport:
         )
 
 
+MEMBERSHIP_REQUIRED = 0.95  # fraction of verify_optimality's sampled jets
+N_MEMBERSHIP_SAMPLE = 400
+
+
 def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
                       noise: NoiseSource, n_paths: int, *,
-                      budget: float = 5e-2, membership_required: float = 0.95,
-                      membership_tol: float = 0.1, membership_radius: int = 3,
-                      n_membership_sample: int = 400) -> VerificationReport:
+                      budget: float = 5e-2) -> VerificationReport:
     """Run the verification-theorem checks for a candidate control.
 
     Requires the instance driver in the z-free linear form (apply
@@ -219,9 +211,9 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     inside the grid interior.
 
     Membership is tested at min(12, n) sampled steps, each time on the same
-    paths: the first ``n_membership_sample // min(12, n)`` of the
-    ``n_membership_sample`` sampled paths (33 of 400 by default), skipping
-    points within ``membership_radius`` cells of the grid edge.
+    paths: the first ``N_MEMBERSHIP_SAMPLE // min(12, n)`` of the
+    ``N_MEMBERSHIP_SAMPLE`` sampled paths (33 of 400), skipping points
+    within ``MEMBERSHIP_RADIUS`` cells of the grid edge.
     """
     if instance.driver is None:
         raise ConfigurationError("verification needs the linear-driver form; none declared")
@@ -263,19 +255,19 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
 
     rng = derived_rng(noise.seed, 707)
     ok_idx = np.flatnonzero(ok)
-    sample = rng.choice(ok_idx, size=min(n_membership_sample, ok_idx.size), replace=False)
+    sample = rng.choice(ok_idx, size=min(N_MEMBERSHIP_SAMPLE, ok_idx.size), replace=False)
     steps = rng.choice(n, size=min(12, n), replace=False)
     n_pass = 0
     n_checked = 0
-    paths = sample[: max(n_membership_sample // len(steps), 1)]
+    paths = sample[: max(N_MEMBERSHIP_SAMPLE // len(steps), 1)]
     for i in sorted(int(s) for s in steps):
         # t, and with it the time window, is shared by the step's points
         t, x, x1, _, _ = bundle.state(i, paths)
-        keep = vgrid.is_interior(x, x1, margin=membership_radius)
+        keep = vgrid.is_interior(x, x1, margin=MEMBERSHIP_RADIUS)
         x, x1 = x[keep], x1[keep]
         jet = Jet(*jets_along(vgrid, t, x, x1)[:4])
         good, _ = jet_membership(vgrid, (t, x, x1), jet, side="super",
-                                 radius=membership_radius, tol=membership_tol)
+                                 radius=MEMBERSHIP_RADIUS, tol=MEMBERSHIP_TOL)
         n_checked += x.size
         n_pass += int(np.sum(good))
     membership_frac = n_pass / max(n_checked, 1)
@@ -284,10 +276,10 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     j_candidate = -j_est
     x0, x10 = start_state(instance)
     v_start = float(vgrid.value(grid.s, x0, x10))
-    verdict = (stat <= 3.0 * stat_se + budget) and (membership_frac >= membership_required)
+    verdict = (stat <= 3.0 * stat_se + budget) and (membership_frac >= MEMBERSHIP_REQUIRED)
     return VerificationReport(
         verdict=verdict, integral_stat=stat, integral_se=stat_se, budget=budget,
-        membership_pass_fraction=membership_frac, membership_required=membership_required,
+        membership_pass_fraction=membership_frac, membership_required=MEMBERSHIP_REQUIRED,
         j_candidate=j_candidate, j_se=j_se, v_start=v_start, gap=j_candidate - v_start,
         coverage=coverage, per_step=per_step)
 

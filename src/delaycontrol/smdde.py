@@ -151,10 +151,6 @@ class TrajectoryBundle:
         """X2[:, i] = X(t_i - delta) for grid indices 0..n (a view on X)."""
         return self.X[:, : self.grid.n_steps + 1]
 
-    def x_at(self, i: int) -> np.ndarray:
-        """Current state at grid index i (i may be negative down to -m)."""
-        return self.X[:, i + self.grid.m]
-
     def state(self, i: int, rows: Union[slice, np.ndarray] = slice(None)):
         """``(t, x, x1, x2, u)`` at grid index i on ``rows``, with ``u`` the
         control applied on [t_i, t_{i+1}).  Whole columns are views; a mask

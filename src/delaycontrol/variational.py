@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ConfigurationError, HypothesisViolation, TimeGrid
-from .bsde import RegressionBasis, solve_bsde_lsmc
+from .bsde import BackwardSolution, solve_bsde_lsmc
 from .smdde import TrajectoryBundle, _step_chunk, path_array
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -34,7 +34,8 @@ _SLAB_PATH_STEPS = 8192
 
 @dataclass
 class PerturbationRun:
-    """Coupled base/perturbed paths restarted at one grid time.
+    """Perturbed paths restarted at one grid time, and their differences
+    from the base run.
 
     All arrays live on the sub-horizon [t, T]; the difference paths are
     zero on [t - delta, t) by construction, and Xhat2 vanishes on
@@ -42,9 +43,6 @@ class PerturbationRun:
     """
 
     t_index: int
-    offset: float
-    sub_grid: TimeGrid
-    base_sub: TrajectoryBundle
     pert: TrajectoryBundle
     Xhat: np.ndarray
     Xhat1: np.ndarray
@@ -101,8 +99,9 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     same per-step control, and restarts the distributed-delay state at its
     base value.  It is stepped by the simulation's own Euler loop, so a path
     that turns non-finite or leaves [-1e12, 1e12] diverges, which aborts the
-    run.  The remainders eps1/eps2 measure how far the realized difference
-    dynamics are from their linearization around the base path.
+    run unless its base path diverged too.  The remainders eps1/eps2 measure
+    how far the realized difference dynamics are from their linearization
+    around the base path.
     """
     if bundle.dW is None:
         raise ConfigurationError("base bundle must store increments for coupling")
@@ -119,7 +118,8 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     # the distributed delay restarts at its base value
     _step_chunk(coeffs, bundle.u, grid, sub_dW, Xp, X1p, None, start=t_index,
                 x1_start=bundle.X1[:, t_index])
-    finite = np.isfinite(Xp[:, m + 1 :])
+    # a base path that diverged restarts from NaN; only valid rows can abort
+    finite = np.isfinite(Xp[:, m + 1 :]) | bundle.diverged[:, None]
     if not finite.all():
         k = int(np.argmin(finite.all(axis=0)))
         raise HypothesisViolation(
@@ -127,20 +127,15 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
             f"(path {int(np.argmin(finite[:, k]))}); offset too large for this instance")
 
     sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=dt, delay_steps=m)
-    sub_u = bundle.u_at(np.arange(t_index, n))
-    base_sub = TrajectoryBundle(grid=sub_grid, X=bundle.X[:, t_index:],
-                                X1=bundle.X1[:, t_index:], u=sub_u, dW=sub_dW,
-                                diverged=bundle.diverged)
-    pert = TrajectoryBundle(grid=sub_grid, X=Xp, X1=X1p, u=sub_u, dW=sub_dW,
-                            diverged=bundle.diverged)
+    pert = TrajectoryBundle(grid=sub_grid, X=Xp, X1=X1p, u=bundle.u_at(np.arange(t_index, n)),
+                            dW=sub_dW, diverged=bundle.diverged)
 
     Xhat = Xp[:, m:] - bundle.X[:, t_index + m :]
     Xhat1 = X1p - bundle.X1[:, t_index:]
     Xhat2 = Xp[:, : n_sub + 1] - bundle.X[:, t_index : n + 1]
 
     eps1, eps2 = _remainders(bundle, coeffs, t_index, Xhat, Xhat1, Xhat2)
-    return PerturbationRun(t_index=t_index, offset=offset, sub_grid=sub_grid,
-                           base_sub=base_sub, pert=pert, Xhat=Xhat, Xhat1=Xhat1,
+    return PerturbationRun(t_index=t_index, pert=pert, Xhat=Xhat, Xhat1=Xhat1,
                            Xhat2=Xhat2, eps1=eps1, eps2=eps2)
 
 
@@ -214,7 +209,6 @@ class DualityProcesses:
     -Y_pert(t) + Y_base(t); ``mean_abs_ytilde_t`` is E|Ytilde(t)|.
     """
 
-    run: PerturbationRun
     Yhat: np.ndarray
     Ycheck: np.ndarray
     Ytilde: np.ndarray
@@ -222,56 +216,53 @@ class DualityProcesses:
     mean_abs_ytilde_t: float
 
 
-def duality_processes(run: PerturbationRun, adjoints, coeffs, basis: RegressionBasis,
-                      base_sol=None) -> DualityProcesses:
+def duality_processes(run: PerturbationRun, solution: BackwardSolution, adjoints,
+                      coeffs) -> DualityProcesses:
     """Form Yhat = ptilde*Xhat, Ycheck = pcheck*Xhat1 and the combination
     Ytilde = -Y_pert + Y_base - Yhat - Ycheck on the sub-horizon.
 
-    Both backward solutions are computed on the sub-horizon with the same
-    machinery so their regression biases cancel in the difference.  The
-    base solution depends only on the perturbation time; pass ``base_sol``
-    (the LSMC solution on ``run.base_sub``) to reuse it across offsets.
+    ``solution`` is the base run's own backward solution: on [t, T] it is
+    the solve of the sub-horizon bundle, since the sweep's step-i
+    regression sees the same rows and responses.  The perturbed paths are
+    solved in ``solution.basis``, so the regression biases of the two
+    cancel in the difference.
     """
-    if base_sol is None:
-        base_sol = solve_bsde_lsmc(run.base_sub, coeffs, basis)
-    pert_sol = solve_bsde_lsmc(run.pert, coeffs, basis)
+    pert_sol = solve_bsde_lsmc(run.pert, coeffs, solution.basis)
     ti = run.t_index
-    pt = adjoints.ptilde[:, ti:]
-    pc = adjoints.pcheck[:, ti:]
-    Yhat = pt * run.Xhat
-    Ycheck = pc * run.Xhat1
-    Ytilde = -pert_sol.Y + base_sol.Y - Yhat - Ycheck
-    delta_y = -pert_sol.Y[:, 0] + base_sol.Y[:, 0]
-    ok = ~run.base_sub.diverged
-    mean_abs = float(np.mean(np.abs(Ytilde[ok, 0])))
-    return DualityProcesses(run=run, Yhat=Yhat, Ycheck=Ycheck, Ytilde=Ytilde,
+    base_Y = solution.Y[:, ti:]
+    Yhat = adjoints.ptilde[:, ti:] * run.Xhat
+    Ycheck = adjoints.pcheck[:, ti:] * run.Xhat1
+    Ytilde = -pert_sol.Y + base_Y - Yhat - Ycheck
+    delta_y = -pert_sol.Y[:, 0] + base_Y[:, 0]
+    mean_abs = float(np.mean(np.abs(Ytilde[~run.pert.diverged, 0])))
+    return DualityProcesses(Yhat=Yhat, Ycheck=Ycheck, Ytilde=Ytilde,
                             delta_y_t=delta_y, mean_abs_ytilde_t=mean_abs)
 
 
 def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
-                    offsets: Sequence[float], p: int = 2, adjoints=None,
-                    basis: Optional[RegressionBasis] = None
+                    offsets: Sequence[float], p: int = 2,
+                    solution: Optional[BackwardSolution] = None, adjoints=None
                     ) -> Tuple[ScalingReport, Optional[ScalingReport]]:
-    """Log-log slopes of the remainder and, given adjoints, the duality
-    statistics against the offset, from one variation per offset.
+    """Log-log slopes of the remainder and, given the run's backward
+    solution and adjoints, the duality statistics against the offset, from
+    one variation per offset.
 
     Remainder report: slope ~ p for E sup|Xhat|^p (and the delayed
     variants), slope > p for the eps integrals.  Duality report (None
     without ``adjoints``): E|Ytilde(t)| and the positive part of the
-    first-order expansion defect, both o(h); it needs ``basis``.  Both
+    first-order expansion defect, both o(h); it needs ``solution``.  Both
     reports average over the non-diverged base paths only; a non-finite
     estimate gives a NaN slope.
     """
     offsets = check_offsets(offsets)
-    if adjoints is not None and basis is None:
-        raise ConfigurationError("the duality report needs a regression basis")
+    if adjoints is not None and solution is None:
+        raise ConfigurationError("the duality report needs the run's backward solution")
     dt = bundle.grid.dt
     ok = bundle.valid
     rem_rows: List[ScalingRow] = []
     rem_series: Dict[str, List[float]] = {}
     dual_rows: List[ScalingRow] = []
     dual_series: Dict[str, List[float]] = {}
-    base_sol = None
     for h in offsets:
         h = float(h)
         run = simulate_variation(bundle, coeffs, t_index, h)
@@ -283,9 +274,7 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
             "eps2_int": (np.sum(run.eps2[ok] ** 2, axis=1) * dt) ** (p / 2),
         })
         if adjoints is not None:
-            if base_sol is None:
-                base_sol = solve_bsde_lsmc(run.base_sub, coeffs, basis)
-            dual = duality_processes(run, adjoints, coeffs, basis, base_sol=base_sol)
+            dual = duality_processes(run, solution, adjoints, coeffs)
             defect = dual.delta_y_t[ok] - adjoints.ptilde[ok, t_index] * h
             _add_stats(dual_rows, dual_series, h, {
                 "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),

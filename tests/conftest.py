@@ -23,6 +23,16 @@ def make_lq_instance(params=None, dt=0.01, delay_steps=10, x0=0.6, T=1.0):
                     driver=LinearDriver())
 
 
+def solve_pipeline(inst, control, seed, n_paths):
+    """Forward paths under ``control``, their backward solution and adjoints
+    in the degree-2 basis: the solved run that the checkers read."""
+    bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
+                            NoiseSource(seed), n_paths)
+    basis = RegressionBasis(degree=2)
+    solution = solve_bsde_lsmc(bundle, inst.coeffs, basis)
+    return bundle, solution, solve_adjoints(bundle, solution, inst.coeffs, basis)
+
+
 @pytest.fixture(scope="session")
 def lq_small():
     """Moderate-resolution pipeline on the quadratic-terminal benchmark,
@@ -33,10 +43,6 @@ def lq_small():
     vgrid = solve_hjb(inst.coeffs, inst.domain, grid_cfg, inst.grid,
                       variant="Gtilde", linear_driver=inst.driver)
     control = feedback_control(vgrid, inst.domain)
-    bundle = simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
-                            NoiseSource(42), 4000)
-    basis = RegressionBasis(degree=2)
-    solution = solve_bsde_lsmc(bundle, inst.coeffs, basis)
-    adjoints = solve_adjoints(bundle, solution, inst.coeffs, basis)
+    bundle, solution, adjoints = solve_pipeline(inst, control, 42, 4000)
     return dict(inst=inst, vgrid=vgrid, control=control, bundle=bundle,
-                basis=basis, solution=solution, adjoints=adjoints)
+                basis=solution.basis, solution=solution, adjoints=adjoints)

@@ -20,7 +20,7 @@ from delaycontrol.smdde import (NoiseSource, estimate_moment_bound,
                                 simulate_coupled_pair, simulate_smdde)
 from delaycontrol.bsde import (RegressionBasis, linear_driver_oracle,
                                solve_bsde_lsmc)
-from delaycontrol.adjoint import check_sufficient_mp, solve_adjoints
+from delaycontrol.adjoint import check_sufficient_mp
 from delaycontrol.variational import scaling_reports
 from delaycontrol.hjb import (HjbGrid, feedback_control, solve_hjb,
                               viscosity_residual)
@@ -28,7 +28,7 @@ from delaycontrol.connect import (check_duality_inclusion, girsanov_reduce,
                                   verify_optimality)
 from delaycontrol.cli import main as cli_main
 
-from conftest import LQ_PARAMS, LQ_MP_PARAMS, make_lq_instance
+from conftest import LQ_PARAMS, LQ_MP_PARAMS, make_lq_instance, solve_pipeline
 from oracles import riccati_lq
 
 N_PATHS_MC = 100_000
@@ -201,11 +201,10 @@ def test_criterion_4_hjb_correctness(lq_value_grid):
 
 def test_criterion_5_duality_inclusion(lq_value_grid):
     inst, vgrid = lq_value_grid
-    control = feedback_control(vgrid, inst.domain)
-    rep = check_duality_inclusion(inst, control, vgrid, NoiseSource(51), 20_000,
-                                  n_path_sample=300)
-    shifted = check_duality_inclusion(inst, control, vgrid, NoiseSource(51), 20_000,
-                                      n_path_sample=300, candidate_shift=0.5)
+    bundle, _, adj = solve_pipeline(inst, feedback_control(vgrid, inst.domain), 51, 20_000)
+    rep = check_duality_inclusion(bundle, adj, vgrid, 51, n_path_sample=300)
+    shifted = check_duality_inclusion(bundle, adj, vgrid, 51, n_path_sample=300,
+                                      candidate_shift=0.5)
     ok = (rep.applicable and rep.identity_median_rel_err <= 0.05
           and rep.membership_pass_fraction >= 0.95
           and rep.coverage >= 0.9
@@ -232,15 +231,11 @@ def test_criterion_6_scaling_laws():
     eps_slopes = (rem.slope("eps1_int"), rem.slope("eps2_int"))
 
     inst = make_lq_instance()
-    basis = RegressionBasis(degree=2)
-    lq_bundle = simulate_smdde(inst.coeffs, inst.history, 0.1, inst.grid,
-                               NoiseSource(62), 6000)
-    sol = solve_bsde_lsmc(lq_bundle, inst.coeffs, basis)
-    adj = solve_adjoints(lq_bundle, sol, inst.coeffs, basis)
+    lq_bundle, sol, adj = solve_pipeline(inst, 0.1, 62, 6000)
     ytilde_slopes = []
     for ti in (20, 50, 80):
-        _, rep = scaling_reports(lq_bundle, inst.coeffs, ti, offsets, adjoints=adj,
-                                 basis=basis)
+        _, rep = scaling_reports(lq_bundle, inst.coeffs, ti, offsets, solution=sol,
+                                 adjoints=adj)
         ytilde_slopes.append(rep.slope("abs_ytilde_t"))
 
     ok = (abs(xhat_slope - 2.0) <= 0.2 and all(s >= 2.5 for s in eps_slopes)
@@ -259,23 +254,16 @@ def test_criterion_7_sufficient_maximum_principle():
     inst = make_lq_instance(LQ_MP_PARAMS, dt=0.005, delay_steps=20)
     vgrid = solve_hjb(inst.coeffs, inst.domain, HJB_GRID, inst.grid)
     rule = feedback_control(vgrid, inst.domain)
-    basis = RegressionBasis(degree=2)
-    bundle = simulate_smdde(inst.coeffs, inst.history, rule, inst.grid,
-                            NoiseSource(71), 10_000)
-    sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
-    adj = solve_adjoints(bundle, sol, inst.coeffs, basis)
-    rep = check_sufficient_mp(bundle, sol, adj, inst.coeffs, inst.domain, seed=71)
+    rep = check_sufficient_mp(*solve_pipeline(inst, rule, 71, 10_000), inst.coeffs,
+                              inst.domain, seed=71)
 
     half = 0.5 * (inst.grid.s + inst.grid.T)
 
     def perturbed(t, x, x1):
         return np.asarray(rule(t, x, x1)) + (0.2 if t < half else 0.0)
 
-    bp = simulate_smdde(inst.coeffs, inst.history, perturbed, inst.grid,
-                        NoiseSource(71), 10_000)
-    sp = solve_bsde_lsmc(bp, inst.coeffs, basis)
-    ap = solve_adjoints(bp, sp, inst.coeffs, basis)
-    rp = check_sufficient_mp(bp, sp, ap, inst.coeffs, inst.domain, seed=71)
+    rp = check_sufficient_mp(*solve_pipeline(inst, perturbed, 71, 10_000), inst.coeffs,
+                             inst.domain, seed=71)
 
     ok = rep.verdict and not rp.variational_ok
     report("7 sufficient-maximum-principle", ok,

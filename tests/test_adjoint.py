@@ -112,7 +112,7 @@ class TestAdjointPair:
         rels = []
         for i in range(0, inst.grid.n_steps, 10):
             K, L, _ = ric(inst.grid.time(i))
-            vx = 2 * K * bundle.x_at(i) + L
+            vx = 2 * K * bundle.state(i)[1] + L
             rels.append(np.median(np.abs(adj.ptilde[:, i] - vx) / (1 + np.abs(vx))))
         assert np.median(rels) <= 0.05
 

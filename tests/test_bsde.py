@@ -139,7 +139,7 @@ class TestBackwardSolver:
         bundle = run(coeffs, g)
         sol = solve_bsde_lsmc(bundle, coeffs, RegressionBasis())
         n = g.n_steps
-        expect = coeffs.phi(bundle.x_at(n), bundle.X1[:, n])
+        expect = coeffs.phi(bundle.state(n)[1], bundle.X1[:, n])
         assert np.array_equal(sol.Y[:, n], expect)
 
     def test_discounted_gbm_closed_form(self):
@@ -179,9 +179,9 @@ class TestBackwardSolver:
             n = g.n_steps
             integ = np.zeros(bundle.n_paths)
             for i in range(n):
-                integ += np.abs(coeffs.f(g.time(i), bundle.x_at(i), bundle.X1[:, i],
+                integ += np.abs(coeffs.f(g.time(i), bundle.state(i)[1], bundle.X1[:, i],
                                          bundle.X2[:, i], 0.0, 0.0, 0.0)) * dt
-            phiT = coeffs.phi(bundle.x_at(n), bundle.X1[:, n])
+            phiT = coeffs.phi(bundle.state(n)[1], bundle.X1[:, n])
             rhs = float(np.mean(phiT ** 2 + integ ** 2))
             ratios.append(lhs / rhs)
         assert all(np.isfinite(r) for r in ratios)

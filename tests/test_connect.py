@@ -12,6 +12,8 @@ from delaycontrol.hjb import HjbGrid, solve_hjb
 from delaycontrol.connect import (check_duality_inclusion, control_tournament,
                                   girsanov_reduce, start_state, verify_optimality)
 
+from conftest import solve_pipeline
+
 
 class TestStartState:
     def test_constant_history(self):
@@ -26,8 +28,8 @@ class TestStartState:
 
 class TestDuality:
     def test_lq_pipeline(self, lq_small):
-        rep = check_duality_inclusion(lq_small["inst"], lq_small["control"],
-                                      lq_small["vgrid"], NoiseSource(42), 2000)
+        bundle, _, adj = solve_pipeline(lq_small["inst"], lq_small["control"], 42, 2000)
+        rep = check_duality_inclusion(bundle, adj, lq_small["vgrid"], 42)
         assert rep.applicable
         assert rep.coverage >= 0.9
         assert rep.membership_pass_fraction >= 0.95
@@ -35,9 +37,8 @@ class TestDuality:
         assert all(r.n_points > 0 for r in rep.records)
 
     def test_shifted_candidate_fails(self, lq_small):
-        rep = check_duality_inclusion(lq_small["inst"], lq_small["control"],
-                                      lq_small["vgrid"], NoiseSource(42), 2000,
-                                      candidate_shift=0.5)
+        bundle, _, adj = solve_pipeline(lq_small["inst"], lq_small["control"], 42, 2000)
+        rep = check_duality_inclusion(bundle, adj, lq_small["vgrid"], 42, candidate_shift=0.5)
         assert rep.membership_pass_fraction < 0.5
 
     def test_constant_everything_identity_exact(self):
@@ -50,7 +51,8 @@ class TestDuality:
                         domain=ControlDomain(-1, 1, n_u=5), driver=LinearDriver())
         vgrid = solve_hjb(coeffs, inst.domain, HjbGrid(-2, 2, 81, -2, 2, 41, 60),
                           grid)
-        rep = check_duality_inclusion(inst, 0.0, vgrid, NoiseSource(3), 200)
+        bundle, _, adj = solve_pipeline(inst, 0.0, 3, 200)
+        rep = check_duality_inclusion(bundle, adj, vgrid, 3)
         assert rep.applicable
         assert rep.identity_median_rel_err < 1e-9
         assert rep.membership_pass_fraction == 1.0
@@ -65,7 +67,8 @@ class TestDuality:
                         domain=ControlDomain(-1, 1, n_u=5), driver=LinearDriver())
         vgrid = solve_hjb(make_coefficients("linear", lam=0.5, sx=0.2, phix=0.5),
                           inst.domain, HjbGrid(-2, 2, 81, -2, 2, 41, 60), grid)
-        rep = check_duality_inclusion(inst, 0.0, vgrid, NoiseSource(3), 500)
+        bundle, _, adj = solve_pipeline(inst, 0.0, 3, 500)
+        rep = check_duality_inclusion(bundle, adj, vgrid, 3)
         assert not rep.applicable
         assert rep.max_abs_p3 > rep.p3_tol
 
@@ -190,9 +193,9 @@ class TestGirsanov:
         bundle_p = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
                                   NoiseSource(21), 40_000)
         w = red.weights(bundle_p)
-        f_p = float(np.mean(w * bundle_p.x_at(inst.grid.n_steps)))
+        f_p = float(np.mean(w * bundle_p.state(inst.grid.n_steps)[1]))
         bundle_q = simulate_smdde(red.instance.coeffs, inst.history, 0.0, inst.grid,
                                   NoiseSource(22), 40_000)
-        xq = bundle_q.x_at(inst.grid.n_steps)
-        se = (np.std(w * bundle_p.x_at(inst.grid.n_steps)) + np.std(xq)) / math.sqrt(40_000)
+        xq = bundle_q.state(inst.grid.n_steps)[1]
+        se = (np.std(w * bundle_p.state(inst.grid.n_steps)[1]) + np.std(xq)) / math.sqrt(40_000)
         assert abs(f_p - xq.mean()) <= 3 * se

@@ -140,7 +140,7 @@ class TestX1Quadrature:
             x1_ode = bundle.X1[:, 0].copy()
             err = 0.0
             for i in range(n):
-                x1_ode = x1_ode + (bundle.x_at(i) - coeffs.lam * x1_ode
+                x1_ode = x1_ode + (bundle.state(i)[1] - coeffs.lam * x1_ode
                                    - decay * bundle.X2[:, i]) * dt
                 err = max(err, float(np.max(np.abs(x1_ode - bundle.X1[:, i + 1]))))
             worst.append(err)

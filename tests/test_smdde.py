@@ -122,7 +122,7 @@ class TestSimulate:
         g = grid(T=T)
         b = simulate_smdde(coeffs, HistoryPath.constant(x0, 10), 0.0, g,
                            NoiseSource(11), 40_000)
-        xT = b.x_at(g.n_steps)
+        xT = b.state(g.n_steps)[1]
         se = xT.std() / math.sqrt(xT.size)
         assert abs(xT.mean() - x0 * math.exp(a * T)) < 3 * se + 2e-3  # + O(dt) bias
 
@@ -132,7 +132,7 @@ class TestSimulate:
         b = simulate_smdde(coeffs, HistoryPath.constant(1.0, 10), 0.0, g,
                            NoiseSource(5), 16)
         for i in (0, 3, g.n_steps):
-            assert np.array_equal(b.X2[:, i], b.x_at(i - g.m))
+            assert np.array_equal(b.X2[:, i], b.X[:, i])  # grid index i - m
 
     def test_determinism_across_chunks_and_threads(self, monkeypatch):
         coeffs = make_coefficients("linear", lam=0.2, bx=0.3, sx=0.4)
@@ -194,7 +194,7 @@ class TestSimulate:
             ns = NoiseSource(21, substeps=ref_sub // 2 ** k)
             b = simulate_smdde(coeffs, HistoryPath.constant(1.0, g.m), 0.0, g,
                                ns, 4000)
-            xT.append(b.x_at(g.n_steps))
+            xT.append(b.state(g.n_steps)[1])
         diffs = [np.mean(np.abs(xT[k] - xT[k + 1])) for k in range(3)]
         assert diffs[0] / diffs[1] >= 1.3
         assert diffs[1] / diffs[2] >= 1.3

@@ -141,7 +141,7 @@ def step_remainders(bundle, coeffs, run):
         i = run.t_index + j
         t = bundle.grid.time(i)
         u = bundle.u_at(i)
-        base_args = (bundle.x_at(i), bundle.X1[:, i], bundle.X2[:, i])
+        base_args = (bundle.state(i)[1], bundle.X1[:, i], bundle.X2[:, i])
         hat_args = (run.Xhat[:, j], run.Xhat1[:, j], run.Xhat2[:, j])
         for store, dx, dx1, dx2 in ((eps1, coeffs.b_x, coeffs.b_x1, coeffs.b_x2),
                                     (eps2, coeffs.sigma_x, coeffs.sigma_x1, coeffs.sigma_x2)):
@@ -260,7 +260,7 @@ class TestDualityProcesses:
     def test_zero_offset_gives_zero_processes(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         run = simulate_variation(bundle, coeffs, 20, 0.0)
-        dual = duality_processes(run, adj, coeffs, basis)
+        dual = duality_processes(run, sol, adj, coeffs)
         assert np.nanmax(np.abs(dual.Yhat)) == 0.0
         assert np.nanmax(np.abs(dual.Ycheck)) == 0.0
         assert np.nanmax(np.abs(dual.Ytilde)) < 1e-12
@@ -269,9 +269,9 @@ class TestDualityProcesses:
     def test_terminal_identity(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         run = simulate_variation(bundle, coeffs, 20, 0.1)
-        dual = duality_processes(run, adj, coeffs, basis)
+        dual = duality_processes(run, sol, adj, coeffs)
         n = bundle.grid.n_steps
-        xT = bundle.x_at(n)
+        xT = bundle.state(n)[1]
         expect = adj.ptilde[:, n] * run.Xhat[:, -1]
         assert np.allclose(dual.Yhat[:, -1], expect, atol=1e-12)
         # ptilde(T) is the negative terminal-cost x-gradient
@@ -292,12 +292,33 @@ class TestDualityProcesses:
                             spy("variation", variational.simulate_variation))
         monkeypatch.setattr(variational, "solve_bsde_lsmc",
                             spy("lsmc", variational.solve_bsde_lsmc))
-        rem, dual = scaling_reports(bundle, coeffs, 20, OFFSETS, adjoints=adj, basis=basis)
-        assert calls == {"variation": 4, "lsmc": 5}
+        rem, dual = scaling_reports(bundle, coeffs, 20, OFFSETS, solution=sol, adjoints=adj)
+        # the base Y is the run's own solution: one solve per perturbed run
+        assert calls == {"variation": 4, "lsmc": 4}
         assert len(rem.rows) == 5 * 4 and len(dual.rows) == 2 * 4
+
+    @pytest.mark.parametrize("t_index", [0, 7, 49])
+    def test_sub_horizon_solve_is_the_run_solution(self, t_index):
+        # the identity duality_processes reads its base Y by: a solve of the
+        # paths restarted unbumped at t_index equals the run's own solution
+        # on [t, T] bit for bit, a diverged row included
+        coeffs = make_coefficients("linear_quadratic", lam=0.5, a=0.1, bu=0.5, sigma0=0.2,
+                                   q=0.15, r=1.0, phi_quad=-0.15)
+        bundle = make_bundle(coeffs, n_paths=400, seed=9, x0=0.6,
+                             control=lambda t, x, x1: np.clip(-0.3 * x + 0.1 * x1, -1.0, 1.0))
+        m = bundle.grid.m
+        bundle.X[7, m + 30 :] = np.nan
+        bundle.X1[7, 30:] = np.nan
+        bundle.diverged[7] = True
+        basis = RegressionBasis(degree=2)
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        sub = solve_bsde_lsmc(simulate_variation(bundle, coeffs, t_index, 0.0).pert,
+                              coeffs, basis)
+        assert np.array_equal(sub.Y, sol.Y[:, t_index:], equal_nan=True)
+        assert np.array_equal(sub.Z, sol.Z[:, t_index:], equal_nan=True)
 
     def test_ytilde_slope_exceeds_linear_rate(self):
         coeffs, bundle, basis, sol, adj = self._setup()
-        _, rep = scaling_reports(bundle, coeffs, 30, OFFSETS, adjoints=adj, basis=basis)
+        _, rep = scaling_reports(bundle, coeffs, 30, OFFSETS, solution=sol, adjoints=adj)
         assert rep.slope("abs_ytilde_t") >= 1.5
         assert rep.slope("expansion_defect_pos") >= 1.5

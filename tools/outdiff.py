@@ -85,6 +85,11 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-mp-perturb", "lq", ["check-mp", "--set", "control.perturb=0.2",
                                 "--set", "numerics.n_paths=333"]),
     ("check-duality", "lq", ["check-duality"]),
+    # the pipeline the duality checker reads, under a feedback-control record
+    # and under a perturbed rule
+    ("check-duality-hjb", "lq", ["check-duality", "--set", "control.type=hjb"]),
+    ("check-duality-perturb", "lq", ["check-duality", "--set", "control.perturb=0.2",
+                                     "--set", "numerics.n_paths=333"]),
     ("check-scaling", "lq", ["check-scaling"]),
     ("check-scaling-hjb", "lq", ["check-scaling", "--set", "control.type=hjb"]),
     ("check-scaling-perturb", "lq", ["check-scaling", "--set", "control.perturb=0.2",
