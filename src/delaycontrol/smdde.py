@@ -190,9 +190,10 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
     columns the window the caller filled; column k of ``X1_out``, ``dW``
     and ``u_out`` holds step start + k.  ``x1_start`` replaces the
     quadrature at ``start``.  Times and the control are read by full-grid
-    step: a feedback rule is evaluated into ``u_out``, a stored control read
-    by ``TrajectoryBundle.held`` on every row of the chunk.  A state that
-    turns non-finite or leaves [-1e12, 1e12] is NaN to T.
+    step: a feedback rule is evaluated into ``u_out``; a stored control (a
+    scalar, a per-step vector or the chunk's rows of a per-path array) is
+    read once for steps start..n-1 by ``TrajectoryBundle.held``.  A state
+    that turns non-finite or leaves [-1e12, 1e12] is NaN to T.
 
     The distributed-delay quadrature reads its m+1 states from a row-major
     buffer two windows wide, shifted back when full: a gemv over a
@@ -203,26 +204,30 @@ def _step_chunk(coeffs, control: Control, grid: TimeGrid, dW: np.ndarray,
     win = np.empty((X_out.shape[0], 2 * (m + 1)))
     win[:, : m + 1] = X_out[:, : m + 1]
     j = 0  # win[:, j : j + m + 1] holds X_out[:, k : k + m + 1]
+    times = grid.time(np.arange(start, n))
+    feedback = callable(control)
+    if not feedback:  # one entry, or one column, per step from start
+        control = TrajectoryBundle.held(control, np.arange(start, n))
+    per_step = np.ndim(control) > 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, i in enumerate(range(start, n)):
+        for k, t in enumerate(times):
             x = X_out[:, k + m]
             x1 = x1_start if k == 0 and x1_start is not None else win[:, j : j + m + 1] @ w
             x2 = X_out[:, k]
             X1_out[:, k] = x1
-            t = grid.time(i)
-            if callable(control):
+            if feedback:
                 u = np.asarray(control(t, x, x1), dtype=float)
             else:
-                u = TrajectoryBundle.held(control, i)
+                u = control[..., k] if per_step else control
             if u_out is not None:
                 u_out[:, k] = u
             drift = coeffs.b(t, x, x1, x2, u)
             diffusion = coeffs.sigma(t, x, x1, x2, u)
-            nxt = x + drift * dt + diffusion * dW[:, k]
-            bad = ~np.isfinite(nxt) | (np.abs(nxt) > DIVERGENCE_LIMIT)
-            if np.any(bad):
-                nxt = np.where(bad, np.nan, nxt)
-            X_out[:, k + m + 1] = nxt
+            nxt = X_out[:, k + m + 1]
+            np.add(x + drift * dt, diffusion * dW[:, k], out=nxt)
+            bad = ~(np.abs(nxt) <= DIVERGENCE_LIMIT)  # also NaN and +-inf
+            if bad.any():
+                nxt[bad] = np.nan
             if j == m + 1:
                 win[:, : m + 1] = win[:, m + 1 :]
                 j = 0
@@ -259,11 +264,8 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
         rows = slice(lo, min(lo + CHUNK_PATHS, n_paths))
         dW[rows] = noise.increments(lo, rows.stop - lo, n, grid.dt)
         X[rows, : m + 1] = history.samples
-        if callable(control):
-            _step_chunk(coeffs, control, grid, dW[rows], X[rows], X1[rows], u[rows])
-        else:  # the chunk's rows of the stored control, one entry per step
-            _step_chunk(coeffs, TrajectoryBundle.held(u, np.arange(n), rows), grid,
-                        dW[rows], X[rows], X1[rows], None)
+        _step_chunk(coeffs, control[rows] if np.ndim(control) == 2 else control, grid,
+                    dW[rows], X[rows], X1[rows], u[rows] if callable(control) else None)
     diverged = ~np.all(np.isfinite(X), axis=1)
     return TrajectoryBundle(grid=grid, X=X, X1=X1, u=u, dW=dW, diverged=diverged)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -9,6 +10,7 @@ from delaycontrol.core import (ConfigurationError, HistoryPath, LinearDriver,
                                TimeGrid)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
+from delaycontrol import bsde
 from delaycontrol.bsde import (ConditionalRegression, RegressionBasis,
                                assert_linear_driver, cost_functional_J,
                                linear_driver_oracle, solve_bsde_lsmc)
@@ -60,20 +62,49 @@ def reference_design(basis, x, x1, x2=None):
     return np.column_stack(cols)
 
 
-def reference_factor(design, eps_reg):
-    """Kept columns, scale, scaled matrix and Cholesky factor from axis-0
-    reductions."""
+def reference_scaled(design):
+    """Kept columns, scale and scaled matrix from axis-0 reductions."""
     keep = np.ones(design.shape[1], dtype=bool)
     spread = design.max(axis=0) - design.min(axis=0)
     keep[1:] = spread[1:] > 1e-12
     A = design[:, keep]
     scale = np.maximum(np.abs(A).max(axis=0), 1.0)
-    A = A / scale
+    return keep, scale, A / scale
+
+
+def reference_gram(A, eps_reg):
+    """Gram matrix, initial ridge and penalty (the intercept unpenalized)."""
     gram = A.T @ A
     lam = eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
     penalty = np.eye(gram.shape[0])
     penalty[0, 0] = 0.0
-    return keep, scale, A, np.linalg.cholesky(gram + lam * penalty)
+    return gram, lam, penalty
+
+
+def reference_factor(design, eps_reg):
+    """Kept columns, scale, scaled matrix, Cholesky factor and ridge."""
+    keep, scale, A = reference_scaled(design)
+    gram, lam, penalty = reference_gram(A, eps_reg)
+    return keep, scale, A, np.linalg.cholesky(gram + lam * penalty), lam
+
+
+def reference_ridge(design, eps_reg):
+    """(final ridge, escalated) of the ridge loop checked by np.linalg.cond."""
+    gram, lam, penalty = reference_gram(reference_scaled(design)[2], eps_reg)
+    for attempt in range(6):
+        mat = gram + lam * penalty
+        if not np.linalg.cond(mat) > ConditionalRegression._COND_LIMIT:
+            try:
+                np.linalg.cholesky(mat)
+                return lam, attempt > 0
+            except np.linalg.LinAlgError:
+                pass
+        lam = max(lam, 1e-12) * 100.0
+    raise AssertionError("no ridge makes the design regular")
+
+
+def ridge_warnings(log):
+    return sum("ridge increased" in str(w.message) for w in log)
 
 
 class TestRegressionOperator:
@@ -91,29 +122,77 @@ class TestRegressionOperator:
         x2 = np.full(n, -1.7) if kind == "constant_x2" else rng.normal(0.0, 1.5, n)
         return rng.normal(0.2, 2.0, n), rng.uniform(-0.6, 0.4, n), x2
 
+    @staticmethod
+    def _check(basis, x, x1, x2):
+        design = basis.design(x, x1, x2)
+        assert np.array_equal(design, reference_design(basis, x, x1, x2))
+        reg = ConditionalRegression(design, basis.eps_reg)
+        keep, scale, A, factor, lam = reference_factor(design, basis.eps_reg)
+        assert np.array_equal(reg.keep, keep)
+        assert np.array_equal(reg.scale, scale)
+        assert np.array_equal(reg.A, A)
+        assert np.array_equal(reg.factor, factor)
+        assert reg.lam == lam
+        # the layout of the scaled matrix fixes the summation order of a fit
+        y = np.sin(np.arange(x.size))
+        coef = np.linalg.solve(factor.T, np.linalg.solve(factor, A.T @ y))
+        assert np.array_equal(reg.fit_values(y), A @ coef)
+        return reg
+
     @pytest.mark.parametrize("kind", ["random", "constant_x2", "deterministic"])
     @pytest.mark.parametrize("include_x2", [False, True])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_matches_column_stack_and_axis0_reductions(self, degree, include_x2, kind):
         basis = RegressionBasis(degree=degree, include_x2=include_x2)
-        x, x1, x2 = self._states(kind)
-        design = basis.design(x, x1, x2)
-        assert np.array_equal(design, reference_design(basis, x, x1, x2))
-        reg = ConditionalRegression(design, basis.eps_reg)
-        keep, scale, A, factor = reference_factor(design, basis.eps_reg)
-        assert np.array_equal(reg.keep, keep)
-        assert np.array_equal(reg.scale, scale)
-        assert np.array_equal(reg.factor, factor)
-        # the layout of the scaled matrix fixes the summation order of a fit
-        y = np.sin(np.arange(x.size))
-        coef = np.linalg.solve(factor.T, np.linalg.solve(factor, A.T @ y))
-        assert np.array_equal(reg.fit_values(y), A @ coef)
+        reg = self._check(basis, *self._states(kind))
         if kind == "deterministic":
             assert reg.keep.sum() == 1
         elif kind == "constant_x2" and include_x2:
             assert not reg.keep.all()
         else:
             assert reg.keep.all()
+
+    @pytest.mark.parametrize("kind", ["random", "constant_x2"])
+    def test_matches_reference_at_8000_rows(self, kind):
+        basis = RegressionBasis(degree=2, include_x2=True)
+        reg = self._check(basis, *self._states(kind, n=8000))
+        assert reg.keep.all() == (kind == "random")
+
+    @pytest.mark.parametrize("n", [500, 8000])
+    def test_collinear_design_without_ridge_escalates_as_cond_does(self, n):
+        # x1 affine in x, as at the first step after a constant history: with
+        # no ridge the Gram matrix is singular up to rounding
+        x = np.random.default_rng(5).normal(0.6, 0.05, n)
+        design = RegressionBasis(degree=2).design(x, 0.3 + 0.2 * x)
+        lam, escalated = reference_ridge(design, 0.0)
+        with warnings.catch_warnings(record=True) as log, np.errstate(all="raise"):
+            warnings.simplefilter("always")
+            reg = ConditionalRegression(design, 0.0)
+        assert escalated and ridge_warnings(log) == 1
+        assert reg.lam == lam > 0.0
+
+    @pytest.mark.parametrize("tail", ["last", "all"])
+    def test_zero_singular_value_is_infinite_condition(self, monkeypatch, tail):
+        # np.linalg.cond gives inf when s[-1] == 0 (for 0 / 0 too): the ridge
+        # escalates once, with no floating-point error or warning
+        design = RegressionBasis(degree=2).design(*self._states("random")[:2])
+        svd, calls = np.linalg.svd, []
+
+        def zero_tail(a, compute_uv=True):
+            s = svd(a, compute_uv=compute_uv)
+            if not calls:
+                s[-1 if tail == "last" else slice(None)] = 0.0
+                assert np.linalg.cond(np.diag(s)) == np.inf
+            calls.append(s)
+            return s
+
+        monkeypatch.setattr(np.linalg, "svd", zero_tail)
+        with warnings.catch_warnings(record=True) as log, np.errstate(all="raise"):
+            warnings.simplefilter("always")
+            reg = ConditionalRegression(design, 1e-9)
+        lam0 = reference_factor(design, 1e-9)[4]
+        assert len(calls) == 2 and ridge_warnings(log) == 1
+        assert reg.lam == max(lam0, 1e-12) * 100.0
 
 
 class TestBackwardSolver:
@@ -204,6 +283,36 @@ class TestBackwardSolver:
         sol = solve_bsde_lsmc(run(coeffs, grid(T=0.2), n_paths=100), coeffs,
                               RegressionBasis())
         assert cost_functional_J(sol) == pytest.approx(-3.0, abs=1e-7)
+
+
+def counted_f(coeffs):
+    """``coeffs`` with a driver that appends to the returned list per call."""
+    calls = []
+
+    def f(*args):
+        calls.append(1)
+        return coeffs.f(*args)
+
+    return dataclasses.replace(coeffs, f=f), calls
+
+
+class TestLazyStandardError:
+    def test_pathwise_se_runs_on_first_read_only(self):
+        base = make_coefficients("linear", lam=0.3, bx=0.2, sx=0.3, fx=1.0, fy=-0.2,
+                                 fz=0.1, phix=1.0)
+        coeffs, calls = counted_f(base)
+        g = grid(T=0.5)
+        n = g.n_steps
+        bundle = run(coeffs, g, n_paths=500)
+        sol = solve_bsde_lsmc(bundle, coeffs, RegressionBasis())
+        assert len(calls) == n  # the sweep's driver update, one call per step
+        se = sol.y_s_se
+        assert len(calls) == 2 * n
+        assert se == bsde._pathwise_se(bundle, base, sol.Y, sol.Z, bundle.valid) > 0.0
+        assert sol.y_s_se == se and len(calls) == 2 * n
+        # a replaced solution keeps the arrays and computes its own on read
+        assert dataclasses.replace(sol, factors=None).y_s_se == se
+        assert len(calls) == 3 * n
 
 
 class TestLinearDriverOracle:

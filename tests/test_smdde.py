@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid, x1_weights
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol import smdde
-from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, estimate_moment_bound,
-                                simulate_coupled_pair, simulate_smdde)
+from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, TrajectoryBundle,
+                                estimate_moment_bound, simulate_coupled_pair,
+                                simulate_smdde)
+from delaycontrol.variational import simulate_variation
 
 from oracles import steps_segment_1, steps_segment_2
 
@@ -182,6 +185,42 @@ class TestSimulate:
         X1[:, n] = X[:, n:] @ w
         assert np.array_equal(got.X, X)
         assert np.array_equal(got.X1, X1)
+
+    @pytest.mark.parametrize("form", ["per_step", "per_path"])
+    def test_time_dependent_coefficients_and_short_control(self, form):
+        # b and sigma read t, so a step fed any time but the grid time
+        # s + i*dt moves the path; the stored control has 23 entries per path
+        # or step on a 50-step grid, and its last entry holds to T
+        base = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
+                                 bu=0.6, sxx2=0.4, clip=2.5)
+        coeffs = dataclasses.replace(
+            base, b=lambda t, x, x1, x2, u: base.b(t, x, x1, x2, u) * (1.0 + np.sin(7.0 * t)),
+            sigma=lambda t, x, x1, x2, u: base.sigma(t, x, x1, x2, u) * (1.0 + t))
+        g = grid()
+        m, n, dt, n_paths = g.m, g.n_steps, g.dt, 300
+        short = np.linspace(-0.5, 0.5, 23)
+        control = short if form == "per_step" else np.outer(np.linspace(0.5, 1.5, n_paths), short)
+        hist = HistoryPath(np.linspace(0.5, 1.0, m + 1))
+        got = simulate_smdde(coeffs, hist, control, g, NoiseSource(6), n_paths)
+        dW = NoiseSource(6).increments(0, n_paths, n, dt)
+        w = x1_weights(m, coeffs.lam, dt)
+        X = np.empty((n_paths, m + n + 1))
+        X1 = np.empty((n_paths, n + 1))
+        X[:, : m + 1] = hist.samples
+        for i in range(n):
+            t, x, x1, x2 = g.time(i), X[:, i + m], X[:, i : i + m + 1] @ w, X[:, i]
+            X1[:, i] = x1
+            u = TrajectoryBundle.held(control, i)
+            X[:, i + m + 1] = (x + coeffs.b(t, x, x1, x2, u) * dt
+                               + coeffs.sigma(t, x, x1, x2, u) * dW[:, i])
+        X1[:, n] = X[:, n:] @ w
+        assert np.array_equal(got.X, X)
+        assert np.array_equal(got.X1, X1)
+        # the variation restarts the same loop mid-grid: offset 0 is the base
+        for t_index in (0, 37, n - 1):
+            pert = simulate_variation(got, coeffs, t_index, 0.0).pert
+            assert np.array_equal(pert.X, got.X[:, t_index:])
+            assert np.array_equal(pert.X1, got.X1[:, t_index:])
 
     def test_strong_convergence_under_refinement(self):
         # E|X_dt(T) - X_{dt/2}(T)| shrinks by a factor >= 1.3 per halving

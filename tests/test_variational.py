@@ -297,6 +297,20 @@ class TestDualityProcesses:
         assert calls == {"variation": 4, "lsmc": 4}
         assert len(rem.rows) == 5 * 4 and len(dual.rows) == 2 * 4
 
+    def test_perturbed_solves_run_no_standard_error_pass(self):
+        coeffs, bundle, basis, sol, adj = self._setup(500)
+        calls = []
+
+        def f(*args):
+            calls.append(1)
+            return coeffs.f(*args)
+
+        counted = dataclasses.replace(coeffs, f=f)
+        scaling_reports(bundle, counted, 20, OFFSETS, solution=sol, adjoints=adj)
+        # one driver call per step of each perturbed sweep, none for y_s_se
+        assert len(calls) == len(OFFSETS) * (bundle.grid.n_steps - 20)
+        assert "y_s_se" not in vars(sol)
+
     @pytest.mark.parametrize("t_index", [0, 7, 49])
     def test_sub_horizon_solve_is_the_run_solution(self, t_index):
         # the identity duality_processes reads its base Y by: a solve of the

@@ -69,6 +69,7 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                   "--set", "numerics.dump_paths=4163",
                                   "--set", "instance.T=0.2"]),
     ("solve-bsde", "lq", ["solve-bsde"]),
+    ("solve-bsde-ridge", "lq", ["solve-bsde", "--set", "numerics.eps_reg=0"]),
     ("solve-hjb", "lq", ["solve-hjb", "--set", "numerics.dump_slices=all",
                          "--set", "numerics.svg=yes"]),
     ("solve-hjb-gbar", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gbar",
@@ -76,6 +77,9 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("solve-hjb-gtilde", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
                                 "--set", "driver.fbar=0.1"]),
     ("check-mp", "lq", ["check-mp"]),
+    # no ridge: collinear designs escalate it, and check-mp rebuilds the
+    # adjoint sweeps from the escalated factors
+    ("check-mp-ridge", "lq", ["check-mp", "--set", "numerics.eps_reg=0"]),
     ("check-mp-threads2", "lq", ["check-mp", "--threads", "2",
                                  "--set", "numerics.n_paths=5000"]),
     ("check-mp-hjb", "lq", ["check-mp", "--set", "control.type=hjb"]),
