@@ -247,10 +247,59 @@ def _read_problem(path: str, exc: Exception) -> str:
     return f"config: cannot read {path}: " + " ".join(str(exc).split())
 
 
+# The keys each field group of COMMANDS reads, by section; "instance" holds
+# what every subcommand reads.  A key is allowed when any group reads it, as
+# one config file serves several subcommands; make_coefficients checks the
+# keys of the params sections against the family.
+_INSTANCE_KEYS = ("family", "lambda", "s", "T", "dt", "delay_steps", "history",
+                  "u_min", "u_max")
+FIELD_KEYS = {
+    "instance": {"run": ("seed",), "instance": _INSTANCE_KEYS, "numerics": ("n_u",)},
+    "driver": {"driver": ("fbar", "gbar")},
+    "n_paths": {"numerics": ("n_paths",)},
+    "dump_paths": {"numerics": ("dump_paths",)},
+    "basis": {"numerics": ("basis_degree", "eps_reg")},
+    "control": {"control": ("type", "perturb", "value")},
+    "hjb_grid": {"numerics": ("x_min", "x_max", "nx", "x1_min", "x1_max", "nx1", "n_t_pde",
+                              "x2_ref")},
+    "value_output": {"numerics": ("dump_slices", "hjb_variant", "svg")},
+    "scaling": {"scaling": ("offsets", "t_indices", "p")},
+    "moments": {"moments": ("p",)},
+    "comparison": {"instance2": _INSTANCE_KEYS, "comparison": ("tol",)},
+    "seed_plus_1": {},
+    "grid_budget": {"numerics": ("grid_budget",)},
+}
+_PARAMS_SECTIONS = ("instance.params", "instance2.params")
+
+
+def _unknown_keys(parser: configparser.ConfigParser) -> List[str]:
+    """One problem per key that no field group reads; a [DEFAULT] key would
+    reach every section, so none is read."""
+    known: Dict[str, set] = {}
+    for group in FIELD_KEYS.values():
+        for section, keys in group.items():
+            known.setdefault(section, set()).update(map(parser.optionxform, keys))
+    defaults = parser.defaults()
+    problems = [f"{parser.default_section}.{key}: unknown section [{parser.default_section}]"
+                for key in defaults]
+    for section in parser.sections():
+        if section in _PARAMS_SECTIONS:
+            continue
+        keys = [key for key in parser.options(section) if key not in defaults]
+        if section not in known:
+            problems += [f"{section}.{key}: unknown section [{section}]" for key in keys] or \
+                [f"{section}: unknown section [{section}]"]
+        else:
+            problems += [f"{section}.{key}: unknown key (no subcommand reads it)"
+                         for key in keys if key not in known[section]]
+    return problems
+
+
 def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
                 threads: int, out_dir: str) -> RunConfig:
-    """Parse the INI file and the overrides.  ``threads`` (--threads) is
-    validated and otherwise ignored: paths are simulated serially."""
+    """Parse the INI file and the overrides and reject keys no subcommand
+    reads.  ``threads`` (--threads) is validated and otherwise ignored:
+    paths are simulated serially."""
     parser = configparser.ConfigParser(interpolation=None)
     problems: List[str] = []
     if path is not None:
@@ -275,6 +324,7 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, option, value)
+    problems += _unknown_keys(parser)
     cfg_seed = None
     if parser.has_option("run", "seed"):
         try:
@@ -622,7 +672,8 @@ def _cmd_girsanov(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 # subcommand: (run, the field groups _inputs parses for it besides the
-# instance); the README's "Configuration" table mirrors it
+# instance; FIELD_KEYS lists each group's keys); the README's
+# "Configuration" table mirrors it
 COMMANDS = {
     "simulate": (_cmd_simulate, ("n_paths", "dump_paths", "control")),
     "solve-bsde": (_cmd_solve_bsde, ("n_paths", "dump_paths", "basis", "control")),

@@ -20,6 +20,7 @@ may also assemble a :class:`CoefficientSet` from arbitrary callables.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
@@ -54,6 +55,13 @@ class CoefficientSet:
     use no longer propagates into its result.  Derivative evaluators must
     agree with central finite differences of the values (see
     :func:`check_derivative_consistency`).
+
+    ``time_free`` holds while ``b``, ``sigma`` and ``f`` are the very
+    evaluators :func:`make_coefficients` built, none of which reads ``t``;
+    the HJB sweep then evaluates its control-only terms once per solve.
+    Any other callable in one of those slots drops it, whatever it reads:
+    a set from ``dataclasses.replace``, a wrapper (``functools.wraps``
+    included) or the measure-shifted set of ``connect.girsanov_reduce``.
     """
 
     name: str
@@ -77,9 +85,18 @@ class CoefficientSet:
     phi_x1: Callable
     params: Dict[str, float] = field(default_factory=dict)
 
+    @property
+    def time_free(self) -> bool:
+        """Are b, sigma and f the registry's own (t-free) evaluators?"""
+        return all(fn in _REGISTRY_EVALUATORS for fn in (self.b, self.sigma, self.f))
+
     def a_part(self, t, x, x1, x2, u):
         """Driver with the (y, z) slots zeroed: a(t,x,x1,x2,u) = f(t,...,0,0,u)."""
         return self.f(t, x, x1, x2, 0.0, 0.0, u)
+
+
+# b, sigma and f of every set make_coefficients built, held by identity
+_REGISTRY_EVALUATORS = weakref.WeakSet()
 
 
 def _linear_evaluators(p: Dict[str, float]):
@@ -248,7 +265,9 @@ def make_coefficients(family: str, lam: float = 0.0, **params) -> CoefficientSet
     unknown = set(params) - set(keys)
     if unknown:
         raise ConfigurationError(f"unknown parameters for family {family!r}: {sorted(unknown)}")
-    return builder(float(lam), {k: float(v) for k, v in params.items()})
+    coeffs = builder(float(lam), {k: float(v) for k, v in params.items()})
+    _REGISTRY_EVALUATORS.update((coeffs.b, coeffs.sigma, coeffs.f))
+    return coeffs
 
 
 def check_derivative_consistency(coeffs: CoefficientSet, seed: int = 0,

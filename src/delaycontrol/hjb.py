@@ -175,8 +175,10 @@ class GridValueFunction:
 
 
 # Controls per broadcast block of the sweep and of the maxima over controls.
-# On a 101 x 51 grid with 41 controls (2-vCPU host, numpy 2.4.6) blocks of 6
-# to 21 swept about equally fast, all 41 about 10 % slower; memory grows with it.
+# On a 101 x 51 grid with 41 controls and 100 steps (2-vCPU host, numpy
+# 2.4.6), with the control terms formed once per solve and the Hamiltonians
+# summed in place, blocks of 4 to 14 solved in 0.31-0.34 s, 21 and all 41 in
+# 0.35-0.36 s; memory grows with it.
 U_BLOCK = 8
 
 
@@ -281,6 +283,16 @@ def _cfl_bound(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid) -> fl
     return 1.0 / rate if rate > 0 else np.inf
 
 
+def _control_terms(coeffs, t, X, X1, x2, u, variant: str, with_sig: bool):
+    """The terms of G that depend on the controls ``u`` of one block and not
+    on V: b, sigma**2, the upwind mask b >= 0, sigma when ``with_sig``, and
+    a = f(..., 0, 0, u) for the linear variants (else None)."""
+    b_u = coeffs.b(t, X, X1, x2, u)
+    sig = coeffs.sigma(t, X, X1, x2, u)
+    a = None if variant == "G" else coeffs.f(t, X, X1, x2, 0.0, 0.0, u)
+    return b_u, sig ** 2, b_u >= 0.0, sig if with_sig else None, a
+
+
 def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
               variant: str = "G", linear_driver: Optional[LinearDriver] = None,
               probes: Optional[ProbeSet] = None) -> GridValueFunction:
@@ -316,6 +328,17 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     x2 = grid.x2_ref
     tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
     dx, dx1 = grid.dx, grid.dx1
+    # sigma enters beyond sigma**2 only through z = p * sigma (variant G) or
+    # the drift shift sigma * g (Gbar with a z-loading)
+    with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
+                                  and linear_driver.gbar is not None)
+    blocks = [u_grid[lo:lo + U_BLOCK, None, None] for lo in range(0, len(u_grid), U_BLOCK)]
+    # a time-free set's control terms are the same at every step
+    hoisted = ([_control_terms(coeffs, tg.T, X, X1, x2, u, variant, with_sig) for u in blocks]
+               if coeffs.time_free else None)
+    g_up = np.empty((min(U_BLOCK, len(u_grid)),) + X.shape)
+    diffusion = np.empty_like(g_up)
+    g_ctr = np.empty((len(u_grid),) + X.shape)
 
     for it in range(grid.n_t - 1, -1, -1):
         t = times[it + 1]
@@ -341,7 +364,9 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
 
         # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed in the
         # order of eval_G so both Hamiltonians below equal its values bit for
-        # bit; the control-independent pieces are formed once per step
+        # bit (IEEE addition commutes, so diffusion + p * drift may be formed
+        # as p * drift first); the control-independent pieces are formed once
+        # per step and each block's sums accumulate in place
         k = -Vc
         p_fwd, p_bwd = -fwd_x, -bwd_x
         p_ctr = -(0.5 * (fwd_x + bwd_x))
@@ -351,25 +376,26 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
             gbar, fbar = linear_driver_terms(variant, t, linear_driver)
             fbar_k = fbar * k
         best = np.full(Vc.shape, -np.inf)
-        g_ctr = np.empty((len(u_grid),) + Vc.shape)
         # the controls of a block lie along a leading axis of every term
-        for lo in range(0, len(u_grid), U_BLOCK):
-            u = u_grid[lo:lo + U_BLOCK, None, None]
-            b_u = coeffs.b(t, X, X1, x2, u)
-            sig = coeffs.sigma(t, X, X1, x2, u)
-            p_up = np.where(b_u >= 0.0, p_fwd, p_bwd)
-            diffusion = half_R * sig ** 2
-            if variant == "G":
-                # f may be nonlinear in z = p * sigma, so each p needs its own f
-                g = (diffusion + p_up * b_u + q_tr
-                     + coeffs.f(t, X, X1, x2, k, p_up * sig, u))
-                g_ctr[lo:lo + U_BLOCK] = (diffusion + p_ctr * b_u + q_tr
-                                          + coeffs.f(t, X, X1, x2, k, p_ctr * sig, u))
-            else:
-                a = coeffs.f(t, X, X1, x2, 0.0, 0.0, u)
-                drift = b_u if gbar is None else b_u + sig * gbar
-                g = diffusion + p_up * drift + q_tr + a + fbar_k
-                g_ctr[lo:lo + U_BLOCK] = diffusion + p_ctr * drift + q_tr + a + fbar_k
+        for i, u in enumerate(blocks):
+            b_u, sig2, b_pos, sig, a = (
+                hoisted[i] if hoisted is not None
+                else _control_terms(coeffs, t, X, X1, x2, u, variant, with_sig))
+            lo, n = i * U_BLOCK, len(u)
+            g, g_c, diff = g_up[:n], g_ctr[lo:lo + n], diffusion[:n]
+            np.multiply(half_R, sig2, out=diff)
+            p_up = np.where(b_pos, p_fwd, p_bwd)
+            drift = b_u if variant == "G" or gbar is None else b_u + sig * gbar
+            for out, p in ((g, p_up), (g_c, p_ctr)):
+                np.multiply(p, drift, out=out)
+                np.add(diff, out, out=out)
+                out += q_tr
+                if variant == "G":
+                    # f may be nonlinear in z = p * sigma, so each p needs its own f
+                    out += coeffs.f(t, X, X1, x2, k, p * sig, u)
+                else:
+                    out += a
+                    out += fbar_k
             np.maximum(best, g.max(axis=0), out=best)
         # the value update uses the monotone (upwind) discrete sup; the stored
         # argmax is taken from the central-difference Hamiltonian (second-order

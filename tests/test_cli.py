@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from delaycontrol import cli
 from delaycontrol.cli import main, write_path_table
 
 LQ_INI = """
@@ -242,6 +244,72 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config error: driver: {subcommand} requires a [driver] section" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,lines", [
+        (["numerics.npaths=5"], ["numerics.npaths: unknown key (no subcommand reads it)"]),
+        (["numerics.npaths=5", "numerc.n_paths=3"],
+         ["numerics.npaths: unknown key (no subcommand reads it)",
+          "numerc.n_paths: unknown section [numerc]"]),
+        (["control.typ=hjb"], ["control.typ: unknown key (no subcommand reads it)"]),
+        (["run.threads=2"], ["run.threads: unknown key (no subcommand reads it)"]),
+    ])
+    def test_unknown_key_exits_2(self, overrides, lines, lq_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", lq_config, "--out", str(out),
+                   *(arg for item in overrides for arg in ("--set", item))])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"
+                                                        for line in lines]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,line", [
+        (LQ_INI.replace("[numerics]\n", "[numerics]\nn_pahts = 5\n"),
+         "numerics.n_pahts: unknown key (no subcommand reads it)"),
+        (LQ_INI + "\n[extra]\n", "extra: unknown section [extra]"),
+        ("[DEFAULT]\nn_paths = 5\n" + LQ_INI, "DEFAULT.n_paths: unknown section [DEFAULT]"),
+    ])
+    def test_unknown_key_in_file_exits_2(self, text, line, tmp_path, capsys):
+        p = tmp_path / "extra.ini"
+        p.write_text(text)
+        out = tmp_path / "o"
+        rc = main(["solve-hjb", "--config", str(p), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+        assert not out.exists()
+
+    def test_keys_of_other_subcommands_allowed(self, lq_config, tmp_path):
+        # one file serves every subcommand: simulate ignores what it does not read
+        out = tmp_path / "o"
+        sets = ["instance2.family=linear", "instance2.params.bx=1.0", "comparison.tol=0.1",
+                "scaling.p=3", "moments.p=2", "numerics.hjb_variant=G", "numerics.x2_ref=0",
+                "numerics.grid_budget=0.1", "numerics.eps_reg=1e-8", "instance.params.a=0.2"]
+        rc = main(["simulate", "--config", lq_config, "--out", str(out),
+                   *(arg for item in sets for arg in ("--set", item))])
+        assert rc == 0
+
+    def test_field_keys_are_the_keys_read(self, lq_config, cmp_config, tmp_path,
+                                          monkeypatch):
+        # every key the parse pass of any subcommand reads, under both control
+        # types, is in FIELD_KEYS, and FIELD_KEYS lists no key that none reads
+        assert {g for _, needs in cli.COMMANDS.values() for g in needs} | {"instance"} \
+            == set(cli.FIELD_KEYS)
+        read = set()
+        get = configparser.ConfigParser.get
+
+        def recording(self, section, option, **kw):
+            read.add((section, self.optionxform(option)))
+            return get(self, section, option, **kw)
+
+        monkeypatch.setattr(configparser.ConfigParser, "get", recording)
+        for name, (_, needs) in cli.COMMANDS.items():
+            config = cmp_config if name == "check-comparison" else lq_config
+            for ctype in ("constant", "hjb"):
+                cfg = cli.load_config(config, [f"control.type={ctype}"], None, 1,
+                                      str(tmp_path / "o"))
+                cli._inputs(cfg, name, needs)
+        known = {(section, key.lower()) for group in cli.FIELD_KEYS.values()
+                 for section, keys in group.items() for key in keys}
+        assert read == known
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_bad_thread_count_exits_2_before_any_output(self, threads, lq_config, tmp_path,

@@ -1,14 +1,16 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from delaycontrol.core import (ConfigurationError, ControlDomain,
-                               HypothesisViolation, LinearDriver, TimeGrid,
+from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath,
+                               HypothesisViolation, Instance, LinearDriver, TimeGrid,
                                eval_G, transport_term)
 from delaycontrol import hjb
-from delaycontrol.coeffs import make_coefficients
+from delaycontrol.coeffs import FAMILIES, make_coefficients
+from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import (GridValueFunction, HjbGrid, Jet, ProbeSet,
                               _refine_argmax, check_x2_independence,
                               default_probe_set, extract_jet,
@@ -200,10 +202,49 @@ def sweep_coeffs(z_nonlinear, family="linear_quadratic"):
     return dataclasses.replace(base, phi=phi)
 
 
+def wrapped(fn):
+    """A wrapper with ``fn``'s name and attributes and its values."""
+    @functools.wraps(fn)
+    def inner(*args):
+        return fn(*args)
+    return inner
+
+
+class TestTimeFree:
+    """The sweep may evaluate its control terms once per solve only while b,
+    sigma and f are the evaluators the registry built."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_registry_sets(self, family):
+        coeffs = make_coefficients(family, lam=0.5)
+        assert coeffs.time_free
+        # phi and the derivatives are not control terms of the sweep
+        assert dataclasses.replace(coeffs, name="renamed", phi=lambda x, x1: x,
+                                   b_x=coeffs.sigma_x).time_free
+
+    @pytest.mark.parametrize("slot", ["b", "sigma", "f"])
+    def test_replaced_evaluator(self, slot):
+        base = lq_coeffs()
+        fn = getattr(base, slot)
+        assert not dataclasses.replace(base, **{slot: lambda *args: fn(*args)}).time_free
+        assert not dataclasses.replace(base, **{slot: wrapped(fn)}).time_free
+        assert base.time_free
+
+    def test_measure_shifted_set(self):
+        coeffs = make_coefficients("linear", lam=0.3, bx=0.2, s0=0.3, fy=-0.1, fz=0.3)
+        grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=5)
+        inst = Instance(coeffs=coeffs, grid=grid, history=HistoryPath.constant(1.0, 5),
+                        domain=ControlDomain(-1.0, 1.0, n_u=5),
+                        driver=LinearDriver.constants(fbar=-0.1, gbar=0.3))
+        assert coeffs.time_free
+        assert not girsanov_reduce(inst).instance.coeffs.time_free
+
+
 class TestSweepEquivalence:
-    """The sweep evaluates b, sigma and f once per block of controls and
-    shares them between the two Hamiltonians; V and the argmax must equal
-    the per-control eval_G sweep bit for bit, also when the last block is
+    """The sweep evaluates b, sigma and f once per block of controls (once
+    per solve for a time-free set, else at every step) and shares them
+    between the two Hamiltonians; V and the argmax must equal the
+    per-control eval_G sweep bit for bit, also when the last block is
     partial (19 and 41 controls are not multiples of the block)."""
 
     @pytest.mark.parametrize("variant,driver", [
@@ -214,19 +255,61 @@ class TestSweepEquivalence:
     def test_matches_eval_G_sweep(self, variant, driver):
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
         for family in ("linear_quadratic", "bilinear"):
-            coeffs = sweep_coeffs(z_nonlinear=variant == "G", family=family)
-            # x1-slope probes at zero: the x1 dependence enters through phi only
-            p = default_probe_set(coeffs, grid, tg())
-            probes = dataclasses.replace(p, q=np.zeros_like(p.q))
-            for n_u in (7, 19, 41):
-                assert n_u == 7 or n_u % hjb.U_BLOCK
-                dom = ControlDomain(-1.0, 1.0, n_u=n_u)
-                vg = solve_hjb(coeffs, dom, grid, tg(), variant=variant,
-                               linear_driver=driver, probes=probes)
-                assert np.ptp(vg.V[0], axis=1).max() > 0.1  # V varies in x1
-                V, U = reference_sweep(coeffs, dom, grid, tg(), variant, driver)
-                assert np.array_equal(vg.V, V), (family, n_u)
-                assert np.array_equal(vg.u_star, U), (family, n_u)
+            base = sweep_coeffs(z_nonlinear=False, family=family)
+
+            def b(t, x, x1, x2, u):
+                # the upwind side of some nodes flips as t runs over [0, 1]
+                return base.b(t, x, x1, x2, u) + (t - 0.5)
+
+            # a time-free set, one whose drift reads t and, for G, one whose f
+            # is nonlinear in z
+            sets = [base, dataclasses.replace(base, b=b)]
+            if variant == "G":
+                sets.append(sweep_coeffs(z_nonlinear=True, family=family))
+            assert [c.time_free for c in sets] == [True] + [False] * (len(sets) - 1)
+            for i, coeffs in enumerate(sets):
+                # x1-slope probes at zero: the x1 dependence enters through phi only
+                p = default_probe_set(coeffs, grid, tg())
+                probes = dataclasses.replace(p, q=np.zeros_like(p.q))
+                for n_u in (7, 19, 41):
+                    assert n_u == 7 or n_u % hjb.U_BLOCK
+                    dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+                    vg = solve_hjb(coeffs, dom, grid, tg(), variant=variant,
+                                   linear_driver=driver, probes=probes)
+                    assert np.ptp(vg.V[0], axis=1).max() > 0.1  # V varies in x1
+                    V, U = reference_sweep(coeffs, dom, grid, tg(), variant, driver)
+                    assert np.array_equal(vg.V, V), (family, i, n_u)
+                    assert np.array_equal(vg.u_star, U), (family, i, n_u)
+
+    @pytest.mark.parametrize("n_u", [1, 8, 19])
+    @pytest.mark.parametrize("variant,driver", [
+        ("G", None),
+        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+    ])
+    def test_control_terms_once_per_solve_when_time_free(self, n_u, variant, driver,
+                                                        monkeypatch):
+        calls = []
+        control_terms = hjb._control_terms
+
+        def counted(*args):
+            calls.append(args[1])
+            return control_terms(*args)
+
+        monkeypatch.setattr(hjb, "_control_terms", counted)
+        dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
+        n_blocks = math.ceil(n_u / hjb.U_BLOCK)
+        base = lq_coeffs()
+        vg = solve_hjb(base, dom, grid, tg(), variant=variant, linear_driver=driver)
+        assert len(calls) == n_blocks
+        calls.clear()
+        # the same values through a wrapper: evaluated at every step, same bits
+        per_step = solve_hjb(dataclasses.replace(base, sigma=wrapped(base.sigma)), dom,
+                             grid, tg(), variant=variant, linear_driver=driver)
+        assert len(calls) == grid.n_t * n_blocks
+        assert sorted(set(calls)) == vg.times[1:].tolist()
+        assert np.array_equal(vg.V, per_step.V)
+        assert np.array_equal(vg.u_star, per_step.u_star)
 
     @pytest.mark.parametrize("n_u", [1, 8, 19])
     def test_one_coefficient_call_per_block_and_step(self, n_u, monkeypatch):

@@ -59,6 +59,13 @@ n_paths = 2000
 seed = 4
 """
 
+# the girsanov instance with a terminal cost and controls in b and sigma (else
+# V is zero), on a value grid small enough to write every slice
+GIRSANOV_HJB = [arg for item in ("instance.params.phix=0.5", "instance.params.bu=0.5",
+                                 "instance.params.su=0.2", "numerics.nx=61",
+                                 "numerics.nx1=31", "numerics.n_t_pde=60",
+                                 "numerics.dump_slices=all") for arg in ("--set", item)]
+
 # (name, config, argv without --config/--out)
 TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("simulate", "lq", ["simulate"]),
@@ -76,6 +83,14 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                               "--set", "driver.gbar=0.3"]),
     ("solve-hjb-gtilde", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
                                 "--set", "driver.fbar=0.1"]),
+    ("solve-hjb-g", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=G",
+                           "--set", "numerics.dump_slices=all"]),
+    # a linear instance whose f reads z: G forms f at p * sigma, Gbar shifts
+    # the drift by sigma * g
+    ("solve-hjb-girsanov-g", "girsanov", ["solve-hjb", *GIRSANOV_HJB,
+                                          "--set", "numerics.hjb_variant=G"]),
+    ("solve-hjb-girsanov-gbar", "girsanov", ["solve-hjb", *GIRSANOV_HJB,
+                                             "--set", "numerics.hjb_variant=Gbar"]),
     ("check-mp", "lq", ["check-mp"]),
     # no ridge: collinear designs escalate it, and check-mp rebuilds the
     # adjoint sweeps from the escalated factors
