@@ -34,9 +34,10 @@ from .smdde import NoiseSource, estimate_moment_bound, simulate_coupled_pair, si
 from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
                    solve_bsde_lsmc)
 from .adjoint import check_sufficient_mp, solve_adjoints
-from .variational import check_offsets, scaling_reports
-from .hjb import HjbGrid, feedback_control, heatmap_svg, solve_hjb
-from .connect import check_duality_inclusion, girsanov_reduce, start_state, verify_optimality
+
+# hjb, connect and variational are imported by the subcommands that use
+# them, so a run loads only what it needs
+
 
 class ConfigError(Exception):
     """Invalid configuration; carries field-level diagnostics."""
@@ -174,6 +175,7 @@ class RunConfig:
             return None
 
     def hjb_grid(self, problems: List[str]) -> Optional[HjbGrid]:
+        from .hjb import HjbGrid
         vals = dict(
             x_min=self.get("numerics", "x_min", float, default=-3.0, problems=problems),
             x_max=self.get("numerics", "x_max", float, default=3.0, problems=problems),
@@ -195,6 +197,7 @@ class RunConfig:
                 ) -> Tuple[Optional[List[float]], Optional[List[int]], Optional[int]]:
         """check-scaling settings: offsets, perturbation indices in
         [0, n_steps - 1] (a variation needs t + dt <= T) and the moment p."""
+        from .variational import check_offsets
         raw = self.get("scaling", "offsets", str, default="0.2,0.1,0.05,0.025",
                        problems=problems)
         try:
@@ -464,6 +467,7 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
 
 def _value_grid(inputs: SimpleNamespace):
     """The value function on ``inputs.grid`` for generalized Hamiltonian ``inputs.variant``."""
+    from .hjb import solve_hjb
     inst = inputs.inst
     return solve_hjb(inst.coeffs, inst.domain, inputs.grid, inst.grid,
                      variant=inputs.variant, linear_driver=inst.driver)
@@ -476,7 +480,11 @@ def _control(inputs: SimpleNamespace):
     """
     inst = inputs.inst
     vgrid = None if inputs.grid is None else _value_grid(inputs)
-    rule = inputs.value if inputs.ctype == "constant" else feedback_control(vgrid, inst.domain)
+    if inputs.ctype == "constant":
+        rule = inputs.value
+    else:
+        from .hjb import feedback_control
+        rule = feedback_control(vgrid, inst.domain)
     if inputs.perturb:
         half = 0.5 * (inst.grid.s + inst.grid.T)
         inner = rule
@@ -536,6 +544,8 @@ def _cmd_solve_bsde(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_solve_hjb(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    from .connect import start_state
+    from .hjb import heatmap_svg
     inst, vgrid = inputs.inst, _value_grid(inputs)
     write_manifest(cfg, "solve-hjb")
     its = range(len(vgrid.times)) if inputs.slices is None else inputs.slices
@@ -600,6 +610,7 @@ def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_check_duality(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    from .connect import check_duality_inclusion
     bundle, _, adjoints, vgrid = _solved(cfg, inputs)
     report = check_duality_inclusion(bundle, adjoints, vgrid, cfg.seed)
     write_manifest(cfg, "check-duality")
@@ -623,6 +634,7 @@ def _scaling_rows(report):
 
 
 def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    from .variational import scaling_reports
     inst = inputs.inst
     bundle, sol, adjoints, _ = _solved(cfg, inputs)
     reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, inputs.offsets, p=inputs.p,
@@ -637,6 +649,7 @@ def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    from .connect import verify_optimality
     control, vgrid = _control(inputs)
     report = verify_optimality(inputs.inst, control, vgrid, NoiseSource(cfg.seed),
                                inputs.n_paths, budget=inputs.budget)
@@ -648,6 +661,7 @@ def _cmd_verify(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_girsanov(cfg: RunConfig, inputs: SimpleNamespace) -> int:
+    from .connect import girsanov_reduce
     inst, n_paths = inputs.inst, inputs.n_paths
     reduction = girsanov_reduce(inst)
     noise_p, noise_q = NoiseSource(cfg.seed), NoiseSource(cfg.seed + 1)

@@ -127,7 +127,7 @@ class GridValueFunction:
     def slice_index(self, t: float, top: Optional[int] = None) -> int:
         """Nearest time slice to t, clipped to 0..top (default the last)."""
         top = len(self.times) - 1 if top is None else top
-        return int(np.clip(round((t - self.times[0]) / self.dt), 0, top))
+        return int(min(max(round((t - self.times[0]) / self.dt), 0), top))
 
     def indices(self, t: float, x: float, x1: float) -> Tuple[int, int, int]:
         """Nearest grid node (clipped to the grid)."""
@@ -153,8 +153,11 @@ class GridValueFunction:
         k0 = np.clip(f1.astype(int), 0, len(self.x1s) - 2)
         ax = fx - j0
         a1 = f1 - k0
-        return ((1 - ax) * (1 - a1) * field[j0, k0] + ax * (1 - a1) * field[j0 + 1, k0]
-                + (1 - ax) * a1 * field[j0, k0 + 1] + ax * a1 * field[j0 + 1, k0 + 1])
+        # flat indices into the slice: (j, k) -> j * n1 + k
+        n1 = field.shape[1]
+        c = j0 * n1 + k0
+        return ((1 - ax) * (1 - a1) * field.take(c) + ax * (1 - a1) * field.take(c + n1)
+                + (1 - ax) * a1 * field.take(c + 1) + ax * a1 * field.take(c + n1 + 1))
 
     def value(self, t: float, x, x1):
         """V at arbitrary points: bilinear in space, nearest slice in time."""
@@ -417,9 +420,13 @@ def _refine_argmax(g_all: np.ndarray, iu_best: np.ndarray, u_grid: np.ndarray) -
         return u_best
     du = u_grid[1] - u_grid[0]
     inner = np.clip(iu_best, 1, len(u_grid) - 2)
-    g0 = np.take_along_axis(g_all, inner[None], axis=0)[0]
-    gm = np.take_along_axis(g_all, (inner - 1)[None], axis=0)[0]
-    gp = np.take_along_axis(g_all, (inner + 1)[None], axis=0)[0]
+    # flat indices into g_all: control i at node n is i * size + n
+    size = inner.size
+    flat = g_all.reshape(-1)
+    at = inner * size + np.arange(size).reshape(inner.shape)
+    g0 = flat.take(at)
+    gm = flat.take(at - size)
+    gp = flat.take(at + size)
     denom = gm - 2.0 * g0 + gp
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = np.where(np.abs(denom) > 1e-300, 0.5 * (gm - gp) / denom, 0.0)
@@ -447,12 +454,14 @@ def jets_along(vgrid: GridValueFunction, t: float, x, x1):
     inside = (j >= 1) & (j <= len(vgrid.xs) - 2) & (k >= 1) & (k <= len(vgrid.x1s) - 2)
     j = np.clip(j, 1, len(vgrid.xs) - 2)
     k = np.clip(k, 1, len(vgrid.x1s) - 2)
-    V = vgrid.V
-    v0 = V[it, j, k]
-    theta = (V[it + 1, j, k] - v0) / vgrid.dt
-    p = (V[it, j + 1, k] - V[it, j - 1, k]) / (2 * vgrid.dx)
-    q = (V[it, j, k + 1] - V[it, j, k - 1]) / (2 * vgrid.dx1)
-    P = (V[it, j + 1, k] - 2 * v0 + V[it, j - 1, k]) / vgrid.dx ** 2
+    # flat indices into a slice: (j, k) -> j * n1 + k
+    V, V_next, n1 = vgrid.V[it], vgrid.V[it + 1], vgrid.V.shape[2]
+    c = j * n1 + k
+    v0 = V.take(c)
+    theta = (V_next.take(c) - v0) / vgrid.dt
+    p = (V.take(c + n1) - V.take(c - n1)) / (2 * vgrid.dx)
+    q = (V.take(c + 1) - V.take(c - 1)) / (2 * vgrid.dx1)
+    P = (V.take(c + n1) - 2 * v0 + V.take(c - n1)) / vgrid.dx ** 2
     return theta, p, q, P, v0, inside
 
 

@@ -24,9 +24,15 @@ from .core import ConfigurationError, HypothesisViolation, TimeGrid
 from .bsde import BackwardSolution, solve_bsde_lsmc
 from .smdde import TrajectoryBundle, _step_chunk, path_array
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)     # map to [0, 1]
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+# 8-point Gauss-Legendre rule on [0, 1]: the float64 values of
+# 0.5 * (leggauss(8)[0] + 1) and 0.5 * leggauss(8)[1], written out so that
+# importing this module does not import numpy.polynomial
+_GL_NODES = np.array([0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+                      0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+                      0.8983332387068134, 0.9801449282487681])
+_GL_WEIGHTS = np.array([0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                        0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+                        0.11119051722668721, 0.05061426814518853])
 # path-steps per remainder slab: 16 steps at 500 paths keeps a slab's arrays
 # (64 KiB each) in cache
 _SLAB_PATH_STEPS = 8192

@@ -2,11 +2,15 @@ import configparser
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import delaycontrol
 from delaycontrol import cli
 from delaycontrol.cli import main, write_path_table
 
@@ -587,3 +591,60 @@ seed = 4
             1.0, abs=4 * float(kv["weight_se"]))
         gap = float(kv["route_gap"])
         assert gap <= 3 * (float(kv["y_s_original_se"]) + float(kv["y_s_shifted_se"]))
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(delaycontrol.__file__)))
+README = os.path.join(os.path.dirname(SRC), "README.md")
+DP_MODULES = {"delaycontrol.hjb", "delaycontrol.connect", "delaycontrol.variational"}
+
+
+def loaded_after(code):
+    """The delaycontrol modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('delaycontrol')))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+class TestImports:
+    """Each subcommand loads only the modules it runs; the package namespace
+    loads a module on first access of one of its names."""
+
+    @pytest.mark.parametrize("sub", ["check-mp", "simulate"])
+    def test_constant_control_run_loads_no_value_grid_or_variation(self, sub, lq_config,
+                                                                   tmp_path):
+        argv = [sub, "--config", lq_config, "--out", str(tmp_path / "o")]
+        loaded = loaded_after(f"from delaycontrol import cli\nassert cli.main({argv!r}) == 0")
+        assert "delaycontrol.adjoint" in loaded
+        assert not loaded & DP_MODULES
+
+    def test_check_scaling_loads_no_value_grid(self, lq_config, tmp_path):
+        argv = ["check-scaling", "--config", lq_config, "--out", str(tmp_path / "o"),
+                "--set", "numerics.n_paths=100", "--set", "scaling.offsets=0.2,0.1,0.05"]
+        loaded = loaded_after(f"from delaycontrol import cli\nassert cli.main({argv!r}) == 0")
+        assert "delaycontrol.variational" in loaded
+        assert not loaded & {"delaycontrol.hjb", "delaycontrol.connect"}
+
+    def test_bare_import_loads_no_submodule(self):
+        assert loaded_after("import delaycontrol") == {"delaycontrol"}
+
+    def test_public_names_are_their_home_objects(self):
+        for name in delaycontrol.__all__:
+            home = getattr(delaycontrol, delaycontrol._HOME[name])
+            expected = home if home.__name__ == f"delaycontrol.{name}" else getattr(home, name)
+            assert getattr(delaycontrol, name) is expected, name
+        assert set(delaycontrol.__all__) <= set(dir(delaycontrol))
+
+    def test_readme_sketch_import_loads_only_its_modules(self):
+        with open(README) as fh:
+            line = re.search(r"from delaycontrol import \([^)]*\)", fh.read()).group(0)
+        loaded = loaded_after(line + "\nassert solve_hjb.__module__ == 'delaycontrol.hjb'")
+        assert "delaycontrol.connect" in loaded
+        assert not loaded & {"delaycontrol.variational", "delaycontrol.cli"}
+
+    def test_unknown_attribute_raises_and_loads_nothing(self):
+        loaded = loaded_after("import delaycontrol, pytest\n"
+                              "with pytest.raises(AttributeError, match='solve_everything'):\n"
+                              "    delaycontrol.solve_everything")
+        assert loaded == {"delaycontrol"}

@@ -14,8 +14,8 @@ from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import (GridValueFunction, HjbGrid, Jet, ProbeSet,
                               _refine_argmax, check_x2_independence,
                               default_probe_set, extract_jet,
-                              feedback_control, jet_membership, solve_hjb,
-                              viscosity_residual)
+                              feedback_control, jet_membership, jets_along,
+                              solve_hjb, viscosity_residual)
 
 from conftest import LQ_PARAMS, LQ_LAM
 from oracles import riccati_lq
@@ -556,6 +556,56 @@ class TestJets:
         ok, worst = jet_membership(vg, (0.5, 1.0, 0.0), jet.p + 0.5, side="super",
                                    tol=0.05, x_slope_only=True)
         assert not ok and worst > 0.2
+
+
+class TestFlatGathers:
+    """The flat-index gathers read the same entries as multi-axis indexing."""
+
+    def _random_grid(self):
+        rng = np.random.default_rng(5)
+        V = rng.standard_normal((6, 13, 7))
+        return GridValueFunction(times=np.linspace(0, 1, 6), xs=np.linspace(-2, 2, 13),
+                                 x1s=np.linspace(-1, 1, 7), V=V, u_star=V[::-1].copy(),
+                                 x2_ref=0.0, variant="G"), rng
+
+    def test_jets_along(self):
+        vg, rng = self._random_grid()
+        x, x1 = rng.uniform(-2.5, 2.5, 50), rng.uniform(-1.2, 1.2, 50)
+        it = vg.slice_index(0.4)
+        j = np.clip(np.round((x - vg.xs[0]) / vg.dx).astype(int), 1, 11)
+        k = np.clip(np.round((x1 - vg.x1s[0]) / vg.dx1).astype(int), 1, 5)
+        V = vg.V
+        theta, p, q, P, v0, _ = jets_along(vg, 0.4, x, x1)
+        assert np.array_equal(v0, V[it, j, k])
+        assert np.array_equal(theta, (V[it + 1, j, k] - V[it, j, k]) / vg.dt)
+        assert np.array_equal(p, (V[it, j + 1, k] - V[it, j - 1, k]) / (2 * vg.dx))
+        assert np.array_equal(q, (V[it, j, k + 1] - V[it, j, k - 1]) / (2 * vg.dx1))
+        assert np.array_equal(P, (V[it, j + 1, k] - 2 * V[it, j, k] + V[it, j - 1, k])
+                              / vg.dx ** 2)
+
+    def test_interp_slice(self):
+        vg, rng = self._random_grid()
+        x, x1 = rng.uniform(-2.5, 2.5, 50), rng.uniform(-1.2, 1.2, 50)
+        field = vg.u_star[2]
+        fx = np.clip((x - vg.xs[0]) / vg.dx, 0, 12)
+        f1 = np.clip((x1 - vg.x1s[0]) / vg.dx1, 0, 6)
+        j0, k0 = np.clip(fx.astype(int), 0, 11), np.clip(f1.astype(int), 0, 5)
+        ax, a1 = fx - j0, f1 - k0
+        want = ((1 - ax) * (1 - a1) * field[j0, k0] + ax * (1 - a1) * field[j0 + 1, k0]
+                + (1 - ax) * a1 * field[j0, k0 + 1] + ax * a1 * field[j0 + 1, k0 + 1])
+        assert np.array_equal(vg._interp_slice(field, x, x1), want)
+
+    def test_refine_argmax(self):
+        rng = np.random.default_rng(6)
+        g = rng.standard_normal((9, 13, 7))
+        u_grid = np.linspace(-1, 1, 9)
+        iu = np.argmax(g, axis=0)
+        inner = np.clip(iu, 1, 7)
+        g0, gm, gp = (np.take_along_axis(g, i[None], axis=0)[0]
+                      for i in (inner, inner - 1, inner + 1))
+        shift = np.clip(0.5 * (gm - gp) / (gm - 2.0 * g0 + gp), -0.5, 0.5)
+        want = np.where((iu >= 1) & (iu <= 7), u_grid[inner] + shift * 0.25, u_grid[iu])
+        assert np.array_equal(_refine_argmax(g, iu, u_grid), want)
 
 
 class TestViscosityResidual:

@@ -122,6 +122,12 @@ class TestSimulateVariation:
             simulate_variation(bundle, coeffs, bundle.grid.n_steps, 0.1)
 
 
+def test_gauss_legendre_literals_are_leggauss_on_unit_interval():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(_GL_NODES, 0.5 * (nodes + 1.0))
+    assert np.array_equal(_GL_WEIGHTS, 0.5 * weights)
+
+
 def _averaged_derivative_gap(dfn, t, base_args, hat_args, u):
     x, x1, x2 = base_args
     hx, hx1, hx2 = hat_args
