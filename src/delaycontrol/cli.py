@@ -53,6 +53,86 @@ class ConfigError(Exception):
 
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
+REQUIRED = object()  # the default of a key that must be set
+
+# Every config field, declared once: field group -> section -> key ->
+# (type, default[, lower bound]).  A default of None depends on the
+# instance, and the caller of RunConfig.get passes it.  "instance" holds
+# what every subcommand reads, [instance2] shares its declaration, and
+# COMMANDS names the other groups each subcommand parses.  A key is allowed
+# when any group reads it, as one config file serves several subcommands;
+# make_coefficients checks the keys of the params sections against the
+# family.  load_config reads run.seed, whose default is --seed.
+_INSTANCE = {"family": (str, REQUIRED), "lambda": (float, 0.0), "s": (float, 0.0),
+             "T": (float, REQUIRED), "dt": (float, REQUIRED), "delay_steps": (int, REQUIRED),
+             "u_min": (float, -1.0), "u_max": (float, 1.0), "history": (str, "constant:0.0")}
+FIELD_KEYS = {
+    "instance": {"run": {"seed": (int, None)}, "instance": _INSTANCE,
+                 "numerics": {"n_u": (int, 21)}},
+    "driver": {"driver": {"fbar": (float, 0.0), "gbar": (float, 0.0)}},
+    "n_paths": {"numerics": {"n_paths": (int, 10_000, 1)}},
+    "dump_paths": {"numerics": {"dump_paths": (int, 100, 0)}},
+    "basis": {"numerics": {"basis_degree": (int, 2), "eps_reg": (float, 1e-9)}},
+    "control": {"control": {"type": (str, "constant"), "perturb": (float, 0.0),
+                            "value": (float, 0.0)}},
+    "hjb_grid": {"numerics": {"x_min": (float, -3.0), "x_max": (float, 3.0), "nx": (int, 201),
+                              "x1_min": (float, -3.0), "x1_max": (float, 3.0),
+                              "nx1": (int, 101), "n_t_pde": (int, 200),
+                              "x2_ref": (float, 0.0)}},
+    "value_output": {"numerics": {"dump_slices": (str, "0"), "hjb_variant": (str, None),
+                                  "svg": (bool, False)}},
+    "scaling": {"scaling": {"offsets": (str, "0.2,0.1,0.05,0.025"), "t_indices": (str, None),
+                            "p": (int, 2, 1)}},
+    "moments": {"moments": {"p": (int, 2)}},
+    "comparison": {"instance2": _INSTANCE, "comparison": {"tol": (float, None, 0.0)}},
+    "seed_plus_1": {},
+    "grid_budget": {"numerics": {"grid_budget": (float, 5e-2)}},
+}
+_FIELDS = {(section, key): spec for group in FIELD_KEYS.values()
+           for section, keys in group.items() for key, spec in keys.items()}
+_PARAMS_SECTIONS = ("instance.params", "instance2.params")
+
+
+def _parse(field: str, cast, raw: str, problems: List[str], lower=None):
+    """``raw`` as ``cast``; a value that does not parse, a non-finite float or
+    one below ``lower`` is recorded in ``problems`` as None."""
+    try:
+        if cast is bool:
+            word = raw.strip().lower()
+            if word not in _TRUE + _FALSE:
+                raise ValueError(word)
+            return word in _TRUE
+        value = cast(raw)
+    except ValueError:
+        problems.append(f"{field}: cannot parse {raw!r} as {cast.__name__}")
+        return None
+    if cast is float and not np.isfinite(value):
+        problems.append(f"{field}: must be finite, got {value}")
+        return None
+    if lower is not None and value < lower:
+        bound = "a positive integer" if lower == 1 else f">= {lower}"
+        problems.append(f"{field}: must be {bound}, got {value}")
+        return None
+    return value
+
+
+def _history(field: str, raw: str, m: int, problems: List[str]) -> Optional[HistoryPath]:
+    try:
+        kind, _, arg = raw.partition(":")
+        if kind == "constant":
+            return HistoryPath.constant(float(arg), m)
+        if kind == "linear":
+            a, b = (float(v) for v in arg.split(","))
+            return HistoryPath(np.linspace(a, b, m + 1))
+        if kind == "samples":
+            vals = np.array([float(v) for v in arg.split(",")])
+            if vals.size != m + 1:
+                raise ValueError(f"need {m + 1} samples, got {vals.size}")
+            return HistoryPath(vals)
+        raise ValueError(f"unknown history kind {kind!r}")
+    except ValueError as exc:
+        problems.append(f"{field}: {exc}")
+        return None
 
 
 @dataclass
@@ -64,85 +144,49 @@ class RunConfig:
     out_dir: str
     seed_field: str  # "--seed" or "run.seed", whichever set the seed
 
-    def get(self, section: str, key: str, cast, problems: List[str], default=None, lower=None):
-        """One field; a missing key without a default, a value that does not
-        parse, or one below ``lower`` is recorded in ``problems`` as None."""
+    def get(self, section: str, key: str, problems: List[str], default=None):
+        """One field of ``FIELD_KEYS``, read with its declared type and bound;
+        ``default`` is the instance-dependent default of a key declared None.
+        A missing required key or a bad value is recorded in ``problems`` as
+        None."""
+        cast, declared, *lower = _FIELDS[section, key]
         try:
             raw = self.parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
-            if default is not None:
-                return default
+            if declared is not REQUIRED:
+                return default if declared is None else declared
             problems.append(f"{section}.{key}: required key missing")
             return None
-        try:
-            if cast is bool:
-                word = raw.strip().lower()
-                if word not in _TRUE + _FALSE:
-                    raise ValueError(word)
-                return word in _TRUE
-            value = cast(raw)
-        except ValueError:
-            problems.append(f"{section}.{key}: cannot parse {raw!r} as {cast.__name__}")
-            return None
-        if lower is not None and value < lower:
-            bound = "a positive integer" if lower == 1 else f">= {lower}"
-            problems.append(f"{section}.{key}: must be {bound}, got {value}")
-            return None
-        return value
+        return _parse(f"{section}.{key}", cast, raw, problems, *lower)
 
-    def _history(self, section: str, key: str, m: int, delay: float,
-                 problems: List[str]) -> Optional[HistoryPath]:
-        raw = self.get(section, key, str, problems, "constant:0.0")
+    def build(self, cls, group: str, problems: List[str]):
+        """``cls`` called with the keys of the one-section field ``group`` in
+        declaration order, or None with the problems recorded."""
+        (section, keys), = FIELD_KEYS[group].items()
+        args = [self.get(section, key, problems) for key in keys]
+        if None in args:
+            return None
         try:
-            kind, _, arg = raw.partition(":")
-            if kind == "constant":
-                return HistoryPath.constant(float(arg), m)
-            if kind == "linear":
-                a, b = (float(v) for v in arg.split(","))
-                return HistoryPath(np.linspace(a, b, m + 1))
-            if kind == "samples":
-                vals = np.array([float(v) for v in arg.split(",")])
-                if vals.size != m + 1:
-                    raise ValueError(f"need {m + 1} samples, got {vals.size}")
-                return HistoryPath(vals)
-            raise ValueError(f"unknown history kind {kind!r}")
-        except ValueError as exc:
-            problems.append(f"{section}.{key}: {exc}")
+            return cls(*args)
+        except ConfigurationError as exc:
+            problems.append(f"{section}: {exc}")
             return None
 
     def _params(self, section: str, problems: List[str]) -> Dict[str, float]:
         if not self.parser.has_section(section):
             return {}
-        out = {}
-        for k, v in self.parser.items(section):
-            try:
-                out[k] = float(v)
-            except ValueError:
-                problems.append(f"{section}.{k}: cannot parse {v!r} as float")
-        return out
-
-    def _driver(self, problems: List[str]) -> Optional[LinearDriver]:
-        if not self.parser.has_section("driver"):
-            return None
-        fbar = self.get("driver", "fbar", float, default=0.0, problems=problems)
-        gbar = self.get("driver", "gbar", float, default=0.0, problems=problems)
-        return LinearDriver.constants(fbar=fbar or 0.0, gbar=gbar or 0.0)
+        return {k: _parse(f"{section}.{k}", float, v, problems)
+                for k, v in self.parser.items(section)}
 
     def instance(self, problems: List[str], section: str = "instance",
                  with_driver: bool = True) -> Optional[Instance]:
-        family = self.get(section, "family", str, problems=problems)
-        lam = self.get(section, "lambda", float, default=0.0, problems=problems)
-        s = self.get(section, "s", float, default=0.0, problems=problems)
-        T = self.get(section, "T", float, problems=problems)
-        dt = self.get(section, "dt", float, problems=problems)
-        delay_steps = self.get(section, "delay_steps", int, problems=problems)
-        u_min = self.get(section, "u_min", float, default=-1.0, problems=problems)
-        u_max = self.get(section, "u_max", float, default=1.0, problems=problems)
-        n_u = self.get("numerics", "n_u", int, default=21, problems=problems)
+        vals = {key: self.get(section, key, problems) for key in _INSTANCE}
+        n_u = self.get("numerics", "n_u", problems)
+        family = vals.pop("family")
         if family is not None and family not in FAMILIES:
             problems.append(f"{section}.family: unknown family {family!r} "
                             f"(known: {sorted(FAMILIES)})")
-        if family not in FAMILIES or None in (lam, s, T, dt, delay_steps, u_min, u_max, n_u):
+        if family not in FAMILIES or None in vals.values() or n_u is None:
             return None
         try:
             param_problems: List[str] = []
@@ -150,47 +194,20 @@ class RunConfig:
             if param_problems:
                 problems.extend(param_problems)
                 return None
-            coeffs = make_coefficients(family, lam=lam, **params)
-            grid = TimeGrid(s=s, T=T, dt=dt, delay_steps=delay_steps)
-            history = self._history(section, "history", grid.m, grid.delay, problems)
-            domain = ControlDomain(u_min, u_max, n_u=n_u)
+            coeffs = make_coefficients(family, lam=vals["lambda"], **params)
+            grid = TimeGrid(s=vals["s"], T=vals["T"], dt=vals["dt"],
+                            delay_steps=vals["delay_steps"])
+            history = _history(f"{section}.history", vals["history"], grid.m, problems)
+            domain = ControlDomain(vals["u_min"], vals["u_max"], n_u=n_u)
             if history is None:
                 return None
-            driver = self._driver(problems) if with_driver else None
+            driver = None
+            if with_driver and self.parser.has_section("driver"):
+                driver = self.build(LinearDriver.constants, "driver", problems)
             return Instance(coeffs=coeffs, grid=grid, history=history,
                             domain=domain, driver=driver)
         except ConfigurationError as exc:
             problems.append(f"{section}: {exc}")
-            return None
-
-    def basis(self, problems: List[str]) -> Optional[RegressionBasis]:
-        degree = self.get("numerics", "basis_degree", int, default=2, problems=problems)
-        eps_reg = self.get("numerics", "eps_reg", float, default=1e-9, problems=problems)
-        if degree is None or eps_reg is None:
-            return None
-        try:
-            return RegressionBasis(degree=degree, eps_reg=eps_reg)
-        except ConfigurationError as exc:
-            problems.append(f"numerics: {exc}")
-            return None
-
-    def hjb_grid(self, problems: List[str]) -> Optional[HjbGrid]:
-        from .hjb import HjbGrid
-        vals = dict(
-            x_min=self.get("numerics", "x_min", float, default=-3.0, problems=problems),
-            x_max=self.get("numerics", "x_max", float, default=3.0, problems=problems),
-            nx=self.get("numerics", "nx", int, default=201, problems=problems),
-            x1_min=self.get("numerics", "x1_min", float, default=-3.0, problems=problems),
-            x1_max=self.get("numerics", "x1_max", float, default=3.0, problems=problems),
-            nx1=self.get("numerics", "nx1", int, default=101, problems=problems),
-            n_t=self.get("numerics", "n_t_pde", int, default=200, problems=problems),
-            x2_ref=self.get("numerics", "x2_ref", float, default=0.0, problems=problems))
-        if any(v is None for v in vals.values()):
-            return None
-        try:
-            return HjbGrid(**vals)
-        except ConfigurationError as exc:
-            problems.append(f"numerics: {exc}")
             return None
 
     def scaling(self, n_steps: int, problems: List[str]
@@ -198,22 +215,20 @@ class RunConfig:
         """check-scaling settings: offsets, perturbation indices in
         [0, n_steps - 1] (a variation needs t + dt <= T) and the moment p."""
         from .variational import check_offsets
-        raw = self.get("scaling", "offsets", str, default="0.2,0.1,0.05,0.025",
-                       problems=problems)
+        raw = self.get("scaling", "offsets", problems)
         try:
             offsets = [float(v) for v in raw.split(",")]
             check_offsets(offsets)
-        except ValueError:
-            problems.append(f"scaling.offsets: expected comma-separated numbers, got {raw!r}")
-            offsets = None
         except ConfigurationError as exc:
             problems.append(f"scaling.offsets: {exc}, got {raw!r}")
             offsets = None
-        raw = self.get("scaling", "t_indices", str, default=str(max(n_steps // 4, 1)),
-                       problems=problems)
+        except ValueError:
+            problems.append(f"scaling.offsets: expected comma-separated numbers, got {raw!r}")
+            offsets = None
+        raw = self.get("scaling", "t_indices", problems, str(max(n_steps // 4, 1)))
         t_indices = _indices("scaling.t_indices", raw, n_steps - 1,
                              "a variation needs t + dt <= T", problems)
-        return offsets, t_indices, self.get("scaling", "p", int, problems, 2, lower=1)
+        return offsets, t_indices, self.get("scaling", "p", problems)
 
     def effective_lines(self) -> List[str]:
         lines = [f"seed={self.seed}"]
@@ -250,38 +265,12 @@ def _read_problem(path: str, exc: Exception) -> str:
     return f"config: cannot read {path}: " + " ".join(str(exc).split())
 
 
-# The keys each field group of COMMANDS reads, by section; "instance" holds
-# what every subcommand reads.  A key is allowed when any group reads it, as
-# one config file serves several subcommands; make_coefficients checks the
-# keys of the params sections against the family.
-_INSTANCE_KEYS = ("family", "lambda", "s", "T", "dt", "delay_steps", "history",
-                  "u_min", "u_max")
-FIELD_KEYS = {
-    "instance": {"run": ("seed",), "instance": _INSTANCE_KEYS, "numerics": ("n_u",)},
-    "driver": {"driver": ("fbar", "gbar")},
-    "n_paths": {"numerics": ("n_paths",)},
-    "dump_paths": {"numerics": ("dump_paths",)},
-    "basis": {"numerics": ("basis_degree", "eps_reg")},
-    "control": {"control": ("type", "perturb", "value")},
-    "hjb_grid": {"numerics": ("x_min", "x_max", "nx", "x1_min", "x1_max", "nx1", "n_t_pde",
-                              "x2_ref")},
-    "value_output": {"numerics": ("dump_slices", "hjb_variant", "svg")},
-    "scaling": {"scaling": ("offsets", "t_indices", "p")},
-    "moments": {"moments": ("p",)},
-    "comparison": {"instance2": _INSTANCE_KEYS, "comparison": ("tol",)},
-    "seed_plus_1": {},
-    "grid_budget": {"numerics": ("grid_budget",)},
-}
-_PARAMS_SECTIONS = ("instance.params", "instance2.params")
-
-
 def _unknown_keys(parser: configparser.ConfigParser) -> List[str]:
     """One problem per key that no field group reads; a [DEFAULT] key would
     reach every section, so none is read."""
     known: Dict[str, set] = {}
-    for group in FIELD_KEYS.values():
-        for section, keys in group.items():
-            known.setdefault(section, set()).update(map(parser.optionxform, keys))
+    for section, key in _FIELDS:
+        known.setdefault(section, set()).add(parser.optionxform(key))
     defaults = parser.defaults()
     problems = [f"{parser.default_section}.{key}: unknown section [{parser.default_section}]"
                 for key in defaults]
@@ -422,44 +411,44 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
         note = " (z-free linear form)" if name == "verify" else ""
         problems.append(f"driver: {name} requires a [driver] section{note}")
     if "n_paths" in needs:
-        got.n_paths = cfg.get("numerics", "n_paths", int, problems, 10_000, lower=1)
+        got.n_paths = cfg.get("numerics", "n_paths", problems)
     if "dump_paths" in needs:
-        got.keep = cfg.get("numerics", "dump_paths", int, problems, 100, lower=0)
+        got.keep = cfg.get("numerics", "dump_paths", problems)
     if "basis" in needs:
-        got.basis = cfg.basis(problems)
+        got.basis = cfg.build(RegressionBasis, "basis", problems)
     if "control" in needs:
-        got.ctype = cfg.get("control", "type", str, problems, "constant")
+        got.ctype = cfg.get("control", "type", problems)
         if got.ctype not in CONTROL_TYPES:
             problems.append(f"control.type: unknown control type {got.ctype!r} "
                             f"(expected {' | '.join(CONTROL_TYPES)})")
-        got.perturb = cfg.get("control", "perturb", float, problems, 0.0)
+        got.perturb = cfg.get("control", "perturb", problems)
         if got.ctype == "constant":
-            got.value = cfg.get("control", "value", float, problems, 0.0)
+            got.value = cfg.get("control", "value", problems)
     if "hjb_grid" in needs or got.ctype == "hjb":
-        got.grid = cfg.hjb_grid(problems)
+        from .hjb import HjbGrid
+        got.grid = cfg.build(HjbGrid, "hjb_grid", problems)
     if "value_output" in needs:
-        raw = cfg.get("numerics", "dump_slices", str, problems, "0")
+        raw = cfg.get("numerics", "dump_slices", problems)
         got.slices = None  # all of them
         if raw != "all" and got.grid is not None:
             got.slices = _indices("numerics.dump_slices", raw, got.grid.n_t, "numerics.n_t_pde",
                                   problems, expected="'all' or comma-separated integers")
-        got.variant = cfg.get("numerics", "hjb_variant", str, problems, got.variant)
+        got.variant = cfg.get("numerics", "hjb_variant", problems, got.variant)
         if got.variant not in G_VARIANTS:
             problems.append(f"numerics.hjb_variant: unknown variant {got.variant!r} "
                             f"(expected {' | '.join(G_VARIANTS)})")
-        got.svg = cfg.get("numerics", "svg", bool, problems, False)
+        got.svg = cfg.get("numerics", "svg", problems)
     if "scaling" in needs:
         got.offsets, got.t_indices, got.p = cfg.scaling(inst.grid.n_steps, problems)
     if "moments" in needs:
-        got.p = cfg.get("moments", "p", int, problems, 2)
+        got.p = cfg.get("moments", "p", problems)
     if "comparison" in needs:
-        got.tol = cfg.get("comparison", "tol", float, problems, 10.0 * inst.grid.dt,
-                          lower=0.0)
+        got.tol = cfg.get("comparison", "tol", problems, 10.0 * inst.grid.dt)
     if "seed_plus_1" in needs and cfg.seed + 1 > 0xFFFFFFFFFFFFFFFF:
         problems.append(f"{cfg.seed_field}: {name} also draws noise from seed + 1, "
                         f"which must fit in 64 bits; got seed {cfg.seed}")
     if "grid_budget" in needs:
-        got.budget = cfg.get("numerics", "grid_budget", float, problems, 5e-2)
+        got.budget = cfg.get("numerics", "grid_budget", problems)
     if problems:
         raise ConfigError(problems)
     return got
@@ -686,7 +675,7 @@ def _cmd_girsanov(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 # subcommand: (run, the field groups _inputs parses for it besides the
-# instance; FIELD_KEYS lists each group's keys); the README's
+# instance; FIELD_KEYS declares each group's keys); the README's
 # "Configuration" table mirrors it
 COMMANDS = {
     "simulate": (_cmd_simulate, ("n_paths", "dump_paths", "control")),

@@ -212,6 +212,62 @@ class TestConfigValidation:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand,config,override,line", [
+        # one per column of FIELD_KEYS: a required key, an int and a float
+        # bound, a bool, and [instance2] read through the [instance] declaration
+        ("simulate", "lq-nodt", None, "instance.dt: required key missing"),
+        ("simulate", "lq", "numerics.n_paths=0",
+         "numerics.n_paths: must be a positive integer, got 0"),
+        ("check-comparison", "cmp", "comparison.tol=-1",
+         "comparison.tol: must be >= 0.0, got -1.0"),
+        ("solve-hjb", "lq", "numerics.svg=abc", "numerics.svg: cannot parse 'abc' as bool"),
+        ("check-comparison", "cmp", "instance2.dt=q", "instance2.dt: cannot parse 'q' as float"),
+        ("check-scaling", "lq", "scaling.offsets=0.2,0.1",
+         "scaling.offsets: need >= 3 positive offsets spanning a factor >= 4, got '0.2,0.1'"),
+        # non-finite floats, in RunConfig.get and in the params sections
+        ("simulate", "lq", "instance.dt=nan", "instance.dt: must be finite, got nan"),
+        ("simulate", "lq", "instance.T=inf", "instance.T: must be finite, got inf"),
+        ("solve-hjb", "lq", "numerics.x_max=nan", "numerics.x_max: must be finite, got nan"),
+        ("check-comparison", "cmp", "comparison.tol=nan",
+         "comparison.tol: must be finite, got nan"),
+        ("verify", "lq", "numerics.grid_budget=nan",
+         "numerics.grid_budget: must be finite, got nan"),
+        ("solve-hjb", "lq", "driver.fbar=nan", "driver.fbar: must be finite, got nan"),
+        ("check-comparison", "cmp", "instance2.params.sx=-inf",
+         "instance2.params.sx: must be finite, got -inf"),
+    ])
+    def test_bad_field_is_one_exact_line(self, subcommand, config, override, line, tmp_path,
+                                         capsys):
+        p = tmp_path / "cfg.ini"
+        p.write_text({"lq": LQ_INI, "cmp": CMP_INI,
+                      "lq-nodt": LQ_INI.replace("dt = 0.01\n", "")}[config])
+        out = tmp_path / "o"
+        rc = main([subcommand, "--config", str(p), "--out", str(out),
+                   *(["--set", override] if override else [])])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+        assert not out.exists()
+
+    def test_readme_example_shows_every_field_key(self):
+        # the README's Configuration example sets or comments every key that
+        # FIELD_KEYS declares, in its section; [instance2] shares the
+        # [instance] declaration
+        with open(README) as fh:
+            example = re.search(r"### Configuration\n.*?```ini\n(.*?)```", fh.read(),
+                                re.S).group(1)
+        shown, section = set(), None
+        for row in example.splitlines():
+            header, key = re.match(r"\[([\w.]+)\]", row), re.match(r";?\s*(\w+)\s*=", row)
+            if header:
+                section = header.group(1)
+            elif key:
+                shown.add((section, key.group(1)))
+        assert cli.FIELD_KEYS["comparison"]["instance2"] is cli.FIELD_KEYS["instance"]["instance"]
+        declared = {(section, key) for group in cli.FIELD_KEYS.values()
+                    for section, keys in group.items() if section != "instance2"
+                    for key in keys}
+        assert declared <= shown
+
     @pytest.mark.parametrize("args,field", [
         (["--seed", "-1"], "--seed"),
         (["--seed", str(2 ** 64)], "--seed"),

@@ -131,7 +131,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                        "--set", "instance.params.sx=20"]),
 ]
 
-# one fault each; "lq-nodriver" is the LQ config without its [driver] section
+# one fault each; "lq-nodriver" and "lq-nodt" are the LQ config without its
+# [driver] section and without instance.dt
 BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-simulate-family", "lq", ["simulate", "--set", "instance.family=woble"]),
     ("bad-simulate-n_paths", "lq", ["simulate", "--set", "numerics.n_paths=-1"]),
@@ -149,6 +150,18 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-verify-budget", "lq", ["verify", "--set", "numerics.grid_budget=abc"]),
     ("bad-verify-nodriver", "lq-nodriver", ["verify"]),
     ("bad-girsanov-nodriver", "lq-nodriver", ["girsanov"]),
+    # one per column of cli.FIELD_KEYS: a required key, a bound, the shared
+    # [instance2] declaration, the known keys; then a non-finite float and
+    # too few offsets
+    ("bad-simulate-nodt", "lq-nodt", ["simulate"]),
+    ("bad-check-comparison-tol-negative", "cmp", ["check-comparison",
+                                                  "--set", "comparison.tol=-1"]),
+    ("bad-check-comparison-instance2", "cmp", ["check-comparison", "--set", "instance2.dt=q"]),
+    ("bad-check-scaling-p", "lq", ["check-scaling", "--set", "scaling.p=0"]),
+    ("bad-simulate-unknown-key", "lq", ["simulate", "--set", "numerics.npaths=5"]),
+    ("bad-simulate-dt-nan", "lq", ["simulate", "--set", "instance.dt=nan"]),
+    ("bad-check-scaling-offsets-few", "lq", ["check-scaling",
+                                             "--set", "scaling.offsets=0.2,0.1"]),
 ]
 
 
@@ -175,6 +188,7 @@ def calls(seed: int) -> List[Tuple[str, str, List[str], bool]]:
            for name, wl in WORKLOADS.items()]
     configs = dict(test_configs(), girsanov=GIRSANOV_INI)
     configs["lq-nodriver"] = configs["lq"].replace("[driver]\nfbar = 0.0\ngbar = 0.0\n", "")
+    configs["lq-nodt"] = configs["lq"].replace("dt = 0.01\n", "")
     out += [(name, configs[config], argv, False) for name, config, argv in TEST_CALLS]
     out += [(name, configs[config], argv, True) for name, config, argv in BAD_CALLS]
     return out
