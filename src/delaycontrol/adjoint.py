@@ -35,6 +35,13 @@ def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, rows):
     return t, x, x1, x2, solution.Y[rows, i], solution.Z[rows, i], u
 
 
+def _slope(coeffs, slot: str, *args):
+    """Derivative ``slot`` at ``args``; a slope the registry recorded as a
+    constant is that number, which multiplies as an array filled with it."""
+    c = coeffs.constant(slot)
+    return getattr(coeffs, slot)(*args) if c is None else c
+
+
 @dataclass
 class AdjointBundle:
     """Adjoint paths on grid indices 0..n for the non-diverged paths.
@@ -76,8 +83,8 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
     gamma[ok, 0] = 1.0
     for i in range(n):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        fy = coeffs.f_y(t, x, x1, x2, y, z, u)
-        fz = coeffs.f_z(t, x, x1, x2, y, z, u)
+        fy = _slope(coeffs, "f_y", t, x, x1, x2, y, z, u)
+        fz = _slope(coeffs, "f_z", t, x, x1, x2, y, z, u)
         mult = 1.0 + fy * dt + fz * bundle.dW[ok, i]
         if np.any(mult <= 0.0):
             bad = int(np.argmax(mult <= 0.0))
@@ -101,12 +108,12 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         (p1_hat, p2_hat), q1_hat = hats, qs[0]
         g = gamma[ok, i]
-        H_x = (p1_hat * coeffs.b_x(t, x, x1, x2, u) + p2_hat
-               + q1_hat * coeffs.sigma_x(t, x, x1, x2, u)
-               - g * coeffs.f_x(t, x, x1, x2, y, z, u))
-        H_x1 = (p1_hat * coeffs.b_x1(t, x, x1, x2, u) - lam * p2_hat
-                + q1_hat * coeffs.sigma_x1(t, x, x1, x2, u)
-                - g * coeffs.f_x1(t, x, x1, x2, y, z, u))
+        H_x = (p1_hat * _slope(coeffs, "b_x", t, x, x1, x2, u) + p2_hat
+               + q1_hat * _slope(coeffs, "sigma_x", t, x, x1, x2, u)
+               - g * _slope(coeffs, "f_x", t, x, x1, x2, y, z, u))
+        H_x1 = (p1_hat * _slope(coeffs, "b_x1", t, x, x1, x2, u) - lam * p2_hat
+                + q1_hat * _slope(coeffs, "sigma_x1", t, x, x1, x2, u)
+                - g * _slope(coeffs, "f_x1", t, x, x1, x2, y, z, u))
         return p1_hat + H_x * dt, p2_hat + H_x1 * dt
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
@@ -129,9 +136,9 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
     p3[ok, n] = 0.0
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        H_x2 = (p1[ok, i] * coeffs.b_x2(t, x, x1, x2, u) - decay * p2[ok, i]
-                + q1[ok, i] * coeffs.sigma_x2(t, x, x1, x2, u)
-                - gamma[ok, i] * coeffs.f_x2(t, x, x1, x2, y, z, u))
+        H_x2 = (p1[ok, i] * _slope(coeffs, "b_x2", t, x, x1, x2, u) - decay * p2[ok, i]
+                + q1[ok, i] * _slope(coeffs, "sigma_x2", t, x, x1, x2, u)
+                - gamma[ok, i] * _slope(coeffs, "f_x2", t, x, x1, x2, y, z, u))
         p3[ok, i] = p3[ok, i + 1] + H_x2 * dt
     return p3
 

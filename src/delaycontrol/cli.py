@@ -68,7 +68,7 @@ _INSTANCE = {"family": (str, REQUIRED), "lambda": (float, 0.0), "s": (float, 0.0
              "u_min": (float, -1.0), "u_max": (float, 1.0), "history": (str, "constant:0.0")}
 FIELD_KEYS = {
     "instance": {"run": {"seed": (int, None)}, "instance": _INSTANCE,
-                 "numerics": {"n_u": (int, 21)}},
+                 "numerics": {"n_u": (int, 21, 1)}},
     "driver": {"driver": {"fbar": (float, 0.0), "gbar": (float, 0.0)}},
     "n_paths": {"numerics": {"n_paths": (int, 10_000, 1)}},
     "dump_paths": {"numerics": {"dump_paths": (int, 100, 0)}},
@@ -181,7 +181,8 @@ class RunConfig:
     def instance(self, problems: List[str], section: str = "instance",
                  with_driver: bool = True) -> Optional[Instance]:
         vals = {key: self.get(section, key, problems) for key in _INSTANCE}
-        n_u = self.get("numerics", "n_u", problems)
+        # [instance2] shares numerics.n_u, which the [instance] read reports
+        n_u = self.get("numerics", "n_u", problems if section == "instance" else [])
         family = vals.pop("family")
         if family is not None and family not in FAMILIES:
             problems.append(f"{section}.family: unknown family {family!r} "
@@ -442,6 +443,8 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
         got.offsets, got.t_indices, got.p = cfg.scaling(inst.grid.n_steps, problems)
     if "moments" in needs:
         got.p = cfg.get("moments", "p", problems)
+        if got.p is not None and (got.p < 2 or got.p % 2):
+            problems.append(f"moments.p: must be an even integer >= 2, got {got.p}")
     if "comparison" in needs:
         got.tol = cfg.get("comparison", "tol", problems, 10.0 * inst.grid.dt)
     if "seed_plus_1" in needs and cfg.seed + 1 > 0xFFFFFFFFFFFFFFFF:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class CoefficientSet:
     Any other callable in one of those slots drops it, whatever it reads:
     a set from ``dataclasses.replace``, a wrapper (``functools.wraps``
     included) or the measure-shifted set of ``connect.girsanov_reduce``.
+
+    :meth:`constant` names the b, sigma and f slopes that
+    :func:`make_coefficients` built as finite constants, by the same
+    identity rule: the variational remainders and the adjoint sweeps use
+    the number and call no evaluator for them.
     """
 
     name: str
@@ -90,6 +95,12 @@ class CoefficientSet:
         """Are b, sigma and f the registry's own (t-free) evaluators?"""
         return all(fn in _REGISTRY_EVALUATORS for fn in (self.b, self.sigma, self.f))
 
+    def constant(self, slot: str) -> Optional[float]:
+        """The number the derivative in ``slot`` returns at every state, if
+        make_coefficients built it as a finite constant; else None."""
+        fn = getattr(self, slot)
+        return _CONSTANTS[fn] if fn in _CONSTANTS else None
+
     def a_part(self, t, x, x1, x2, u):
         """Driver with the (y, z) slots zeroed: a(t,x,x1,x2,u) = f(t,...,0,0,u)."""
         return self.f(t, x, x1, x2, 0.0, 0.0, u)
@@ -97,6 +108,19 @@ class CoefficientSet:
 
 # b, sigma and f of every set make_coefficients built, held by identity
 _REGISTRY_EVALUATORS = weakref.WeakSet()
+# each constant b, sigma or f slope the registry built -> its value c + 0.0,
+# which is what _fill pads an array with (so -0.0 is stored as +0.0)
+_CONSTANTS = weakref.WeakKeyDictionary()
+
+
+def _constant(c: float) -> Callable:
+    """The b, sigma or f slope that is ``c`` at every state, recorded in
+    _CONSTANTS when finite."""
+    def slope(t, *state):
+        return _fill(c, *state)
+    if np.isfinite(c):
+        _CONSTANTS[slope] = c + 0.0
+    return slope
 
 
 def _linear_evaluators(p: Dict[str, float]):
@@ -117,21 +141,11 @@ def _linear_evaluators(p: Dict[str, float]):
     def phi(x, x1):
         return phi0 + phix * x + phix1 * x1
 
-    derivs = dict(
-        b_x=lambda t, x, x1, x2, u: _fill(bx, x, x1, x2, u),
-        b_x1=lambda t, x, x1, x2, u: _fill(bx1, x, x1, x2, u),
-        b_x2=lambda t, x, x1, x2, u: _fill(bx2, x, x1, x2, u),
-        sigma_x=lambda t, x, x1, x2, u: _fill(sx, x, x1, x2, u),
-        sigma_x1=lambda t, x, x1, x2, u: _fill(sx1, x, x1, x2, u),
-        sigma_x2=lambda t, x, x1, x2, u: _fill(sx2, x, x1, x2, u),
-        f_x=lambda t, x, x1, x2, y, z, u: _fill(fx, x, x1, x2, y, z, u),
-        f_x1=lambda t, x, x1, x2, y, z, u: _fill(fx1, x, x1, x2, y, z, u),
-        f_x2=lambda t, x, x1, x2, y, z, u: _fill(fx2, x, x1, x2, y, z, u),
-        f_y=lambda t, x, x1, x2, y, z, u: _fill(fy, x, x1, x2, y, z, u),
-        f_z=lambda t, x, x1, x2, y, z, u: _fill(fz, x, x1, x2, y, z, u),
-        phi_x=lambda x, x1: _fill(phix, x, x1),
-        phi_x1=lambda x, x1: _fill(phix1, x, x1),
-    )
+    slopes = dict(b_x=bx, b_x1=bx1, b_x2=bx2, sigma_x=sx, sigma_x1=sx1, sigma_x2=sx2,
+                  f_x=fx, f_x1=fx1, f_x2=fx2, f_y=fy, f_z=fz)
+    derivs = {slot: _constant(c) for slot, c in slopes.items()}
+    derivs.update(phi_x=lambda x, x1: _fill(phix, x, x1),
+                  phi_x1=lambda x, x1: _fill(phix1, x, x1))
     return b, sigma, f, phi, derivs
 
 
@@ -225,17 +239,10 @@ def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
         return _fill(phi_quad * x ** 2 + phi_lin * x + phi0, x, x1)
 
     derivs = dict(
-        b_x=lambda t, x, x1, x2, u: _fill(a, x, x1, x2, u),
-        b_x1=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
-        b_x2=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
-        sigma_x=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
-        sigma_x1=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
-        sigma_x2=lambda t, x, x1, x2, u: _fill(0.0, x, x1, x2, u),
+        b_x=_constant(a), b_x1=_constant(0.0), b_x2=_constant(0.0),
+        sigma_x=_constant(0.0), sigma_x1=_constant(0.0), sigma_x2=_constant(0.0),
         f_x=lambda t, x, x1, x2, y, z, u: _fill(-2.0 * q * x, x1, x2, y, z, u),
-        f_x1=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
-        f_x2=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
-        f_y=lambda t, x, x1, x2, y, z, u: _fill(fy, x, x1, x2, y, z, u),
-        f_z=lambda t, x, x1, x2, y, z, u: _fill(0.0, x, x1, x2, y, z, u),
+        f_x1=_constant(0.0), f_x2=_constant(0.0), f_y=_constant(fy), f_z=_constant(0.0),
         phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1),
         phi_x1=lambda x, x1: _fill(0.0, x, x1),
     )

@@ -65,32 +65,36 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
 
     Averaging the gap rather than the derivative keeps the result exactly
     zero for constant derivatives, so linear families produce identically
-    vanishing remainders instead of rounding dust.  Steps are taken in slabs
-    of (n_paths, slab) arrays; every element sees the same operations in the
-    same order as a step-by-step evaluation, so the result is bit-identical.
+    vanishing remainders instead of rounding dust; a slope the registry
+    recorded as a constant (``CoefficientSet.constant``) gets that gap, 0.0,
+    without being evaluated.  Steps are taken in slabs of (n_paths, slab)
+    arrays; every element sees the same operations in the same order as a
+    step-by-step evaluation, so the result is bit-identical.
     """
     grid = bundle.grid
     m, n = grid.m, grid.n_steps
     n_paths, n_sub = bundle.n_paths, n - t_index
-    derivs = (coeffs.b_x, coeffs.b_x1, coeffs.b_x2,
-              coeffs.sigma_x, coeffs.sigma_x1, coeffs.sigma_x2)
+    slots = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2")
+    live = [(k, getattr(coeffs, slot)) for k, slot in enumerate(slots)
+            if coeffs.constant(slot) is None]
     eps1 = np.empty((n_paths, n_sub))
     eps2 = np.empty((n_paths, n_sub))
     slab = max(1, _SLAB_PATH_STEPS // n_paths)
     for j0 in range(0, n_sub, slab):
         j1 = min(j0 + slab, n_sub)
         i0, i1 = t_index + j0, t_index + j1
-        steps = np.arange(i0, i1)
-        t = grid.time(steps)
-        u = bundle.u_at(steps)
-        x, x1, x2 = bundle.X[:, i0 + m : i1 + m], bundle.X1[:, i0:i1], bundle.X[:, i0:i1]
         hx, hx1, hx2 = Xhat[:, j0:j1], Xhat1[:, j0:j1], Xhat2[:, j0:j1]
-        stars = [d(t, x, x1, x2, u) for d in derivs]
-        gaps = [0.0] * len(derivs)
-        for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
-            xs, x1s, x2s = x + theta * hx, x1 + theta * hx1, x2 + theta * hx2
-            gaps = [g + w * (d(t, xs, x1s, x2s, u) - star)
-                    for g, d, star in zip(gaps, derivs, stars)]
+        gaps = [0.0] * len(slots)
+        if live:
+            steps = np.arange(i0, i1)
+            t = grid.time(steps)
+            u = bundle.u_at(steps)
+            x, x1, x2 = bundle.X[:, i0 + m : i1 + m], bundle.X1[:, i0:i1], bundle.X[:, i0:i1]
+            stars = [d(t, x, x1, x2, u) for _, d in live]
+            for theta, w in zip(_GL_NODES, _GL_WEIGHTS):
+                xs, x1s, x2s = x + theta * hx, x1 + theta * hx1, x2 + theta * hx2
+                for (k, d), star in zip(live, stars):
+                    gaps[k] = gaps[k] + w * (d(t, xs, x1s, x2s, u) - star)
         eps1[:, j0:j1] = gaps[0] * hx + gaps[1] * hx1 + gaps[2] * hx2
         eps2[:, j0:j1] = gaps[3] * hx + gaps[4] * hx1 + gaps[5] * hx2
     return eps1, eps2

@@ -235,6 +235,14 @@ class TestConfigValidation:
         ("solve-hjb", "lq", "driver.fbar=nan", "driver.fbar: must be finite, got nan"),
         ("check-comparison", "cmp", "instance2.params.sx=-inf",
          "instance2.params.sx: must be finite, got -inf"),
+        # numerics.n_u serves both instances and is reported once
+        ("check-comparison", "cmp", "numerics.n_u=abc",
+         "numerics.n_u: cannot parse 'abc' as int"),
+        ("check-comparison", "cmp", "numerics.n_u=0",
+         "numerics.n_u: must be a positive integer, got 0"),
+        # moments.p is checked in the parse pass
+        ("check-moments", "cmp", "moments.p=3", "moments.p: must be an even integer >= 2, got 3"),
+        ("check-moments", "cmp", "moments.p=0", "moments.p: must be an even integer >= 2, got 0"),
     ])
     def test_bad_field_is_one_exact_line(self, subcommand, config, override, line, tmp_path,
                                          capsys):

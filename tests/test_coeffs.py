@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -70,3 +73,29 @@ def test_lq_shapes():
         -(0.15 * x ** 2 + 1.0 * 0.25))
     assert coeffs.phi_x(x, 0.0) == pytest.approx(-0.3 * x)
     assert np.all(coeffs.sigma(0.0, x, 0.0, 0.0, 0.0) == 0.2)
+
+
+class TestRecordedConstants:
+    def test_linear_slopes_are_recorded_as_their_values(self):
+        coeffs = make_coefficients("linear", bx=0.3, sx2=-0.0, fy=-0.4)
+        assert coeffs.constant("b_x") == 0.3 and coeffs.constant("f_y") == -0.4
+        # stored as _fill pads it: -0.0 + 0.0 is +0.0
+        c, padded = coeffs.constant("sigma_x2"), coeffs.sigma_x2(0.0, np.zeros(2), 0.0, 0.0, 0.0)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0 and not np.signbit(padded).any()
+
+    def test_infinite_slope_records_no_constant(self):
+        coeffs = make_coefficients("linear", bx=float("inf"), sx=float("-inf"))
+        assert coeffs.constant("b_x") is None and coeffs.constant("sigma_x") is None
+        assert coeffs.constant("b_x1") == 0.0
+
+    def test_state_dependent_and_replaced_slopes_are_evaluated(self):
+        lq = make_coefficients("linear_quadratic", a=0.2, q=0.5, fy=-0.1)
+        assert lq.constant("f_x") is None
+        assert lq.constant("b_x") == 0.2 and lq.constant("f_y") == -0.1
+        bil = make_coefficients("bilinear", bx=0.2, bxx1=0.5, fy=-0.1)
+        assert bil.constant("b_x") is None and bil.constant("f_y") == -0.1
+        # a replaced slot is evaluated, also by a callable that takes no weak reference
+        swapped = dataclasses.replace(lq, b_x=lambda t, x, x1, x2, u: 0.2 + 0.0 * x,
+                                      sigma_x=np.cos)
+        assert swapped.constant("b_x") is None and swapped.constant("sigma_x") is None
+        assert swapped.constant("b_x1") == 0.0

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from delaycontrol import coeffs as coeffs_module
 from delaycontrol import variational
 from delaycontrol.core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
                               x1_weights)
@@ -12,6 +13,7 @@ from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import solve_adjoints
 from delaycontrol.variational import (_GL_NODES, _GL_WEIGHTS, duality_processes,
                                       scaling_reports, simulate_variation)
+from conftest import LQ_LAM, LQ_PARAMS
 
 OFFSETS = [0.2, 0.1, 0.05, 0.025]
 
@@ -195,6 +197,85 @@ class TestSlabRemainders:
             assert np.any(eps1 != 0.0) and np.any(eps2 != 0.0)
             assert np.array_equal(run.eps1, eps1)
             assert np.array_equal(run.eps2, eps2)
+
+
+SLOPES = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2",
+          "f_x", "f_x1", "f_x2", "f_y", "f_z")
+STATE_SLOPES = SLOPES[:6]
+
+
+def counting(fn, calls):
+    def counted(*args):
+        calls.append(fn)
+        return fn(*args)
+    return counted
+
+
+class TestConstantSlopes:
+    """Slopes the registry records as constants are read as numbers; the
+    results must equal those of a set whose every slope is evaluated."""
+
+    FAMILIES = [
+        ("constant", dict(b0=0.3, s0=0.2, f0=0.1, phi0=0.2), ()),
+        # -0.0 is stored as +0.0, the value _fill pads with
+        ("linear", dict(b0=0.1, bx=-0.3, bx1=0.2, bx2=-0.0, bu=0.5, s0=0.2, sx=0.15,
+                        sx1=0.05, sx2=-0.05, fx=-0.2, fx1=0.1, fx2=0.05, fy=-0.3,
+                        fz=0.1, fu=0.1, phix=0.3, phix1=-0.1), ()),
+        ("linear_quadratic", dict(a=0.1, bu=0.5, sigma0=0.2, q=0.15, r=1.0, fy=-0.2,
+                                  phi_lin=0.3), ("f_x",)),
+        ("bilinear", dict(bx=0.2, bxx1=0.5, bxx2=-0.3, s0=0.2, sx=0.1, sxx1=0.2,
+                          sxx2=0.1, fx=-0.2, fy=-0.1, phix=0.3), STATE_SLOPES),
+    ]
+
+    @pytest.mark.parametrize("family,params,evaluated", FAMILIES,
+                             ids=[f[0] for f in FAMILIES])
+    def test_recorded_constants_match_evaluated_slopes(self, family, params, evaluated):
+        coeffs = make_coefficients(family, lam=0.4, **params)
+        assert [s for s in SLOPES if coeffs.constant(s) is None] == list(evaluated)
+        calls = []
+        wrapped = dataclasses.replace(
+            coeffs, **{s: counting(getattr(coeffs, s), calls) for s in SLOPES})
+        assert all(wrapped.constant(s) is None for s in SLOPES)
+        bundle = make_bundle(coeffs, T=0.3, n_paths=300, seed=5, control=0.2)
+        basis = RegressionBasis(degree=2)
+        solution = solve_bsde_lsmc(bundle, coeffs, basis)
+        results = []
+        for cs in (coeffs, wrapped):
+            run = simulate_variation(bundle, cs, 8, 0.1)
+            adj = solve_adjoints(bundle, solution, cs, basis)
+            results.append([run.eps1, run.eps2, adj.gamma, adj.p1, adj.p2, adj.p3,
+                            adj.q1, adj.q2])
+        assert {id(fn) for fn in calls} == {id(getattr(coeffs, s)) for s in SLOPES}
+        for recorded, evaluated_run in zip(*results):
+            assert np.array_equal(recorded, evaluated_run, equal_nan=True)
+            assert np.array_equal(np.signbit(recorded), np.signbit(evaluated_run))
+
+    def test_lq_remainders_evaluate_no_slope(self, monkeypatch):
+        # the LQ benchmark: every b and sigma slope is a recorded constant
+        coeffs = make_coefficients("linear_quadratic", lam=LQ_LAM, **LQ_PARAMS)
+        bundle = make_bundle(coeffs, T=1.0, n_paths=500, seed=3, control=0.1, x0=0.6)
+        fills = []
+        monkeypatch.setattr(coeffs_module, "_fill", counting(coeffs_module._fill, fills))
+        remainders, slope_calls = variational._remainders, []
+
+        def counted_remainders(bundle, cs, *args):
+            before = len(fills)
+            out = remainders(bundle, cs, *args)
+            slope_calls.append(len(fills) - before)
+            return out
+
+        monkeypatch.setattr(variational, "_remainders", counted_remainders)
+        for t_index in (20, 50, 80):
+            scaling_reports(bundle, coeffs, t_index, OFFSETS)
+        assert slope_calls == [0] * 12
+        # the same variations with every slope evaluated: 6 slopes at the base
+        # point and 8 nodes per slab; 500 paths make slabs of 16 steps
+        wrapped = dataclasses.replace(
+            coeffs, **{s: counting(getattr(coeffs, s), []) for s in STATE_SLOPES})
+        slope_calls.clear()
+        for t_index in (20, 50, 80):
+            scaling_reports(bundle, wrapped, t_index, OFFSETS)
+        assert sum(slope_calls) == 54 * (5 + 4 + 2) * len(OFFSETS)
 
 
 class TestRemainderScaling:

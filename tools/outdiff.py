@@ -10,9 +10,10 @@ REV is extracted with ``git archive`` into a temporary directory.  Every
 call runs in a fresh process (``python -m delaycontrol.cli``) once against
 REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
-LQ and CMP configs of ``tests/test_cli.py``, and ``girsanov`` on the config
-of its ``test_girsanov_report``.  One line is printed per
-output file.  The bad-config calls each carry one fault, at least one per
+LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
+``check-mp`` on a linear and a bilinear instance, and ``girsanov`` on the
+config of its ``test_girsanov_report``.  One line is printed per output
+file.  The bad-config calls each carry one fault, at least one per
 subcommand, and their exit code and exact stderr text are compared; one
 line is printed per call.  The exit status is 1 if any exit code, stderr
 text, file list or file differs, else 0.
@@ -66,6 +67,18 @@ GIRSANOV_HJB = [arg for item in ("instance.params.phix=0.5", "instance.params.bu
                                  "numerics.nx1=31", "numerics.n_t_pde=60",
                                  "numerics.dump_slices=all") for arg in ("--set", item)]
 
+# the LQ config's [instance.params] replaced: a linear instance, whose b,
+# sigma and f slopes are all nonzero constants, and a bilinear one, whose b
+# and sigma slopes depend on the state, so check-scaling and check-mp run
+# both the recorded-constant path and the evaluated one
+FAMILY_PARAMS = {
+    "linear": {"b0": 0.1, "bx": -0.3, "bx1": 0.2, "bx2": 0.1, "bu": 0.5, "s0": 0.2,
+               "sx": 0.1, "sx1": 0.05, "sx2": -0.05, "fx": -0.2, "fx1": 0.1, "fx2": 0.05,
+               "fy": -0.1, "fz": 0.05, "fu": 0.1, "phix": 0.3, "phix1": -0.1},
+    "bilinear": {"bx": 0.2, "bxx1": 0.5, "bxx2": -0.3, "bu": 0.5, "s0": 0.2, "sx": 0.1,
+                 "sxx1": 0.2, "sxx2": 0.1, "fx": -0.2, "fy": -0.1, "phix": 0.3},
+}
+
 # (name, config, argv without --config/--out)
 TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("simulate", "lq", ["simulate"]),
@@ -113,6 +126,10 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-scaling-hjb", "lq", ["check-scaling", "--set", "control.type=hjb"]),
     ("check-scaling-perturb", "lq", ["check-scaling", "--set", "control.perturb=0.2",
                                      "--set", "numerics.n_paths=333"]),
+    ("check-scaling-linear", "linear", ["check-scaling"]),
+    ("check-scaling-bilinear", "bilinear", ["check-scaling"]),
+    ("check-mp-linear", "linear", ["check-mp"]),
+    ("check-mp-bilinear", "bilinear", ["check-mp"]),
     ("verify", "lq", ["verify"]),
     ("girsanov", "girsanov", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
@@ -162,6 +179,11 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-simulate-dt-nan", "lq", ["simulate", "--set", "instance.dt=nan"]),
     ("bad-check-scaling-offsets-few", "lq", ["check-scaling",
                                              "--set", "scaling.offsets=0.2,0.1"]),
+    # numerics.n_u, read once for both instances, and moments.p checked with
+    # the other fields
+    ("bad-check-comparison-n_u", "cmp", ["check-comparison", "--set", "numerics.n_u=abc"]),
+    ("bad-check-comparison-n_u-zero", "cmp", ["check-comparison", "--set", "numerics.n_u=0"]),
+    ("bad-check-moments-p-odd", "cmp", ["check-moments", "--set", "moments.p=3"]),
 ]
 
 
@@ -189,6 +211,12 @@ def calls(seed: int) -> List[Tuple[str, str, List[str], bool]]:
     configs = dict(test_configs(), girsanov=GIRSANOV_INI)
     configs["lq-nodriver"] = configs["lq"].replace("[driver]\nfbar = 0.0\ngbar = 0.0\n", "")
     configs["lq-nodt"] = configs["lq"].replace("dt = 0.01\n", "")
+    lq_params = configs["lq"][configs["lq"].index("[instance.params]"):
+                              configs["lq"].index("[driver]")]
+    for family, params in FAMILY_PARAMS.items():
+        block = "".join(f"{k} = {v}\n" for k, v in params.items())
+        configs[family] = configs["lq"].replace(lq_params, f"[instance.params]\n{block}\n") \
+            .replace("family = linear_quadratic", f"family = {family}")
     out += [(name, configs[config], argv, False) for name, config, argv in TEST_CALLS]
     out += [(name, configs[config], argv, True) for name, config, argv in BAD_CALLS]
     return out
