@@ -12,19 +12,20 @@ p3 is computed as a plain pathwise backward integral: the theory only
 uses it through the reduction hypothesis "p3 identically zero", so
 max|p3| is treated as a hypothesis-violation metric rather than a solved
 adjoint.  The normalized pair ptilde = p1/gamma, pcheck = p2/gamma is
-stored alongside, and can also be solved directly from its own backward
-system (with its martingale loadings qtilde, qcheck) as a cross-check.
+derived where it is read (``AdjointBundle.normalized``), and can also be
+solved directly from its own backward system (with its martingale
+loadings qtilde, qcheck) as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
-from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H
+from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H, max_abs
 from .bsde import BackwardSolution, RegressionBasis, backward_sweep
 from .smdde import TrajectoryBundle, path_array
 
@@ -46,8 +47,8 @@ def _slope(coeffs, slot: str, *args):
 class AdjointBundle:
     """Adjoint paths on grid indices 0..n for the non-diverged paths.
 
-    gamma[:, 0] = 1 and p3[:, n] = 0 hold by construction; ptilde/pcheck
-    are the gamma-normalized first-order adjoints p1/gamma and p2/gamma.
+    gamma[:, 0] = 1 and p3[:, n] = 0 hold by construction.  The
+    gamma-normalized first-order adjoints are read through ``normalized``.
     """
 
     gamma: np.ndarray
@@ -56,12 +57,18 @@ class AdjointBundle:
     p3: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
-    ptilde: np.ndarray
-    pcheck: np.ndarray
+
+    def normalized(self, rows: Union[slice, np.ndarray] = slice(None),
+                   cols: Union[int, slice] = slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ptilde, pcheck) = (p1/gamma, p2/gamma)`` on ``rows`` and ``cols``,
+        divided on each call and kept nowhere.  Slices read views of the
+        operands; a mask or an index array gathers."""
+        g = self.gamma[rows, cols]
+        return self.p1[rows, cols] / g, self.p2[rows, cols] / g
 
     @property
     def max_abs_p3(self) -> float:
-        return float(np.nanmax(np.abs(self.p3)))
+        return max_abs(self.p3)
 
     def p3_gate(self, dt: float) -> Tuple[bool, float]:
         """The reduction hypothesis max|p3| <= 10*dt: (holds, tolerance)."""
@@ -145,13 +152,11 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
 
 def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
                    basis: RegressionBasis) -> AdjointBundle:
-    """Full adjoint pass: gamma, (p1, p2, q1, q2), pathwise p3, and the
-    gamma-normalized quantities."""
+    """Full adjoint pass: gamma, (p1, p2, q1, q2) and pathwise p3."""
     gamma = solve_gamma(bundle, solution, coeffs)
     p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis)
     p3 = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs)
-    return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2,
-                         ptilde=p1 / gamma, pcheck=p2 / gamma)
+    return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2)
 
 
 def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolution,
@@ -275,7 +280,7 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     steps = rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)
     per_step = max(N_CONVEXITY // max(len(steps), 1), 1)
     worst_conv = 0.0
-    x_scale = 1.0 + float(np.nanmax(np.abs(bundle.X)))
+    x_scale = 1.0 + max_abs(bundle.X)
     for i in sorted(steps):
         i = int(i)
         paths = rng.choice(ok_idx, size=per_step)

@@ -595,9 +595,11 @@ def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
     write_kv(os.path.join(cfg.out_dir, "mp_report.txt"), report.lines())
-    names = ("gamma", "p1", "p2", "p3", "q1", "q2", "ptilde", "pcheck")
+    stored = ("gamma", "p1", "p2", "p3", "q1", "q2")
     write_path_table(os.path.join(cfg.out_dir, "adjoints.csv"), inst.grid.times(),
-                     inputs.keep, names, [getattr(adjoints, a) for a in names])
+                     inputs.keep, stored + ("ptilde", "pcheck"),
+                     [getattr(adjoints, a) for a in stored]
+                     + list(adjoints.normalized(slice(None, inputs.keep))))
     return 0
 
 

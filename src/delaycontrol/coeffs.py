@@ -65,8 +65,9 @@ class CoefficientSet:
 
     :meth:`constant` names the b, sigma and f slopes that
     :func:`make_coefficients` built as finite constants, by the same
-    identity rule: the variational remainders and the adjoint sweeps use
-    the number and call no evaluator for them.
+    identity rule: the variational remainders, the adjoint sweeps and the
+    comparison harness's step check use the number and call no evaluator
+    for them.
     """
 
     name: str

@@ -118,7 +118,7 @@ def check_duality_inclusion(bundle: TrajectoryBundle, adjoints, vgrid: GridValue
     medians: List[float] = []
     for i in range(0, n, max(n // DUALITY_TIME_SAMPLES, 1)):
         t, xs, x1s, _, _ = bundle.state(i, sample)
-        pts = adjoints.ptilde[sample, i] + candidate_shift
+        pts = adjoints.normalized(sample, i)[0] + candidate_shift
         inside = vgrid.is_interior(xs, x1s, margin=MEMBERSHIP_RADIUS)
         x, x1, cand = xs[inside], x1s[inside], pts[inside]
         n_checked = x.size

@@ -46,6 +46,13 @@ def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def max_abs(a: np.ndarray) -> float:
+    """max|a| over the non-NaN entries, equal to ``float(np.nanmax(np.abs(a)))``
+    (a signed zero reads +0.0, all-NaN input NaN) without the |a| copy."""
+    hi = float(np.nanmax(a))
+    return abs(hi) if math.isnan(hi) else max(abs(hi), abs(float(np.nanmin(a))))
+
+
 # ---------------------------------------------------------------------------
 # grid and history
 # ---------------------------------------------------------------------------

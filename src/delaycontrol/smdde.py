@@ -273,25 +273,26 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
 def _zero_control_chunks(runs, grid: TimeGrid, noise: NoiseSource, n_paths: int):
     """Step each ``(coeffs, history)`` of ``runs`` at u = 0 on shared increments,
     ``CHUNK_PATHS`` paths at a time.  Yields per chunk the mask of paths that
-    diverged in no run and every run's ``X``, on buffers that the next chunk
-    overwrites; raises ``HypothesisViolation`` at the end if no path is valid."""
+    diverged in no run, the increments and every run's ``(X, X1)``, on
+    buffers that the next chunk overwrites; raises ``HypothesisViolation`` at
+    the end if no path is valid."""
     for _, history in runs:
         if history.m != grid.m:
             raise ConfigurationError(f"history has {history.m} delay steps, grid expects {grid.m}")
     m, n = grid.m, grid.n_steps
     size = min(CHUNK_PATHS, n_paths)
-    X1 = path_array(size, n + 1)  # written by every run, read by none
     Xs = [path_array(size, m + n + 1) for _ in runs]
+    X1s = [path_array(size, n + 1) for _ in runs]
     n_ok = 0
     for lo in range(0, n_paths, CHUNK_PATHS):
         k = min(CHUNK_PATHS, n_paths - lo)
         dW = noise.increments(lo, k, n, grid.dt)
-        for (coeffs, history), X in zip(runs, Xs):
+        for (coeffs, history), X, X1 in zip(runs, Xs, X1s):
             X[:k, : m + 1] = history.samples
             _step_chunk(coeffs, 0.0, grid, dW, X[:k], X1[:k], None)
         ok = ~np.any([np.isnan(X[:k, -1]) for X in Xs], axis=0)  # a NaN holds to T
         n_ok += np.count_nonzero(ok)
-        yield ok, [X[:k] for X in Xs]
+        yield ok, dW, [(X[:k], X1[:k]) for X, X1 in zip(Xs, X1s)]
     if n_ok == 0:
         raise HypothesisViolation(f"no valid path left to check: all {n_paths} paths diverged")
 
@@ -354,6 +355,30 @@ def _comparison_hypotheses(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryP
     return failures
 
 
+def _order_flips(runs, grid: TimeGrid, dW: np.ndarray, ok: np.ndarray) -> int:
+    """Valid path-steps where ``1 + b_x dt + sigma_x dW <= 0`` at u = 0 in
+    some ``(coeffs, X, X1)`` of ``runs``: there one Euler step can reverse the
+    order of two coupled paths.  A recorded constant slope is read as its
+    number; any other is evaluated at each step's state."""
+    m, dt = grid.m, grid.dt
+
+    def slope(coeffs, slot, X, X1):
+        c = coeffs.constant(slot)
+        if c is not None:
+            return c
+        out = path_array(*dW.shape)
+        for i in range(grid.n_steps):
+            out[:, i] = getattr(coeffs, slot)(grid.time(i), X[:, i + m], X1[:, i], X[:, i], 0.0)
+        return out
+
+    flip = np.zeros(dW.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeffs, X, X1 in runs:
+            bx, sx = slope(coeffs, "b_x", X, X1), slope(coeffs, "sigma_x", X, X1)
+            flip |= 1.0 + bx * dt + sx * dW <= 0.0
+    return int(np.count_nonzero(flip[ok]))
+
+
 def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPath,
                           grid: TimeGrid, noise: NoiseSource, n_paths: int, *,
                           tol: float = 0.0) -> ComparisonReport:
@@ -362,18 +387,23 @@ def simulate_coupled_pair(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryPa
     Under the ordering hypotheses (ordered histories and drifts, shared
     diffusion, drift increasing in the discrete delay), the coupled paths
     stay ordered and the violation fraction is zero.  Each chunk is reduced
-    as soon as it is stepped.  Raises ``HypothesisViolation`` when every
-    pair has a diverged path.
+    as soon as it is stepped.  A step too coarse to keep the order (see
+    ``_order_flips``) is a hypothesis failure.  Raises ``HypothesisViolation``
+    when every pair has a diverged path.
     """
     count = np.zeros(grid.n_steps + 1, dtype=np.int64)  # valid pairs with gap > tol
-    n_ok, worst = 0, -np.inf
+    n_ok, n_flips, worst = 0, 0, -np.inf
     runs = [(coeffs1, hist1), (coeffs2, hist2)]
-    for ok, (X_a, X_b) in _zero_control_chunks(runs, grid, noise, n_paths):
+    for ok, dW, ((X_a, X1_a), (X_b, X1_b)) in _zero_control_chunks(runs, grid, noise, n_paths):
         gap = X_b[ok, grid.m :] - X_a[ok, grid.m :]  # positive where ordering fails
         count += np.count_nonzero(gap > tol, axis=0)
         n_ok += gap.shape[0]
         worst = max(worst, float(gap.max(initial=-np.inf)))
+        n_flips += _order_flips([(coeffs1, X_a, X1_a), (coeffs2, X_b, X1_b)], grid, dW, ok)
     failures = _comparison_hypotheses(coeffs1, coeffs2, hist1, hist2, grid, noise.seed)
+    if n_flips:
+        failures.append(f"step too coarse: 1 + b_x*dt + sigma_x*dW <= 0 on {n_flips} "
+                        "valid path-steps, where one Euler step can reverse the order")
     return ComparisonReport(tol=tol, violation_fraction=count / n_ok,
                             worst_violation=max(worst, 0.0),
                             hypothesis_ok=not failures, hypothesis_failures=failures)
@@ -421,7 +451,7 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
         raise ConfigurationError("moment order p must be an even integer >= 2")
     chunks = _zero_control_chunks([(coeffs, history)], grid, noise, n_paths)
     sup_p = np.concatenate([np.max(np.abs(X[ok, grid.m :]), axis=1)
-                            for ok, (X,) in chunks]) ** p  # over [s, T], valid paths
+                            for ok, _, ((X, _),) in chunks]) ** p  # over [s, T], valid paths
     lhs = float(np.mean(sup_p))
     lhs_se = float(np.std(sup_p) / np.sqrt(sup_p.size))
     times = grid.times()

@@ -240,8 +240,9 @@ def duality_processes(run: PerturbationRun, solution: BackwardSolution, adjoints
     pert_sol = solve_bsde_lsmc(run.pert, coeffs, solution.basis)
     ti = run.t_index
     base_Y = solution.Y[:, ti:]
-    Yhat = adjoints.ptilde[:, ti:] * run.Xhat
-    Ycheck = adjoints.pcheck[:, ti:] * run.Xhat1
+    Yhat, Ycheck = adjoints.normalized(cols=slice(ti, None))
+    Yhat *= run.Xhat
+    Ycheck *= run.Xhat1
     Ytilde = -pert_sol.Y + base_Y - Yhat - Ycheck
     delta_y = -pert_sol.Y[:, 0] + base_Y[:, 0]
     mean_abs = float(np.mean(np.abs(Ytilde[~run.pert.diverged, 0])))
@@ -285,7 +286,7 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
         })
         if adjoints is not None:
             dual = duality_processes(run, solution, adjoints, coeffs)
-            defect = dual.delta_y_t[ok] - adjoints.ptilde[ok, t_index] * h
+            defect = dual.delta_y_t[ok] - adjoints.normalized(ok, t_index)[0] * h
             _add_stats(dual_rows, dual_series, h, {
                 "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),
                 "expansion_defect_pos": np.maximum(defect, 0.0),

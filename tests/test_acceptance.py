@@ -135,6 +135,7 @@ def test_criterion_3_bsde_correctness():
     gbm_err = abs(sol.y_s - exact)
     gbm_tol = 3 * sol.y_s_se
     gbm_ok = gbm_err <= gbm_tol
+    del bundle, sol  # one 100,000-path pipeline alive at a time
 
     # two backward routes on the quadratic-cost instance
     inst = make_lq_instance()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from delaycontrol import bsde
 from delaycontrol.core import ControlDomain, HistoryPath, TimeGrid
 from delaycontrol.coeffs import make_coefficients
-from delaycontrol.smdde import NoiseSource, TrajectoryBundle, simulate_smdde
+from delaycontrol.smdde import NoiseSource, TrajectoryBundle, path_array, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import (check_sufficient_mp, compute_p3_pathwise,
                                   solve_adjoint_p, solve_adjoints, solve_gamma,
@@ -113,7 +114,8 @@ class TestAdjointPair:
         for i in range(0, inst.grid.n_steps, 10):
             K, L, _ = ric(inst.grid.time(i))
             vx = 2 * K * bundle.state(i)[1] + L
-            rels.append(np.median(np.abs(adj.ptilde[:, i] - vx) / (1 + np.abs(vx))))
+            ptilde = adj.normalized(cols=i)[0]
+            rels.append(np.median(np.abs(ptilde - vx) / (1 + np.abs(vx))))
         assert np.median(rels) <= 0.05
 
 
@@ -146,8 +148,53 @@ class TestP3:
     def test_gamma_normalized_identities(self, lq_small):
         adj = lq_small["adjoints"]
         ok = ~lq_small["bundle"].diverged
-        assert np.nanmax(np.abs(adj.ptilde[ok] * adj.gamma[ok] - adj.p1[ok])) < 1e-12
-        assert np.nanmax(np.abs(adj.pcheck[ok] * adj.gamma[ok] - adj.p2[ok])) < 1e-12
+        ptilde, pcheck = adj.normalized(ok)
+        assert np.nanmax(np.abs(ptilde * adj.gamma[ok] - adj.p1[ok])) < 1e-12
+        assert np.nanmax(np.abs(pcheck * adj.gamma[ok] - adj.p2[ok])) < 1e-12
+
+
+class TestNormalizedReader:
+    """ptilde and pcheck are divided where they are read, bit-equal to
+    p1/gamma and p2/gamma on every selection the checkers make."""
+
+    def test_bit_equal_to_whole_array_division(self):
+        # bx = 5, sx = 20: part of the paths leave [-1e12, 1e12] and are NaN
+        coeffs = make_coefficients("linear", lam=0.3, bx=5.0, sx=20.0, fx=0.5, fy=-0.1,
+                                   fz=0.05, phix=1.0, phix1=0.5)
+        bundle, sol, basis = pipeline(coeffs, grid(T=0.5), n_paths=400)
+        ok = bundle.valid
+        assert isinstance(ok, np.ndarray) and 0 < bundle.diverged.sum() < 400
+        adj = solve_adjoints(bundle, sol, coeffs, basis)
+        assert not hasattr(adj, "ptilde") and not hasattr(adj, "pcheck")
+        ptilde, pcheck = adj.p1 / adj.gamma, adj.p2 / adj.gamma
+        n = bundle.grid.n_steps
+        for rows, cols in [(slice(None), slice(None)), (ok, slice(None)), (ok, 7),
+                           (slice(None), slice(20, None)), (slice(None, 5), slice(None)),
+                           (np.array([9, 0, 3]), n), (ok, slice(3, 30))]:
+            got = adj.normalized(rows, cols)
+            for arr, want in zip(got, (ptilde[rows, cols], pcheck[rows, cols])):
+                assert arr.shape == want.shape
+                assert np.array_equal(arr, want, equal_nan=True)
+        assert np.array_equal(adj.normalized()[0], ptilde, equal_nan=True)
+
+    def test_mp_check_keeps_no_full_size_copy(self):
+        # solve_adjoints stores six path arrays; deriving ptilde/pcheck and
+        # taking max|x| and max|p3| must add no seventh
+        inst = make_lq_instance(LQ_MP_PARAMS)
+        n_paths = 3000
+        bundle = simulate_smdde(inst.coeffs, inst.history, 0.1, inst.grid,
+                                NoiseSource(5), n_paths)
+        basis = RegressionBasis(degree=2)
+        sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
+        one = path_array(n_paths, inst.grid.n_steps + 1).nbytes
+        tracemalloc.start()
+        try:
+            adj = solve_adjoints(bundle, sol, inst.coeffs, basis)
+            check_sufficient_mp(bundle, sol, adj, inst.coeffs, inst.domain, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * one, (peak, one)
 
 
 class TestTransformedDirect:
@@ -159,9 +206,10 @@ class TestTransformedDirect:
         bundle, sol, basis = pipeline(coeffs, g, n_paths=8000, seed=23)
         adj = solve_adjoints(bundle, sol, coeffs, basis)
         pt_d, pc_d, qt_d, qc_d = solve_transformed_direct(bundle, sol, coeffs, basis)
-        a = np.nanmean(adj.ptilde[:, 0])
+        ptilde0 = adj.normalized(cols=0)[0]
+        a = np.nanmean(ptilde0)
         b = np.nanmean(pt_d[:, 0])
-        se = (np.nanstd(adj.ptilde[:, 0]) + np.nanstd(pt_d[:, 0])) / math.sqrt(8000)
+        se = (np.nanstd(ptilde0) + np.nanstd(pt_d[:, 0])) / math.sqrt(8000)
         assert abs(a - b) <= 3 * se + 5e-3
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
                                LinearDriver, TimeGrid, eval_G, eval_H, eval_X1_quadrature,
-                               x1_weights)
+                               max_abs, x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 
@@ -17,6 +18,25 @@ from oracles import exp_window_integral
 # ---------------------------------------------------------------------------
 # grid and history invariants
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, -3.5, 2.0], [np.nan, np.nan, np.nan], [0.5, np.nan, 3.0]]),
+    np.array([[np.nan, -np.inf], [1.0, 2.0]]),
+    np.array([2.0, -1.0, 0.0]),
+    np.full((3, 4), -0.0),
+    np.full((2, 3), np.nan),
+])
+def test_max_abs_equals_nanmax_of_abs(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN input
+        want = float(np.nanmax(np.abs(a)))
+        got = max_abs(a)
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
 
 class TestTimeGrid:
     def test_basic(self):

@@ -386,5 +386,34 @@ def test_harness_reductions_independent_of_chunking(monkeypatch):
     assert one_chunk[0].max_violation_fraction > 0.0
     assert np.array_equal(chunked[0].violation_fraction, one_chunk[0].violation_fraction)
     assert chunked[0].worst_violation == one_chunk[0].worst_violation
+    # 1 + 400 dt + 20 dW <= 0 on some path-steps valid in both runs: counted
+    # alike in every chunking
+    dW = NoiseSource(3).increments(0, 700, g.n_steps, g.dt)
+    ok = ~(simulate_smdde(c1, hist, 0.0, g, NoiseSource(3), 700).diverged
+           | simulate_smdde(c2, hist, 0.0, g, NoiseSource(3), 700).diverged)
+    flips = np.count_nonzero((1.0 + 400.0 * g.dt + 20.0 * dW <= 0.0)[ok])
+    assert flips > 0
+    assert f"<= 0 on {flips} valid path-steps" in one_chunk[0].hypothesis_failures[-1]
+    assert chunked[0].hypothesis_failures == one_chunk[0].hypothesis_failures
     for name in ("lhs", "lhs_se", "n_diverged"):
         assert getattr(chunked[1], name) == getattr(one_chunk[1], name)
+
+
+def test_order_flips_evaluate_state_dependent_slopes_per_step():
+    # bilinear b_x and sigma_x read x1 and x2: evaluated at each step's state, u = 0
+    g = TimeGrid(s=0.0, T=0.1, dt=0.001, delay_steps=10)
+    hist = HistoryPath.constant(1.0, 10)
+    c = make_coefficients("bilinear", lam=0.5, bx=300.0, bxx1=100.0, sx=15.0, sxx2=10.0)
+    assert c.constant("b_x") is None and c.constant("sigma_x") is None
+    rep = simulate_coupled_pair(c, c, hist, hist, g, NoiseSource(4), 300)
+    paths = simulate_smdde(c, hist, 0.0, g, NoiseSource(4), 300)
+    flips = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(g.n_steps):
+            t, x, x1, x2, _ = paths.state(i)
+            factor = (1.0 + c.b_x(t, x, x1, x2, 0.0) * g.dt
+                      + c.sigma_x(t, x, x1, x2, 0.0) * paths.dW[:, i])
+            flips += np.count_nonzero((factor <= 0.0)[~paths.diverged])
+    assert flips > 0
+    assert rep.hypothesis_failures[-1].endswith(
+        f"<= 0 on {flips} valid path-steps, where one Euler step can reverse the order")

@@ -359,10 +359,11 @@ class TestDualityProcesses:
         dual = duality_processes(run, sol, adj, coeffs)
         n = bundle.grid.n_steps
         xT = bundle.state(n)[1]
-        expect = adj.ptilde[:, n] * run.Xhat[:, -1]
+        ptilde_T = adj.normalized(cols=n)[0]
+        expect = ptilde_T * run.Xhat[:, -1]
         assert np.allclose(dual.Yhat[:, -1], expect, atol=1e-12)
         # ptilde(T) is the negative terminal-cost x-gradient
-        assert np.allclose(adj.ptilde[:, n],
+        assert np.allclose(ptilde_T,
                            -coeffs.phi_x(xT, bundle.X1[:, n]), atol=1e-12)
 
     def test_one_variation_per_offset_and_one_base_solve(self, monkeypatch):

@@ -11,11 +11,13 @@ call runs in a fresh process (``python -m delaycontrol.cli``) once against
 REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
-``check-mp`` on a linear and a bilinear instance, and ``girsanov`` on the
-config of its ``test_girsanov_report``.  One line is printed per output
-file.  The bad-config calls each carry one fault, at least one per
-subcommand, and their exit code and exact stderr text are compared; one
-line is printed per call.  The exit status is 1 if any exit code, stderr
+``check-mp`` on a linear and a bilinear instance, ``check-mp`` and
+``check-duality`` on a linear instance where some paths diverge, and
+``girsanov`` on the config of its ``test_girsanov_report``.  One line is
+printed per output file; a call that exits 3 on either side also has its
+stderr text compared.  The bad-config calls each carry one fault, at least
+one per subcommand, and their exit code and exact stderr text are compared;
+one line is printed per call.  The exit status is 1 if any exit code, stderr
 text, file list or file differs, else 0.
 """
 
@@ -79,6 +81,15 @@ FAMILY_PARAMS = {
                  "sxx1": 0.2, "sxx2": 0.1, "fx": -0.2, "fy": -0.1, "phix": 0.3},
 }
 
+# the linear instance free of x1 and x2, with bx=5 and sx=20: 113 of its 400
+# paths diverge, so the adjoint readers and max|x| meet NaN rows, 3 of them
+# among the 20 dumped; the value grid is coarse in x for the HJB step bound
+DIVERGING = [arg for item in ("instance.params.bx=5", "instance.params.sx=20",
+                              *(f"instance.params.{k}=0" for k in
+                                ("bx1", "sx1", "fx1", "phix1", "bx2", "sx2", "fx2")),
+                              "numerics.dump_paths=20", "numerics.nx=9",
+                              "numerics.n_t_pde=7000") for arg in ("--set", item)]
+
 # (name, config, argv without --config/--out)
 TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("simulate", "lq", ["simulate"]),
@@ -130,6 +141,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-scaling-bilinear", "bilinear", ["check-scaling"]),
     ("check-mp-linear", "linear", ["check-mp"]),
     ("check-mp-bilinear", "bilinear", ["check-mp"]),
+    ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
+    ("check-duality-diverged", "linear", ["check-duality", *DIVERGING]),
     ("verify", "lq", ["verify"]),
     ("girsanov", "girsanov", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
@@ -274,7 +287,7 @@ def main() -> int:
                 print(f"{'DIFFERS':8s} {name}: exit {code_old} at {args.rev}, "
                       f"{code_new} in the working tree")
                 differences += 1
-            if bad:
+            if bad or 3 in (code_old, code_new):
                 status = "same" if err_old == err_new else "DIFFERS"
                 print(f"{status:8s} {name}: stderr (exit {code_new})")
                 differences += status != "same"
