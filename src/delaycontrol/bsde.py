@@ -306,7 +306,7 @@ def assert_linear_driver(coeffs, driver: LinearDriver, seed: int = 0, n_probe: i
     t = np.abs(pts[:, 0])
     x, x1, x2, y, z, u = (pts[:, i] for i in range(1, 7))
     full = coeffs.f(t, x, x1, x2, y, z, u)
-    linear = coeffs.f(t, x, x1, x2, 0.0, 0.0, u) + driver.fbar_at(t) * y + driver.gbar_at(t) * z
+    linear = coeffs.a_part(t, x, x1, x2, u) + driver.fbar_at(t) * y + driver.gbar_at(t) * z
     err = float(np.max(np.abs(full - linear)))
     if err > tol * (1.0 + float(np.max(np.abs(full)))):
         raise ConfigurationError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -222,19 +222,59 @@ class LinearDriver:
     gbar: Optional[Callable] = None
 
     def fbar_at(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if self.fbar is None else np.asarray(self.fbar(t), dtype=float)
+        return self._at(self.fbar, t)
 
     def gbar_at(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if self.gbar is None else np.asarray(self.gbar(t), dtype=float)
+        return self._at(self.gbar, t)
+
+    @staticmethod
+    def _at(fn: Optional[Callable], t):
+        return np.zeros_like(np.asarray(t, dtype=float)) if fn is None else np.asarray(fn(t), dtype=float)
 
     @classmethod
     def constants(cls, fbar: float = 0.0, gbar: float = 0.0) -> "LinearDriver":
-        fb = None if fbar == 0.0 else (lambda t, _c=float(fbar): _c * np.ones_like(np.asarray(t, dtype=float)))
-        gb = None if gbar == 0.0 else (lambda t, _c=float(gbar): _c * np.ones_like(np.asarray(t, dtype=float)))
-        return cls(fbar=fb, gbar=gb)
+        def constant(c):
+            return None if c == 0.0 else (lambda t, _c=float(c): _c * np.ones_like(np.asarray(t, dtype=float)))
+        return cls(fbar=constant(fbar), gbar=constant(gbar))
 
 
 G_VARIANTS = ("G", "Gbar", "Gtilde")
+
+
+class ControlTerms(NamedTuple):
+    """A block of controls ``u`` and the terms of G that depend on them and
+    not on the jet: b, sigma**2, sigma (None where neither z = p*sigma nor a
+    drift shift reads it) and a = f(..., 0, 0, u) (None for variant G)."""
+
+    u: np.ndarray
+    b: np.ndarray
+    sig2: np.ndarray
+    sig: Optional[np.ndarray]
+    a: Optional[np.ndarray]
+
+    def drift(self, gbar):
+        """b, shifted by sigma*g(t) where Gbar has a z-loading."""
+        return self.b if gbar is None else self.b + self.sig * gbar
+
+
+def control_terms(coeffs, t, x, x1, x2, u, variant: str, with_sig: bool = True) -> ControlTerms:
+    """The control terms of G at the controls ``u`` (see ControlTerms)."""
+    b = coeffs.b(t, x, x1, x2, u)
+    sig = coeffs.sigma(t, x, x1, x2, u)
+    a = None if variant == "G" else coeffs.a_part(t, x, x1, x2, u)
+    return ControlTerms(u, b, sig ** 2, sig if with_sig else None, a)
+
+
+def sum_G(coeffs, t, x, x1, x2, terms: ControlTerms, diffusion, drift, p, q_tr, k, fbar_k,
+          out=None):
+    """G from its parts, into ``out`` when given: diffusion + p*drift + q_tr, then
+    f(t,x,x1,x2,k,p*sigma,u) for variant G (``terms.a`` None), else a + fbar_k."""
+    g = np.multiply(p, drift, out=out)
+    g = np.add(diffusion, g, out=out)
+    g = np.add(g, q_tr, out=out)
+    if terms.a is None:
+        return np.add(g, coeffs.f(t, x, x1, x2, k, p * terms.sig, terms.u), out=out)
+    return np.add(np.add(g, terms.a, out=out), fbar_k, out=out)
 
 
 def eval_G(variant: str, t, x, x1, x2, u, k, p, R, q, coeffs, delay: float,
@@ -246,38 +286,33 @@ def eval_G(variant: str, t, x, x1, x2, u, k, p, R, q, coeffs, delay: float,
                       + a(t,x,x1,x2,u) + fbar(t)*k        (linear driver)
     variant "Gtilde": Gbar with g identically zero.
 
-    For the linear variants, a is read off the coefficient set as
-    f(t,x,x1,x2,0,0,u).
+    For the linear variants a = f(t,x,x1,x2,0,0,u) (CoefficientSet.a_part).
+    """
+    gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
+    terms = control_terms(coeffs, t, x, x1, x2, u, variant)
+    tr = transport_term(x, x1, x2, coeffs.lam, delay)
+    return sum_G(coeffs, t, x, x1, x2, terms, 0.5 * R * terms.sig2, terms.drift(gbar), p,
+                 q * tr, k, fbar_k)
+
+
+def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver], k):
+    """(g(t) or None, fbar(t)*k or None): the linear driver's terms in
+    ``variant`` of G at time t and value k.
+
+    Both are None for "G"; g is None unless the variant is "Gbar" and the
+    driver carries a z-loading; "Gtilde" refuses a driver whose g is not
+    zero at t.
     """
     if variant not in G_VARIANTS:
         raise ConfigurationError(f"unknown generalized-Hamiltonian variant {variant!r}")
-    sig = coeffs.sigma(t, x, x1, x2, u)
-    b = coeffs.b(t, x, x1, x2, u)
-    tr = transport_term(x, x1, x2, coeffs.lam, delay)
     if variant == "G":
-        return 0.5 * R * sig ** 2 + p * b + q * tr + coeffs.f(t, x, x1, x2, k, p * sig, u)
-    gbar, fbar = linear_driver_terms(variant, t, linear_driver)
-    a = coeffs.f(t, x, x1, x2, 0.0, 0.0, u)
-    drift = b if gbar is None else b + sig * gbar
-    return 0.5 * R * sig ** 2 + p * drift + q * tr + a + fbar * k
-
-
-def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver]):
-    """(g(t) or None, fbar(t)) entering a linear variant of G at time t.
-
-    g is None unless the variant is "Gbar" and the driver carries a z-loading;
-    "Gtilde" refuses a driver whose g is not zero at t.
-    """
+        return None, None
     if linear_driver is None:
         raise ConfigurationError(f"variant {variant!r} requires a linear driver")
-    gbar = None
-    if linear_driver.gbar is not None:
-        gvals = linear_driver.gbar_at(t)
-        if variant == "Gtilde" and np.any(np.abs(gvals) > 0.0):
-            raise ConfigurationError("Gtilde requires g identically zero")
-        if variant == "Gbar":
-            gbar = gvals
-    return gbar, linear_driver.fbar_at(t)
+    gbar = None if linear_driver.gbar is None else linear_driver.gbar_at(t)
+    if variant == "Gtilde" and gbar is not None and np.any(np.abs(gbar) > 0.0):
+        raise ConfigurationError("Gtilde requires g identically zero")
+    return (gbar if variant == "Gbar" else None), linear_driver.fbar_at(t) * k
 
 
 # ---------------------------------------------------------------------------

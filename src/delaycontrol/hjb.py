@@ -25,8 +25,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (ConfigurationError, ControlDomain, HypothesisViolation,
-                   LinearDriver, TimeGrid, derived_rng, eval_G, linear_driver_terms,
-                   transport_term)
+                   LinearDriver, TimeGrid, control_terms, derived_rng, eval_G,
+                   linear_driver_terms, sum_G, transport_term)
 
 __all__ = [
     "HjbGrid",
@@ -185,6 +185,21 @@ class GridValueFunction:
 U_BLOCK = 8
 
 
+def _control_blocks(u_grid: np.ndarray, ndim: int):
+    """The controls in blocks of at most U_BLOCK along a leading axis, each
+    shaped to broadcast against ``ndim``-dimensional state arrays."""
+    return [u_grid[lo:lo + U_BLOCK].reshape((-1,) + (1,) * ndim)
+            for lo in range(0, len(u_grid), U_BLOCK)]
+
+
+def _sup_over_controls(g_at, u_grid: np.ndarray, ndim: int):
+    """max over the controls of g_at(u), one block of controls at a time."""
+    best = -np.inf
+    for u in _control_blocks(u_grid, ndim):
+        best = np.maximum(best, g_at(u).max(axis=0))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # x2-independence gate
 # ---------------------------------------------------------------------------
@@ -200,9 +215,6 @@ class ProbeSet:
     p: np.ndarray
     R: np.ndarray
     q: np.ndarray
-
-    def __len__(self):
-        return self.t.size
 
 
 def _x1_insensitive(coeffs, scale: float, n: int = 128, seed: int = 19) -> bool:
@@ -247,17 +259,10 @@ def check_x2_independence(coeffs, linear_driver: Optional[LinearDriver],
     every registry family, so three probe values are exhaustive there;
     arbitrary user coefficients get sampled coverage only.
     """
-    u_grid = domain.points()
-    sup_vals = []
-    for x2v in (-1.0, 0.0, 1.0):
-        best = np.full(len(probes), -np.inf)
-        for lo in range(0, len(u_grid), U_BLOCK):
-            g = eval_G(variant, probes.t, probes.x, probes.x1, x2v,
-                       u_grid[lo:lo + U_BLOCK, None], probes.k, probes.p, probes.R,
-                       probes.q, coeffs, delay, linear_driver)
-            np.maximum(best, g.max(axis=0), out=best)
-        sup_vals.append(best)
-    stack = np.stack(sup_vals)
+    stack = np.stack([_sup_over_controls(
+        lambda u: eval_G(variant, probes.t, probes.x, probes.x1, x2v, u, probes.k, probes.p,
+                         probes.R, probes.q, coeffs, delay, linear_driver),
+        domain.points(), 1) for x2v in (-1.0, 0.0, 1.0)])
     dev = stack.max(axis=0) - stack.min(axis=0)
     scale = 1.0 + np.abs(stack).max(axis=0)
     worst = float(np.max(dev / scale))
@@ -268,32 +273,16 @@ def check_x2_independence(coeffs, linear_driver: Optional[LinearDriver],
 # solver
 # ---------------------------------------------------------------------------
 
-def _cfl_bound(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid) -> float:
-    """Largest stable dt for the explicit monotone scheme."""
-    xs = grid.xs()
-    x1s = grid.x1s()
-    X, X1 = np.meshgrid(xs, x1s, indexing="ij")
-    tr = np.abs(transport_term(X, X1, grid.x2_ref, coeffs.lam, tg.delay))
-    u_grid = domain.points()
-    max_sig2 = 0.0
-    max_b = 0.0
-    for lo in range(0, len(u_grid), U_BLOCK):
-        u = u_grid[lo:lo + U_BLOCK, None, None]
-        for t in (tg.s, 0.5 * (tg.s + tg.T), tg.T):
-            max_sig2 = max(max_sig2, float(np.max(coeffs.sigma(t, X, X1, grid.x2_ref, u) ** 2)))
-            max_b = max(max_b, float(np.max(np.abs(coeffs.b(t, X, X1, grid.x2_ref, u)))))
-    rate = max_sig2 / grid.dx ** 2 + max_b / grid.dx + float(tr.max()) / grid.dx1
+def _cfl_bound(block_terms, tr: np.ndarray, grid: HjbGrid, tg: TimeGrid) -> float:
+    """Largest stable dt for the explicit monotone scheme, from the sweep's
+    control terms at s, the midpoint and T and the transport ``tr``."""
+    max_sig2 = max_b = 0.0
+    for t in (tg.s, 0.5 * (tg.s + tg.T), tg.T):
+        for terms, _ in block_terms(t):
+            max_sig2 = max(max_sig2, float(np.max(terms.sig2)))
+            max_b = max(max_b, float(np.max(np.abs(terms.b))))
+    rate = max_sig2 / grid.dx ** 2 + max_b / grid.dx + float(np.abs(tr).max()) / grid.dx1
     return 1.0 / rate if rate > 0 else np.inf
-
-
-def _control_terms(coeffs, t, X, X1, x2, u, variant: str, with_sig: bool):
-    """The terms of G that depend on the controls ``u`` of one block and not
-    on V: b, sigma**2, the upwind mask b >= 0, sigma when ``with_sig``, and
-    a = f(..., 0, 0, u) for the linear variants (else None)."""
-    b_u = coeffs.b(t, X, X1, x2, u)
-    sig = coeffs.sigma(t, X, X1, x2, u)
-    a = None if variant == "G" else coeffs.f(t, X, X1, x2, 0.0, 0.0, u)
-    return b_u, sig ** 2, b_u >= 0.0, sig if with_sig else None, a
 
 
 def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
@@ -304,8 +293,29 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     Raises on CFL violation (reporting the largest admissible dt) and when
     the x2-independence gate fails.
     """
+    xs, x1s = grid.xs(), grid.x1s()
+    X, X1 = np.meshgrid(xs, x1s, indexing="ij")
+    u_grid = domain.points()
+    x2 = grid.x2_ref
+    tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
+    # sigma enters beyond sigma**2 only through z = p * sigma (variant G) or
+    # the drift shift sigma * g (Gbar with a z-loading)
+    with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
+                                  and linear_driver.gbar is not None)
+
+    def block_terms(t):
+        """(control terms, upwind mask b >= 0) of each block at t, one at a time."""
+        for u in _control_blocks(u_grid, X.ndim):
+            terms = control_terms(coeffs, t, X, X1, x2, u, variant, with_sig)
+            yield terms, terms.b >= 0.0
+
+    if coeffs.time_free:
+        # a time-free set's control terms are the same at every step
+        hoisted = list(block_terms(tg.T))
+        block_terms = lambda t: hoisted
+
     dt = (tg.T - tg.s) / grid.n_t
-    dt_max = _cfl_bound(coeffs, domain, grid, tg)
+    dt_max = _cfl_bound(block_terms, tr, grid, tg)
     if dt > dt_max:
         raise ConfigurationError(
             f"CFL violation: dt_pde = {dt:.3e} exceeds the monotonicity bound "
@@ -320,25 +330,10 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
             f"(worst normalized deviation {worst:.3e}); the finite-dimensional "
             "equation is ill-posed for this instance")
 
-    xs = grid.xs()
-    x1s = grid.x1s()
-    X, X1 = np.meshgrid(xs, x1s, indexing="ij")
     times = np.linspace(tg.s, tg.T, grid.n_t + 1)
     V = np.empty((grid.n_t + 1, grid.nx, grid.nx1))
     U = np.empty_like(V)
     V[grid.n_t] = -coeffs.phi(X, X1)
-    u_grid = domain.points()
-    x2 = grid.x2_ref
-    tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
-    dx, dx1 = grid.dx, grid.dx1
-    # sigma enters beyond sigma**2 only through z = p * sigma (variant G) or
-    # the drift shift sigma * g (Gbar with a z-loading)
-    with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
-                                  and linear_driver.gbar is not None)
-    blocks = [u_grid[lo:lo + U_BLOCK, None, None] for lo in range(0, len(u_grid), U_BLOCK)]
-    # a time-free set's control terms are the same at every step
-    hoisted = ([_control_terms(coeffs, tg.T, X, X1, x2, u, variant, with_sig) for u in blocks]
-               if coeffs.time_free else None)
     g_up = np.empty((min(U_BLOCK, len(u_grid)),) + X.shape)
     diffusion = np.empty_like(g_up)
     g_ctr = np.empty((len(u_grid),) + X.shape)
@@ -347,58 +342,34 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         t = times[it + 1]
         Vc = V[it + 1]
         # one-sided first differences (inward copies on the boundary rows)
-        fwd_x = np.empty_like(Vc)
-        bwd_x = np.empty_like(Vc)
-        fwd_x[:-1, :] = (Vc[1:, :] - Vc[:-1, :]) / dx
-        fwd_x[-1, :] = fwd_x[-2, :]
-        bwd_x[1:, :] = fwd_x[:-1, :]
-        bwd_x[0, :] = fwd_x[0, :]
-        fwd_1 = np.empty_like(Vc)
-        bwd_1 = np.empty_like(Vc)
-        fwd_1[:, :-1] = (Vc[:, 1:] - Vc[:, :-1]) / dx1
-        fwd_1[:, -1] = fwd_1[:, -2]
-        bwd_1[:, 1:] = fwd_1[:, :-1]
-        bwd_1[:, 0] = fwd_1[:, 0]
-        d2x = np.empty_like(Vc)
-        d2x[1:-1, :] = (Vc[2:, :] - 2 * Vc[1:-1, :] + Vc[:-2, :]) / dx ** 2
-        d2x[0, :] = d2x[1, :]
-        d2x[-1, :] = d2x[-2, :]
+        d = np.diff(Vc, axis=0) / grid.dx
+        fwd_x, bwd_x = np.concatenate([d, d[-1:]]), np.concatenate([d[:1], d])
+        d = np.diff(Vc, axis=1) / grid.dx1
+        fwd_1 = np.concatenate([d, d[:, -1:]], axis=1)
+        bwd_1 = np.concatenate([d[:, :1], d], axis=1)
+        d = (Vc[2:] - 2 * Vc[1:-1] + Vc[:-2]) / grid.dx ** 2
+        d2x = np.concatenate([d[:1], d, d[-1:]])
         vx1_up = np.where(tr >= 0.0, fwd_1, bwd_1)
 
-        # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed in the
-        # order of eval_G so both Hamiltonians below equal its values bit for
-        # bit (IEEE addition commutes, so diffusion + p * drift may be formed
-        # as p * drift first); the control-independent pieces are formed once
-        # per step and each block's sums accumulate in place
+        # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed by sum_G
+        # as eval_G sums it: the pieces free of the controls are formed once per
+        # step, and each block's two Hamiltonians (upwind and central in x)
+        # share its diffusion and drift
         k = -Vc
         p_fwd, p_bwd = -fwd_x, -bwd_x
         p_ctr = -(0.5 * (fwd_x + bwd_x))
         half_R = 0.5 * -d2x
         q_tr = -vx1_up * tr
-        if variant != "G":
-            gbar, fbar = linear_driver_terms(variant, t, linear_driver)
-            fbar_k = fbar * k
+        gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
         best = np.full(Vc.shape, -np.inf)
         # the controls of a block lie along a leading axis of every term
-        for i, u in enumerate(blocks):
-            b_u, sig2, b_pos, sig, a = (
-                hoisted[i] if hoisted is not None
-                else _control_terms(coeffs, t, X, X1, x2, u, variant, with_sig))
-            lo, n = i * U_BLOCK, len(u)
+        for i, (terms, b_pos) in enumerate(block_terms(t)):
+            lo, n = i * U_BLOCK, len(terms.u)
             g, g_c, diff = g_up[:n], g_ctr[lo:lo + n], diffusion[:n]
-            np.multiply(half_R, sig2, out=diff)
-            p_up = np.where(b_pos, p_fwd, p_bwd)
-            drift = b_u if variant == "G" or gbar is None else b_u + sig * gbar
-            for out, p in ((g, p_up), (g_c, p_ctr)):
-                np.multiply(p, drift, out=out)
-                np.add(diff, out, out=out)
-                out += q_tr
-                if variant == "G":
-                    # f may be nonlinear in z = p * sigma, so each p needs its own f
-                    out += coeffs.f(t, X, X1, x2, k, p * sig, u)
-                else:
-                    out += a
-                    out += fbar_k
+            np.multiply(half_R, terms.sig2, out=diff)
+            drift = terms.drift(gbar)
+            for out, p in ((g, np.where(b_pos, p_fwd, p_bwd)), (g_c, p_ctr)):
+                sum_G(coeffs, t, X, X1, x2, terms, diff, drift, p, q_tr, k, fbar_k, out=out)
             np.maximum(best, g.max(axis=0), out=best)
         # the value update uses the monotone (upwind) discrete sup; the stored
         # argmax is taken from the central-difference Hamiltonian (second-order
@@ -559,22 +530,15 @@ def viscosity_residual(vgrid: GridValueFunction, coeffs, domain: ControlDomain,
     the subsolution residual is max(r, 0), the supersolution residual
     max(-r, 0).  Both are O(dx + dt_pde) for the solved value function.
     """
-    u_grid = domain.points()
-    max_sub = 0.0
-    max_super = 0.0
+    r = []
     for (t, x, x1) in points:
         jet = extract_jet(vgrid, t, x, x1)
         it, j, k = vgrid.indices(t, x, x1)
-        v0 = vgrid.V[it, j, k]
-        xj = vgrid.xs[j]
-        x1k = vgrid.x1s[k]
-        tt = vgrid.times[it]
-        g = eval_G(vgrid.variant, tt, xj, x1k, vgrid.x2_ref, u_grid, -v0, -jet.p,
-                   -jet.P, -jet.q, coeffs, delay, linear_driver)
-        r = -jet.theta + float(np.max(g))
-        max_sub = max(max_sub, r)
-        max_super = max(max_super, -r)
-    return max(max_sub, 0.0), max(max_super, 0.0)
+        r.append(-jet.theta + float(_sup_over_controls(lambda u: eval_G(
+            vgrid.variant, vgrid.times[it], vgrid.xs[j], vgrid.x1s[k], vgrid.x2_ref, u,
+            -vgrid.V[it, j, k], -jet.p, -jet.P, -jet.q, coeffs, delay, linear_driver),
+            domain.points(), 0)))
+    return max([0.0, *r]), max([0.0, *(-v for v in r)])
 
 
 def feedback_control(vgrid: GridValueFunction, domain: ControlDomain):

@@ -252,6 +252,31 @@ class TestGeneralizedHamiltonian:
         lin = eval_G("Gbar", t, *args, coeffs, 0.2, driver)
         assert np.allclose(full, lin, atol=1e-12)
 
+    @pytest.mark.parametrize("variant,driver", [
+        ("G", None),
+        ("Gbar", LinearDriver.constants(fbar=-0.5, gbar=0.3)),
+        ("Gtilde", LinearDriver.constants(fbar=-0.5)),
+    ])
+    def test_bit_equal_to_formula_summed_left_to_right(self, variant, driver):
+        # the HJB sweep sums G through the same code, so this pins the order
+        # of the one summation against the formula as written
+        coeffs = make_coefficients("linear", lam=0.4, bx=0.3, bx2=0.2, bu=0.5, sx=0.2,
+                                   su=0.1, fx=1.0, fy=-0.5, fz=0.3, fu=0.2, f0=0.7)
+        rng = np.random.default_rng(2)
+        t = np.abs(rng.normal(size=500))
+        x, x1, x2, u, k, p, R, q = rng.normal(0.0, 2.0, size=(8, 500))
+        b = coeffs.b(t, x, x1, x2, u)
+        sig = coeffs.sigma(t, x, x1, x2, u)
+        tr = x - 0.4 * x1 - math.exp(-0.4 * 0.2) * x2
+        if variant == "G":
+            want = 0.5 * R * sig ** 2 + p * b + q * tr + coeffs.f(t, x, x1, x2, k, p * sig, u)
+        else:
+            drift = b + sig * driver.gbar_at(t) if variant == "Gbar" else b
+            want = (0.5 * R * sig ** 2 + p * drift + q * tr + coeffs.f(t, x, x1, x2, 0.0, 0.0, u)
+                    + driver.fbar_at(t) * k)
+        got = eval_G(variant, t, x, x1, x2, u, k, p, R, q, coeffs, 0.2, driver)
+        assert np.array_equal(got, want)
+
     def test_variant_driver_mismatch(self):
         coeffs = make_coefficients("constant")
         with pytest.raises(ConfigurationError):

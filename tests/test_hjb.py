@@ -9,7 +9,7 @@ from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath,
                                HypothesisViolation, Instance, LinearDriver, TimeGrid,
                                eval_G, transport_term)
 from delaycontrol import hjb
-from delaycontrol.coeffs import FAMILIES, make_coefficients
+from delaycontrol.coeffs import FAMILIES, CoefficientSet, make_coefficients
 from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import (GridValueFunction, HjbGrid, Jet, ProbeSet,
                               _refine_argmax, check_x2_independence,
@@ -289,13 +289,13 @@ class TestSweepEquivalence:
     def test_control_terms_once_per_solve_when_time_free(self, n_u, variant, driver,
                                                         monkeypatch):
         calls = []
-        control_terms = hjb._control_terms
+        control_terms = hjb.control_terms
 
         def counted(*args):
             calls.append(args[1])
             return control_terms(*args)
 
-        monkeypatch.setattr(hjb, "_control_terms", counted)
+        monkeypatch.setattr(hjb, "control_terms", counted)
         dom = ControlDomain(-1.0, 1.0, n_u=n_u)
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
         n_blocks = math.ceil(n_u / hjb.U_BLOCK)
@@ -303,7 +303,10 @@ class TestSweepEquivalence:
         vg = solve_hjb(base, dom, grid, tg(), variant=variant, linear_driver=driver)
         assert len(calls) == n_blocks
         calls.clear()
-        # the same values through a wrapper: evaluated at every step, same bits
+        # the same values through a wrapper: evaluated at every step, same bits;
+        # the CFL bound, which reads the terms at s, the midpoint and T, is
+        # stubbed out so every counted call comes from the sweep
+        monkeypatch.setattr(hjb, "_cfl_bound", lambda *args: np.inf)
         per_step = solve_hjb(dataclasses.replace(base, sigma=wrapped(base.sigma)), dom,
                              grid, tg(), variant=variant, linear_driver=driver)
         assert len(calls) == grid.n_t * n_blocks
@@ -334,6 +337,51 @@ class TestSweepEquivalence:
             assert len(blocks) == n_blocks
             assert all(len(u) <= hjb.U_BLOCK for u in blocks)
             assert sum(blocks, []) == dom.points().tolist()
+
+    @pytest.mark.parametrize("n_u", [1, 8, 19])
+    def test_time_free_solve_evaluates_b_once_per_block(self, n_u, monkeypatch):
+        # the CFL bound stays live; only the x2 gate, which evaluates b at its
+        # probes, is stubbed out.  The wrapper below reads no t, so the set is
+        # declared time-free and its terms may be hoisted
+        monkeypatch.setattr(hjb, "check_x2_independence", lambda *args, **kw: (True, 0.0))
+        monkeypatch.setattr(CoefficientSet, "time_free", property(lambda self: True))
+        calls = []
+        base = lq_coeffs()
+
+        def b(t, x, x1, x2, u):
+            calls.append((np.shape(x), np.ravel(u).tolist()))
+            return base.b(t, x, x1, x2, u)
+
+        dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
+        vg = solve_hjb(dataclasses.replace(base, b=b), dom, grid, tg())
+        assert len(calls) == math.ceil(n_u / hjb.U_BLOCK)
+        assert all(shape == (grid.nx, grid.nx1) for shape, _ in calls)
+        assert sum((u for _, u in calls), []) == dom.points().tolist()
+        ref = solve_hjb(base, dom, grid, tg())
+        assert np.array_equal(vg.V, ref.V)
+        assert np.array_equal(vg.u_star, ref.u_star)
+
+    def test_cfl_bound_reads_s_midpoint_and_T(self):
+        # sigma is largest at s, where the sweep never reads the control terms;
+        # the bound must read them at s, the midpoint and T all the same
+        base = lq_coeffs()
+
+        def sigma(t, x, x1, x2, u):
+            return base.sigma(t, x, x1, x2, u) + 2.0 * (1.0 - t)
+
+        coeffs = dataclasses.replace(base, sigma=sigma)
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
+        X, X1 = np.meshgrid(grid.xs(), grid.x1s(), indexing="ij")
+        u = DOM.points()[:, None, None]
+        max_sig2 = max(float(np.max(sigma(t, X, X1, 0.0, u) ** 2)) for t in (0.0, 0.5, 1.0))
+        max_b = float(np.max(np.abs(base.b(0.0, X, X1, 0.0, u))))
+        max_tr = float(np.max(np.abs(transport_term(X, X1, 0.0, LQ_LAM, tg().delay))))
+        dt_max = 1.0 / (max_sig2 / grid.dx ** 2 + max_b / grid.dx + max_tr / grid.dx1)
+        with pytest.raises(ConfigurationError) as err:
+            solve_hjb(coeffs, DOM, grid, tg())
+        assert str(err.value).endswith(
+            f"bound {dt_max:.3e}; use n_t >= {int(np.ceil(1.0 / dt_max))}")
 
     def test_gtilde_refuses_nonzero_g(self):
         driver = LinearDriver.constants(gbar=0.3)

@@ -16,8 +16,8 @@ LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``girsanov`` on the config of its ``test_girsanov_report``.  One line is
 printed per output file; a call that exits 3 on either side also has its
 stderr text compared.  The bad-config calls each carry one fault, at least
-one per subcommand, and their exit code and exact stderr text are compared;
-one line is printed per call.  The exit status is 1 if any exit code, stderr
+one per subcommand and one per error of the ``solve_hjb`` prologue, and their
+exit code and exact stderr text are compared; one line is printed per call.  The exit status is 1 if any exit code, stderr
 text, file list or file differs, else 0.
 """
 
@@ -197,6 +197,14 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-check-comparison-n_u", "cmp", ["check-comparison", "--set", "numerics.n_u=abc"]),
     ("bad-check-comparison-n_u-zero", "cmp", ["check-comparison", "--set", "numerics.n_u=0"]),
     ("bad-check-moments-p-odd", "cmp", ["check-moments", "--set", "moments.p=3"]),
+    # each error of the solve_hjb prologue: the CFL bound (on the linear config
+    # b reads x, x1, x2 and u), the x2 gate (exit 3) and a variant without
+    # its driver
+    ("bad-solve-hjb-cfl", "lq", ["solve-hjb", "--set", "numerics.n_t_pde=5"]),
+    ("bad-solve-hjb-cfl-linear", "linear", ["solve-hjb"]),
+    ("bad-solve-hjb-x2-gate", "linear", ["solve-hjb", "--set", "numerics.n_t_pde=400"]),
+    ("bad-solve-hjb-gbar-nodriver", "lq-nodriver", ["solve-hjb",
+                                                     "--set", "numerics.hjb_variant=Gbar"]),
 ]
 
 
