@@ -36,13 +36,6 @@ def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, rows):
     return t, x, x1, x2, solution.Y[rows, i], solution.Z[rows, i], u
 
 
-def _slope(coeffs, slot: str, *args):
-    """Derivative ``slot`` at ``args``; a slope the registry recorded as a
-    constant is that number, which multiplies as an array filled with it."""
-    c = coeffs.constant(slot)
-    return getattr(coeffs, slot)(*args) if c is None else c
-
-
 @dataclass
 class AdjointBundle:
     """Adjoint paths on grid indices 0..n for the non-diverged paths.
@@ -90,8 +83,8 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
     gamma[ok, 0] = 1.0
     for i in range(n):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        fy = _slope(coeffs, "f_y", t, x, x1, x2, y, z, u)
-        fz = _slope(coeffs, "f_z", t, x, x1, x2, y, z, u)
+        fy = coeffs.slope("f_y", t, x, x1, x2, y, z, u)
+        fz = coeffs.slope("f_z", t, x, x1, x2, y, z, u)
         mult = 1.0 + fy * dt + fz * bundle.dW[ok, i]
         if np.any(mult <= 0.0):
             bad = int(np.argmax(mult <= 0.0))
@@ -115,12 +108,12 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         (p1_hat, p2_hat), q1_hat = hats, qs[0]
         g = gamma[ok, i]
-        H_x = (p1_hat * _slope(coeffs, "b_x", t, x, x1, x2, u) + p2_hat
-               + q1_hat * _slope(coeffs, "sigma_x", t, x, x1, x2, u)
-               - g * _slope(coeffs, "f_x", t, x, x1, x2, y, z, u))
-        H_x1 = (p1_hat * _slope(coeffs, "b_x1", t, x, x1, x2, u) - lam * p2_hat
-                + q1_hat * _slope(coeffs, "sigma_x1", t, x, x1, x2, u)
-                - g * _slope(coeffs, "f_x1", t, x, x1, x2, y, z, u))
+        H_x = (p1_hat * coeffs.slope("b_x", t, x, x1, x2, u) + p2_hat
+               + q1_hat * coeffs.slope("sigma_x", t, x, x1, x2, u)
+               - g * coeffs.slope("f_x", t, x, x1, x2, y, z, u))
+        H_x1 = (p1_hat * coeffs.slope("b_x1", t, x, x1, x2, u) - lam * p2_hat
+                + q1_hat * coeffs.slope("sigma_x1", t, x, x1, x2, u)
+                - g * coeffs.slope("f_x1", t, x, x1, x2, y, z, u))
         return p1_hat + H_x * dt, p2_hat + H_x1 * dt
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
@@ -143,9 +136,9 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
     p3[ok, n] = 0.0
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        H_x2 = (p1[ok, i] * _slope(coeffs, "b_x2", t, x, x1, x2, u) - decay * p2[ok, i]
-                + q1[ok, i] * _slope(coeffs, "sigma_x2", t, x, x1, x2, u)
-                - gamma[ok, i] * _slope(coeffs, "f_x2", t, x, x1, x2, y, z, u))
+        H_x2 = (p1[ok, i] * coeffs.slope("b_x2", t, x, x1, x2, u) - decay * p2[ok, i]
+                + q1[ok, i] * coeffs.slope("sigma_x2", t, x, x1, x2, u)
+                - gamma[ok, i] * coeffs.slope("f_x2", t, x, x1, x2, y, z, u))
         p3[ok, i] = p3[ok, i + 1] + H_x2 * dt
     return p3
 
@@ -276,6 +269,9 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     if ok_idx.size == 0:
         raise HypothesisViolation("no valid paths to check")
 
+    def weights(rows, i):  # the adjoints that enter H, at step i on rows
+        return tuple(a[rows, i] for a in (adjoints.gamma, adjoints.p1, adjoints.p2, adjoints.q1))
+
     # (a) convexity by midpoint inequality
     steps = rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)
     per_step = max(N_CONVEXITY // max(len(steps), 1), 1)
@@ -288,13 +284,10 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         center = np.column_stack(np.broadcast_arrays(*point))
         w1 = center + rng.normal(0.0, x_scale, center.shape)
         w2 = center + rng.normal(0.0, x_scale, center.shape)
-        g = adjoints.gamma[paths, i]
-        a1 = adjoints.p1[paths, i]
-        a2 = adjoints.p2[paths, i]
-        aq = adjoints.q1[paths, i]
-        h1 = eval_H(t, *w1.T, g, a1, a2, aq, coeffs, delay)
-        h2 = eval_H(t, *w2.T, g, a1, a2, aq, coeffs, delay)
-        hm = eval_H(t, *(0.5 * (w1 + w2)).T, g, a1, a2, aq, coeffs, delay)
+        adj = weights(paths, i)
+        h1 = eval_H(t, *w1.T, *adj, coeffs, delay)
+        h2 = eval_H(t, *w2.T, *adj, coeffs, delay)
+        hm = eval_H(t, *(0.5 * (w1 + w2)).T, *adj, coeffs, delay)
         gap = hm - 0.5 * (h1 + h2)
         worst_conv = max(worst_conv, float(np.max(gap)))
     scale_conv = 1e-9 * (1.0 + x_scale ** 2)
@@ -321,22 +314,17 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
         i = int(i)
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, sub)
         ustar = np.broadcast_to(u, sub.shape)
-        g = adjoints.gamma[sub, i]
-        a1 = adjoints.p1[sub, i]
-        a2 = adjoints.p2[sub, i]
-        aq = adjoints.q1[sub, i]
+        adj = weights(sub, i)
         h = 1e-5 * (np.abs(ustar) + 1.0)
-        pts_up = np.column_stack([x, x1, x2, y, z, ustar + h])
-        pts_dn = np.column_stack([x, x1, x2, y, z, ustar - h])
-        hu = (eval_H(t, *pts_up.T, g, a1, a2, aq, coeffs, delay)
-              - eval_H(t, *pts_dn.T, g, a1, a2, aq, coeffs, delay)) / (2.0 * h)
+        hu = (eval_H(t, x, x1, x2, y, z, ustar + h, *adj, coeffs, delay)
+              - eval_H(t, x, x1, x2, y, z, ustar - h, *adj, coeffs, delay)) / (2.0 * h)
         gaps = hu[:, None] * (ustar[:, None] - u_grid[None, :])
         worst_var = max(worst_var, float(np.max(gaps)))
         # tolerance scale: |H_u| over the whole discretized control box, so
         # the near-stationarity of the candidate does not shrink its own gate;
         # one (path, control) block per step
         col = (x[:, None], x1[:, None], x2[:, None], y[:, None], z[:, None])
-        adj = (g[:, None], a1[:, None], a2[:, None], aq[:, None])
+        adj = tuple(a[:, None] for a in adj)
         hp = 1e-5 * (np.abs(u_grid) + 1.0)
         hu_probe = (eval_H(t, *col, u_grid + hp, *adj, coeffs, delay)
                     - eval_H(t, *col, u_grid - hp, *adj, coeffs, delay)) / (2.0 * hp)

@@ -39,14 +39,6 @@ from .adjoint import check_sufficient_mp, solve_adjoints
 # them, so a run loads only what it needs
 
 
-class ConfigError(Exception):
-    """Invalid configuration; carries field-level diagnostics."""
-
-    def __init__(self, problems: List[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -297,11 +289,11 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
     problems: List[str] = []
     if path is not None:
         if not os.path.exists(path):
-            raise ConfigError([f"config: file not found: {path}"])
+            raise ConfigurationError(f"config: file not found: {path}")
         try:
             parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError([_read_problem(path, exc)]) from None
+            raise ConfigurationError(_read_problem(path, exc)) from None
     for item in overrides:
         key, eq, value = item.partition("=")
         if not eq:
@@ -337,7 +329,7 @@ def load_config(path: Optional[str], overrides: List[str], seed: Optional[int],
     if threads < 1:
         problems.append(f"--threads: must be a positive integer, got {threads}")
     if problems:
-        raise ConfigError(problems)
+        raise ConfigurationError(*problems)
     return RunConfig(parser=parser, seed=int(effective_seed), out_dir=out_dir,
                      seed_field=seed_field)
 
@@ -405,7 +397,7 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
     inst2 = (cfg.instance(problems, "instance2", with_driver=False)
              if "comparison" in needs else None)
     if problems:
-        raise ConfigError(problems)
+        raise ConfigurationError(*problems)
     got = SimpleNamespace(inst=inst, inst2=inst2, ctype=None, grid=None,
                           variant="Gtilde" if inst.driver is not None else "G")
     if "driver" in needs and inst.driver is None:
@@ -453,7 +445,7 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
     if "grid_budget" in needs:
         got.budget = cfg.get("numerics", "grid_budget", problems)
     if problems:
-        raise ConfigError(problems)
+        raise ConfigurationError(*problems)
     return got
 
 
@@ -715,12 +707,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config, args.set, args.seed, args.threads, args.out)
         run, needs = COMMANDS[args.subcommand]
         return run(cfg, _inputs(cfg, args.subcommand, needs))
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
     except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for problem in exc.args:
+            print(f"config error: {problem}", file=sys.stderr)
         return 2
     except HypothesisViolation as exc:
         print(f"hypothesis gate: {exc}", file=sys.stderr)

@@ -28,13 +28,6 @@ import numpy as np
 
 from .core import ConfigurationError
 
-__all__ = [
-    "CoefficientSet",
-    "FAMILIES",
-    "make_coefficients",
-    "check_derivative_consistency",
-]
-
 
 def _fill(value, *args):
     """``value`` padded to the common shape of itself and ``args``; a value
@@ -53,8 +46,8 @@ class CoefficientSet:
     shape by plain broadcasting and pad with zeros only when the formula
     leaves arguments out, so a NaN in an argument an evaluator does not
     use no longer propagates into its result.  Derivative evaluators must
-    agree with central finite differences of the values (see
-    :func:`check_derivative_consistency`).
+    agree with central finite differences of the values, which the tests
+    check for every registry family (``tests/test_coeffs.py``).
 
     ``time_free`` holds while ``b``, ``sigma`` and ``f`` are the very
     evaluators :func:`make_coefficients` built, none of which reads ``t``;
@@ -65,9 +58,9 @@ class CoefficientSet:
 
     :meth:`constant` names the b, sigma and f slopes that
     :func:`make_coefficients` built as finite constants, by the same
-    identity rule: the variational remainders, the adjoint sweeps and the
-    comparison harness's step check use the number and call no evaluator
-    for them.
+    identity rule.  :meth:`slope` is the one reader of a slope: the adjoint
+    sweeps and the comparison harness use the number and call no evaluator
+    for such a slope, and the variational remainders skip it.
     """
 
     name: str
@@ -101,6 +94,13 @@ class CoefficientSet:
         make_coefficients built it as a finite constant; else None."""
         fn = getattr(self, slot)
         return _CONSTANTS[fn] if fn in _CONSTANTS else None
+
+    def slope(self, slot: str, *args):
+        """The derivative in ``slot`` at ``args``: a recorded constant is that
+        number, which multiplies as an array filled with it, and any other
+        slope is evaluated."""
+        c = self.constant(slot)
+        return getattr(self, slot)(*args) if c is None else c
 
     def a_part(self, t, x, x1, x2, u):
         """Driver with the (y, z) slots zeroed: a(t,x,x1,x2,u) = f(t,...,0,0,u)."""
@@ -277,45 +277,3 @@ def make_coefficients(family: str, lam: float = 0.0, **params) -> CoefficientSet
     _REGISTRY_EVALUATORS.update((coeffs.b, coeffs.sigma, coeffs.f))
     return coeffs
 
-
-def check_derivative_consistency(coeffs: CoefficientSet, seed: int = 0,
-                                 n_points: int = 64, step: float = 1e-5) -> float:
-    """Worst hybrid-relative mismatch between registered derivatives and
-    central differences of the values, over random sample points.
-
-    The step is scaled by |argument| + 1; mismatch is measured as
-    |fd - d| / (1 + |d|).  Registry families stay well below 1e-6.
-    """
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(0.0, 1.5, size=(n_points, 7))
-    t, x, x1, x2, y, z, u = (pts[:, i] for i in range(7))
-    t = np.abs(t)
-
-    def central(fn, args, slot):
-        h = step * (np.abs(args[slot]) + 1.0)
-        up = list(args)
-        dn = list(args)
-        up[slot] = args[slot] + h
-        dn[slot] = args[slot] - h
-        return (fn(*up) - fn(*dn)) / (2.0 * h)
-
-    worst = 0.0
-    state_args = (t, x, x1, x2, u)
-    for fn, dfn, slot in ((coeffs.b, coeffs.b_x, 1), (coeffs.b, coeffs.b_x1, 2),
-                          (coeffs.b, coeffs.b_x2, 3),
-                          (coeffs.sigma, coeffs.sigma_x, 1), (coeffs.sigma, coeffs.sigma_x1, 2),
-                          (coeffs.sigma, coeffs.sigma_x2, 3)):
-        fd = central(fn, state_args, slot)
-        d = dfn(*state_args)
-        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
-    f_args = (t, x, x1, x2, y, z, u)
-    for dfn, slot in ((coeffs.f_x, 1), (coeffs.f_x1, 2), (coeffs.f_x2, 3),
-                      (coeffs.f_y, 4), (coeffs.f_z, 5)):
-        fd = central(coeffs.f, f_args, slot)
-        d = dfn(*f_args)
-        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
-    for dfn, slot in ((coeffs.phi_x, 0), (coeffs.phi_x1, 1)):
-        fd = central(coeffs.phi, (x, x1), slot)
-        d = dfn(x, x1)
-        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
-    return worst

@@ -24,7 +24,9 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Inconsistent run configuration (bad grid, variant/driver mismatch...)."""
+    """Inconsistent run configuration (bad grid, variant/driver mismatch...).
+
+    Each argument is one problem; the CLI prints one line per argument."""
 
 
 class HypothesisViolation(RuntimeError):
@@ -102,6 +104,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Grid times t_0..t_n on [s, T]."""
         return self.s + self.dt * np.arange(self.n_steps + 1)
+
+    def check_history(self, history: HistoryPath) -> None:
+        """Refuse a history that does not sample this grid's m + 1 delay times."""
+        if history.m != self.m:
+            raise ConfigurationError(f"history has {history.m} delay steps, grid expects {self.m}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +342,4 @@ class Instance:
     driver: Optional[LinearDriver] = None
 
     def __post_init__(self):
-        if self.history.m != self.grid.m:
-            raise ConfigurationError(
-                f"history has {self.history.m} delay steps, grid expects {self.grid.m}"
-            )
+        self.grid.check_history(self.history)

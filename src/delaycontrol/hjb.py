@@ -28,22 +28,6 @@ from .core import (ConfigurationError, ControlDomain, HypothesisViolation,
                    LinearDriver, TimeGrid, control_terms, derived_rng, eval_G,
                    linear_driver_terms, sum_G, transport_term)
 
-__all__ = [
-    "HjbGrid",
-    "GridValueFunction",
-    "Jet",
-    "ProbeSet",
-    "default_probe_set",
-    "check_x2_independence",
-    "solve_hjb",
-    "jets_along",
-    "extract_jet",
-    "jet_membership",
-    "viscosity_residual",
-    "feedback_control",
-    "heatmap_svg",
-]
-
 
 @dataclass(frozen=True)
 class HjbGrid:
@@ -221,9 +205,9 @@ def _x1_insensitive(coeffs, scale: float, n: int = 128, seed: int = 19) -> bool:
     rng = derived_rng(seed, 404)
     t = np.abs(rng.normal(0.0, 1.0, n))
     x, x1, x2, y, z, u = (rng.normal(0.0, scale, n) for _ in range(6))
-    worst = max(float(np.max(np.abs(coeffs.b_x1(t, x, x1, x2, u)))),
-                float(np.max(np.abs(coeffs.sigma_x1(t, x, x1, x2, u)))),
-                float(np.max(np.abs(coeffs.f_x1(t, x, x1, x2, y, z, u)))),
+    worst = max(float(np.max(np.abs(coeffs.slope("b_x1", t, x, x1, x2, u)))),
+                float(np.max(np.abs(coeffs.slope("sigma_x1", t, x, x1, x2, u)))),
+                float(np.max(np.abs(coeffs.slope("f_x1", t, x, x1, x2, y, z, u)))),
                 float(np.max(np.abs(coeffs.phi_x1(x, x1)))))
     return worst <= 1e-12
 

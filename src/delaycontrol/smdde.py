@@ -251,10 +251,7 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     buffer; the chunking does not change any result.  Paths are simulated
     serially.
     """
-    if history.m != grid.m:
-        raise ConfigurationError(
-            f"history has {history.m} delay steps, grid expects {grid.m}"
-        )
+    grid.check_history(history)
     m, n = grid.m, grid.n_steps
     X = path_array(n_paths, m + n + 1)
     X1 = path_array(n_paths, n + 1)
@@ -277,8 +274,7 @@ def _zero_control_chunks(runs, grid: TimeGrid, noise: NoiseSource, n_paths: int)
     buffers that the next chunk overwrites; raises ``HypothesisViolation`` at
     the end if no path is valid."""
     for _, history in runs:
-        if history.m != grid.m:
-            raise ConfigurationError(f"history has {history.m} delay steps, grid expects {grid.m}")
+        grid.check_history(history)
     m, n = grid.m, grid.n_steps
     size = min(CHUNK_PATHS, n_paths)
     Xs = [path_array(size, m + n + 1) for _ in runs]
@@ -337,17 +333,17 @@ def _comparison_hypotheses(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryP
     u = np.zeros(n_samples)
     tol = 1e-9 * scale
     for label, cs in (("b1", coeffs1), ("b2", coeffs2)):
-        if np.max(np.abs(cs.b_x1(t, x, x1, x2, u))) > tol:
+        if np.max(np.abs(cs.slope("b_x1", t, x, x1, x2, u))) > tol:
             failures.append(f"{label} depends on x1 (outside the comparison form)")
     for label, cs in (("sigma1", coeffs1), ("sigma2", coeffs2)):
-        if max(np.max(np.abs(cs.sigma_x1(t, x, x1, x2, u))),
-               np.max(np.abs(cs.sigma_x2(t, x, x1, x2, u)))) > tol:
+        if max(np.max(np.abs(cs.slope("sigma_x1", t, x, x1, x2, u))),
+               np.max(np.abs(cs.slope("sigma_x2", t, x, x1, x2, u)))) > tol:
             failures.append(f"{label} depends on the delayed state (outside the comparison form)")
     b1 = coeffs1.b(t, x, x1, x2, u)
     b2 = coeffs2.b(t, x, x1, x2, u)
     if np.min(b1 - b2) < -tol:
         failures.append(f"drift ordering violated: min(b1 - b2) = {np.min(b1 - b2):.3e}")
-    if np.min(coeffs1.b_x2(t, x, x1, x2, u)) < -tol:
+    if np.min(coeffs1.slope("b_x2", t, x, x1, x2, u)) < -tol:
         failures.append("b1 is decreasing in x2 somewhere")
     s_diff = np.max(np.abs(coeffs1.sigma(t, x, x1, x2, u) - coeffs2.sigma(t, x, x1, x2, u)))
     if s_diff > tol:
@@ -358,23 +354,15 @@ def _comparison_hypotheses(coeffs1, coeffs2, hist1: HistoryPath, hist2: HistoryP
 def _order_flips(runs, grid: TimeGrid, dW: np.ndarray, ok: np.ndarray) -> int:
     """Valid path-steps where ``1 + b_x dt + sigma_x dW <= 0`` at u = 0 in
     some ``(coeffs, X, X1)`` of ``runs``: there one Euler step can reverse the
-    order of two coupled paths.  A recorded constant slope is read as its
-    number; any other is evaluated at each step's state."""
-    m, dt = grid.m, grid.dt
-
-    def slope(coeffs, slot, X, X1):
-        c = coeffs.constant(slot)
-        if c is not None:
-            return c
-        out = path_array(*dW.shape)
-        for i in range(grid.n_steps):
-            out[:, i] = getattr(coeffs, slot)(grid.time(i), X[:, i + m], X1[:, i], X[:, i], 0.0)
-        return out
-
+    order of two coupled paths.  Each slope is read through
+    ``CoefficientSet.slope`` on the states of all steps at once."""
+    m, n, dt = grid.m, grid.n_steps, grid.dt
+    t = grid.time(np.arange(n))
     flip = np.zeros(dW.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for coeffs, X, X1 in runs:
-            bx, sx = slope(coeffs, "b_x", X, X1), slope(coeffs, "sigma_x", X, X1)
+            state = (t, X[:, m : m + n], X1[:, :n], X[:, :n], 0.0)
+            bx, sx = coeffs.slope("b_x", *state), coeffs.slope("sigma_x", *state)
             flip |= 1.0 + bx * dt + sx * dW <= 0.0
     return int(np.count_nonzero(flip[ok]))
 

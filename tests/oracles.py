@@ -62,3 +62,47 @@ def exp_window_integral(lam, alpha, delta):
     if abs(rate) < 1e-14:
         return delta
     return (1.0 - np.exp(-rate * delta)) / rate
+
+
+def check_derivative_consistency(coeffs, seed: int = 0, n_points: int = 64,
+                                 step: float = 1e-5) -> float:
+    """Worst hybrid-relative mismatch between the derivatives of a
+    ``CoefficientSet`` and central differences of its values, over random
+    sample points.
+
+    The step is scaled by |argument| + 1; mismatch is measured as
+    |fd - d| / (1 + |d|).  Registry families stay well below 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0.0, 1.5, size=(n_points, 7))
+    t, x, x1, x2, y, z, u = (pts[:, i] for i in range(7))
+    t = np.abs(t)
+
+    def central(fn, args, slot):
+        h = step * (np.abs(args[slot]) + 1.0)
+        up = list(args)
+        dn = list(args)
+        up[slot] = args[slot] + h
+        dn[slot] = args[slot] - h
+        return (fn(*up) - fn(*dn)) / (2.0 * h)
+
+    worst = 0.0
+    state_args = (t, x, x1, x2, u)
+    for fn, dfn, slot in ((coeffs.b, coeffs.b_x, 1), (coeffs.b, coeffs.b_x1, 2),
+                          (coeffs.b, coeffs.b_x2, 3),
+                          (coeffs.sigma, coeffs.sigma_x, 1), (coeffs.sigma, coeffs.sigma_x1, 2),
+                          (coeffs.sigma, coeffs.sigma_x2, 3)):
+        fd = central(fn, state_args, slot)
+        d = dfn(*state_args)
+        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
+    f_args = (t, x, x1, x2, y, z, u)
+    for dfn, slot in ((coeffs.f_x, 1), (coeffs.f_x1, 2), (coeffs.f_x2, 3),
+                      (coeffs.f_y, 4), (coeffs.f_z, 5)):
+        fd = central(coeffs.f, f_args, slot)
+        d = dfn(*f_args)
+        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
+    for dfn, slot in ((coeffs.phi_x, 0), (coeffs.phi_x1, 1)):
+        fd = central(coeffs.phi, (x, x1), slot)
+        d = dfn(x, x1)
+        worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
+    return worst

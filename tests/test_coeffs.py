@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from delaycontrol import coeffs as coeffs_module
 from delaycontrol.core import ConfigurationError
-from delaycontrol.coeffs import (FAMILIES, check_derivative_consistency,
-                                 make_coefficients)
+from delaycontrol.coeffs import FAMILIES, make_coefficients
+from oracles import check_derivative_consistency
 
 FAMILY_SAMPLES = [
     ("constant", dict(b0=1.0, s0=-0.5, f0=2.0, phi0=3.0)),
@@ -99,3 +100,30 @@ class TestRecordedConstants:
                                       sigma_x=np.cos)
         assert swapped.constant("b_x") is None and swapped.constant("sigma_x") is None
         assert swapped.constant("b_x1") == 0.0
+
+    def test_slope_reads_a_recorded_constant_without_evaluating(self, monkeypatch):
+        coeffs = make_coefficients("linear", bx=0.3, fy=-0.4)
+
+        def no_evaluation(*args):
+            raise AssertionError("a recorded constant slope was evaluated")
+
+        # every constant slope of the registry pads its number with _fill
+        monkeypatch.setattr(coeffs_module, "_fill", no_evaluation)
+        x = np.linspace(-1.0, 1.0, 5)
+        assert coeffs.slope("b_x", 0.0, x, x, x, 0.0) == 0.3
+        assert coeffs.slope("f_y", 0.0, x, x, x, x, x, 0.0) == -0.4
+        with pytest.raises(AssertionError, match="was evaluated"):
+            coeffs.b_x(0.0, x, x, x, 0.0)
+
+    def test_slope_evaluates_state_dependent_and_replaced_slopes(self):
+        rng = np.random.default_rng(5)
+        t, x, x1, x2, u = rng.normal(size=(5, 8))
+        bil = make_coefficients("bilinear", bx=0.2, bxx1=0.5, sxx2=-0.3)
+        for slot in ("b_x", "b_x1", "sigma_x", "sigma_x2"):
+            got = bil.slope(slot, t, x, x1, x2, u)
+            assert np.array_equal(got, getattr(bil, slot)(t, x, x1, x2, u))
+            assert np.ptp(got) > 0.0
+        lin = make_coefficients("linear", bx=0.3)
+        swapped = dataclasses.replace(lin, b_x=lambda t, x, x1, x2, u: 0.3 + x * x1)
+        assert np.array_equal(swapped.slope("b_x", t, x, x1, x2, u), 0.3 + x * x1)
+        assert swapped.slope("sigma_x", t, x, x1, x2, u) == 0.0

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from delaycontrol.core import ConfigurationError, HistoryPath, TimeGrid, x1_weights
+from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
+                               TimeGrid, x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol import smdde
 from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, TrajectoryBundle,
@@ -417,3 +418,16 @@ def test_order_flips_evaluate_state_dependent_slopes_per_step():
     assert flips > 0
     assert rep.hypothesis_failures[-1].endswith(
         f"<= 0 on {flips} valid path-steps, where one Euler step can reverse the order")
+
+
+def test_mismatched_history_is_refused_alike():
+    g = grid(m=10)
+    hist = HistoryPath.constant(1.0, 5)
+    coeffs = make_coefficients("linear", bx=0.1, s0=0.2)
+    message = "history has 5 delay steps, grid expects 10"
+    with pytest.raises(ConfigurationError, match=message):
+        Instance(coeffs=coeffs, grid=g, history=hist, domain=ControlDomain(-1.0, 1.0, n_u=5))
+    with pytest.raises(ConfigurationError, match=message):
+        simulate_smdde(coeffs, hist, 0.0, g, NoiseSource(1), 10)
+    with pytest.raises(ConfigurationError, match=message):
+        estimate_moment_bound(coeffs, hist, g, 2, NoiseSource(1), 10)

@@ -12,12 +12,13 @@ REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-mp`` on a linear and a bilinear instance, ``check-mp`` and
-``check-duality`` on a linear instance where some paths diverge, and
-``girsanov`` on the config of its ``test_girsanov_report``.  One line is
+``check-duality`` on a linear instance where some paths diverge,
+``check-comparison`` on a bilinear pair, and ``girsanov`` on the config of its ``test_girsanov_report``.  One line is
 printed per output file; a call that exits 3 on either side also has its
-stderr text compared.  The bad-config calls each carry one fault, at least
-one per subcommand and one per error of the ``solve_hjb`` prologue, and their
-exit code and exact stderr text are compared; one line is printed per call.  The exit status is 1 if any exit code, stderr
+stderr text compared.  The bad-config calls carry one fault each, at least
+one per subcommand and one per error of the ``solve_hjb`` prologue, and two
+carry two faults; their exit code and exact stderr text are compared, and one
+line is printed per call.  The exit status is 1 if any exit code, stderr
 text, file list or file differs, else 0.
 """
 
@@ -156,12 +157,19 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                           "--set", "instance.params.sx=20",
                                           "--set", "instance2.params.sx=20"]),
     ("check-moments-long", "cmp", ["check-moments", "--set", "numerics.n_paths=4163"]),
+    # bilinear b_x and sigma_x read x2: the order-flip count evaluates both
+    # slopes on every step of a chunk (25,794 flips, exit 3)
+    ("check-comparison-bilinear", "cmp", ["check-comparison", "--set", "numerics.n_paths=4163",
+                                          *(arg for inst in ("instance", "instance2")
+                                            for item in ("family=bilinear", "params.sx=20",
+                                                         "params.bxx2=0.5", "params.sxx2=3")
+                                            for arg in ("--set", f"{inst}.{item}"))]),
     ("check-moments-diverged", "cmp", ["check-moments", "--set", "numerics.n_paths=4163",
                                        "--set", "instance.params.bx=400",
                                        "--set", "instance.params.sx=20"]),
 ]
 
-# one fault each; "lq-nodriver" and "lq-nodt" are the LQ config without its
+# one fault each unless stated; "lq-nodriver" and "lq-nodt" are the LQ config without its
 # [driver] section and without instance.dt
 BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-simulate-family", "lq", ["simulate", "--set", "instance.family=woble"]),
@@ -205,6 +213,11 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-solve-hjb-x2-gate", "linear", ["solve-hjb", "--set", "numerics.n_t_pde=400"]),
     ("bad-solve-hjb-gbar-nodriver", "lq-nodriver", ["solve-hjb",
                                                      "--set", "numerics.hjb_variant=Gbar"]),
+    # two faults, one config error line each: both from load_config, then
+    # both from the parse pass
+    ("bad-simulate-load-two", "lq", ["simulate", "--set", "numerics.bogus=1", "--threads", "0"]),
+    ("bad-simulate-parse-two", "lq", ["simulate", "--set", "numerics.n_paths=-1",
+                                      "--set", "numerics.dump_paths=-1"]),
 ]
 
 
