@@ -56,6 +56,13 @@ class CoefficientSet:
     a set from ``dataclasses.replace``, a wrapper (``functools.wraps``
     included) or the measure-shifted set of ``connect.girsanov_reduce``.
 
+    ``x1_free`` holds, by the same identity rule, while ``b``, ``sigma``,
+    ``f`` and ``phi`` are evaluators the registry built reading no ``x1``
+    (today those of ``linear_quadratic``); the value function is then flat
+    in x1 and the HJB sweep solves one x1 column.  The other families
+    evaluate ``bx1 * x1`` and the like even where the factor is 0, and a
+    ``0.0 * x1`` term can flip the sign of an exact-zero sum.
+
     :meth:`constant` names the b, sigma and f slopes that
     :func:`make_coefficients` built as finite constants, by the same
     identity rule.  :meth:`slope` is the one reader of a slope: the adjoint
@@ -89,6 +96,11 @@ class CoefficientSet:
         """Are b, sigma and f the registry's own (t-free) evaluators?"""
         return all(fn in _REGISTRY_EVALUATORS for fn in (self.b, self.sigma, self.f))
 
+    @property
+    def x1_free(self) -> bool:
+        """Are b, sigma, f and phi registry evaluators that read no x1?"""
+        return all(fn in _X1_FREE_EVALUATORS for fn in (self.b, self.sigma, self.f, self.phi))
+
     def constant(self, slot: str) -> Optional[float]:
         """The number the derivative in ``slot`` returns at every state, if
         make_coefficients built it as a finite constant; else None."""
@@ -109,6 +121,8 @@ class CoefficientSet:
 
 # b, sigma and f of every set make_coefficients built, held by identity
 _REGISTRY_EVALUATORS = weakref.WeakSet()
+# b, sigma, f and phi of the registry sets whose formulas read no x1
+_X1_FREE_EVALUATORS = weakref.WeakSet()
 # each constant b, sigma or f slope the registry built -> its value c + 0.0,
 # which is what _fill pads an array with (so -0.0 is stored as +0.0)
 _CONSTANTS = weakref.WeakKeyDictionary()
@@ -247,6 +261,7 @@ def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
         phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1),
         phi_x1=lambda x, x1: _fill(0.0, x, x1),
     )
+    _X1_FREE_EVALUATORS.update((b, sigma, f, phi))
     return CoefficientSet(name="linear_quadratic", lam=lam, b=b, sigma=sigma, f=f, phi=phi,
                           params=dict(p), **derivs)
 

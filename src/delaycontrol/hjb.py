@@ -165,7 +165,10 @@ class GridValueFunction:
 # On a 101 x 51 grid with 41 controls and 100 steps (2-vCPU host, numpy
 # 2.4.6), with the control terms formed once per solve and the Hamiltonians
 # summed in place, blocks of 4 to 14 solved in 0.31-0.34 s, 21 and all 41 in
-# 0.35-0.36 s; memory grows with it.
+# 0.35-0.36 s; memory grows with it.  The one-column sweep of an x1-free set
+# (same host, same bits) took 43-48 ms with blocks of 4, 24-39 ms with 8,
+# 17-28 ms with 14 and 15-19 ms with 21 or 41: per-call overhead dominates
+# there, and larger blocks would slow the 2-D sweep.
 U_BLOCK = 8
 
 
@@ -276,12 +279,20 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
 
     Raises on CFL violation (reporting the largest admissible dt) and when
     the x2-independence gate fails.
+
+    A set whose coefficients read no x1 (``CoefficientSet.x1_free``) has
+    V_x1 = 0 and equal x1 columns: the sweep then runs on one column, whose
+    result is broadcast to the grid, and adds -0.0 for the transport term.
     """
     xs, x1s = grid.xs(), grid.x1s()
     X, X1 = np.meshgrid(xs, x1s, indexing="ij")
     u_grid = domain.points()
     x2 = grid.x2_ref
+    # the CFL bound reads the transport over the whole grid
     tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
+    x1_free = coeffs.x1_free
+    if x1_free:
+        X, X1 = X[:, :1], X1[:, :1]
     # sigma enters beyond sigma**2 only through z = p * sigma (variant G) or
     # the drift shift sigma * g (Gbar with a z-loading)
     with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
@@ -315,7 +326,7 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
             "equation is ill-posed for this instance")
 
     times = np.linspace(tg.s, tg.T, grid.n_t + 1)
-    V = np.empty((grid.n_t + 1, grid.nx, grid.nx1))
+    V = np.empty((grid.n_t + 1,) + X.shape)
     U = np.empty_like(V)
     V[grid.n_t] = -coeffs.phi(X, X1)
     g_up = np.empty((min(U_BLOCK, len(u_grid)),) + X.shape)
@@ -328,12 +339,15 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         # one-sided first differences (inward copies on the boundary rows)
         d = np.diff(Vc, axis=0) / grid.dx
         fwd_x, bwd_x = np.concatenate([d, d[-1:]]), np.concatenate([d[:1], d])
-        d = np.diff(Vc, axis=1) / grid.dx1
-        fwd_1 = np.concatenate([d, d[:, -1:]], axis=1)
-        bwd_1 = np.concatenate([d[:, :1], d], axis=1)
         d = (Vc[2:] - 2 * Vc[1:-1] + Vc[:-2]) / grid.dx ** 2
         d2x = np.concatenate([d[:1], d, d[-1:]])
-        vx1_up = np.where(tr >= 0.0, fwd_1, bwd_1)
+        if x1_free:
+            q_tr = -0.0  # V_x1 = 0: adding -0.0 changes no bit
+        else:
+            d = np.diff(Vc, axis=1) / grid.dx1
+            fwd_1 = np.concatenate([d, d[:, -1:]], axis=1)
+            bwd_1 = np.concatenate([d[:, :1], d], axis=1)
+            q_tr = -np.where(tr >= 0.0, fwd_1, bwd_1) * tr
 
         # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed by sum_G
         # as eval_G sums it: the pieces free of the controls are formed once per
@@ -343,7 +357,6 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         p_fwd, p_bwd = -fwd_x, -bwd_x
         p_ctr = -(0.5 * (fwd_x + bwd_x))
         half_R = 0.5 * -d2x
-        q_tr = -vx1_up * tr
         gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
         best = np.full(Vc.shape, -np.inf)
         # the controls of a block lie along a leading axis of every term
@@ -364,6 +377,8 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         V[it] = Vc - dt * best
         U[it + 1] = _refine_argmax(g_ctr, np.argmax(g_ctr, axis=0), u_grid)
     U[0] = U[1]
+    if x1_free:
+        V, U = (np.repeat(a, grid.nx1, axis=2) for a in (V, U))
     return GridValueFunction(times=times, xs=xs, x1s=x1s, V=V, u_star=U,
                              x2_ref=grid.x2_ref, variant=variant)
 

@@ -1,12 +1,16 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from delaycontrol import coeffs as coeffs_module
-from delaycontrol.core import ConfigurationError
+from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
+                               LinearDriver, TimeGrid)
 from delaycontrol.coeffs import FAMILIES, make_coefficients
+from delaycontrol.connect import girsanov_reduce
+from delaycontrol.hjb import HjbGrid, default_probe_set, solve_hjb
 from oracles import check_derivative_consistency
 
 FAMILY_SAMPLES = [
@@ -127,3 +131,51 @@ class TestRecordedConstants:
         swapped = dataclasses.replace(lin, b_x=lambda t, x, x1, x2, u: 0.3 + x * x1)
         assert np.array_equal(swapped.slope("b_x", t, x, x1, x2, u), 0.3 + x * x1)
         assert swapped.slope("sigma_x", t, x, x1, x2, u) == 0.0
+
+
+class TestX1Free:
+    """x1_free holds only while b, sigma, f and phi are registry evaluators
+    recorded as reading no x1."""
+
+    LQ = dict(a=0.4, bu=0.6, b0=0.1, sigma0=0.25, q=0.5, r=0.5, fy=-0.3, phi_quad=-0.4)
+
+    def test_linear_quadratic_set(self):
+        assert make_coefficients("linear_quadratic", lam=0.5, **self.LQ).x1_free
+
+    @pytest.mark.parametrize("family", ["constant", "linear", "bilinear"])
+    def test_families_that_evaluate_x1_terms(self, family):
+        # bx1 * x1 is evaluated even where bx1 is 0
+        assert not make_coefficients(family, lam=0.5).x1_free
+
+    @pytest.mark.parametrize("slot", ["b", "sigma", "f", "phi"])
+    def test_replaced_or_wrapped_slot(self, slot):
+        base = make_coefficients("linear_quadratic", lam=0.5, **self.LQ)
+        fn = getattr(base, slot)
+        assert not dataclasses.replace(base, **{slot: lambda *args: fn(*args)}).x1_free
+        assert not dataclasses.replace(base, **{slot: functools.wraps(fn)(
+            lambda *args: fn(*args))}).x1_free
+        # the slopes are not read by the sweep's values
+        assert dataclasses.replace(base, b_x1=base.sigma_x1).x1_free
+
+    def test_measure_shifted_set(self):
+        # a declared g that is zero keeps f of the linear form; the shifted
+        # drift b + sigma * g is a new evaluator all the same
+        coeffs = make_coefficients("linear_quadratic", lam=0.5, **self.LQ)
+        grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=5)
+        inst = Instance(coeffs=coeffs, grid=grid, history=HistoryPath.constant(1.0, 5),
+                        domain=ControlDomain(-1.0, 1.0, n_u=5),
+                        driver=dataclasses.replace(LinearDriver.constants(fbar=-0.3),
+                                                   gbar=lambda t: 0.0 * np.asarray(t)))
+        assert not girsanov_reduce(inst).instance.coeffs.x1_free
+
+    def test_linear_set_with_x1_terminal_cost_varies_in_x1(self):
+        coeffs = make_coefficients("linear", lam=0.5, bx=0.2, bu=0.5, s0=0.2, phix=0.3,
+                                   phix1=-0.4)
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 40)
+        tg = TimeGrid(s=0.0, T=1.0, dt=0.01, delay_steps=10)
+        # x1-slope probes at zero: the x2 gate then passes
+        p = default_probe_set(coeffs, grid, tg)
+        vg = solve_hjb(coeffs, ControlDomain(-1.0, 1.0, n_u=7), grid, tg,
+                       probes=dataclasses.replace(p, q=np.zeros_like(p.q)))
+        assert not coeffs.x1_free
+        assert np.ptp(vg.V[0], axis=1).min() > 0.5

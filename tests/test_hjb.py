@@ -391,6 +391,66 @@ class TestSweepEquivalence:
                       variant="Gtilde", linear_driver=driver)
 
 
+class TestOneColumnSweep:
+    """A set whose b, sigma, f and phi read no x1 is swept on one x1 column,
+    broadcast to the grid; wrapping phi turns x1_free off and forces the 2-D
+    sweep, which must give the same bits."""
+
+    GRID = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
+
+    @staticmethod
+    def sets():
+        base = make_coefficients("linear_quadratic", lam=LQ_LAM, fy=-0.2, **LQ_PARAMS)
+        two_d = dataclasses.replace(base, phi=wrapped(base.phi))
+        assert base.x1_free and not two_d.x1_free
+        return base, two_d
+
+    @pytest.mark.parametrize("variant,driver", [
+        ("G", None),
+        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+        ("Gtilde", LinearDriver.constants(fbar=0.1)),
+    ])
+    def test_matches_two_d_sweep(self, variant, driver, monkeypatch):
+        shapes = []
+        control_terms = hjb.control_terms
+
+        def recorded(coeffs, t, x, *args):
+            shapes.append(np.shape(x))
+            return control_terms(coeffs, t, x, *args)
+
+        monkeypatch.setattr(hjb, "control_terms", recorded)
+        base, two_d = self.sets()
+        for n_u in (7, 19):
+            dom = ControlDomain(-1.0, 1.0, n_u=n_u)
+            shapes.clear()
+            vg = solve_hjb(base, dom, self.GRID, tg(), variant=variant, linear_driver=driver)
+            # b, sigma and the driver's a are evaluated on one x1 column
+            assert shapes and set(shapes) == {(self.GRID.nx, 1)}
+            ref = solve_hjb(two_d, dom, self.GRID, tg(), variant=variant,
+                            linear_driver=driver)
+            assert vg.V.shape == vg.u_star.shape == (self.GRID.n_t + 1, self.GRID.nx,
+                                                     self.GRID.nx1)
+            assert np.array_equal(vg.V, ref.V), n_u
+            assert np.array_equal(vg.u_star, ref.u_star), n_u
+
+    def test_cfl_violation_text_unchanged(self):
+        grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 2)
+        texts = []
+        for coeffs in self.sets():
+            with pytest.raises(ConfigurationError, match="CFL violation") as err:
+                solve_hjb(coeffs, DOM, grid, tg())
+            texts.append(str(err.value))
+        assert "use n_t >= " in texts[0] and texts[0] == texts[1]
+
+    def test_x2_gate_still_runs(self):
+        # x1-slope probes away from zero make the transport read x2
+        base, _ = self.sets()
+        p = default_probe_set(base, self.GRID, tg())
+        with pytest.raises(HypothesisViolation, match="frozen delay argument"):
+            solve_hjb(base, DOM, self.GRID, tg(),
+                      probes=dataclasses.replace(p, q=np.ones_like(p.q)))
+
+
 def reference_membership(vgrid, point, jet, side, radius, tol):
     """Full-jet membership written as a loop over (time, x1) rows."""
     sign = 1.0 if side == "super" else -1.0

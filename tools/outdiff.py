@@ -13,7 +13,9 @@ the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-mp`` on a linear and a bilinear instance, ``check-mp`` and
 ``check-duality`` on a linear instance where some paths diverge,
-``check-comparison`` on a bilinear pair, and ``girsanov`` on the config of its ``test_girsanov_report``.  One line is
+``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
+``test_girsanov_report``, and ``solve-hjb`` on that config and on a linear
+instance whose value function varies in x1.  One line is
 printed per output file; a call that exits 3 on either side also has its
 stderr text compared.  The bad-config calls carry one fault each, at least
 one per subcommand and one per error of the ``solve_hjb`` prologue, and two
@@ -91,6 +93,15 @@ DIVERGING = [arg for item in ("instance.params.bx=5", "instance.params.sx=20",
                               "numerics.dump_paths=20", "numerics.nx=9",
                               "numerics.n_t_pde=7000") for arg in ("--set", item)]
 
+# the linear instance with b, sigma, f and phi reading x1 and nothing reading
+# x2: the x1 transport is live and V varies in x1, so the 2-D sweep is pinned
+# on a registry set; lambda = 10 over a delay of 3 makes exp(-lambda*delay)
+# small enough for the x2 gate's probes, whose x1 slopes are nonzero here
+LINEAR_X1 = [arg for item in (*(f"instance.params.{k}=0" for k in ("bx2", "sx2", "fx2")),
+                              "instance.lambda=10", "instance.delay_steps=300",
+                              "numerics.nx=31", "numerics.nx1=16", "numerics.n_t_pde=120",
+                              "numerics.dump_slices=all") for arg in ("--set", item)]
+
 # (name, config, argv without --config/--out)
 TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("simulate", "lq", ["simulate"]),
@@ -116,6 +127,7 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                           "--set", "numerics.hjb_variant=G"]),
     ("solve-hjb-girsanov-gbar", "girsanov", ["solve-hjb", *GIRSANOV_HJB,
                                              "--set", "numerics.hjb_variant=Gbar"]),
+    ("solve-hjb-linear-x1", "linear", ["solve-hjb", *LINEAR_X1]),
     ("check-mp", "lq", ["check-mp"]),
     # no ridge: collinear designs escalate it, and check-mp rebuilds the
     # adjoint sweeps from the escalated factors
