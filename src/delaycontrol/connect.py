@@ -228,9 +228,7 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     ok = ~bundle.diverged
 
     integrand = np.zeros(bundle.n_paths)
-    weight_sum = np.zeros(bundle.n_paths)
     n_inside = 0
-    n_total = 0
     per_step: List[Tuple[float, float]] = []
     for i in range(n):
         t, x, x1, x2, u = bundle.state(i)
@@ -240,11 +238,9 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
                    coeffs, grid.delay, instance.driver)
         step_term = np.where(inside, theta - g, 0.0)
         integrand += step_term * dt
-        weight_sum += np.where(inside, dt, 0.0)
         n_inside += int(np.sum(inside))
-        n_total += int(np.sum(ok))
         per_step.append((float(t), float(np.mean(step_term[inside])) if np.any(inside) else 0.0))
-    coverage = n_inside / max(n_total, 1)
+    coverage = n_inside / max(n * int(np.count_nonzero(ok)), 1)
     if coverage < 0.5:
         raise ConfigurationError(
             f"trajectory covers only {coverage:.1%} of the grid interior; "

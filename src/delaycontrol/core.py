@@ -249,7 +249,7 @@ G_VARIANTS = ("G", "Gbar", "Gtilde")
 
 
 class ControlTerms(NamedTuple):
-    """A block of controls ``u`` and the terms of G that depend on them and
+    """The controls ``u`` and the terms of G that depend on them and
     not on the jet: b, sigma**2, sigma (None where neither z = p*sigma nor a
     drift shift reads it) and a = f(..., 0, 0, u) (None for variant G)."""
 

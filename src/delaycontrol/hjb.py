@@ -85,7 +85,8 @@ class GridValueFunction:
 
     ``V[it, j, k]`` is the value at (s + it*dt_pde, xs[j], x1s[k]);
     ``u_star`` is the maximizing control stored with the same layout
-    (slice n_t copies slice n_t - 1).
+    (slice n_t copies slice n_t - 1).  For a set that reads no x1,
+    ``solve_hjb`` returns both as read-only views of one solved x1 column.
     """
 
     times: np.ndarray
@@ -161,32 +162,6 @@ class GridValueFunction:
         return self._interp_slice(jump, x, x1)
 
 
-# Controls per broadcast block of the sweep and of the maxima over controls.
-# On a 101 x 51 grid with 41 controls and 100 steps (2-vCPU host, numpy
-# 2.4.6), with the control terms formed once per solve and the Hamiltonians
-# summed in place, blocks of 4 to 14 solved in 0.31-0.34 s, 21 and all 41 in
-# 0.35-0.36 s; memory grows with it.  The one-column sweep of an x1-free set
-# (same host, same bits) took 43-48 ms with blocks of 4, 24-39 ms with 8,
-# 17-28 ms with 14 and 15-19 ms with 21 or 41: per-call overhead dominates
-# there, and larger blocks would slow the 2-D sweep.
-U_BLOCK = 8
-
-
-def _control_blocks(u_grid: np.ndarray, ndim: int):
-    """The controls in blocks of at most U_BLOCK along a leading axis, each
-    shaped to broadcast against ``ndim``-dimensional state arrays."""
-    return [u_grid[lo:lo + U_BLOCK].reshape((-1,) + (1,) * ndim)
-            for lo in range(0, len(u_grid), U_BLOCK)]
-
-
-def _sup_over_controls(g_at, u_grid: np.ndarray, ndim: int):
-    """max over the controls of g_at(u), one block of controls at a time."""
-    best = -np.inf
-    for u in _control_blocks(u_grid, ndim):
-        best = np.maximum(best, g_at(u).max(axis=0))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # x2-independence gate
 # ---------------------------------------------------------------------------
@@ -246,10 +221,10 @@ def check_x2_independence(coeffs, linear_driver: Optional[LinearDriver],
     every registry family, so three probe values are exhaustive there;
     arbitrary user coefficients get sampled coverage only.
     """
-    stack = np.stack([_sup_over_controls(
-        lambda u: eval_G(variant, probes.t, probes.x, probes.x1, x2v, u, probes.k, probes.p,
-                         probes.R, probes.q, coeffs, delay, linear_driver),
-        domain.points(), 1) for x2v in (-1.0, 0.0, 1.0)])
+    u = domain.points()[:, None]
+    stack = np.stack([eval_G(variant, probes.t, probes.x, probes.x1, x2v, u, probes.k,
+                             probes.p, probes.R, probes.q, coeffs, delay,
+                             linear_driver).max(axis=0) for x2v in (-1.0, 0.0, 1.0)])
     dev = stack.max(axis=0) - stack.min(axis=0)
     scale = 1.0 + np.abs(stack).max(axis=0)
     worst = float(np.max(dev / scale))
@@ -260,14 +235,14 @@ def check_x2_independence(coeffs, linear_driver: Optional[LinearDriver],
 # solver
 # ---------------------------------------------------------------------------
 
-def _cfl_bound(block_terms, tr: np.ndarray, grid: HjbGrid, tg: TimeGrid) -> float:
+def _cfl_bound(terms_at, tr: np.ndarray, grid: HjbGrid, tg: TimeGrid) -> float:
     """Largest stable dt for the explicit monotone scheme, from the sweep's
     control terms at s, the midpoint and T and the transport ``tr``."""
     max_sig2 = max_b = 0.0
     for t in (tg.s, 0.5 * (tg.s + tg.T), tg.T):
-        for terms, _ in block_terms(t):
-            max_sig2 = max(max_sig2, float(np.max(terms.sig2)))
-            max_b = max(max_b, float(np.max(np.abs(terms.b))))
+        terms, _ = terms_at(t)
+        max_sig2 = max(max_sig2, float(np.max(terms.sig2)))
+        max_b = max(max_b, float(np.max(np.abs(terms.b))))
     rate = max_sig2 / grid.dx ** 2 + max_b / grid.dx + float(np.abs(tr).max()) / grid.dx1
     return 1.0 / rate if rate > 0 else np.inf
 
@@ -281,12 +256,14 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     the x2-independence gate fails.
 
     A set whose coefficients read no x1 (``CoefficientSet.x1_free``) has
-    V_x1 = 0 and equal x1 columns: the sweep then runs on one column, whose
-    result is broadcast to the grid, and adds -0.0 for the transport term.
+    V_x1 = 0 and equal x1 columns: the sweep then runs on one column, adds
+    -0.0 for the transport term and returns V and u_star as read-only views
+    broadcast from that column.
     """
     xs, x1s = grid.xs(), grid.x1s()
     X, X1 = np.meshgrid(xs, x1s, indexing="ij")
     u_grid = domain.points()
+    u = u_grid[:, None, None]  # the controls lie along a leading axis of every term
     x2 = grid.x2_ref
     # the CFL bound reads the transport over the whole grid
     tr = transport_term(X, X1, x2, coeffs.lam, tg.delay)
@@ -298,19 +275,18 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
                                   and linear_driver.gbar is not None)
 
-    def block_terms(t):
-        """(control terms, upwind mask b >= 0) of each block at t, one at a time."""
-        for u in _control_blocks(u_grid, X.ndim):
-            terms = control_terms(coeffs, t, X, X1, x2, u, variant, with_sig)
-            yield terms, terms.b >= 0.0
+    def terms_at(t):
+        """(control terms, upwind mask b >= 0) of all controls at t."""
+        terms = control_terms(coeffs, t, X, X1, x2, u, variant, with_sig)
+        return terms, terms.b >= 0.0
 
     if coeffs.time_free:
         # a time-free set's control terms are the same at every step
-        hoisted = list(block_terms(tg.T))
-        block_terms = lambda t: hoisted
+        hoisted = terms_at(tg.T)
+        terms_at = lambda t: hoisted
 
     dt = (tg.T - tg.s) / grid.n_t
-    dt_max = _cfl_bound(block_terms, tr, grid, tg)
+    dt_max = _cfl_bound(terms_at, tr, grid, tg)
     if dt > dt_max:
         raise ConfigurationError(
             f"CFL violation: dt_pde = {dt:.3e} exceeds the monotonicity bound "
@@ -329,9 +305,9 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     V = np.empty((grid.n_t + 1,) + X.shape)
     U = np.empty_like(V)
     V[grid.n_t] = -coeffs.phi(X, X1)
-    g_up = np.empty((min(U_BLOCK, len(u_grid)),) + X.shape)
+    g_up = np.empty((len(u_grid),) + X.shape)
     diffusion = np.empty_like(g_up)
-    g_ctr = np.empty((len(u_grid),) + X.shape)
+    g_ctr = np.empty_like(g_up)
 
     for it in range(grid.n_t - 1, -1, -1):
         t = times[it + 1]
@@ -351,34 +327,28 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
 
         # G at the jet (k, p, R, q) = (-V, -V_x, -V_xx, -V_x1), summed by sum_G
         # as eval_G sums it: the pieces free of the controls are formed once per
-        # step, and each block's two Hamiltonians (upwind and central in x)
-        # share its diffusion and drift
+        # step, and the two Hamiltonians (upwind and central in x) share the
+        # diffusion and drift
         k = -Vc
         p_fwd, p_bwd = -fwd_x, -bwd_x
         p_ctr = -(0.5 * (fwd_x + bwd_x))
-        half_R = 0.5 * -d2x
         gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
-        best = np.full(Vc.shape, -np.inf)
-        # the controls of a block lie along a leading axis of every term
-        for i, (terms, b_pos) in enumerate(block_terms(t)):
-            lo, n = i * U_BLOCK, len(terms.u)
-            g, g_c, diff = g_up[:n], g_ctr[lo:lo + n], diffusion[:n]
-            np.multiply(half_R, terms.sig2, out=diff)
-            drift = terms.drift(gbar)
-            for out, p in ((g, np.where(b_pos, p_fwd, p_bwd)), (g_c, p_ctr)):
-                sum_G(coeffs, t, X, X1, x2, terms, diff, drift, p, q_tr, k, fbar_k, out=out)
-            np.maximum(best, g.max(axis=0), out=best)
+        terms, b_pos = terms_at(t)
+        np.multiply(0.5 * -d2x, terms.sig2, out=diffusion)
+        drift = terms.drift(gbar)
+        for out, p in ((g_up, np.where(b_pos, p_fwd, p_bwd)), (g_ctr, p_ctr)):
+            sum_G(coeffs, t, X, X1, x2, terms, diffusion, drift, p, q_tr, k, fbar_k, out=out)
         # the value update uses the monotone (upwind) discrete sup; the stored
         # argmax is taken from the central-difference Hamiltonian (second-order
         # in dx) and refined by a parabola through the three neighboring
         # control points (exact for quadratic-in-u Hamiltonians,
         # scale-invariant); it is associated with the slice whose data
         # produced it, so policy lookups carry no time lag
-        V[it] = Vc - dt * best
+        V[it] = Vc - dt * g_up.max(axis=0)
         U[it + 1] = _refine_argmax(g_ctr, np.argmax(g_ctr, axis=0), u_grid)
     U[0] = U[1]
     if x1_free:
-        V, U = (np.repeat(a, grid.nx1, axis=2) for a in (V, U))
+        V, U = (np.broadcast_to(a, a.shape[:2] + (grid.nx1,)) for a in (V, U))
     return GridValueFunction(times=times, xs=xs, x1s=x1s, V=V, u_star=U,
                              x2_ref=grid.x2_ref, variant=variant)
 
@@ -533,10 +503,10 @@ def viscosity_residual(vgrid: GridValueFunction, coeffs, domain: ControlDomain,
     for (t, x, x1) in points:
         jet = extract_jet(vgrid, t, x, x1)
         it, j, k = vgrid.indices(t, x, x1)
-        r.append(-jet.theta + float(_sup_over_controls(lambda u: eval_G(
-            vgrid.variant, vgrid.times[it], vgrid.xs[j], vgrid.x1s[k], vgrid.x2_ref, u,
-            -vgrid.V[it, j, k], -jet.p, -jet.P, -jet.q, coeffs, delay, linear_driver),
-            domain.points(), 0)))
+        r.append(-jet.theta + float(eval_G(
+            vgrid.variant, vgrid.times[it], vgrid.xs[j], vgrid.x1s[k], vgrid.x2_ref,
+            domain.points(), -vgrid.V[it, j, k], -jet.p, -jet.P, -jet.q, coeffs, delay,
+            linear_driver).max()))
     return max([0.0, *r]), max([0.0, *(-v for v in r)])
 
 

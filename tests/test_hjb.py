@@ -68,6 +68,39 @@ class TestGate:
         ok, worst = check_x2_independence(coeffs, None, DOM, probes, delay)
         assert ok, worst
 
+    @pytest.mark.parametrize("family,variant,driver", [
+        ("linear_quadratic", "G", None),
+        ("linear_quadratic", "Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+        ("bilinear", "G", None),
+    ])
+    def test_worst_deviation_matches_per_control_loop(self, family, variant, driver):
+        # the LQ sets' maxima lie between the end controls
+        params = LQ_PARAMS if family == "linear_quadratic" else dict(bx2=0.2, sx=0.2, fu=0.3)
+        coeffs = make_coefficients(family, lam=LQ_LAM, **params)
+        p = default_probe_set(coeffs, small_grid(), tg())
+        for probes in (p, dataclasses.replace(p, q=np.ones_like(p.q))):
+            sups = []
+            for x2v in (-1.0, 0.0, 1.0):
+                best = np.full(probes.t.shape, -np.inf)
+                for i in range(DOM.n_u):
+                    best = np.maximum(best, eval_G(
+                        variant, probes.t, probes.x, probes.x1, x2v, DOM.points()[i:i + 1],
+                        probes.k, probes.p, probes.R, probes.q, coeffs, 0.1, driver))
+                sups.append(best)
+            stack = np.stack(sups)
+            want = ((stack.max(axis=0) - stack.min(axis=0))
+                    / (1.0 + np.abs(stack).max(axis=0)))
+            ok, worst = check_x2_independence(coeffs, driver, DOM, probes, 0.1,
+                                              variant=variant)
+            assert worst == want.max() and ok == (worst <= 1e-9)
+            # probe by probe, so each probe's maxima are compared
+            fields = dataclasses.astuple(probes)
+            for i in range(probes.t.size):
+                one = ProbeSet(*(f[i:i + 1] for f in fields))
+                assert check_x2_independence(coeffs, driver, DOM, one, 0.1,
+                                             variant=variant)[1] == want[i]
+        assert worst > 1e-3  # with x1-slope probes the transport reads x2
+
     def test_solver_refuses_x2_dependent_instance(self):
         coeffs = make_coefficients("linear", lam=0.5, bx1=0.4, sx=0.2, phix1=1.0)
         with pytest.raises(HypothesisViolation):
@@ -241,11 +274,10 @@ class TestTimeFree:
 
 
 class TestSweepEquivalence:
-    """The sweep evaluates b, sigma and f once per block of controls (once
-    per solve for a time-free set, else at every step) and shares them
-    between the two Hamiltonians; V and the argmax must equal the
-    per-control eval_G sweep bit for bit, also when the last block is
-    partial (19 and 41 controls are not multiples of the block)."""
+    """The sweep evaluates b, sigma and f at all controls at once (once per
+    solve for a time-free set, else at every step) and shares them between
+    the two Hamiltonians; V and the argmax must equal the per-control
+    eval_G sweep bit for bit."""
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
@@ -272,7 +304,6 @@ class TestSweepEquivalence:
                 p = default_probe_set(coeffs, grid, tg())
                 probes = dataclasses.replace(p, q=np.zeros_like(p.q))
                 for n_u in (7, 19, 41):
-                    assert n_u == 7 or n_u % hjb.U_BLOCK
                     dom = ControlDomain(-1.0, 1.0, n_u=n_u)
                     vg = solve_hjb(coeffs, dom, grid, tg(), variant=variant,
                                    linear_driver=driver, probes=probes)
@@ -298,10 +329,9 @@ class TestSweepEquivalence:
         monkeypatch.setattr(hjb, "control_terms", counted)
         dom = ControlDomain(-1.0, 1.0, n_u=n_u)
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
-        n_blocks = math.ceil(n_u / hjb.U_BLOCK)
         base = lq_coeffs()
         vg = solve_hjb(base, dom, grid, tg(), variant=variant, linear_driver=driver)
-        assert len(calls) == n_blocks
+        assert len(calls) == 1
         calls.clear()
         # the same values through a wrapper: evaluated at every step, same bits;
         # the CFL bound, which reads the terms at s, the midpoint and T, is
@@ -309,13 +339,13 @@ class TestSweepEquivalence:
         monkeypatch.setattr(hjb, "_cfl_bound", lambda *args: np.inf)
         per_step = solve_hjb(dataclasses.replace(base, sigma=wrapped(base.sigma)), dom,
                              grid, tg(), variant=variant, linear_driver=driver)
-        assert len(calls) == grid.n_t * n_blocks
+        assert len(calls) == grid.n_t
         assert sorted(set(calls)) == vg.times[1:].tolist()
         assert np.array_equal(vg.V, per_step.V)
         assert np.array_equal(vg.u_star, per_step.u_star)
 
     @pytest.mark.parametrize("n_u", [1, 8, 19])
-    def test_one_coefficient_call_per_block_and_step(self, n_u, monkeypatch):
+    def test_one_coefficient_call_per_step(self, n_u, monkeypatch):
         # the CFL bound and the x2 gate are stubbed out, so every call of b
         # comes from the sweep
         monkeypatch.setattr(hjb, "_cfl_bound", lambda *args: np.inf)
@@ -330,16 +360,12 @@ class TestSweepEquivalence:
         dom = ControlDomain(-1.0, 1.0, n_u=n_u)
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
         vg = solve_hjb(dataclasses.replace(base, b=b), dom, grid, tg())
-        n_blocks = math.ceil(n_u / hjb.U_BLOCK)
-        assert len(calls) == grid.n_t * n_blocks
-        for t in vg.times[1:]:
-            blocks = [u for s, u in calls if s == t]
-            assert len(blocks) == n_blocks
-            assert all(len(u) <= hjb.U_BLOCK for u in blocks)
-            assert sum(blocks, []) == dom.points().tolist()
+        # b sees all controls at once, once at each step
+        assert [s for s, _ in calls] == vg.times[:0:-1].tolist()
+        assert all(u == dom.points().tolist() for _, u in calls)
 
     @pytest.mark.parametrize("n_u", [1, 8, 19])
-    def test_time_free_solve_evaluates_b_once_per_block(self, n_u, monkeypatch):
+    def test_time_free_solve_evaluates_b_once(self, n_u, monkeypatch):
         # the CFL bound stays live; only the x2 gate, which evaluates b at its
         # probes, is stubbed out.  The wrapper below reads no t, so the set is
         # declared time-free and its terms may be hoisted
@@ -355,9 +381,7 @@ class TestSweepEquivalence:
         dom = ControlDomain(-1.0, 1.0, n_u=n_u)
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
         vg = solve_hjb(dataclasses.replace(base, b=b), dom, grid, tg())
-        assert len(calls) == math.ceil(n_u / hjb.U_BLOCK)
-        assert all(shape == (grid.nx, grid.nx1) for shape, _ in calls)
-        assert sum((u for _, u in calls), []) == dom.points().tolist()
+        assert calls == [((grid.nx, grid.nx1), dom.points().tolist())]
         ref = solve_hjb(base, dom, grid, tg())
         assert np.array_equal(vg.V, ref.V)
         assert np.array_equal(vg.u_star, ref.u_star)
@@ -432,6 +456,19 @@ class TestOneColumnSweep:
                                                      self.GRID.nx1)
             assert np.array_equal(vg.V, ref.V), n_u
             assert np.array_equal(vg.u_star, ref.u_star), n_u
+
+    def test_read_only_views_of_one_column(self):
+        base, two_d = self.sets()
+        vg = solve_hjb(base, DOM, self.GRID, tg())
+        for a in (vg.V, vg.u_star):
+            assert not a.flags.writeable
+            assert np.shares_memory(a[..., 0], a[..., -1])
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 0.0
+        ref = solve_hjb(two_d, DOM, self.GRID, tg())
+        for a in (ref.V, ref.u_star):
+            assert a.flags.writeable
+            assert not np.shares_memory(a[..., 0], a[..., -1])
 
     def test_cfl_violation_text_unchanged(self):
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 2)
@@ -728,6 +765,36 @@ class TestViscosityResidual:
         vg = solve_hjb(coeffs, DOM, small_grid(), tg())
         X, X1 = np.meshgrid(vg.xs, vg.x1s, indexing="ij")
         assert np.array_equal(vg.V[-1], -coeffs.phi(X, X1))
+
+    @pytest.mark.parametrize("variant,driver", [
+        ("G", None),
+        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+    ])
+    def test_matches_per_control_loop(self, variant, driver):
+        # the maxima lie between the end controls
+        coeffs = sweep_coeffs(z_nonlinear=variant == "G")
+        grid = small_grid(n_t=60, nx=41, nx1=21)
+        # x1-slope probes at zero: the x1 dependence enters through phi only
+        p = default_probe_set(coeffs, grid, tg())
+        vg = solve_hjb(coeffs, DOM, grid, tg(), variant=variant, linear_driver=driver,
+                       probes=dataclasses.replace(p, q=np.zeros_like(p.q)))
+        rng = np.random.default_rng(4)
+        pts = [(rng.uniform(0, 0.9), rng.uniform(-2, 2), rng.uniform(-2, 2))
+               for _ in range(20)]
+        r = []
+        for (t, x, x1) in pts:
+            jet = extract_jet(vg, t, x, x1)
+            it, j, k = vg.indices(t, x, x1)
+            r.append(-jet.theta + max(float(eval_G(
+                variant, vg.times[it], vg.xs[j], vg.x1s[k], vg.x2_ref, u, -vg.V[it, j, k],
+                -jet.p, -jet.P, -jet.q, coeffs, 0.1, driver)) for u in DOM.points()))
+        got = viscosity_residual(vg, coeffs, DOM, pts, 0.1, driver)
+        assert got == (max([0.0, *r]), max([0.0, *(-v for v in r)]))
+        assert min(got) > 0.0  # both signs of r occur
+        # point by point, so each point's maximum is compared
+        for pt, v in zip(pts, r):
+            assert viscosity_residual(vg, coeffs, DOM, [pt], 0.1, driver) == (
+                max(0.0, v), max(0.0, -v))
 
     def test_lq_residuals_small_and_refining(self):
         coeffs = lq_coeffs()
