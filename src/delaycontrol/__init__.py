@@ -27,8 +27,8 @@ _EXPORTS = {
                 "solve_transformed_direct"),
     "variational": ("PerturbationRun", "ScalingReport", "duality_processes",
                     "scaling_reports", "simulate_variation"),
-    "hjb": ("GridValueFunction", "HjbGrid", "Jet", "check_x2_independence", "extract_jet",
-            "feedback_control", "jet_membership", "solve_hjb", "viscosity_residual"),
+    "hjb": ("GridValueFunction", "HjbGrid", "Jet", "check_x2_independence", "feedback_control",
+            "jet_membership", "solve_hjb", "viscosity_residual"),
     "connect": ("DualityReport", "GirsanovReduction", "VerificationReport",
                 "check_duality_inclusion", "control_tournament", "girsanov_reduce",
                 "start_state", "verify_optimality"),

@@ -6,10 +6,9 @@ The pair (Y, Z) solves
      Y(T)  = phi(X(T), X1(T)),
 
 and the cost of the run is J = -Y(s).  Conditional expectations are
-estimated by ridge-regularized polynomial regression on (x, x1); the
-discrete delay x2 is excluded from the basis by default (the value
-function is treated as independent of it) and can be re-admitted for
-diagnostics.  A plain Monte Carlo oracle for drivers of the linear form
+estimated by ridge-regularized polynomial regression on (x, x1), the
+value function being treated as independent of the discrete delay x2.
+A plain Monte Carlo oracle for drivers of the linear form
 a + fbar(t) y + gbar(t) z provides an independent second route to Y(s).
 """
 
@@ -35,13 +34,11 @@ from .smdde import TrajectoryBundle, path_array
 class RegressionBasis:
     """Polynomial basis in (x, x1) of total degree <= degree.
 
-    ``eps_reg`` is the relative ridge weight; ``include_x2`` re-admits the
-    discrete delay into the feature set for diagnostics.
+    ``eps_reg`` is the relative ridge weight.
     """
 
     degree: int = 2
     eps_reg: float = 1e-9
-    include_x2: bool = False
 
     def __post_init__(self):
         if self.degree < 1:
@@ -49,23 +46,18 @@ class RegressionBasis:
         if self.eps_reg < 0:
             raise ConfigurationError("ridge weight must be >= 0")
 
-    def design(self, x: np.ndarray, x1: np.ndarray, x2: Optional[np.ndarray] = None) -> np.ndarray:
+    def design(self, x: np.ndarray, x1: np.ndarray) -> np.ndarray:
         """(n, k) matrix of the intercept and every monomial of degree
         1..degree, lowest degree first; column-major, so each term is one
         contiguous column."""
-        vars_: List[np.ndarray] = [x, x1]
-        if self.include_x2:
-            if x2 is None:
-                raise ConfigurationError("basis includes x2 but none was supplied")
-            vars_.append(x2)
         combos = [combo for deg in range(1, self.degree + 1)
-                  for combo in combinations_with_replacement(range(len(vars_)), deg)]
+                  for combo in combinations_with_replacement((x, x1), deg)]
         out = np.empty((len(x), 1 + len(combos)), order="F")
         out[:, 0] = 1.0
         for j, combo in enumerate(combos, start=1):
-            term = vars_[combo[0]]
-            for idx in combo[1:]:
-                term = term * vars_[idx]
+            term = combo[0]
+            for var in combo[1:]:
+                term = term * var
             out[:, j] = term
         return out
 
@@ -228,8 +220,8 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
     for v, term in zip(values, terminal):
         v[ok, n] = term
     for i in range(n - 1, -1, -1):
-        _, x, x1, x2, _ = bundle.state(i, ok)
-        design = basis.design(x, x1, x2)
+        _, x, x1, _, _ = bundle.state(i, ok)
+        design = basis.design(x, x1)
         if factors is None:
             reg = ConditionalRegression(design, basis.eps_reg)
         else:

@@ -405,17 +405,6 @@ def jets_along(vgrid: GridValueFunction, t: float, x, x1):
     return theta, p, q, P, v0, inside
 
 
-def extract_jet(vgrid: GridValueFunction, t: float, x: float, x1: float) -> Jet:
-    """Numerical jet (see ``jets_along``) at the node nearest to an interior
-    point with t < T."""
-    if vgrid.slice_index(t) >= len(vgrid.times) - 1:
-        raise ValueError("jet extraction requires t < T")
-    theta, p, q, P, _, inside = jets_along(vgrid, t, x, x1)
-    if not inside:
-        raise ValueError("jet extraction requires an interior grid point")
-    return Jet(theta=float(theta), p=float(p), q=float(q), P=float(P))
-
-
 def jet_membership(vgrid: GridValueFunction, point: Tuple[float, float, float],
                    candidate, side: str = "super", radius: int = 3,
                    tol: float = 0.05, x_slope_only: bool = False):
@@ -494,18 +483,20 @@ def viscosity_residual(vgrid: GridValueFunction, coeffs, domain: ControlDomain,
                        ) -> Tuple[float, float]:
     """Sub- and supersolution residuals at interior sample points.
 
-    At each point the grid jet is extracted and
-    r = -theta + sup_u G(t, x, x1, x2_ref, u, -V, -p, -P, -q) is formed;
-    the subsolution residual is max(r, 0), the supersolution residual
-    max(-r, 0).  Both are O(dx + dt_pde) for the solved value function.
+    At each point's node the ``jets_along`` jet gives r = -theta +
+    sup_u G(t, x, x1, x2_ref, u, -V, -p, -P, -q); the subsolution residual
+    is max(r, 0), the supersolution residual max(-r, 0), both O(dx + dt_pde)
+    for the solved value function.  An edge point or t = T raises ValueError.
     """
     r = []
     for (t, x, x1) in points:
-        jet = extract_jet(vgrid, t, x, x1)
         it, j, k = vgrid.indices(t, x, x1)
-        r.append(-jet.theta + float(eval_G(
+        theta, p, q, P, v, inside = jets_along(vgrid, t, x, x1)
+        if it >= len(vgrid.times) - 1 or not inside:
+            raise ValueError("viscosity residual requires an interior point with t < T")
+        r.append(-float(theta) + float(eval_G(
             vgrid.variant, vgrid.times[it], vgrid.xs[j], vgrid.x1s[k], vgrid.x2_ref,
-            domain.points(), -vgrid.V[it, j, k], -jet.p, -jet.P, -jet.q, coeffs, delay,
+            domain.points(), -v, -float(p), -float(P), -float(q), coeffs, delay,
             linear_driver).max()))
     return max([0.0, *r]), max([0.0, *(-v for v in r)])
 

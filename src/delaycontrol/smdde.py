@@ -50,38 +50,27 @@ class NoiseSource:
     Box-Muller transform of the uniform pair (2k, 2k+1) from that block.
     Hence identical (seed, path, step) always yields the identical
     increment, independent of execution order or chunking.
-
-    ``substeps`` refines the underlying Brownian path: with substeps = r,
-    increment k is the sum of r sub-increments of variance dt/r, so
-    ``NoiseSource(seed, substeps=2)`` at step dt produces exactly the
-    pairwise-coarsened increments of ``NoiseSource(seed)`` at step dt/2.
-    That is the coupling used by strong-convergence studies.
     """
 
     _PATH_STRIDE = 1 << 40  # uniforms reserved per path
 
-    def __init__(self, seed: int, substeps: int = 1):
+    def __init__(self, seed: int):
         self.seed = int(seed)
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
             raise ConfigurationError("seed must fit in 64 bits")
-        if substeps < 1:
-            raise ConfigurationError("substeps must be >= 1")
-        self.substeps = int(substeps)
 
     def increments(self, first_path: int, n_paths: int, n_steps: int, dt: float) -> np.ndarray:
         """Gaussian increments of variance dt, shape (n_paths, n_steps)."""
         if first_path < 0 or n_paths < 0:
             raise ConfigurationError(
                 f"first_path and n_paths must be >= 0, got {first_path} and {n_paths}")
-        r = self.substeps
-        n_draws = n_steps * r
-        if 2 * n_draws > self._PATH_STRIDE:
+        if 2 * n_steps > self._PATH_STRIDE:
             raise ConfigurationError("step count exceeds the per-path counter block")
         out = np.empty((n_paths, n_steps))
-        scale = np.sqrt(dt / r)
+        scale = np.sqrt(dt)
         two_pi = 2.0 * np.pi
-        # One generator per call.  A path's 2 * n_draws uniforms move the
-        # counter by ceil(2 * n_draws / 4) (four 64-bit words per Philox
+        # One generator per call.  A path's 2 * n_steps uniforms move the
+        # counter by ceil(2 * n_steps / 4) (four 64-bit words per Philox
         # block); one advance by the rest of the block lands on the next
         # path's block and empties the output buffer, so each path starts
         # from the state of Philox(key=seed).advance(path * stride).
@@ -90,24 +79,22 @@ class NoiseSource:
         bg = np.random.Philox(key=self.seed)
         gen = np.random.Generator(bg)
         bg.advance(first_path * self._PATH_STRIDE)
-        skip = self._PATH_STRIDE - (2 * n_draws + 3) // 4
-        rows = max(1, _BLOCK_BYTES // max(1, 16 * n_draws))
-        uni = np.empty((min(rows, n_paths), 2 * n_draws))
+        skip = self._PATH_STRIDE - (2 * n_steps + 3) // 4
+        rows = max(1, _BLOCK_BYTES // max(1, 16 * n_steps))
+        uni = np.empty((min(rows, n_paths), 2 * n_steps))
         for lo in range(0, n_paths, rows):
             block = uni[: min(rows, n_paths - lo)]
             for row in block:
                 gen.random(out=row)
                 bg.advance(skip)
             k = block.shape[0]
-            # sqrt(-2 log1p(-u0)) * cos(2 pi u1) * scale; one substep: in `out`
-            z = np.log1p(-block[:, 0::2], out=out[lo : lo + k] if r == 1 else None)
+            # sqrt(-2 log1p(-u0)) * cos(2 pi u1) * scale, in `out`
+            z = np.log1p(-block[:, 0::2], out=out[lo : lo + k])
             z *= -2.0
             np.sqrt(z, out=z)
             c = np.multiply(two_pi, block[:, 1::2])
             z *= np.cos(c, out=c)
             z *= scale
-            if r > 1:
-                out[lo : lo + k] = z.reshape(k, n_steps, r).sum(axis=2)
         return out
 
 

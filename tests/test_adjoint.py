@@ -240,8 +240,8 @@ class TestSweepSharing:
         arrays.update(zip(("pt", "pc", "qt", "qc"), direct))
         return sol, arrays
 
-    @pytest.mark.parametrize("include_x2", [False, True])
-    def test_diverged_rows_leave_valid_rows_unchanged(self, include_x2):
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_diverged_rows_leave_valid_rows_unchanged(self, degree):
         coeffs, clean = self._bundle()
         n, m = clean.grid.n_steps, clean.grid.m
         bad = np.zeros(clean.n_paths, dtype=bool)
@@ -256,7 +256,7 @@ class TestSweepSharing:
                                  u=clean.u[ok], dW=clean.dW[ok],
                                  diverged=np.zeros(ok.sum(), dtype=bool))
         assert isinstance(mixed.valid, np.ndarray) and valid.valid == slice(None)
-        basis = RegressionBasis(degree=2, include_x2=include_x2)
+        basis = RegressionBasis(degree=degree)
         sol_m, got = self._outputs(mixed, coeffs, basis)
         sol_v, want = self._outputs(valid, coeffs, basis)
         assert sol_m.y_s == sol_v.y_s and sol_m.y_s_se == sol_v.y_s_se
@@ -265,10 +265,10 @@ class TestSweepSharing:
             assert np.array_equal(got[name][ok], arr), name
             assert np.all(np.isnan(got[name][bad])), name
 
-    @pytest.mark.parametrize("include_x2", [False, True])
-    def test_shared_factors_match_fresh_fits(self, include_x2):
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_shared_factors_match_fresh_fits(self, degree):
         coeffs, bundle = self._bundle()
-        basis = RegressionBasis(degree=2, include_x2=include_x2)
+        basis = RegressionBasis(degree=degree)
         sol = solve_bsde_lsmc(bundle, coeffs, basis)
         assert len(sol.factors) == bundle.grid.n_steps
         fresh = dataclasses.replace(sol, factors=None)
@@ -305,7 +305,7 @@ class TestSweepSharing:
         solve_adjoints(bundle, sol, coeffs, basis)
         assert len(built) == n
         # another basis, or another bundle, cannot reuse the factors
-        solve_adjoints(bundle, sol, coeffs, RegressionBasis(degree=2, include_x2=True))
+        solve_adjoints(bundle, sol, coeffs, RegressionBasis(degree=3))
         assert len(built) == 2 * n
         other = dataclasses.replace(bundle)
         solve_adjoints(other, sol, coeffs, basis)

@@ -13,9 +13,8 @@ from delaycontrol.coeffs import FAMILIES, CoefficientSet, make_coefficients
 from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import (GridValueFunction, HjbGrid, Jet, ProbeSet,
                               _refine_argmax, check_x2_independence,
-                              default_probe_set, extract_jet,
-                              feedback_control, jet_membership, jets_along,
-                              solve_hjb, viscosity_residual)
+                              default_probe_set, feedback_control, jet_membership,
+                              jets_along, solve_hjb, viscosity_residual)
 
 from conftest import LQ_PARAMS, LQ_LAM
 from oracles import riccati_lq
@@ -529,7 +528,7 @@ class TestMembershipEquivalence:
         # near T: it0 + radius passes n_t, so the time window is truncated
         points += [(times[-2], 0.4, 0.2), (times[-3], -0.9, -0.3)]
         for point in points:
-            base = extract_jet(vg, *point)
+            base = Jet(*jets_along(vg, *point)[:4])
             for jet in (base, Jet(base.theta + rng.normal(), base.p + rng.normal(),
                                   base.q + rng.normal(), base.P + rng.normal())):
                 for side in ("super", "sub"):
@@ -588,7 +587,7 @@ class TestArrayMembership:
         t = vg.times[it]
         x = rng.uniform(-1.3, 1.3, 25)
         x1 = rng.uniform(-0.7, 1.1, 25)
-        jets = [extract_jet(vg, t, a, b) for a, b in zip(x, x1)]
+        jets = [Jet(*jets_along(vg, t, a, b)[:4]) for a, b in zip(x, x1)]
         theta, p, q, P = (np.array([getattr(j, f) for j in jets]) + rng.normal(size=25)
                           for f in ("theta", "p", "q", "P"))
         if slope_only:
@@ -641,7 +640,7 @@ class TestJets:
 
     def test_quadratic_reproduced_exactly(self):
         vg = self._quadratic_grid()
-        jet = extract_jet(vg, 0.5, 1.0, 0.0)
+        jet = Jet(*jets_along(vg, 0.5, 1.0, 0.0)[:4])
         assert jet.theta == pytest.approx(0.0, abs=1e-12)
         assert jet.p == pytest.approx(2.0, abs=1e-12)
         assert jet.q == pytest.approx(0.0, abs=1e-12)
@@ -650,16 +649,20 @@ class TestJets:
     def test_linear_profile(self):
         vg = self._quadratic_grid()
         vg.V[:] = -vg.xs[None, :, None]
-        jet = extract_jet(vg, 0.3, 0.5, 0.0)
+        jet = Jet(*jets_along(vg, 0.3, 0.5, 0.0)[:4])
         assert (jet.theta, jet.p, jet.q, jet.P) == pytest.approx((0, -1, 0, 0),
                                                                  abs=1e-12)
 
     def test_boundary_rejected(self):
+        # the residual reads central x and x1 differences and a right time
+        # difference: an edge node has no central one, t = T no right one
         vg = self._quadratic_grid()
-        with pytest.raises(ValueError):
-            extract_jet(vg, 0.5, 2.0, 0.0)
-        with pytest.raises(ValueError):
-            extract_jet(vg, 1.0, 0.0, 0.0)  # t = T has no right difference
+        residual = functools.partial(viscosity_residual, vg,
+                                     make_coefficients("constant", lam=0.5), DOM, delay=0.1)
+        residual([(0.5, 1.0, 0.0), (0.9, 1.9, 0.9)])  # interior, t < T
+        for point in ((0.5, 2.0, 0.0), (0.5, 0.0, -1.0), (1.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="interior point with t < T"):
+                residual([(0.5, 1.0, 0.0), point])
 
     def test_riccati_time_slope(self):
         coeffs = lq_coeffs()
@@ -667,7 +670,7 @@ class TestJets:
                                           "phi0": 0.0, "b0": 0.0})
         vg = solve_hjb(coeffs, DOM, small_grid(), tg())
         t, x = 0.4, 0.8
-        jet = extract_jet(vg, t, x, 0.0)
+        jet = Jet(*jets_along(vg, t, x, 0.0)[:4])
         eps = 1e-5
         K1, L1, c1 = ric(t + eps)
         K0, L0, c0 = ric(t - eps)
@@ -676,7 +679,7 @@ class TestJets:
 
     def test_smooth_membership_both_sides(self):
         vg = self._quadratic_grid()
-        jet = extract_jet(vg, 0.5, 1.0, 0.0)
+        jet = Jet(*jets_along(vg, 0.5, 1.0, 0.0)[:4])
         ok_sup, _ = jet_membership(vg, (0.5, 1.0, 0.0), jet, side="super", tol=0.05)
         ok_sub, _ = jet_membership(vg, (0.5, 1.0, 0.0), jet, side="sub", tol=0.05)
         assert ok_sup and ok_sub
@@ -697,7 +700,7 @@ class TestJets:
 
     def test_membership_slope_rejects_wrong_candidate(self):
         vg = self._quadratic_grid()
-        jet = extract_jet(vg, 0.5, 1.0, 0.0)
+        jet = Jet(*jets_along(vg, 0.5, 1.0, 0.0)[:4])
         ok, worst = jet_membership(vg, (0.5, 1.0, 0.0), jet.p + 0.5, side="super",
                                    tol=0.05, x_slope_only=True)
         assert not ok and worst > 0.2
@@ -783,11 +786,12 @@ class TestViscosityResidual:
                for _ in range(20)]
         r = []
         for (t, x, x1) in pts:
-            jet = extract_jet(vg, t, x, x1)
+            theta, p, q, P, _, inside = jets_along(vg, t, x, x1)
             it, j, k = vg.indices(t, x, x1)
-            r.append(-jet.theta + max(float(eval_G(
+            assert inside and it < len(vg.times) - 1
+            r.append(-theta + max(float(eval_G(
                 variant, vg.times[it], vg.xs[j], vg.x1s[k], vg.x2_ref, u, -vg.V[it, j, k],
-                -jet.p, -jet.P, -jet.q, coeffs, 0.1, driver)) for u in DOM.points()))
+                -p, -P, -q, coeffs, 0.1, driver)) for u in DOM.points()))
         got = viscosity_residual(vg, coeffs, DOM, pts, 0.1, driver)
         assert got == (max([0.0, *r]), max([0.0, *(-v for v in r)]))
         assert min(got) > 0.0  # both signs of r occur

@@ -20,6 +20,19 @@ def grid(T=0.5, dt=0.01, m=10):
     return TimeGrid(s=0.0, T=T, dt=dt, delay_steps=m)
 
 
+class CoarsenedNoise(NoiseSource):
+    """Increment k at step dt is the sum of increments r k .. r k + r - 1 of
+    ``NoiseSource(seed)`` at step dt / r: one fine Brownian path, coarsened."""
+
+    def __init__(self, seed: int, r: int):
+        super().__init__(seed)
+        self.r = r
+
+    def increments(self, first_path, n_paths, n_steps, dt):
+        fine = super().increments(first_path, n_paths, n_steps * self.r, dt / self.r)
+        return fine.reshape(n_paths, n_steps, self.r).sum(axis=2)
+
+
 class TestNoiseSource:
     def test_deterministic_per_path_and_step(self):
         ns = NoiseSource(123)
@@ -35,47 +48,46 @@ class TestNoiseSource:
         assert z.mean() == pytest.approx(0.0, abs=3 * 0.1 / math.sqrt(z.size))
         assert z.var() == pytest.approx(0.01, rel=0.02)
 
-    def test_substep_coarsening_matches_fine_run(self):
-        coarse = NoiseSource(9, substeps=2).increments(0, 3, 25, 0.02)
+    def test_coarsened_noise_matches_fine_run(self):
+        # the coupling test_strong_convergence_under_refinement relies on
+        coarse = CoarsenedNoise(9, 2).increments(0, 3, 25, 0.02)
         fine = NoiseSource(9).increments(0, 3, 50, 0.01)
         assert np.allclose(coarse, fine.reshape(3, 25, 2).sum(axis=2), atol=1e-15)
 
-    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("n_steps", [7, 21])
     @pytest.mark.parametrize("first_path", [0, 4097, 2**24 + 3])
-    def test_bits_match_one_philox_per_path(self, first_path, substeps):
+    def test_bits_match_one_philox_per_path(self, first_path, n_steps):
         # reference: a fresh Philox(key=seed) advanced to the path's block;
         # from path 2**24 on, path * 2**40 carries into the second counter word
-        seed, n_paths, n_steps, dt = 0xDEADBEEF12345678, 5, 7, 0.01
-        got = NoiseSource(seed, substeps).increments(first_path, n_paths, n_steps, dt)
+        seed, n_paths, dt = 0xDEADBEEF12345678, 5, 0.01
+        got = NoiseSource(seed).increments(first_path, n_paths, n_steps, dt)
         want = np.empty((n_paths, n_steps))
         for row in range(n_paths):
             bg = np.random.Philox(key=seed)
             bg.advance((first_path + row) * 2**40)
-            uni = np.random.Generator(bg).random(2 * n_steps * substeps)
+            uni = np.random.Generator(bg).random(2 * n_steps)
             z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(2.0 * np.pi * uni[1::2])
-            z *= np.sqrt(dt / substeps)
-            want[row] = z if substeps == 1 else z.reshape(n_steps, substeps).sum(axis=1)
+            want[row] = z * np.sqrt(dt)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("substeps", [1, 3])
+    @pytest.mark.parametrize("n_steps", [51, 153])
     @pytest.mark.parametrize("first_path", [0, 2**24 - 2])
-    def test_bits_match_across_blocks(self, first_path, substeps):
-        # 51 * substeps draws: 2 * 51 * substeps uniforms, not a multiple of 4,
-        # so each path leaves part of a Philox block unread; from first_path
-        # 2**24 - 2 the carry into the second counter word falls inside a call
-        seed, n_steps, dt = 0xDEADBEEF12345678, 51, 0.01
-        rows = _BLOCK_BYTES // (16 * n_steps * substeps)
-        ns = NoiseSource(seed, substeps)
+    def test_bits_match_across_blocks(self, first_path, n_steps):
+        # 2 * n_steps uniforms, not a multiple of 4, so each path leaves
+        # part of a Philox block unread; from first_path 2**24 - 2 the carry
+        # into the second counter word falls inside a call
+        seed, dt = 0xDEADBEEF12345678, 0.01
+        rows = _BLOCK_BYTES // (16 * n_steps)
+        ns = NoiseSource(seed)
         for n_paths in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
             got = ns.increments(first_path, n_paths, n_steps, dt)
             want = np.empty((n_paths, n_steps))
             for row in range(n_paths):
                 bg = np.random.Philox(key=seed)
                 bg.advance((first_path + row) * 2**40)
-                uni = np.random.Generator(bg).random(2 * n_steps * substeps)
+                uni = np.random.Generator(bg).random(2 * n_steps)
                 z = np.sqrt(-2.0 * np.log1p(-uni[0::2])) * np.cos(2.0 * np.pi * uni[1::2])
-                z *= np.sqrt(dt / substeps)
-                want[row] = z if substeps == 1 else z.reshape(n_steps, substeps).sum(axis=1)
+                want[row] = z * np.sqrt(dt)
             assert np.array_equal(got, want), n_paths
 
     @pytest.mark.parametrize("first_path,n_paths", [(-1, 3), (0, -1)])
@@ -225,13 +237,13 @@ class TestSimulate:
 
     def test_strong_convergence_under_refinement(self):
         # E|X_dt(T) - X_{dt/2}(T)| shrinks by a factor >= 1.3 per halving
-        # (increments coupled through the substep mechanism)
+        # (increments coupled as sums of one fine Brownian path's increments)
         coeffs = make_coefficients("linear", lam=0.0, bx=0.3, sx=0.4)
         ref_sub = 8
         xT = []
         for k in range(4):
             g = TimeGrid(s=0.0, T=0.48, dt=0.04 / 2 ** k, delay_steps=2 ** (k + 1))
-            ns = NoiseSource(21, substeps=ref_sub // 2 ** k)
+            ns = CoarsenedNoise(21, ref_sub // 2 ** k)
             b = simulate_smdde(coeffs, HistoryPath.constant(1.0, g.m), 0.0, g,
                                ns, 4000)
             xT.append(b.state(g.n_steps)[1])
