@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H, max_abs
 from .bsde import BackwardSolution, RegressionBasis, backward_sweep
-from .smdde import TrajectoryBundle, path_array
+from .smdde import TrajectoryBundle
 
 
 def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, rows):
@@ -38,10 +38,13 @@ def _along(bundle: TrajectoryBundle, solution: BackwardSolution, i: int, rows):
 
 @dataclass
 class AdjointBundle:
-    """Adjoint paths on grid indices 0..n for the non-diverged paths.
+    """Adjoint paths on grid indices 0..n, NaN on the diverged paths.
 
-    gamma[:, 0] = 1 and p3[:, n] = 0 hold by construction.  The
-    gamma-normalized first-order adjoints are read through ``normalized``.
+    gamma[:, 0] = 1 and p3[:, n] = 0 hold by construction.  ``q2`` and
+    ``p3``, which no checker reads, hold only the first ``rows`` paths of
+    ``solve_adjoints`` (all by default); ``max_abs_p3`` is taken over every
+    path.  The gamma-normalized first-order adjoints are read through
+    ``normalized``.
     """
 
     gamma: np.ndarray
@@ -50,6 +53,7 @@ class AdjointBundle:
     p3: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
+    max_abs_p3: float
 
     def normalized(self, rows: Union[slice, np.ndarray] = slice(None),
                    cols: Union[int, slice] = slice(None)) -> Tuple[np.ndarray, np.ndarray]:
@@ -58,10 +62,6 @@ class AdjointBundle:
         operands; a mask or an index array gathers."""
         g = self.gamma[rows, cols]
         return self.p1[rows, cols] / g, self.p2[rows, cols] / g
-
-    @property
-    def max_abs_p3(self) -> float:
-        return max_abs(self.p3)
 
     def p3_gate(self, dt: float) -> Tuple[bool, float]:
         """The reduction hypothesis max|p3| <= 10*dt: (holds, tolerance)."""
@@ -79,7 +79,7 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     ok = bundle.valid
-    gamma = path_array(bundle.n_paths, n + 1, np.nan)
+    gamma = bundle.sweep_array(n + 1)[0]
     gamma[ok, 0] = 1.0
     for i in range(n):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
@@ -98,8 +98,10 @@ def solve_gamma(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs) ->
 
 def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
                     gamma: np.ndarray, coeffs, basis: RegressionBasis,
+                    rows: Optional[int] = None,
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward LSMC sweep for the coupled linear pair (p1, q1), (p2, q2)."""
+    """Backward LSMC sweep for the coupled linear pair (p1, q1), (p2, q2),
+    with q2 stored on the first ``rows`` paths only (all when None)."""
     n, dt = bundle.grid.n_steps, bundle.grid.dt
     lam = coeffs.lam
     ok = bundle.valid
@@ -119,37 +121,49 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
     _, xT, x1T, _, _ = bundle.state(n, ok)
     terminal = (-coeffs.phi_x(xT, x1T) * gamma[ok, n], -coeffs.phi_x1(xT, x1T) * gamma[ok, n])
     (p1, p2), (q1, q2), _ = backward_sweep(bundle, basis, terminal, update,
-                                           solution.shared_factors(bundle, basis))
+                                           solution.shared_factors(bundle, basis),
+                                           q_rows=(None, rows))
     return p1, p2, q1, q2
 
 
 def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
                         gamma: np.ndarray, p1: np.ndarray, p2: np.ndarray,
-                        q1: np.ndarray, coeffs) -> np.ndarray:
+                        q1: np.ndarray, coeffs, rows: Optional[int] = None,
+                        ) -> Tuple[np.ndarray, float]:
     """Backward Riemann sum of the discrete-delay Hamiltonian derivative:
-    p3(t) = integral over [t, T] of H_x2 along the candidate trajectory."""
+    p3(t) = integral over [t, T] of H_x2 along the candidate trajectory.
+
+    Returns p3 on the first ``rows`` paths (all when None) and max|p3| over
+    every path and step, the value ``core.max_abs`` reads off the whole
+    array, taken column by column as the sum runs."""
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     decay = math.exp(-coeffs.lam * grid.delay)
     ok = bundle.valid
-    p3 = path_array(bundle.n_paths, n + 1, np.nan)
-    p3[ok, n] = 0.0
+    p3, kept, count = bundle.sweep_array(n + 1, rows)
+    p3[kept, n] = 0.0
+    col = np.zeros(bundle.n_paths - int(bundle.diverged.sum()))
+    top = 0.0
     for i in range(n - 1, -1, -1):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         H_x2 = (p1[ok, i] * coeffs.slope("b_x2", t, x, x1, x2, u) - decay * p2[ok, i]
                 + q1[ok, i] * coeffs.slope("sigma_x2", t, x, x1, x2, u)
                 - gamma[ok, i] * coeffs.slope("f_x2", t, x, x1, x2, y, z, u))
-        p3[ok, i] = p3[ok, i + 1] + H_x2 * dt
-    return p3
+        col = col + H_x2 * dt
+        p3[kept, i] = col[:count]
+        # fmax skips NaN as max_abs does, without its all-NaN warning
+        top = float(np.fmax.reduce(np.abs(col), initial=top))
+    return p3, top
 
 
 def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
-                   basis: RegressionBasis) -> AdjointBundle:
-    """Full adjoint pass: gamma, (p1, p2, q1, q2) and pathwise p3."""
+                   basis: RegressionBasis, rows: Optional[int] = None) -> AdjointBundle:
+    """Full adjoint pass: gamma, (p1, p2, q1, q2) and pathwise p3, with q2
+    and p3 stored on the first ``rows`` paths only (all when None)."""
     gamma = solve_gamma(bundle, solution, coeffs)
-    p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis)
-    p3 = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs)
-    return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2)
+    p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis, rows)
+    p3, top = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs, rows)
+    return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, max_abs_p3=top)
 
 
 def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolution,

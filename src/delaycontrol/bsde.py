@@ -23,7 +23,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ConfigurationError, LinearDriver, derived_rng
-from .smdde import TrajectoryBundle, path_array
+from .smdde import TrajectoryBundle
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,8 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
 
 def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
                    terminal: Sequence[np.ndarray], update: Callable,
-                   factors: Optional[List[RegressionFactor]] = None):
+                   factors: Optional[List[RegressionFactor]] = None,
+                   q_rows: Optional[Sequence[Optional[int]]] = None):
     """The backward LSMC sweep of a system of BSDEs along ``bundle``.
 
     ``terminal`` holds each component's values at T on the valid rows.  At
@@ -210,12 +211,14 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
     ``update(i, hats, qs)`` returns the components' values at step i.  The
     operator is fitted afresh, or rebuilt from ``factors[i]`` of an earlier
     sweep on this bundle in this basis.  Returns (values, qs, factors), the
-    arrays NaN on diverged rows; q at step n copies step n - 1.
+    arrays NaN on diverged rows; q at step n copies step n - 1.  A
+    component's q is stored on its first ``q_rows[j]`` paths only (all when
+    None), though every step fits it on all of them.
     """
     n, dt = bundle.grid.n_steps, bundle.grid.dt
     ok = bundle.valid
-    values = [path_array(bundle.n_paths, n + 1, np.nan) for _ in terminal]
-    qs = [path_array(bundle.n_paths, n + 1, np.nan) for _ in terminal]
+    values = [bundle.sweep_array(n + 1)[0] for _ in terminal]
+    qs = [bundle.sweep_array(n + 1, rows) for rows in q_rows or [None] * len(terminal)]
     used: List[RegressionFactor] = [None] * n
     for v, term in zip(values, terminal):
         v[ok, n] = term
@@ -231,12 +234,12 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
         nxts = [v[ok, i + 1] for v in values]
         hats = [reg.fit_values(nxt) for nxt in nxts]
         q_hats = [reg.fit_values((nxt - hat) * dw / dt) for nxt, hat in zip(nxts, hats)]
-        for v, q, new, q_hat in zip(values, qs, update(i, hats, q_hats), q_hats):
+        for v, (q, kept, count), new, q_hat in zip(values, qs, update(i, hats, q_hats), q_hats):
             v[ok, i] = new
-            q[ok, i] = q_hat
-    for q in qs:
-        q[ok, n] = q[ok, n - 1]
-    return values, qs, used
+            q[kept, i] = q_hat[:count]
+    for q, kept, _ in qs:
+        q[kept, n] = q[kept, n - 1]
+    return values, [q for q, _, _ in qs], used
 
 
 def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) -> BackwardSolution:

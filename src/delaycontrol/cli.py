@@ -370,15 +370,26 @@ def write_kv(path: str, lines: Iterable[str]):
             fh.write(line + "\n")
 
 
+PATH_BLOCK = 256  # paths per block of write_path_table: bounds the floats .tolist() makes
+
+
 def write_path_table(path: str, times: np.ndarray, keep: int, names: Sequence[str],
                      arrays: Sequence[np.ndarray]):
     """Per-path table with header path,step,t,<names>: one row per step of the
-    first ``keep`` paths, the columns read from the ``(n_paths, n_steps + 1)``
-    ``arrays`` and written as ``%.17g``."""
-    write_csv(path, ["path", "step", "t", *names],
-              ([pth, i, f"{t:.17g}"] + [f"{arr[pth, i]:.17g}" for arr in arrays]
-               for pth in range(min(keep, arrays[0].shape[0]))
-               for i, t in enumerate(times)))
+    first ``keep`` paths (of ``arrays[0]``), the columns read from the
+    ``(n_paths, n_steps + 1)`` ``arrays`` and written as ``%.17g``.  The rows
+    are the bytes ``write_csv`` writes: no field holds a comma or a quote,
+    so ``csv.writer`` would quote none."""
+    keep = min(keep, arrays[0].shape[0])
+    line = "%d,%d" + ",%.17g" * (1 + len(arrays)) + "\r\n"
+    ts = times.tolist()
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["path", "step", "t", *names])
+        for lo in range(0, keep, PATH_BLOCK):
+            block = np.stack([a[lo:min(lo + PATH_BLOCK, keep)] for a in arrays], -1)
+            fh.writelines(line % (pth, i, t, *vals)
+                          for pth, steps in enumerate(block.tolist(), lo)
+                          for i, (t, vals) in enumerate(zip(ts, steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +500,15 @@ def _simulate(cfg: RunConfig, inputs: SimpleNamespace):
                           NoiseSource(cfg.seed), inputs.n_paths), vgrid
 
 
-def _solved(cfg: RunConfig, inputs: SimpleNamespace):
+def _solved(cfg: RunConfig, inputs: SimpleNamespace, rows: int = 0):
     """The run's pipeline, solved once for every check that reads it: forward
     paths, their backward solution and adjoints in the configured basis, and
-    the value grid (or None)."""
+    the value grid (or None).  The adjoints' q2 and p3 are kept on the first
+    ``rows`` paths, the ones a writer reads; no checker reads them."""
     coeffs, basis = inputs.inst.coeffs, inputs.basis
     bundle, vgrid = _simulate(cfg, inputs)
     sol = solve_bsde_lsmc(bundle, coeffs, basis)
-    return bundle, sol, solve_adjoints(bundle, sol, coeffs, basis), vgrid
+    return bundle, sol, solve_adjoints(bundle, sol, coeffs, basis, rows), vgrid
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +594,7 @@ def _cmd_check_moments(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     inst = inputs.inst
-    bundle, sol, adjoints, _ = _solved(cfg, inputs)
+    bundle, sol, adjoints, _ = _solved(cfg, inputs, inputs.keep)
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")

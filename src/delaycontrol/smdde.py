@@ -28,14 +28,11 @@ _BLOCK_BYTES = 100 * 1024  # uniforms per Box-Muller block: 64 rows at 100 steps
 Control = Union[float, np.ndarray, Callable]
 
 
-def path_array(n_paths: int, n_cols: int, fill: Optional[float] = None) -> np.ndarray:
+def path_array(n_paths: int, n_cols: int) -> np.ndarray:
     """A per-path, per-step ``(n_paths, n_cols)`` array, indexed ``[path, step]``
     but stored column-major, so the time slice ``arr[:, i]`` that every sweep
-    step reads or writes is one contiguous vector.  Uninitialised unless
-    ``fill`` is given."""
-    if fill is None:
-        return np.empty((n_paths, n_cols), order="F")
-    return np.full((n_paths, n_cols), fill, order="F")
+    step reads or writes is one contiguous vector.  Uninitialised."""
+    return np.empty((n_paths, n_cols), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +129,20 @@ class TrajectoryBundle:
         """Row index of the non-diverged paths: ``slice(None)`` when none
         diverged (so column reads are views, not gathers), else the mask."""
         return ~self.diverged if self.diverged.any() else slice(None)
+
+    def sweep_array(self, n_cols: int, rows: Optional[int] = None):
+        """``(arr, kept, count)``: a ``path_array`` for the first ``rows`` paths
+        (all when None), NaN on their diverged rows and unset elsewhere, for a
+        sweep that writes every column of the valid rows: ``arr[kept, i] =
+        col[:count]`` stores a column ``col`` over all of ``valid``."""
+        n = self.n_paths if rows is None else min(rows, self.n_paths)
+        arr = path_array(n, n_cols)
+        ok = self.valid
+        if isinstance(ok, slice):
+            return arr, ok, n
+        kept = ok[:n]
+        arr[~kept] = np.nan
+        return arr, kept, int(kept.sum())
 
     @property
     def X2(self) -> np.ndarray:

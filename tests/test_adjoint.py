@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaycontrol import bsde
-from delaycontrol.core import ControlDomain, HistoryPath, TimeGrid
+from delaycontrol.core import ControlDomain, HistoryPath, TimeGrid, max_abs
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, TrajectoryBundle, path_array, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
@@ -136,7 +136,7 @@ class TestP3:
         bundle, sol, basis = pipeline(coeffs, g)
         gamma = solve_gamma(bundle, sol, coeffs)
         p1, p2, q1, q2 = solve_adjoint_p(bundle, sol, gamma, coeffs, basis)
-        p3 = compute_p3_pathwise(bundle, sol, gamma, p1, p2, q1, coeffs)
+        p3, _ = compute_p3_pathwise(bundle, sol, gamma, p1, p2, q1, coeffs)
         assert np.nanmax(np.abs(p3)) > 1e-3  # flagged as nonzero
         # cross-check against the direct integral of the stored p2
         decay = math.exp(-lam * g.delay)
@@ -196,6 +196,26 @@ class TestNormalizedReader:
             tracemalloc.stop()
         assert peak < 7 * one, (peak, one)
 
+    def test_cli_adjoint_pass_keeps_four_full_arrays(self):
+        # with the writer's rows, as check-mp solves them, q2 and p3 hold 20
+        # paths: gamma, p1, p2 and q1 are the pass's only full-size arrays, and
+        # either of the others stored at full size would exceed the bound
+        inst = make_lq_instance(LQ_MP_PARAMS)
+        n_paths = 3000
+        bundle = simulate_smdde(inst.coeffs, inst.history, 0.1, inst.grid,
+                                NoiseSource(5), n_paths)
+        basis = RegressionBasis(degree=2)
+        sol = solve_bsde_lsmc(bundle, inst.coeffs, basis)
+        one = path_array(n_paths, inst.grid.n_steps + 1).nbytes
+        tracemalloc.start()
+        try:
+            adj = solve_adjoints(bundle, sol, inst.coeffs, basis, rows=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert adj.q2.shape[0] == adj.p3.shape[0] == 20
+        assert peak < 5 * one, (peak, one)
+
 
 class TestTransformedDirect:
     def test_cross_validation_with_identity_route(self):
@@ -240,19 +260,25 @@ class TestSweepSharing:
         arrays.update(zip(("pt", "pc", "qt", "qc"), direct))
         return sol, arrays
 
-    @pytest.mark.parametrize("degree", [2, 3])
-    def test_diverged_rows_leave_valid_rows_unchanged(self, degree):
-        coeffs, clean = self._bundle()
-        n, m = clean.grid.n_steps, clean.grid.m
+    @staticmethod
+    def _diverge(clean, rows=(0, 41, 299)):
+        """``clean`` with ``rows`` diverged from step 20 on, and their mask."""
+        m = clean.grid.m
         bad = np.zeros(clean.n_paths, dtype=bool)
-        bad[[0, 41, 299]] = True
+        bad[list(rows)] = True
         X, X1 = clean.X.copy(), clean.X1.copy()
         X[bad, m + 20:] = np.nan
         X1[bad, 20:] = np.nan
-        mixed = TrajectoryBundle(grid=clean.grid, X=X, X1=X1, u=clean.u,
-                                 dW=clean.dW, diverged=bad)
+        return TrajectoryBundle(grid=clean.grid, X=X, X1=X1, u=clean.u,
+                                dW=clean.dW, diverged=bad), bad
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_diverged_rows_leave_valid_rows_unchanged(self, degree):
+        coeffs, clean = self._bundle()
+        n = clean.grid.n_steps
+        mixed, bad = self._diverge(clean)
         ok = ~bad
-        valid = TrajectoryBundle(grid=clean.grid, X=X[ok], X1=X1[ok],
+        valid = TrajectoryBundle(grid=clean.grid, X=mixed.X[ok], X1=mixed.X1[ok],
                                  u=clean.u[ok], dW=clean.dW[ok],
                                  diverged=np.zeros(ok.sum(), dtype=bool))
         assert isinstance(mixed.valid, np.ndarray) and valid.valid == slice(None)
@@ -264,6 +290,32 @@ class TestSweepSharing:
             assert arr.shape == (ok.sum(), n + 1)
             assert np.array_equal(got[name][ok], arr), name
             assert np.all(np.isnan(got[name][bad])), name
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_trimmed_rows_equal_full_run(self, degree, diverged):
+        # q2 and p3 kept on the leading rows: those rows' bits, max|p3| over
+        # every path, and every other array as in the full run
+        coeffs, bundle = self._bundle()
+        if diverged:
+            bundle, bad = self._diverge(bundle, rows=(0, 2, 41, 299))
+        basis = RegressionBasis(degree=degree)
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        full = solve_adjoints(bundle, sol, coeffs, basis)
+        assert full.max_abs_p3 > 1e-3 and full.max_abs_p3 == max_abs(full.p3)
+        assert full.q2.shape == full.p3.shape == (300, bundle.grid.n_steps + 1)
+        for rows in (0, 1, 3, 42, 299, 300, 1000):
+            adj = solve_adjoints(bundle, sol, coeffs, basis, rows)
+            for name in ("q2", "p3"):
+                got, want = getattr(adj, name), getattr(full, name)[:rows]
+                assert got.shape == want.shape and got.flags.f_contiguous, (name, rows)
+                assert np.array_equal(got, want, equal_nan=True), (name, rows)
+                if diverged:
+                    assert np.all(np.isnan(got[bad[:rows]])), (name, rows)
+            assert adj.max_abs_p3 == full.max_abs_p3
+            for name in ("gamma", "p1", "p2", "q1"):
+                assert np.array_equal(getattr(adj, name), getattr(full, name),
+                                      equal_nan=True), (name, rows)
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_shared_factors_match_fresh_fits(self, degree):

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import hashlib
 import json
 import os
@@ -452,6 +453,29 @@ class TestOutputFormat:
             b"1,1,0.10000000000000001,nan,nan\r\n"
             b"1,2,0.33333333333333331,2.5,-2.5\r\n")
 
+    @pytest.mark.parametrize("keep", [0, 1, 299, 300, 1000])
+    def test_path_table_matches_csv_writer(self, keep, tmp_path):
+        # every cell of a csv.writer table of f-string cells, on 300 paths
+        # (more than one block of paths) with nan, +-inf, -0.0 and subnormals
+        rng = np.random.default_rng(5)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -5e-324, 1.7976931348623157e308]
+        arrays = []
+        for _ in range(8):
+            a = rng.normal(0.0, 10.0, (300, 7)) * 10.0 ** rng.integers(-200, 200, (300, 7))
+            a.flat[rng.choice(a.size, 60, replace=False)] = rng.choice(specials, 60)
+            arrays.append(np.asfortranarray(a))
+        times = np.linspace(0.0, 0.6, 7)
+        names = [f"A{j}" for j in range(8)]
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["path", "step", "t", *names])
+            out.writerows([pth, i, f"{t:.17g}"] + [f"{arr[pth, i]:.17g}" for arr in arrays]
+                          for pth in range(min(keep, 300)) for i, t in enumerate(times))
+        got = tmp_path / "got.csv"
+        write_path_table(str(got), times, keep, names, arrays)
+        assert got.read_bytes() == want.read_bytes()
+
 
 class TestSolvers:
     def test_solve_bsde_report(self, lq_config, tmp_path):
@@ -551,6 +575,26 @@ class TestCheckers:
         kv = read_kv(os.path.join(out, "mp_report.txt"))
         assert kv["phi_linear_ok"] == "false"  # quadratic terminal here
         assert os.path.exists(os.path.join(out, "adjoints.csv"))
+
+    @pytest.mark.parametrize("subcommand,kept", [("check-mp", 5), ("check-duality", 0),
+                                                  ("check-scaling", 0)])
+    def test_adjoint_rows_kept_are_the_written_ones(self, subcommand, kept, lq_config,
+                                                    tmp_path, monkeypatch):
+        # q2 and p3 are stored on the dump_paths rows adjoints.csv writes,
+        # and on none where nothing writes them
+        solved = []
+        solve = cli.solve_adjoints
+
+        def recording(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_adjoints", recording)
+        main([subcommand, "--config", lq_config, "--out", str(tmp_path / "o"),
+              "--set", "numerics.n_paths=100", "--set", "scaling.offsets=0.2,0.1,0.05"])
+        (adj,) = solved
+        assert adj.q2.shape[0] == adj.p3.shape[0] == kept
+        assert adj.p1.shape[0] == adj.q1.shape[0] == 100
 
     @pytest.mark.parametrize("subcommand,overrides,message", [
         # a z-loading of 60 drives the gamma multiplier 1 + f_z dW below zero

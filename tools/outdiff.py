@@ -12,7 +12,8 @@ REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-mp`` on a linear and a bilinear instance, ``check-mp`` and
-``check-duality`` on a linear instance where some paths diverge,
+``check-duality`` on a linear instance where some paths diverge (``check-mp``
+also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
 ``test_girsanov_report``, and ``solve-hjb`` on that config and on a linear
 instance whose value function varies in x1.  One line is
@@ -156,6 +157,12 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-mp-bilinear", "bilinear", ["check-mp"]),
     ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
     ("check-duality-diverged", "linear", ["check-duality", *DIVERGING]),
+    # the edges of the adjoint rows kept for the writer: none, and more than
+    # there are paths, so every one of the 113 NaN rows is written
+    ("check-mp-diverged-dump0", "linear", ["check-mp", *DIVERGING,
+                                           "--set", "numerics.dump_paths=0"]),
+    ("check-mp-diverged-dump-all", "linear", ["check-mp", *DIVERGING,
+                                              "--set", "numerics.dump_paths=500"]),
     ("verify", "lq", ["verify"]),
     ("girsanov", "girsanov", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
