@@ -237,7 +237,7 @@ class MPReport:
         return (self.convexity_ok and self.phi_linear_ok
                 and self.p3_zero_ok and self.variational_ok)
 
-    def lines(self):
+    def kv_lines(self):
         yield from (
             f"verdict={str(self.verdict).lower()}",
             f"convexity_ok={str(self.convexity_ok).lower()}",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import os
@@ -354,15 +353,6 @@ def write_manifest(cfg: RunConfig, subcommand: str, extra: Optional[Dict] = None
         fh.write("\n")
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
-    """Every CSV in ``--out``: ``csv.writer`` quoting and ``\\r\\n`` row ends;
-    callers format floats (``%.17g`` unless stated otherwise)."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(header)
-        out.writerows(rows)
-
-
 def write_kv(path: str, lines: Iterable[str]):
     """Flat ``key=value`` text report, one line each."""
     with open(path, "w") as fh:
@@ -370,26 +360,78 @@ def write_kv(path: str, lines: Iterable[str]):
             fh.write(line + "\n")
 
 
-PATH_BLOCK = 256  # paths per block of write_path_table: bounds the floats .tolist() makes
+def _unquoted(fields: Sequence[str]) -> Sequence[str]:
+    """``fields``; ValueError if one holds a comma, a quote or a line break,
+    which ``csv.writer`` would have quoted."""
+    bad = [f for f in fields if any(c in f for c in ',"\r\n')]
+    if bad:
+        raise ValueError(f"fields need csv quoting, which write_table does not do: {bad[:3]}")
+    return fields
+
+
+def write_table(path: str, header: Sequence[str],
+                parts: Iterable[Tuple[str, Sequence[Sequence]]]):
+    """Every CSV table in ``--out``: the header, then for each
+    ``(row_format, columns)`` part one ``row_format % row`` line per row of
+    the zipped ``columns`` (lists, ranges or tuples of one length; a shorter
+    one raises ``ValueError``).  Rows end in ``\\r\\n`` and nothing is
+    quoted, the bytes ``csv.writer`` writes when no field needs quoting; a
+    header field or a ``str`` cell holding a comma, a quote or a line break
+    raises ``ValueError``.  Floats are ``%.17g`` unless a caller says
+    otherwise."""
+    header = ",".join(_unquoted(header))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for row_format, columns in parts:
+            for col in columns:
+                if len(col) and isinstance(col[0], str):
+                    _unquoted(col)
+            line = row_format + "\r\n"
+            fh.writelines(line % row for row in zip(*columns, strict=True))
+
+
+PATH_BLOCK = 256  # paths per part of write_path_table: bounds the floats .tolist() makes
 
 
 def write_path_table(path: str, times: np.ndarray, keep: int, names: Sequence[str],
                      arrays: Sequence[np.ndarray]):
     """Per-path table with header path,step,t,<names>: one row per step of the
     first ``keep`` paths (of ``arrays[0]``), the columns read from the
-    ``(n_paths, n_steps + 1)`` ``arrays`` and written as ``%.17g``.  The rows
-    are the bytes ``write_csv`` writes: no field holds a comma or a quote,
-    so ``csv.writer`` would quote none."""
+    ``(n_paths, n_steps + 1)`` ``arrays`` and written as ``%.17g``."""
     keep = min(keep, arrays[0].shape[0])
-    line = "%d,%d" + ",%.17g" * (1 + len(arrays)) + "\r\n"
-    ts = times.tolist()
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["path", "step", "t", *names])
-        for lo in range(0, keep, PATH_BLOCK):
-            block = np.stack([a[lo:min(lo + PATH_BLOCK, keep)] for a in arrays], -1)
-            fh.writelines(line % (pth, i, t, *vals)
-                          for pth, steps in enumerate(block.tolist(), lo)
-                          for i, (t, vals) in enumerate(zip(ts, steps)))
+    row = "%d,%d" + ",%.17g" * (1 + len(arrays))
+    ts, steps = times.tolist(), range(len(times))
+    blocks = (range(lo, min(lo + PATH_BLOCK, keep)) for lo in range(0, keep, PATH_BLOCK))
+    write_table(path, ["path", "step", "t", *names],
+                ((row, [[p for p in b for _ in steps], [*steps] * len(b), ts * len(b),
+                        *(a[b.start:b.stop].ravel().tolist() for a in arrays)]) for b in blocks))
+
+
+def write_heatmap_svg(path: str, field: np.ndarray, title: str):
+    """Minimal self-contained SVG heat map of one (nx, nx1) slice, 560 px
+    square under a title line, one ``rect`` per cell (``%d`` truncates each
+    colour channel).
+
+    Hand-rolled so the output is byte-stable: no timestamps, no library
+    metadata.
+    """
+    size, (nx, nx1) = 560, field.shape
+    lo, hi = float(np.min(field)), float(np.max(field))
+    z = (field - lo) / (hi - lo if hi > lo else 1.0)
+    cw, ch = size / nx, size / nx1
+    j, k = np.indices(field.shape)
+    cells = (j * cw, 28 + (nx1 - 1 - k) * ch, 255 * z, 96 * (1.0 - abs(2 * z - 1)), 255 * (1.0 - z))
+    rect = (f'<rect x="%.2f" y="%.2f" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+            'fill="rgb(%d,%d,%d)"/>')
+    rows = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 28}" '
+            f'viewBox="0 0 {size} {size + 28}">',
+            f'<title>{title}</title>',
+            f'<text x="4" y="16" font-family="monospace" font-size="13">{title} '
+            f'[min={lo:.4g}, max={hi:.4g}]</text>',
+            *(rect % row for row in zip(*(c.ravel().tolist() for c in cells))),
+            "</svg>"]
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +583,17 @@ def _cmd_solve_bsde(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_solve_hjb(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     from .connect import start_state
-    from .hjb import heatmap_svg
     inst, vgrid = inputs.inst, _value_grid(inputs)
     write_manifest(cfg, "solve-hjb")
     its = range(len(vgrid.times)) if inputs.slices is None else inputs.slices
-    write_csv(os.path.join(cfg.out_dir, "value_function.csv"), ["t", "x", "x1", "V", "u_star"],
-              ([f"{vgrid.times[it]:.17g}", f"{x:.17g}", f"{x1:.17g}",
-                f"{vgrid.V[it, j, k]:.17g}", f"{vgrid.u_star[it, j, k]:.17g}"]
-               for it in its for j, x in enumerate(vgrid.xs) for k, x1 in enumerate(vgrid.x1s)))
+    ts = vgrid.times.tolist()
+    x, x1 = (a.ravel().tolist() for a in np.meshgrid(vgrid.xs, vgrid.x1s, indexing="ij"))
+    write_table(os.path.join(cfg.out_dir, "value_function.csv"), ["t", "x", "x1", "V", "u_star"],
+                (("%.17g,%.17g,%.17g,%.17g,%.17g", [[ts[it]] * len(x), x, x1, *(
+                    a[it].ravel().tolist() for a in (vgrid.V, vgrid.u_star))]) for it in its))
     if inputs.svg:
-        heatmap_svg(vgrid.V[0], vgrid.xs, vgrid.x1s,
-                    os.path.join(cfg.out_dir, "value_t0.svg"),
-                    title=f"V at t={vgrid.times[0]:.3g}")
+        write_heatmap_svg(os.path.join(cfg.out_dir, "value_t0.svg"), vgrid.V[0],
+                          f"V at t={vgrid.times[0]:.3g}")
     x0, x10 = start_state(inst)
     write_kv(os.path.join(cfg.out_dir, "report.txt"),
              [f"v_start={vgrid.value(inst.grid.s, x0, x10):.12g}"])
@@ -565,10 +606,10 @@ def _cmd_check_comparison(cfg: RunConfig, inputs: SimpleNamespace) -> int:
         inst1.coeffs, inst2.coeffs, inst1.history, inst2.history, inst1.grid,
         NoiseSource(cfg.seed), inputs.n_paths, tol=inputs.tol)
     write_manifest(cfg, "check-comparison")
-    times = inst1.grid.times()
-    write_csv(os.path.join(cfg.out_dir, "violations.csv"), ["step", "t", "violation_fraction"],
-              ([i, f"{times[i]:.17g}", f"{frac:.17g}"]
-               for i, frac in enumerate(report.violation_fraction)))
+    fractions = report.violation_fraction.tolist()
+    write_table(os.path.join(cfg.out_dir, "violations.csv"), ["step", "t", "violation_fraction"],
+                [("%d,%.17g,%.17g", [range(len(fractions)), inst1.grid.times().tolist(),
+                                     fractions])])
     lines = [f"tol={report.tol:.6g}",
              f"max_violation_fraction={report.max_violation_fraction:.6g}",
              f"worst_violation={report.worst_violation:.6g}",
@@ -598,7 +639,7 @@ def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     report = check_sufficient_mp(bundle, sol, adjoints, inst.coeffs, inst.domain,
                                  seed=cfg.seed)
     write_manifest(cfg, "check-mp")
-    write_kv(os.path.join(cfg.out_dir, "mp_report.txt"), report.lines())
+    write_kv(os.path.join(cfg.out_dir, "mp_report.txt"), report.kv_lines())
     stored = ("gamma", "p1", "p2", "p3", "q1", "q2")
     write_path_table(os.path.join(cfg.out_dir, "adjoints.csv"), inst.grid.times(),
                      inputs.keep, stored + ("ptilde", "pcheck"),
@@ -608,31 +649,18 @@ def _cmd_check_mp(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 
 def _cmd_check_duality(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    from .connect import check_duality_inclusion
+    from .connect import DualityTimeRecord, check_duality_inclusion
     bundle, _, adjoints, vgrid = _solved(cfg, inputs)
     report = check_duality_inclusion(bundle, adjoints, vgrid, cfg.seed)
     write_manifest(cfg, "check-duality")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
-    write_csv(os.path.join(cfg.out_dir, "duality_detail.csv"),
-              ["t", "n_points", "n_skipped", "membership_pass_fraction",
-               "smooth_fraction", "median_identity_rel_err"],
-              ([f"{r.t:.17g}", r.n_points, r.n_skipped, f"{r.membership_pass_fraction:.6f}",
-                f"{r.smooth_fraction:.6f}", f"{r.median_identity_rel_err:.6e}"]
-               for r in report.records))
+    write_table(os.path.join(cfg.out_dir, "duality_detail.csv"), DualityTimeRecord._fields,
+                [("%.17g,%d,%d,%.6f,%.6f,%.6e", list(zip(*report.records)))])
     return 0 if report.applicable else 3
 
 
-def _scaling_rows(report):
-    """One row per (quantity, offset), then one slope row per quantity."""
-    for row in report.rows:
-        yield [row.quantity, f"{row.offset:.17g}", f"{row.estimate:.17g}",
-               f"{row.std_error:.17g}"]
-    for key, slope in sorted(report.slopes.items()):
-        yield [key, "slope", f"{slope:.17g}", ""]
-
-
 def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
-    from .variational import scaling_reports
+    from .variational import ScalingRow, scaling_reports
     inst = inputs.inst
     bundle, sol, adjoints, _ = _solved(cfg, inputs)
     reports = [(ti, *scaling_reports(bundle, inst.coeffs, ti, inputs.offsets, p=inputs.p,
@@ -641,8 +669,10 @@ def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     write_manifest(cfg, "check-scaling")
     for ti, *pair in reports:
         for name, rep in zip((f"remainders_t{ti}.csv", f"duality_t{ti}.csv"), pair):
-            write_csv(os.path.join(cfg.out_dir, name),
-                      ["quantity", "offset", "estimate", "std_error"], _scaling_rows(rep))
+            # one row per (quantity, offset), then one slope row per quantity
+            write_table(os.path.join(cfg.out_dir, name), ScalingRow._fields,
+                        [("%s,%.17g,%.17g,%.17g", list(zip(*rep.rows))),
+                         ("%s,slope,%.17g,", list(zip(*sorted(rep.slopes.items()))))])
     return 0
 
 
@@ -653,8 +683,8 @@ def _cmd_verify(cfg: RunConfig, inputs: SimpleNamespace) -> int:
                                inputs.n_paths, budget=inputs.budget)
     write_manifest(cfg, "verify")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), report.kv_lines())
-    write_csv(os.path.join(cfg.out_dir, "verification_detail.csv"), ["t", "mean_integrand"],
-              ([f"{t:.17g}", f"{v:.17g}"] for t, v in report.per_step))
+    write_table(os.path.join(cfg.out_dir, "verification_detail.csv"), ["t", "mean_integrand"],
+                [("%.17g,%.17g", list(zip(*report.per_step)))])
     return 0 if report.verdict else 1
 
 

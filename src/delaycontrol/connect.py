@@ -17,7 +17,7 @@ candidate controls, and the measure-change reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ def start_state(instance: Instance) -> Tuple[float, float]:
 # duality inclusion
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DualityTimeRecord:
+class DualityTimeRecord(NamedTuple):  # one row of duality_detail.csv
     t: float
     n_points: int
     n_skipped: int

@@ -509,39 +509,3 @@ def feedback_control(vgrid: GridValueFunction, domain: ControlDomain):
 
     return rule
 
-
-# ---------------------------------------------------------------------------
-# output
-# ---------------------------------------------------------------------------
-
-def heatmap_svg(field: np.ndarray, xs: np.ndarray, x1s: np.ndarray, path: str,
-                title: str = "", size: int = 560):
-    """Minimal self-contained SVG heat map of one (nx, nx1) slice.
-
-    Hand-rolled so the output is byte-stable: no timestamps, no library
-    metadata.
-    """
-    lo, hi = float(np.min(field)), float(np.max(field))
-    span = hi - lo if hi > lo else 1.0
-    nx, nx1 = field.shape
-    cw = size / nx
-    ch = size / nx1
-    rows = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 28}" '
-        f'viewBox="0 0 {size} {size + 28}">',
-        f'<title>{title}</title>',
-        f'<text x="4" y="16" font-family="monospace" font-size="13">{title} '
-        f'[min={lo:.4g}, max={hi:.4g}]</text>',
-    ]
-    for j in range(nx):
-        for k in range(nx1):
-            z = (field[j, k] - lo) / span
-            r = int(255 * z)
-            b = int(255 * (1.0 - z))
-            g = int(96 * (1.0 - abs(2 * z - 1)))
-            y = 28 + (nx1 - 1 - k) * ch
-            rows.append(f'<rect x="{j * cw:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                        f'height="{ch + 0.5:.2f}" fill="rgb({r},{g},{b})"/>')
-    rows.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows))

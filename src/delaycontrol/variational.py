@@ -16,7 +16,7 @@ p-th mean, and E|Ytilde(t)| like o(h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,8 +153,7 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
 # scaling regressions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScalingRow:
+class ScalingRow(NamedTuple):  # one (quantity, offset) row of a scaling table
     quantity: str
     offset: float
     estimate: float

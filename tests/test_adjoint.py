@@ -409,7 +409,7 @@ class TestSufficientMP:
             adj = solve_adjoints(bundle, sol, inst.coeffs, basis)
             rep = check_sufficient_mp(bundle, sol, adj, inst.coeffs, inst.domain, seed=2)
             runs.append(([bundle.X, sol.Y, sol.Z, adj.p1, adj.q1, adj.p3],
-                         sol.y_s_se, list(rep.lines())))
+                         sol.y_s_se, list(rep.kv_lines())))
         for arrays, y_s_se, lines in runs[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(arrays, runs[0][0]))
             assert y_s_se == runs[0][1]

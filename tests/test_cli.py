@@ -476,6 +476,81 @@ class TestOutputFormat:
         write_path_table(str(got), times, keep, names, arrays)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_table_matches_csv_writer(self, tmp_path):
+        # %d, %s, %.17g, %.6f and %.6e columns with nan, +-inf, -0.0,
+        # subnormals and the largest float, a slope-style part with a literal
+        # field and an empty last one, and parts with no rows
+        rng = np.random.default_rng(11)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+        floats = []
+        for _ in range(3):
+            a = rng.normal(0.0, 10.0, 200) * 10.0 ** rng.integers(-300, 300, 200)
+            a[rng.choice(200, 40, replace=False)] = rng.choice(specials, 40)
+            floats.append(a.tolist())
+        ints = rng.integers(-10**12, 10**12, 200).tolist()
+        words = [f"q{i % 7}_x" for i in range(200)]
+        keys, slopes = words[:9], specials
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            out = csv.writer(fh)
+            out.writerow(["n", "quantity", "a", "b", "c"])
+            out.writerows([n, w, f"{a:.17g}", f"{b:.6f}", f"{c:.6e}"]
+                          for n, w, a, b, c in zip(ints, words, *floats))
+            out.writerows([k, "slope", f"{v:.17g}", ""] for k, v in zip(keys, slopes))
+        got = tmp_path / "got.csv"
+        cli.write_table(str(got), ["n", "quantity", "a", "b", "c"],
+                        [("%d,%s,%.17g,%.6f,%.6e", [ints, words, *floats]),
+                         ("%d,%s", [[], []]), ("%s,slope,%.17g,", [keys, slopes]),
+                         ("%.17g", [])])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_table_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_table(str(path), ["t", "mean_integrand"], [])
+        assert path.read_bytes() == b"t,mean_integrand\r\n"
+        cli.write_table(str(path), ["t"], [("%.17g", [[]])])
+        assert path.read_bytes() == b"t\r\n"
+
+    def test_table_columns_of_one_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_table(str(tmp_path / "t.csv"), ["step", "t"],
+                            [("%d,%.17g", [range(3), [0.0, 0.5]])])
+
+    @pytest.mark.parametrize("bad", ["a,b", 'a"b', "a\rb", "a\nb"])
+    def test_table_refuses_fields_that_need_quoting(self, bad, tmp_path):
+        # csv.writer would quote these; the table writer writes nothing quoted
+        path = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match="quoting"):
+            cli.write_table(path, ["t", bad], [])
+        with pytest.raises(ValueError, match="quoting"):
+            cli.write_table(path, ["quantity", "offset"],
+                            [("%s,%.17g", [["x", "y", bad], [0.1, 0.2, 0.3]])])
+        cli.write_table(path, ["quantity", "offset"], [("%s,%.17g", [["x", "y"], [0.1, 0.2]])])
+        assert open(path, newline="").read() == "quantity,offset\r\nx,0.10000000000000001\r\n" \
+            "y,0.20000000000000001\r\n"
+
+    def test_value_function_slices_in_given_order(self, lq_config, tmp_path):
+        # dump_slices=all writes (n_t_pde + 1) * nx * nx1 rows; a list writes
+        # its slices in the order given, a repeat included
+        grid = ["--set", "numerics.nx=11", "--set", "numerics.nx1=6"]
+        tables = {}
+        for value in ("all", "60,0,60"):
+            out = tmp_path / value.replace(",", "_")
+            assert main(["solve-hjb", "--config", lq_config, "--out", str(out), *grid,
+                         "--set", f"numerics.dump_slices={value}"]) == 0
+            tables[value] = (out / "value_function.csv").read_bytes().split(b"\r\n")
+        every, picked = tables["all"], tables["60,0,60"]
+        assert every[0] == picked[0] == b"t,x,x1,V,u_star" and every[-1] == picked[-1] == b""
+        rows = every[1:-1]
+        assert len(rows) == 61 * 11 * 6
+        cells = [[float(v) for v in r.split(b",")] for r in rows]
+        assert [c[0] for c in cells[::66]] == list(np.linspace(0.0, 1.0, 61))
+        assert [c[1:3] for c in cells[:66]] == [[x, x1] for x in np.linspace(-3.0, 3.0, 11)
+                                                for x1 in np.linspace(-3.0, 3.0, 6)]
+        first, last = rows[:66], rows[-66:]
+        assert picked[1:-1] == last + first + last
+
 
 class TestSolvers:
     def test_solve_bsde_report(self, lq_config, tmp_path):

@@ -15,14 +15,15 @@ LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
-``test_girsanov_report``, and ``solve-hjb`` on that config and on a linear
-instance whose value function varies in x1.  One line is
-printed per output file; a call that exits 3 on either side also has its
-stderr text compared.  The bad-config calls carry one fault each, at least
-one per subcommand and one per error of the ``solve_hjb`` prologue, and two
-carry two faults; their exit code and exact stderr text are compared, and one
-line is printed per call.  The exit status is 1 if any exit code, stderr
-text, file list or file differs, else 0.
+``test_girsanov_report``, and ``solve-hjb`` on that config, on a linear
+instance whose value function varies in x1 and on the LQ config with
+out-of-order, repeated ``dump_slices``.  One line is printed per output file
+(135 files); a call that exits 3 on either side also has its stderr text
+compared.  The bad-config calls carry one fault each, at least one per
+subcommand and one per error of the ``solve_hjb`` prologue, and two carry two
+faults; their exit code and exact stderr text are compared, and one line is
+printed per call (34 stderr texts in all).  The exit status is 1 if any exit
+code, stderr text, file list or file differs, else 0.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("solve-hjb-girsanov-gbar", "girsanov", ["solve-hjb", *GIRSANOV_HJB,
                                              "--set", "numerics.hjb_variant=Gbar"]),
     ("solve-hjb-linear-x1", "linear", ["solve-hjb", *LINEAR_X1]),
+    # the slices in the order given, the repeat included
+    ("solve-hjb-slices", "lq", ["solve-hjb", "--set", "numerics.dump_slices=60,0,60"]),
     ("check-mp", "lq", ["check-mp"]),
     # no ridge: collinear designs escalate it, and check-mp rebuilds the
     # adjoint sweeps from the escalated factors
