@@ -30,8 +30,8 @@ _EXPORTS = {
     "hjb": ("GridValueFunction", "HjbGrid", "Jet", "check_x2_independence", "feedback_control",
             "jet_membership", "solve_hjb", "viscosity_residual"),
     "connect": ("DualityReport", "GirsanovReduction", "VerificationReport",
-                "check_duality_inclusion", "control_tournament", "girsanov_reduce",
-                "start_state", "verify_optimality"),
+                "check_duality_inclusion", "girsanov_reduce", "start_state",
+                "verify_optimality"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in (module,) + names}
 

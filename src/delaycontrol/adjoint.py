@@ -323,7 +323,7 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     u_grid = domain.points()
     worst_var = -np.inf
     max_hu = 0.0
-    sub = rng.choice(ok_idx, size=min(N_PATH_SAMPLES, ok_idx.size), replace=False)
+    sub = bundle.sample_valid(rng, N_PATH_SAMPLES)
     for i in sorted(rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)):
         i = int(i)
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, sub)

@@ -22,7 +22,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConfigurationError, LinearDriver, derived_rng
+from .core import ConfigurationError, LinearDriver, derived_rng, mc_estimate
 from .smdde import TrajectoryBundle
 
 
@@ -191,8 +191,8 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
     worst = 0.0
     for i in probe_steps:
         t, x, x1, x2, u = bundle.state(i)
-        fy = coeffs.f_y(t, x, x1, x2, x * 0.0, x * 0.0, u)
-        fz = coeffs.f_z(t, x, x1, x2, x * 0.0, x * 0.0, u)
+        fy = coeffs.slope("f_y", t, x, x1, x2, x * 0.0, x * 0.0, u)
+        fz = coeffs.slope("f_z", t, x, x1, x2, x * 0.0, x * 0.0, u)
         worst = max(worst, float(np.nanmax(np.abs(fy))), float(np.nanmax(np.abs(fz))))
     if worst * dt >= 1.0:
         raise ConfigurationError(
@@ -280,7 +280,7 @@ def _pathwise_se(bundle: TrajectoryBundle, coeffs, Y: np.ndarray, Z: np.ndarray,
     for i in range(n):
         t, x, x1, x2, u = bundle.state(i, ok)
         total += coeffs.f(t, x, x1, x2, Y[ok, i], Z[ok, i], u) * dt
-    return float(np.std(total) / np.sqrt(total.size))
+    return mc_estimate(total)[1]
 
 
 def cost_functional_J(solution: BackwardSolution) -> float:
@@ -334,6 +334,4 @@ def linear_driver_oracle(coeffs, driver: LinearDriver, bundle: TrajectoryBundle,
     for i in range(n + 1):
         w = dt if 0 < i < n else 0.5 * dt
         total += w * disc[i] * coeffs.a_part(*bundle.state(i, ok))
-    est = float(np.mean(total))
-    se = float(np.std(total) / np.sqrt(total.size))
-    return est, se
+    return mc_estimate(total)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core import (G_VARIANTS, ConfigurationError, ControlDomain, HistoryPath,
-                   HypothesisViolation, Instance, LinearDriver, TimeGrid)
+                   HypothesisViolation, Instance, LinearDriver, TimeGrid, mc_estimate)
 from .coeffs import FAMILIES, make_coefficients
 from .smdde import NoiseSource, estimate_moment_bound, simulate_coupled_pair, simulate_smdde
 from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
@@ -701,9 +701,10 @@ def _cmd_girsanov(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     y_q, se_q = linear_driver_oracle(reduction.instance.coeffs,
                                      reduction.instance.driver, bundle_q)
     write_manifest(cfg, "girsanov")
+    mean_weight, weight_se = mc_estimate(w)
     write_kv(os.path.join(cfg.out_dir, "report.txt"), [
-        f"mean_weight={np.mean(w):.9g}",
-        f"weight_se={np.std(w) / np.sqrt(w.size):.6g}",
+        f"mean_weight={mean_weight:.9g}",
+        f"weight_se={weight_se:.6g}",
         f"y_s_original_lsmc={sol_p.y_s:.9g}",
         f"y_s_original_se={sol_p.y_s_se:.6g}",
         f"y_s_shifted_oracle={y_q:.9g}",

@@ -138,7 +138,7 @@ def _constant(c: float) -> Callable:
     return slope
 
 
-def _linear_evaluators(p: Dict[str, float]):
+def _linear(p: Dict[str, float]) -> Dict[str, Callable]:
     b0, bx, bx1, bx2, bu = (p[k] for k in ("b0", "bx", "bx1", "bx2", "bu"))
     s0, sx, sx1, sx2, su = (p[k] for k in ("s0", "sx", "sx1", "sx2", "su"))
     f0, fx, fx1, fx2, fy, fz, fu = (p[k] for k in ("f0", "fx", "fx1", "fx2", "fy", "fz", "fu"))
@@ -158,47 +158,21 @@ def _linear_evaluators(p: Dict[str, float]):
 
     slopes = dict(b_x=bx, b_x1=bx1, b_x2=bx2, sigma_x=sx, sigma_x1=sx1, sigma_x2=sx2,
                   f_x=fx, f_x1=fx1, f_x2=fx2, f_y=fy, f_z=fz)
-    derivs = {slot: _constant(c) for slot, c in slopes.items()}
-    derivs.update(phi_x=lambda x, x1: _fill(phix, x, x1),
-                  phi_x1=lambda x, x1: _fill(phix1, x, x1))
-    return b, sigma, f, phi, derivs
+    evaluators = {slot: _constant(c) for slot, c in slopes.items()}
+    evaluators.update(b=b, sigma=sigma, f=f, phi=phi,
+                      phi_x=lambda x, x1: _fill(phix, x, x1),
+                      phi_x1=lambda x, x1: _fill(phix1, x, x1))
+    return evaluators
 
 
-_LINEAR_KEYS = ("b0", "bx", "bx1", "bx2", "bu",
-                "s0", "sx", "sx1", "sx2", "su",
-                "f0", "fx", "fx1", "fx2", "fy", "fz", "fu",
-                "phi0", "phix", "phix1")
-_BILINEAR_KEYS = _LINEAR_KEYS + ("bxx1", "bxx2", "sxx1", "sxx2", "clip")
-_LQ_KEYS = ("a", "bu", "b0", "sigma0", "q", "r", "fy", "phi_quad", "phi_lin", "phi0")
-
-
-def _constant_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
-    filled = {k: 0.0 for k in _LINEAR_KEYS}
-    filled.update(b0=p.get("b0", 0.0), s0=p.get("s0", 0.0),
-                  f0=p.get("f0", 0.0), phi0=p.get("phi0", 0.0))
-    b, sigma, f, phi, derivs = _linear_evaluators(filled)
-    return CoefficientSet(name="constant", lam=lam, b=b, sigma=sigma, f=f, phi=phi,
-                          params=dict(p), **derivs)
-
-
-def _linear_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
-    filled = {k: 0.0 for k in _LINEAR_KEYS}
-    filled.update(p)
-    b, sigma, f, phi, derivs = _linear_evaluators(filled)
-    return CoefficientSet(name="linear", lam=lam, b=b, sigma=sigma, f=f, phi=phi,
-                          params=dict(p), **derivs)
-
-
-def _bilinear_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
-    filled = {k: 0.0 for k in _BILINEAR_KEYS}
-    filled["clip"] = 3.0
-    filled.update(p)
-    L = float(filled["clip"])
+def _bilinear(p: Dict[str, float]) -> Dict[str, Callable]:
+    L = p["clip"]
     if L <= 0.0:
         raise ConfigurationError("bilinear clip bound must be positive")
-    bxx1, bxx2 = filled["bxx1"], filled["bxx2"]
-    sxx1, sxx2 = filled["sxx1"], filled["sxx2"]
-    lb, lsigma, lf, lphi, ld = _linear_evaluators(filled)
+    bxx1, bxx2 = p["bxx1"], p["bxx2"]
+    sxx1, sxx2 = p["sxx1"], p["sxx2"]
+    ld = _linear(p)
+    lb, lsigma = ld["b"], ld["sigma"]
 
     # smooth saturation keeps the product terms globally Lipschitz with
     # bounded first derivatives
@@ -214,32 +188,29 @@ def _bilinear_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
     def sigma(t, x, x1, x2, u):
         return lsigma(t, x, x1, x2, u) + sxx1 * clamp(x) * clamp(x1) + sxx2 * clamp(x) * clamp(x2)
 
-    derivs = dict(ld)
-    derivs["b_x"] = lambda t, x, x1, x2, u: (ld["b_x"](t, x, x1, x2, u)
-                                             + bxx1 * clamp_d(x) * clamp(x1)
-                                             + bxx2 * clamp_d(x) * clamp(x2))
-    derivs["b_x1"] = lambda t, x, x1, x2, u: (ld["b_x1"](t, x, x1, x2, u)
-                                              + bxx1 * clamp(x) * clamp_d(x1))
-    derivs["b_x2"] = lambda t, x, x1, x2, u: (ld["b_x2"](t, x, x1, x2, u)
-                                              + bxx2 * clamp(x) * clamp_d(x2))
-    derivs["sigma_x"] = lambda t, x, x1, x2, u: (ld["sigma_x"](t, x, x1, x2, u)
-                                                 + sxx1 * clamp_d(x) * clamp(x1)
-                                                 + sxx2 * clamp_d(x) * clamp(x2))
-    derivs["sigma_x1"] = lambda t, x, x1, x2, u: (ld["sigma_x1"](t, x, x1, x2, u)
-                                                  + sxx1 * clamp(x) * clamp_d(x1))
-    derivs["sigma_x2"] = lambda t, x, x1, x2, u: (ld["sigma_x2"](t, x, x1, x2, u)
-                                                  + sxx2 * clamp(x) * clamp_d(x2))
-    return CoefficientSet(name="bilinear", lam=lam, b=b, sigma=sigma, f=lf, phi=lphi,
-                          params=dict(p), **derivs)
+    evaluators = dict(ld, b=b, sigma=sigma)
+    evaluators["b_x"] = lambda t, x, x1, x2, u: (ld["b_x"](t, x, x1, x2, u)
+                                                 + bxx1 * clamp_d(x) * clamp(x1)
+                                                 + bxx2 * clamp_d(x) * clamp(x2))
+    evaluators["b_x1"] = lambda t, x, x1, x2, u: (ld["b_x1"](t, x, x1, x2, u)
+                                                  + bxx1 * clamp(x) * clamp_d(x1))
+    evaluators["b_x2"] = lambda t, x, x1, x2, u: (ld["b_x2"](t, x, x1, x2, u)
+                                                  + bxx2 * clamp(x) * clamp_d(x2))
+    evaluators["sigma_x"] = lambda t, x, x1, x2, u: (ld["sigma_x"](t, x, x1, x2, u)
+                                                     + sxx1 * clamp_d(x) * clamp(x1)
+                                                     + sxx2 * clamp_d(x) * clamp(x2))
+    evaluators["sigma_x1"] = lambda t, x, x1, x2, u: (ld["sigma_x1"](t, x, x1, x2, u)
+                                                      + sxx1 * clamp(x) * clamp_d(x1))
+    evaluators["sigma_x2"] = lambda t, x, x1, x2, u: (ld["sigma_x2"](t, x, x1, x2, u)
+                                                      + sxx2 * clamp(x) * clamp_d(x2))
+    return evaluators
 
 
-def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
-    filled = {k: 0.0 for k in _LQ_KEYS}
-    filled.update(p)
-    a, bu, b0 = filled["a"], filled["bu"], filled["b0"]
-    sigma0 = filled["sigma0"]
-    q, r, fy = filled["q"], filled["r"], filled["fy"]
-    phi_quad, phi_lin, phi0 = filled["phi_quad"], filled["phi_lin"], filled["phi0"]
+def _linear_quadratic(p: Dict[str, float]) -> Dict[str, Callable]:
+    a, bu, b0 = p["a"], p["bu"], p["b0"]
+    sigma0 = p["sigma0"]
+    q, r, fy = p["q"], p["r"], p["fy"]
+    phi_quad, phi_lin, phi0 = p["phi_quad"], p["phi_lin"], p["phi0"]
 
     def b(t, x, x1, x2, u):
         return _fill(b0 + a * x + bu * u, x, x1, x2, u)
@@ -253,7 +224,9 @@ def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
     def phi(x, x1):
         return _fill(phi_quad * x ** 2 + phi_lin * x + phi0, x, x1)
 
-    derivs = dict(
+    _X1_FREE_EVALUATORS.update((b, sigma, f, phi))
+    return dict(
+        b=b, sigma=sigma, f=f, phi=phi,
         b_x=_constant(a), b_x1=_constant(0.0), b_x2=_constant(0.0),
         sigma_x=_constant(0.0), sigma_x1=_constant(0.0), sigma_x2=_constant(0.0),
         f_x=lambda t, x, x1, x2, y, z, u: _fill(-2.0 * q * x, x1, x2, y, z, u),
@@ -261,16 +234,23 @@ def _linear_quadratic_set(lam: float, p: Dict[str, float]) -> CoefficientSet:
         phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1),
         phi_x1=lambda x, x1: _fill(0.0, x, x1),
     )
-    _X1_FREE_EVALUATORS.update((b, sigma, f, phi))
-    return CoefficientSet(name="linear_quadratic", lam=lam, b=b, sigma=sigma, f=f, phi=phi,
-                          params=dict(p), **derivs)
 
 
+_LINEAR_KEYS = ("b0", "bx", "bx1", "bx2", "bu",
+                "s0", "sx", "sx1", "sx2", "su",
+                "f0", "fx", "fx1", "fx2", "fy", "fz", "fu",
+                "phi0", "phix", "phix1")
+_BILINEAR_KEYS = _LINEAR_KEYS + ("bxx1", "bxx2", "sxx1", "sxx2", "clip")
+_LQ_KEYS = ("a", "bu", "b0", "sigma0", "q", "r", "fy", "phi_quad", "phi_lin", "phi0")
+# every key a family builder reads, at the value an omitted parameter takes
+_DEFAULTS = dict.fromkeys(_BILINEAR_KEYS + _LQ_KEYS, 0.0) | {"clip": 3.0}
+
+# family -> (builder of its evaluators from the filled parameters, accepted keys)
 FAMILIES = {
-    "constant": (_constant_set, ("b0", "s0", "f0", "phi0")),
-    "linear": (_linear_set, _LINEAR_KEYS),
-    "bilinear": (_bilinear_set, _BILINEAR_KEYS),
-    "linear_quadratic": (_linear_quadratic_set, _LQ_KEYS),
+    "constant": (_linear, ("b0", "s0", "f0", "phi0")),
+    "linear": (_linear, _LINEAR_KEYS),
+    "bilinear": (_bilinear, _BILINEAR_KEYS),
+    "linear_quadratic": (_linear_quadratic, _LQ_KEYS),
 }
 
 
@@ -288,7 +268,9 @@ def make_coefficients(family: str, lam: float = 0.0, **params) -> CoefficientSet
     unknown = set(params) - set(keys)
     if unknown:
         raise ConfigurationError(f"unknown parameters for family {family!r}: {sorted(unknown)}")
-    coeffs = builder(float(lam), {k: float(v) for k, v in params.items()})
+    given = {k: float(v) for k, v in params.items()}
+    coeffs = CoefficientSet(name=family, lam=float(lam), params=given,
+                            **builder(_DEFAULTS | given))
     _REGISTRY_EVALUATORS.update((coeffs.b, coeffs.sigma, coeffs.f))
     return coeffs
 

@@ -22,7 +22,7 @@ from typing import Callable, List, NamedTuple, Tuple
 import numpy as np
 
 from .core import (ConfigurationError, Instance, LinearDriver, derived_rng,
-                   eval_G, eval_X1_quadrature)
+                   eval_G, eval_X1_quadrature, mc_estimate)
 from .coeffs import CoefficientSet
 from .bsde import assert_linear_driver, linear_driver_oracle
 from .hjb import GridValueFunction, Jet, jet_membership, jets_along
@@ -107,8 +107,7 @@ def check_duality_inclusion(bundle: TrajectoryBundle, adjoints, vgrid: GridValue
     n, dt = bundle.grid.n_steps, bundle.grid.dt
     applicable, tol_p3 = adjoints.p3_gate(dt)
     rng = derived_rng(seed, 606)
-    ok_idx = np.flatnonzero(~bundle.diverged)
-    sample = rng.choice(ok_idx, size=min(n_path_sample, ok_idx.size), replace=False)
+    sample = bundle.sample_valid(rng, n_path_sample)
 
     records: List[DualityTimeRecord] = []
     total_points = 0
@@ -244,13 +243,10 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
         raise ConfigurationError(
             f"trajectory covers only {coverage:.1%} of the grid interior; "
             "enlarge the grid or move the start state")
-    vals = integrand[ok]
-    stat = float(np.mean(vals))
-    stat_se = float(np.std(vals) / np.sqrt(vals.size))
+    stat, stat_se = mc_estimate(integrand[ok])
 
     rng = derived_rng(noise.seed, 707)
-    ok_idx = np.flatnonzero(ok)
-    sample = rng.choice(ok_idx, size=min(N_MEMBERSHIP_SAMPLE, ok_idx.size), replace=False)
+    sample = bundle.sample_valid(rng, N_MEMBERSHIP_SAMPLE)
     steps = rng.choice(n, size=min(12, n), replace=False)
     n_pass = 0
     n_checked = 0
@@ -355,24 +351,3 @@ def girsanov_reduce(instance: Instance) -> GirsanovReduction:
         return np.exp(expo)
 
     return GirsanovReduction(instance=new_instance, weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# control tournament
-# ---------------------------------------------------------------------------
-
-def control_tournament(instance: Instance, noise: NoiseSource, n_paths: int,
-                       n_controls: int = 20, seed: int = 0
-                       ) -> List[Tuple[float, float, float]]:
-    """Costs of random constant controls (u, J, se) via the plain oracle."""
-    if instance.driver is None:
-        raise ConfigurationError("tournament needs the linear-driver form")
-    rng = derived_rng(seed, 808)
-    out: List[Tuple[float, float, float]] = []
-    for k in range(n_controls):
-        u = float(rng.uniform(instance.domain.lower, instance.domain.upper))
-        b = simulate_smdde(instance.coeffs, instance.history, u, instance.grid,
-                           NoiseSource(noise.seed + 1000 + k), n_paths)
-        y, se = linear_driver_oracle(instance.coeffs, instance.driver, b)
-        out.append((u, -y, se))
-    return out

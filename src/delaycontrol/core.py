@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +40,9 @@ class HypothesisViolation(RuntimeError):
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic Generator derived from a base seed and integer tags.
 
-    Used for auxiliary sampling (probe points, convexity checks, control
-    tournaments) so that every random draw in a run is reproducible from
-    the single run seed.
+    Used for auxiliary sampling (probe points, convexity checks, path
+    samples) so that every random draw in a run is reproducible from the
+    single run seed.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(t) for t in tags))
     return np.random.Generator(np.random.Philox(ss))
@@ -53,6 +53,11 @@ def max_abs(a: np.ndarray) -> float:
     (a signed zero reads +0.0, all-NaN input NaN) without the |a| copy."""
     hi = float(np.nanmax(a))
     return abs(hi) if math.isnan(hi) else max(abs(hi), abs(float(np.nanmin(a))))
+
+
+def mc_estimate(values: np.ndarray) -> Tuple[float, float]:
+    """Monte Carlo estimate of the mean of ``values``: (mean, standard error)."""
+    return float(np.mean(values)), float(np.std(values) / np.sqrt(values.size))
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,6 @@ class HjbGrid:
     def x1s(self) -> np.ndarray:
         return np.linspace(self.x1_min, self.x1_max, self.nx1)
 
-    def refined(self) -> "HjbGrid":
-        """Halve dx and dt (x1 resolution kept; transport CFL dominates it)."""
-        return HjbGrid(self.x_min, self.x_max, 2 * self.nx - 1,
-                       self.x1_min, self.x1_max, self.nx1,
-                       2 * self.n_t, self.x2_ref)
-
 
 @dataclass
 class Jet:

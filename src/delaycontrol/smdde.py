@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from .core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
-                   derived_rng, x1_weights)
+                   derived_rng, mc_estimate, x1_weights)
 
 DIVERGENCE_LIMIT = 1e12
 CHUNK_PATHS = 4096  # paths stepped per chunk; bounds every per-chunk buffer
@@ -129,6 +129,12 @@ class TrajectoryBundle:
         """Row index of the non-diverged paths: ``slice(None)`` when none
         diverged (so column reads are views, not gathers), else the mask."""
         return ~self.diverged if self.diverged.any() else slice(None)
+
+    def sample_valid(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Indices of ``min(n, count)`` distinct non-diverged paths drawn by
+        ``rng``, of the ``count`` there are."""
+        ok_idx = np.flatnonzero(~self.diverged)
+        return rng.choice(ok_idx, size=min(n, ok_idx.size), replace=False)
 
     def sweep_array(self, n_cols: int, rows: Optional[int] = None):
         """``(arr, kept, count)``: a ``path_array`` for the first ``rows`` paths
@@ -438,8 +444,7 @@ def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
     chunks = _zero_control_chunks([(coeffs, history)], grid, noise, n_paths)
     sup_p = np.concatenate([np.max(np.abs(X[ok, grid.m :]), axis=1)
                             for ok, _, ((X, _),) in chunks]) ** p  # over [s, T], valid paths
-    lhs = float(np.mean(sup_p))
-    lhs_se = float(np.std(sup_p) / np.sqrt(sup_p.size))
+    lhs, lhs_se = mc_estimate(sup_p)
     times = grid.times()
     zeros = np.zeros_like(times)
     b0 = np.abs(coeffs.b(times, zeros, zeros, zeros, zeros))

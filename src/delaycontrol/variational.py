@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ConfigurationError, HypothesisViolation, TimeGrid
+from .core import ConfigurationError, HypothesisViolation, TimeGrid, mc_estimate
 from .bsde import BackwardSolution, solve_bsde_lsmc
 from .smdde import TrajectoryBundle, _step_chunk, path_array
 
@@ -178,10 +178,6 @@ def _loglog_slope(offsets: np.ndarray, estimates: np.ndarray) -> float:
     return float(np.polyfit(np.log(offsets[mask]), np.log(estimates[mask]), 1)[0])
 
 
-def _mc_stats(values: np.ndarray) -> Tuple[float, float]:
-    return float(np.mean(values)), float(np.std(values) / np.sqrt(values.size))
-
-
 def check_offsets(offsets: Sequence[float]) -> np.ndarray:
     """Offsets sorted in decreasing order; at least 3 positive, finite
     offsets spanning a factor of 4 are required for a meaningful fit."""
@@ -195,7 +191,7 @@ def check_offsets(offsets: Sequence[float]) -> np.ndarray:
 def _add_stats(rows: List[ScalingRow], series: Dict[str, List[float]], offset: float,
                stats: Dict[str, np.ndarray]):
     for key, vals in stats.items():
-        est, se = _mc_stats(vals)
+        est, se = mc_estimate(vals)
         rows.append(ScalingRow(quantity=key, offset=offset, estimate=est, std_error=se))
         series.setdefault(key, []).append(est)
 

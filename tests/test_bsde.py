@@ -8,6 +8,7 @@ import pytest
 
 from delaycontrol.core import (ConfigurationError, HistoryPath, LinearDriver,
                                TimeGrid)
+from delaycontrol import coeffs as coeffs_module
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol import bsde
@@ -237,6 +238,27 @@ class TestBackwardSolver:
         g = grid(T=0.5)
         with pytest.raises(ConfigurationError, match="step too large"):
             solve_bsde_lsmc(run(coeffs, g, n_paths=100), coeffs, RegressionBasis())
+
+    def test_lipschitz_gate_reads_recorded_slopes_as_numbers(self, monkeypatch):
+        coeffs = make_coefficients("linear_quadratic", lam=0.0, a=0.1, sigma0=0.2, fy=-0.3)
+        g = grid(T=0.5)
+        bundle = run(coeffs, g, n_paths=100)
+        calls = []
+        # every constant slope of the registry pads its number with _fill
+        fill = coeffs_module._fill
+        monkeypatch.setattr(coeffs_module, "_fill",
+                            lambda *args: calls.append("_fill") or fill(*args))
+        bsde._lipschitz_gate(coeffs, bundle, g.dt)
+        assert calls == []
+
+        # a wrapped slope, as a traced run holds, is evaluated at each of the
+        # three probe steps
+        def counted(slot):
+            fn = getattr(coeffs, slot)
+            return lambda *args: calls.append(slot) or fn(*args)
+        wrapped = dataclasses.replace(coeffs, f_y=counted("f_y"), f_z=counted("f_z"))
+        bsde._lipschitz_gate(wrapped, bundle, g.dt)
+        assert calls.count("f_y") == calls.count("f_z") == 3
 
     def test_requires_increments(self):
         coeffs = make_coefficients("constant", lam=0.0)

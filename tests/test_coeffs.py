@@ -8,7 +8,7 @@ import pytest
 from delaycontrol import coeffs as coeffs_module
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
                                LinearDriver, TimeGrid)
-from delaycontrol.coeffs import FAMILIES, make_coefficients
+from delaycontrol.coeffs import FAMILIES, CoefficientSet, make_coefficients
 from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import HjbGrid, default_probe_set, solve_hjb
 from oracles import check_derivative_consistency
@@ -179,3 +179,51 @@ class TestX1Free:
                        probes=dataclasses.replace(p, q=np.zeros_like(p.q)))
         assert not coeffs.x1_free
         assert np.ptp(vg.V[0], axis=1).min() > 0.5
+
+
+class TestFamilyBuilder:
+    """make_coefficients fills omitted parameters once; each family's builder
+    only reads them."""
+
+    SLOTS = [f.name for f in dataclasses.fields(CoefficientSet)
+             if f.name not in ("name", "lam", "params")]
+    CONSTANT = dict(b0=1.0, s0=-0.5, f0=2.0, phi0=3.0)
+
+    @staticmethod
+    def evaluations(coeffs, scale):
+        rng = np.random.default_rng(17)
+        t, x, x1, x2, y, z, u = rng.normal(0.0, scale, size=(7, 64))
+        for slot in TestFamilyBuilder.SLOTS:
+            args = ((x, x1) if slot.startswith("phi") else
+                    (t, x, x1, x2, y, z, u) if slot.startswith("f") else (t, x, x1, x2, u))
+            yield slot, getattr(coeffs, slot)(*args)
+
+    def test_constant_is_linear_on_its_four_keys(self):
+        const = make_coefficients("constant", lam=0.5, **self.CONSTANT)
+        lin = make_coefficients("linear", lam=0.5, **self.CONSTANT)
+        assert len(self.SLOTS) == 17
+        assert const.name == "constant" and const.params == self.CONSTANT
+        for (slot, got), (_, want) in zip(self.evaluations(const, 2.0),
+                                          self.evaluations(lin, 2.0)):
+            assert np.array_equal(got, want), slot
+            assert const.constant(slot) == lin.constant(slot), slot
+        assert (const.time_free, const.x1_free) == (lin.time_free, lin.x1_free) == (True, False)
+        assert make_coefficients("constant").params == {}
+
+    def test_bilinear_clip_defaults_to_three(self):
+        params = dict(bx=0.2, bxx1=0.9, bxx2=-0.4, sxx1=0.3, sxx2=0.5, fy=-0.2, phix=1.0)
+        default = make_coefficients("bilinear", **params)
+        explicit = make_coefficients("bilinear", clip=3.0, **params)
+        assert default.params == params
+        # states spread well past the clip bound, where the saturation shows
+        for (slot, got), (_, want) in zip(self.evaluations(default, 5.0),
+                                          self.evaluations(explicit, 5.0)):
+            assert np.array_equal(got, want), slot
+
+    @pytest.mark.parametrize("family,key", [("constant", "bx"), ("linear", "clip"),
+                                            ("bilinear", "q"), ("linear_quadratic", "bx")])
+    def test_unknown_key_message(self, family, key):
+        # keys another family reads are rejected as before
+        with pytest.raises(ConfigurationError) as err:
+            make_coefficients(family, **{key: 1.0, "zz": 2.0})
+        assert str(err.value) == f"unknown parameters for family {family!r}: {sorted([key, 'zz'])}"

@@ -4,15 +4,29 @@ import numpy as np
 import pytest
 
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath,
-                               Instance, LinearDriver, TimeGrid)
+                               Instance, LinearDriver, TimeGrid, derived_rng)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, linear_driver_oracle, solve_bsde_lsmc
 from delaycontrol.hjb import HjbGrid, solve_hjb
-from delaycontrol.connect import (check_duality_inclusion, control_tournament,
-                                  girsanov_reduce, start_state, verify_optimality)
+from delaycontrol.connect import (check_duality_inclusion, girsanov_reduce,
+                                  start_state, verify_optimality)
 
 from conftest import solve_pipeline
+
+
+def control_tournament(instance, noise, n_paths, n_controls, seed):
+    """Costs (u, J, se) of random constant controls, each priced by the plain
+    oracle on its own noise."""
+    rng = derived_rng(seed, 808)
+    out = []
+    for k in range(n_controls):
+        u = float(rng.uniform(instance.domain.lower, instance.domain.upper))
+        b = simulate_smdde(instance.coeffs, instance.history, u, instance.grid,
+                           NoiseSource(noise.seed + 1000 + k), n_paths)
+        y, se = linear_driver_oracle(instance.coeffs, instance.driver, b)
+        out.append((u, -y, se))
+    return out
 
 
 class TestStartState:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
                                LinearDriver, TimeGrid, eval_G, eval_H, eval_X1_quadrature,
-                               max_abs, x1_weights)
+                               max_abs, mc_estimate, x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 
@@ -36,6 +36,15 @@ def test_max_abs_equals_nanmax_of_abs(a):
         assert math.isnan(got)
     else:
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8000])
+def test_mc_estimate_equals_inline_formula(size):
+    values = np.random.default_rng(size).normal(0.3, 2.0, size)
+    mean, se = mc_estimate(values)
+    assert type(mean) is float and type(se) is float
+    assert mean == float(np.mean(values))
+    assert se == float(np.std(values) / np.sqrt(values.size))
 
 
 class TestTimeGrid:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
-                               TimeGrid, x1_weights)
+                               TimeGrid, derived_rng, x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol import smdde
 from delaycontrol.smdde import (_BLOCK_BYTES, NoiseSource, TrajectoryBundle,
@@ -443,3 +443,22 @@ def test_mismatched_history_is_refused_alike():
         simulate_smdde(coeffs, hist, 0.0, g, NoiseSource(1), 10)
     with pytest.raises(ConfigurationError, match=message):
         estimate_moment_bound(coeffs, hist, g, 2, NoiseSource(1), 10)
+
+
+@pytest.mark.parametrize("n_diverged", [0, 6])
+@pytest.mark.parametrize("n", [5, 50])
+def test_sample_valid_draws_as_the_inline_expression(n_diverged, n):
+    bundle = simulate_smdde(make_coefficients("constant"), HistoryPath.constant(1.0, 10), 0.0,
+                            grid(), NoiseSource(1), 20)
+    diverged = np.zeros(20, dtype=bool)
+    diverged[np.random.default_rng(3).choice(20, n_diverged, replace=False)] = True
+    bundle = dataclasses.replace(bundle, diverged=diverged)
+    rng, rng_inline = derived_rng(9, 606), derived_rng(9, 606)
+    got = bundle.sample_valid(rng, n)
+    ok_idx = np.flatnonzero(~diverged)
+    want = rng_inline.choice(ok_idx, size=min(n, ok_idx.size), replace=False)
+    assert np.array_equal(got, want)
+    assert got.size == min(n, 20 - n_diverged) == np.unique(got).size
+    assert not diverged[got].any()
+    # the generator is left where the inline expression leaves it
+    assert rng.random() == rng_inline.random()

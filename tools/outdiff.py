@@ -11,18 +11,20 @@ call runs in a fresh process (``python -m delaycontrol.cli``) once against
 REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
-``check-mp`` on a linear and a bilinear instance, ``check-mp`` and
+``check-mp`` on a linear and a bilinear instance, ``solve-bsde`` and
+``check-mp`` on a constant instance, ``check-mp`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
 ``test_girsanov_report``, and ``solve-hjb`` on that config, on a linear
 instance whose value function varies in x1 and on the LQ config with
 out-of-order, repeated ``dump_slices``.  One line is printed per output file
-(135 files); a call that exits 3 on either side also has its stderr text
+(142 files); a call that exits 3 on either side also has its stderr text
 compared.  The bad-config calls carry one fault each, at least one per
-subcommand and one per error of the ``solve_hjb`` prologue, and two carry two
-faults; their exit code and exact stderr text are compared, and one line is
-printed per call (34 stderr texts in all).  The exit status is 1 if any exit
+subcommand, one per error of the ``solve_hjb`` prologue and one for a key the
+``constant`` family does not accept, and two carry two faults; their exit
+code and exact stderr text are compared, and one line is printed per call
+(35 stderr texts in all).  The exit status is 1 if any exit
 code, stderr text, file list or file differs, else 0.
 """
 
@@ -77,8 +79,10 @@ GIRSANOV_HJB = [arg for item in ("instance.params.phix=0.5", "instance.params.bu
 # the LQ config's [instance.params] replaced: a linear instance, whose b,
 # sigma and f slopes are all nonzero constants, and a bilinear one, whose b
 # and sigma slopes depend on the state, so check-scaling and check-mp run
-# both the recorded-constant path and the evaluated one
+# both the recorded-constant path and the evaluated one; a constant instance
+# pins the linear builder on the constant family's four keys
 FAMILY_PARAMS = {
+    "constant": {"b0": 0.1, "s0": 0.2, "f0": -0.1, "phi0": 0.3},
     "linear": {"b0": 0.1, "bx": -0.3, "bx1": 0.2, "bx2": 0.1, "bu": 0.5, "s0": 0.2,
                "sx": 0.1, "sx1": 0.05, "sx2": -0.05, "fx": -0.2, "fx1": 0.1, "fx2": 0.05,
                "fy": -0.1, "fz": 0.05, "fu": 0.1, "phix": 0.3, "phix1": -0.1},
@@ -158,6 +162,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-scaling-bilinear", "bilinear", ["check-scaling"]),
     ("check-mp-linear", "linear", ["check-mp"]),
     ("check-mp-bilinear", "bilinear", ["check-mp"]),
+    ("solve-bsde-constant", "constant", ["solve-bsde"]),
+    ("check-mp-constant", "constant", ["check-mp"]),
     ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
     ("check-duality-diverged", "linear", ["check-duality", *DIVERGING]),
     # the edges of the adjoint rows kept for the writer: none, and more than
@@ -204,6 +210,8 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-check-moments-p", "cmp", ["check-moments", "--set", "moments.p=abc"]),
     ("bad-check-mp-control", "lq", ["check-mp", "--set", "control.type=bogus"]),
     ("bad-check-mp-dump_paths", "lq", ["check-mp", "--set", "numerics.dump_paths=-1"]),
+    # a key of the linear builder that the constant family does not accept
+    ("bad-simulate-constant-bx", "constant", ["simulate", "--set", "instance.params.bx=1"]),
     ("bad-check-duality-nx", "lq", ["check-duality", "--set", "numerics.nx=abc"]),
     ("bad-check-scaling-offsets", "lq", ["check-scaling", "--set", "scaling.offsets=0.1,x"]),
     ("bad-check-scaling-t_indices", "lq", ["check-scaling", "--set", "scaling.t_indices=100"]),
