@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 # home module: the public names it exports (each module is exported too)
 _EXPORTS = {
     "core": ("ConfigurationError", "ControlDomain", "HistoryPath", "HypothesisViolation",
-             "Instance", "LinearDriver", "TimeGrid", "eval_G", "eval_H",
-             "eval_X1_quadrature"),
+             "Instance", "LinearDriver", "TimeGrid", "eval_G", "eval_H"),
     "coeffs": ("CoefficientSet", "FAMILIES", "make_coefficients"),
     "smdde": ("ComparisonReport", "MomentReport", "NoiseSource", "TrajectoryBundle",
               "estimate_moment_bound", "simulate_coupled_pair", "simulate_smdde"),

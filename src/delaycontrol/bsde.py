@@ -9,7 +9,7 @@ and the cost of the run is J = -Y(s).  Conditional expectations are
 estimated by ridge-regularized polynomial regression on (x, x1), the
 value function being treated as independent of the discrete delay x2.
 A plain Monte Carlo oracle for drivers of the linear form
-a + fbar(t) y + gbar(t) z provides an independent second route to Y(s).
+a + fbar y + gbar z provides an independent second route to Y(s).
 """
 
 from __future__ import annotations
@@ -294,14 +294,14 @@ def cost_functional_J(solution: BackwardSolution) -> float:
 
 def assert_linear_driver(coeffs, driver: LinearDriver, seed: int = 0, n_probe: int = 64,
                          tol: float = 1e-8):
-    """Check f(t,x,x1,x2,y,z,u) == f(t,...,0,0,u) + fbar(t) y + gbar(t) z
+    """Check f(t,x,x1,x2,y,z,u) == f(t,...,0,0,u) + fbar y + gbar z
     on random probes; raise if the driver is not of the linear form."""
     rng = derived_rng(seed, 202)
     pts = rng.normal(0.0, 2.0, size=(n_probe, 7))
     t = np.abs(pts[:, 0])
     x, x1, x2, y, z, u = (pts[:, i] for i in range(1, 7))
     full = coeffs.f(t, x, x1, x2, y, z, u)
-    linear = coeffs.a_part(t, x, x1, x2, u) + driver.fbar_at(t) * y + driver.gbar_at(t) * z
+    linear = coeffs.a_part(t, x, x1, x2, u) + driver.fbar * y + driver.gbar * z
     err = float(np.max(np.abs(full - linear)))
     if err > tol * (1.0 + float(np.max(np.abs(full)))):
         raise ConfigurationError(
@@ -313,7 +313,7 @@ def linear_driver_oracle(coeffs, driver: LinearDriver, bundle: TrajectoryBundle,
     """Plain Monte Carlo estimate of Y(s) for a linear driver.
 
     Y(s) = E[ int_s^T e^{F(t)} a(t, X, X1, X2, u) dt + e^{F(T)} phi(X(T), X1(T)) ],
-    F(t) = int_s^t fbar(r) dr, using forward paths only.  When gbar is
+    F(t) = fbar * (t - s), using forward paths only.  When gbar is
     nonzero the expectation is under the shifted measure, so the supplied
     bundle must have been simulated with the Girsanov-shifted drift
     b + sigma*gbar (see ``connect.girsanov_reduce``).
@@ -324,7 +324,7 @@ def linear_driver_oracle(coeffs, driver: LinearDriver, bundle: TrajectoryBundle,
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
     times = grid.times()
-    fbar = driver.fbar_at(times)
+    fbar = np.full_like(times, driver.fbar)
     cumF = np.concatenate([[0.0], np.cumsum(0.5 * (fbar[1:] + fbar[:-1]) * dt)])
     disc = np.exp(cumF)
     ok = bundle.valid

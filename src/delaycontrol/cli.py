@@ -195,7 +195,7 @@ class RunConfig:
                 return None
             driver = None
             if with_driver and self.parser.has_section("driver"):
-                driver = self.build(LinearDriver.constants, "driver", problems)
+                driver = self.build(LinearDriver, "driver", problems)
             return Instance(coeffs=coeffs, grid=grid, history=history,
                             domain=domain, driver=driver)
         except ConfigurationError as exc:
@@ -449,6 +449,9 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
     inst = cfg.instance(problems, with_driver="comparison" not in needs)
     inst2 = (cfg.instance(problems, "instance2", with_driver=False)
              if "comparison" in needs else None)
+    if inst is not None and inst2 is not None and inst2.grid != inst.grid:
+        problems.append(f"instance2: {inst2.grid} differs from [instance]'s {inst.grid}; "
+                        "both instances share one grid")
     if problems:
         raise ConfigurationError(*problems)
     got = SimpleNamespace(inst=inst, inst2=inst2, ctype=None, grid=None,

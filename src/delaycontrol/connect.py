@@ -9,7 +9,7 @@ candidate controls, and the measure-change reduction.
   trajectory certify optimality when the jet lies in the superdifferential
   and the expected integral of theta - Gtilde(...) is nonpositive; the
   report also compares the independently estimated cost J with V.
-* measure change: for drivers a + fbar(t) y + gbar(t) z, shifting the
+* measure change: for drivers a + fbar*y + gbar*z, shifting the
   drift by sigma*gbar removes the z term; Radon-Nikodym weights translate
   expectations between the two measures.
 """
@@ -22,7 +22,7 @@ from typing import Callable, List, NamedTuple, Tuple
 import numpy as np
 
 from .core import (ConfigurationError, Instance, LinearDriver, derived_rng,
-                   eval_G, eval_X1_quadrature, mc_estimate)
+                   eval_G, mc_estimate, x1_weights)
 from .coeffs import CoefficientSet
 from .bsde import assert_linear_driver, linear_driver_oracle
 from .hjb import GridValueFunction, Jet, jet_membership, jets_along
@@ -35,10 +35,8 @@ MEMBERSHIP_TOL = 0.1
 
 def start_state(instance: Instance) -> Tuple[float, float]:
     """(x, x1) seen by the value function at the start time."""
-    x0 = float(instance.history.samples[-1])
-    x10 = float(eval_X1_quadrature(instance.history.samples, instance.coeffs.lam,
-                                   instance.grid.dt))
-    return x0, x10
+    samples, grid = instance.history.samples, instance.grid
+    return float(samples[-1]), float(samples @ x1_weights(grid.m, instance.coeffs.lam, grid.dt))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     """
     if instance.driver is None:
         raise ConfigurationError("verification needs the linear-driver form; none declared")
-    if instance.driver.gbar is not None:
+    if instance.driver.gbar != 0.0:
         raise ConfigurationError(
             "driver has a z term; apply the measure-change reduction first")
     coeffs = instance.coeffs
@@ -296,26 +294,35 @@ class GirsanovReduction:
 def girsanov_reduce(instance: Instance) -> GirsanovReduction:
     """Shift the drift by sigma*gbar and drop the z term from the driver.
 
-    The driver must carry a bounded deterministic gbar; the transformed
-    instance satisfies the z-free linear form required by the verification
-    theorem.
+    The driver's gbar must be finite; the transformed instance satisfies the
+    z-free linear form required by the verification theorem.  Without a
+    z-term (no driver, or gbar == 0.0) the instance is kept as it is, so
+    its coefficients keep the registry's facts, and every weight is 1.0.
     """
-    driver = instance.driver
-    if driver is None or driver.gbar is None:
-        ident = replace(instance)
-        return GirsanovReduction(instance=ident,
-                                 weights=lambda b: np.ones(b.n_paths))
+    driver = instance.driver or LinearDriver()
+    gbar = driver.gbar
+
+    def weights(bundle: TrajectoryBundle) -> np.ndarray:
+        if bundle.dW is None:
+            raise ConfigurationError("weight computation needs stored increments")
+        n, dt = bundle.grid.n_steps, bundle.grid.dt
+        g_on_grid = np.full(n, gbar)
+        # row-major, as a gemv over the column-major increments sums each
+        # path's terms in another order
+        dW = np.ascontiguousarray(bundle.dW)
+        expo = dW @ g_on_grid - 0.5 * float(np.sum(g_on_grid ** 2)) * dt
+        return np.exp(expo)
+
+    if gbar == 0.0:
+        return GirsanovReduction(instance=replace(instance), weights=weights)
     assert_linear_driver(instance.coeffs, driver)
-    grid = instance.grid
-    gvals = driver.gbar_at(grid.times())
-    if not np.all(np.isfinite(gvals)):
+    if not np.isfinite(gbar):
         raise ConfigurationError("gbar must be finite (bounded deterministic) on [s, T]")
     c = instance.coeffs
-    gbar = driver.gbar
 
     def shift(fn, dfn_sigma):
         def wrapped(t, x, x1, x2, u):
-            return fn(t, x, x1, x2, u) + dfn_sigma(t, x, x1, x2, u) * np.asarray(gbar(t))
+            return fn(t, x, x1, x2, u) + dfn_sigma(t, x, x1, x2, u) * gbar
         return wrapped
 
     def at_z0(fn):
@@ -335,19 +342,6 @@ def girsanov_reduce(instance: Instance) -> GirsanovReduction:
         f_x=at_z0(c.f_x), f_x1=at_z0(c.f_x1), f_x2=at_z0(c.f_x2),
         f_y=at_z0(c.f_y), f_z=fz_zero,
         phi_x=c.phi_x, phi_x1=c.phi_x1, params=dict(c.params))
-    new_driver = LinearDriver(fbar=driver.fbar, gbar=None)
-    new_instance = Instance(coeffs=new_coeffs, grid=grid, history=instance.history,
-                            domain=instance.domain, driver=new_driver)
-
-    def weights(bundle: TrajectoryBundle) -> np.ndarray:
-        if bundle.dW is None:
-            raise ConfigurationError("weight computation needs stored increments")
-        n, dt = bundle.grid.n_steps, bundle.grid.dt
-        g_on_grid = driver.gbar_at(bundle.grid.times())[:n]
-        # row-major, as a gemv over the column-major increments sums each
-        # path's terms in another order
-        dW = np.ascontiguousarray(bundle.dW)
-        expo = dW @ g_on_grid - 0.5 * float(np.sum(g_on_grid ** 2)) * dt
-        return np.exp(expo)
-
+    new_instance = Instance(coeffs=new_coeffs, grid=instance.grid, history=instance.history,
+                            domain=instance.domain, driver=LinearDriver(fbar=driver.fbar))
     return GirsanovReduction(instance=new_instance, weights=weights)

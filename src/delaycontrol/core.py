@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -172,30 +172,13 @@ class ControlDomain:
 
 def x1_weights(m: int, lam: float, dt: float) -> np.ndarray:
     """Trapezoid weights w_k such that sum_k w_k * X[t-delta+k*dt] approximates
-    the windowed integral of exp(lam*tau)*X(t+tau) over tau in [-delta, 0]."""
+    the windowed integral of exp(lam*tau)*X(t+tau) over tau in [-delta, 0];
+    second-order accurate for twice-differentiable paths."""
     tau = (np.arange(m + 1) - m) * dt
     w = np.exp(lam * tau) * dt
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def eval_X1_quadrature(history_window: np.ndarray, lam: float, dt: float):
-    """Distributed-delay functional from an (m+1)-sample window ending at t.
-
-    Returns the trapezoidal quadrature of the exponentially weighted
-    integral of the path over the trailing delay window; second-order
-    accurate for twice-differentiable paths.  ``history_window`` may be
-    an (m+1,) vector or an (n_paths, m+1) matrix.
-    """
-    window = np.asarray(history_window, dtype=float)
-    if not np.all(np.isfinite(window)):
-        raise ValueError("invalid history")
-    m = window.shape[-1] - 1
-    if m < 1:
-        raise ValueError("invalid history: need at least 2 samples")
-    w = x1_weights(m, lam, dt)
-    return window @ w
 
 
 # ---------------------------------------------------------------------------
@@ -224,30 +207,11 @@ def eval_H(t, x, x1, x2, y, z, u, gamma, p1, p2, q1, coeffs, delay: float):
 
 @dataclass(frozen=True)
 class LinearDriver:
-    """Deterministic linear-driver data (fbar, gbar) for a + fbar(t)*y + gbar(t)*z.
+    """Linear-driver constants (fbar, gbar) of a + fbar*y + gbar*z; gbar == 0.0
+    means no z-term."""
 
-    ``fbar`` and ``gbar`` are callables of t (vectorized); gbar=None means
-    g identically zero.
-    """
-
-    fbar: Optional[Callable] = None
-    gbar: Optional[Callable] = None
-
-    def fbar_at(self, t):
-        return self._at(self.fbar, t)
-
-    def gbar_at(self, t):
-        return self._at(self.gbar, t)
-
-    @staticmethod
-    def _at(fn: Optional[Callable], t):
-        return np.zeros_like(np.asarray(t, dtype=float)) if fn is None else np.asarray(fn(t), dtype=float)
-
-    @classmethod
-    def constants(cls, fbar: float = 0.0, gbar: float = 0.0) -> "LinearDriver":
-        def constant(c):
-            return None if c == 0.0 else (lambda t, _c=float(c): _c * np.ones_like(np.asarray(t, dtype=float)))
-        return cls(fbar=constant(fbar), gbar=constant(gbar))
+    fbar: float = 0.0
+    gbar: float = 0.0
 
 
 G_VARIANTS = ("G", "Gbar", "Gtilde")
@@ -265,7 +229,7 @@ class ControlTerms(NamedTuple):
     a: Optional[np.ndarray]
 
     def drift(self, gbar):
-        """b, shifted by sigma*g(t) where Gbar has a z-loading."""
+        """b, shifted by sigma*gbar where Gbar has a z-loading."""
         return self.b if gbar is None else self.b + self.sig * gbar
 
 
@@ -294,26 +258,25 @@ def eval_G(variant: str, t, x, x1, x2, u, k, p, R, q, coeffs, delay: float,
     """Generalized Hamiltonian used by the dynamic-programming equation.
 
     variant "G":      0.5*R*sigma^2 + p*b + q*transport + f(t,x,x1,x2,k,p*sigma,u)
-    variant "Gbar":   0.5*R*sigma^2 + p*(b + sigma*g(t)) + q*transport
-                      + a(t,x,x1,x2,u) + fbar(t)*k        (linear driver)
-    variant "Gtilde": Gbar with g identically zero.
+    variant "Gbar":   0.5*R*sigma^2 + p*(b + sigma*gbar) + q*transport
+                      + a(t,x,x1,x2,u) + fbar*k           (linear driver)
+    variant "Gtilde": Gbar with gbar = 0.
 
     For the linear variants a = f(t,x,x1,x2,0,0,u) (CoefficientSet.a_part).
     """
-    gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
+    gbar, fbar_k = linear_driver_terms(variant, linear_driver, k)
     terms = control_terms(coeffs, t, x, x1, x2, u, variant)
     tr = transport_term(x, x1, x2, coeffs.lam, delay)
     return sum_G(coeffs, t, x, x1, x2, terms, 0.5 * R * terms.sig2, terms.drift(gbar), p,
                  q * tr, k, fbar_k)
 
 
-def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver], k):
-    """(g(t) or None, fbar(t)*k or None): the linear driver's terms in
-    ``variant`` of G at time t and value k.
+def linear_driver_terms(variant: str, linear_driver: Optional[LinearDriver], k):
+    """(gbar or None, fbar*k or None): the linear driver's terms in
+    ``variant`` of G at value k.
 
-    Both are None for "G"; g is None unless the variant is "Gbar" and the
-    driver carries a z-loading; "Gtilde" refuses a driver whose g is not
-    zero at t.
+    Both are None for "G"; gbar is None unless the variant is "Gbar" and the
+    driver carries a z-loading; "Gtilde" refuses a nonzero gbar.
     """
     if variant not in G_VARIANTS:
         raise ConfigurationError(f"unknown generalized-Hamiltonian variant {variant!r}")
@@ -321,10 +284,10 @@ def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver], 
         return None, None
     if linear_driver is None:
         raise ConfigurationError(f"variant {variant!r} requires a linear driver")
-    gbar = None if linear_driver.gbar is None else linear_driver.gbar_at(t)
-    if variant == "Gtilde" and gbar is not None and np.any(np.abs(gbar) > 0.0):
+    gbar = linear_driver.gbar
+    if variant == "Gtilde" and gbar != 0.0:
         raise ConfigurationError("Gtilde requires g identically zero")
-    return (gbar if variant == "Gbar" else None), linear_driver.fbar_at(t) * k
+    return (gbar if variant == "Gbar" and gbar != 0.0 else None), linear_driver.fbar * k
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +298,8 @@ def linear_driver_terms(variant: str, t, linear_driver: Optional[LinearDriver], 
 class Instance:
     """A full problem instance: coefficients, grid, history, control domain.
 
-    ``driver`` carries the deterministic linear-driver data when the cost
-    driver has the form a + fbar(t)*y + gbar(t)*z; it is required by the
+    ``driver`` carries the linear-driver constants when the cost driver
+    has the form a + fbar*y + gbar*z; it is required by the
     verification and measure-change routines.
     """
 

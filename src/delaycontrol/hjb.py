@@ -267,7 +267,7 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
     # sigma enters beyond sigma**2 only through z = p * sigma (variant G) or
     # the drift shift sigma * g (Gbar with a z-loading)
     with_sig = variant == "G" or (variant == "Gbar" and linear_driver is not None
-                                  and linear_driver.gbar is not None)
+                                  and linear_driver.gbar != 0.0)
 
     def terms_at(t):
         """(control terms, upwind mask b >= 0) of all controls at t."""
@@ -326,7 +326,7 @@ def solve_hjb(coeffs, domain: ControlDomain, grid: HjbGrid, tg: TimeGrid,
         k = -Vc
         p_fwd, p_bwd = -fwd_x, -bwd_x
         p_ctr = -(0.5 * (fwd_x + bwd_x))
-        gbar, fbar_k = linear_driver_terms(variant, t, linear_driver, k)
+        gbar, fbar_k = linear_driver_terms(variant, linear_driver, k)
         terms, b_pos = terms_at(t)
         np.multiply(0.5 * -d2x, terms.sig2, out=diffusion)
         drift = terms.drift(gbar)

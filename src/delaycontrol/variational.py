@@ -162,8 +162,17 @@ class ScalingRow(NamedTuple):  # one (quantity, offset) row of a scaling table
 
 @dataclass
 class ScalingReport:
-    rows: List[ScalingRow]
-    slopes: Dict[str, float]
+    rows: List[ScalingRow]  # per offset, in decreasing offset order
+
+    @property
+    def slopes(self) -> Dict[str, float]:
+        """Each quantity's log-log slope, read off its rows."""
+        by_quantity: Dict[str, List[ScalingRow]] = {}
+        for row in self.rows:
+            by_quantity.setdefault(row.quantity, []).append(row)
+        return {q: _loglog_slope(np.array([r.offset for r in rows]),
+                                 np.array([r.estimate for r in rows]))
+                for q, rows in by_quantity.items()}
 
     def slope(self, quantity: str) -> float:
         return self.slopes[quantity]
@@ -188,18 +197,8 @@ def check_offsets(offsets: Sequence[float]) -> np.ndarray:
     return offsets
 
 
-def _add_stats(rows: List[ScalingRow], series: Dict[str, List[float]], offset: float,
-               stats: Dict[str, np.ndarray]):
-    for key, vals in stats.items():
-        est, se = mc_estimate(vals)
-        rows.append(ScalingRow(quantity=key, offset=offset, estimate=est, std_error=se))
-        series.setdefault(key, []).append(est)
-
-
-def _report(offsets: np.ndarray, rows: List[ScalingRow],
-            series: Dict[str, List[float]]) -> ScalingReport:
-    slopes = {key: _loglog_slope(offsets, np.asarray(vals)) for key, vals in series.items()}
-    return ScalingReport(rows=rows, slopes=slopes)
+def _stat_rows(offset: float, stats: Dict[str, np.ndarray]) -> List[ScalingRow]:
+    return [ScalingRow(key, offset, *mc_estimate(vals)) for key, vals in stats.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +264,12 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
         raise ConfigurationError("the duality report needs the run's backward solution")
     dt = bundle.grid.dt
     ok = bundle.valid
-    rem_rows: List[ScalingRow] = []
-    rem_series: Dict[str, List[float]] = {}
-    dual_rows: List[ScalingRow] = []
-    dual_series: Dict[str, List[float]] = {}
+    remainders = ScalingReport([])
+    duality = ScalingReport([]) if adjoints is not None else None
     for h in offsets:
         h = float(h)
         run = simulate_variation(bundle, coeffs, t_index, h)
-        _add_stats(rem_rows, rem_series, h, {
+        remainders.rows += _stat_rows(h, {
             "sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
             "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
             "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p,
@@ -282,12 +279,10 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
         if adjoints is not None:
             dual = duality_processes(run, solution, adjoints, coeffs)
             defect = dual.delta_y_t[ok] - adjoints.normalized(ok, t_index)[0] * h
-            _add_stats(dual_rows, dual_series, h, {
+            duality.rows += _stat_rows(h, {
                 "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),
                 "expansion_defect_pos": np.maximum(defect, 0.0),
             })
             del dual
         del run  # one run alive at a time
-    remainders = _report(offsets, rem_rows, rem_series)
-    duality = _report(offsets, dual_rows, dual_series) if adjoints is not None else None
     return remainders, duality

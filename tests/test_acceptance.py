@@ -298,7 +298,7 @@ def test_criterion_8_verification_theorem(lq_value_grid):
     ginst = Instance(coeffs=coeffs, grid=grid,
                      history=HistoryPath.constant(1.0, 10),
                      domain=ControlDomain(-1, 1, n_u=5),
-                     driver=LinearDriver.constants(fbar=-0.1, gbar=0.3))
+                     driver=LinearDriver(fbar=-0.1, gbar=0.3))
     red = girsanov_reduce(ginst)
     bundle_p = simulate_smdde(coeffs, ginst.history, 0.0, grid, NoiseSource(83),
                               N_PATHS_MC)

@@ -356,7 +356,7 @@ class TestLinearDriverOracle:
         r, T = 0.4, 1.0
         coeffs = make_coefficients("constant", lam=0.0, f0=0.0, phi0=1.0)
         # fbar = -r discounts the terminal payout
-        driver = LinearDriver.constants(fbar=-r)
+        driver = LinearDriver(fbar=-r)
         coeffs_disc = make_coefficients("linear", lam=0.0, phi0=1.0, fy=-r)
         g = grid(T=T)
         est, _ = linear_driver_oracle(coeffs_disc, driver, run(coeffs_disc, g, 200))

@@ -223,6 +223,11 @@ class TestConfigValidation:
          "comparison.tol: must be >= 0.0, got -1.0"),
         ("solve-hjb", "lq", "numerics.svg=abc", "numerics.svg: cannot parse 'abc' as bool"),
         ("check-comparison", "cmp", "instance2.dt=q", "instance2.dt: cannot parse 'q' as float"),
+        # the pair runs on one grid
+        ("check-comparison", "cmp", "instance2.dt=0.002",
+         "instance2: TimeGrid(s=0.0, T=0.1, dt=0.002, delay_steps=10) differs from "
+         "[instance]'s TimeGrid(s=0.0, T=0.1, dt=0.001, delay_steps=10); "
+         "both instances share one grid"),
         ("check-scaling", "lq", "scaling.offsets=0.2,0.1",
          "scaling.offsets: need >= 3 positive offsets spanning a factor >= 4, got '0.2,0.1'"),
         # non-finite floats, in RunConfig.get and in the params sections

@@ -158,14 +158,21 @@ class TestX1Free:
         assert dataclasses.replace(base, b_x1=base.sigma_x1).x1_free
 
     def test_measure_shifted_set(self):
-        # a declared g that is zero keeps f of the linear form; the shifted
-        # drift b + sigma * g is a new evaluator all the same
-        coeffs = make_coefficients("linear_quadratic", lam=0.5, **self.LQ)
+        # an x1-free set whose f has the z-loading g, recorded as reading no
+        # x1: the shifted drift b + sigma * g is a new evaluator all the same
+        g = 0.3
+        base = make_coefficients("linear_quadratic", lam=0.5, **self.LQ)
+
+        def f(t, x, x1, x2, y, z, u):
+            return base.f(t, x, x1, x2, y, z, u) + g * z
+
+        coeffs_module._X1_FREE_EVALUATORS.add(f)
+        coeffs = dataclasses.replace(base, f=f)
+        assert coeffs.x1_free
         grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=5)
         inst = Instance(coeffs=coeffs, grid=grid, history=HistoryPath.constant(1.0, 5),
                         domain=ControlDomain(-1.0, 1.0, n_u=5),
-                        driver=dataclasses.replace(LinearDriver.constants(fbar=-0.3),
-                                                   gbar=lambda t: 0.0 * np.asarray(t)))
+                        driver=LinearDriver(fbar=-0.3, gbar=g))
         assert not girsanov_reduce(inst).instance.coeffs.x1_free
 
     def test_linear_set_with_x1_terminal_cost_varies_in_x1(self):

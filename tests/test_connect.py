@@ -120,7 +120,7 @@ class TestVerification:
         inst = lq_small["inst"]
         bad = Instance(coeffs=inst.coeffs, grid=inst.grid, history=inst.history,
                        domain=inst.domain,
-                       driver=LinearDriver.constants(gbar=0.5))
+                       driver=LinearDriver(gbar=0.5))
         with pytest.raises(ConfigurationError, match="measure-change"):
             verify_optimality(bad, 0.0, lq_small["vgrid"], NoiseSource(1), 100)
         none = Instance(coeffs=inst.coeffs, grid=inst.grid, history=inst.history,
@@ -161,11 +161,11 @@ class TestGirsanov:
         return Instance(coeffs=coeffs, grid=grid,
                         history=HistoryPath.constant(1.0, 10),
                         domain=ControlDomain(-1, 1, n_u=5),
-                        driver=LinearDriver.constants(fbar=-0.1, gbar=gbar))
+                        driver=LinearDriver(fbar=-0.1, gbar=gbar))
 
     def test_zero_g_is_identity(self):
         inst = self._instance(gbar=0.0)
-        # gbar = 0 collapses to LinearDriver(gbar=None)
+        # gbar = 0 has no z-term: the instance is kept as it is
         red = girsanov_reduce(inst)
         b = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
                            NoiseSource(2), 64)
@@ -178,10 +178,10 @@ class TestGirsanov:
         inst = Instance(coeffs=coeffs, grid=grid,
                         history=HistoryPath.constant(0.0, 5),
                         domain=ControlDomain(-1, 1),
-                        driver=LinearDriver.constants(gbar=c))
+                        driver=LinearDriver(gbar=c))
         red = girsanov_reduce(inst)
         assert red.instance.coeffs.b(0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(c)
-        assert red.instance.driver.gbar is None
+        assert red.instance.driver.gbar == 0.0
         bundle = simulate_smdde(inst.coeffs, inst.history, 0.0, inst.grid,
                                 NoiseSource(13), 20_000)
         w = red.weights(bundle)

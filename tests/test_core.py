@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, Instance,
-                               LinearDriver, TimeGrid, eval_G, eval_H, eval_X1_quadrature,
-                               max_abs, mc_estimate, x1_weights)
+                               LinearDriver, TimeGrid, eval_G, eval_H, max_abs, mc_estimate,
+                               x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 
@@ -117,12 +117,12 @@ class TestX1Quadrature:
     def test_constant_path_zero_rate(self):
         # trapezoid is exact on the constant integrand
         m, dt = 20, 0.01
-        val = eval_X1_quadrature(np.full(m + 1, 3.0), 0.0, dt)
+        val = np.full(m + 1, 3.0) @ x1_weights(m, 0.0, dt)
         assert val == pytest.approx(3.0 * m * dt, abs=1e-14)
 
     def test_constant_path_nonzero_rate(self):
         m, dt, lam, c = 40, 0.005, 0.8, 2.5
-        val = eval_X1_quadrature(np.full(m + 1, c), lam, dt)
+        val = np.full(m + 1, c) @ x1_weights(m, lam, dt)
         exact = c * (1.0 - math.exp(-lam * m * dt)) / lam
         assert val == pytest.approx(exact, rel=1e-4)  # O(dt^2) quadrature
 
@@ -131,7 +131,7 @@ class TestX1Quadrature:
         m, dt, lam = 25, 0.004, 1.3
         taus = (np.arange(m + 1) - m) * dt
         window = np.exp(-lam * taus)
-        assert eval_X1_quadrature(window, lam, dt) == pytest.approx(m * dt, abs=1e-12)
+        assert window @ x1_weights(m, lam, dt) == pytest.approx(m * dt, abs=1e-12)
 
     def test_second_order_convergence(self):
         # oracle: analytic integral of e^{(lam+alpha) tau} over the window
@@ -142,18 +142,9 @@ class TestX1Quadrature:
             dt = delta / m
             taus = (np.arange(m + 1) - m) * dt
             window = np.exp(alpha * taus)
-            errs.append(abs(eval_X1_quadrature(window, lam, dt) - exact))
+            errs.append(abs(window @ x1_weights(m, lam, dt) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
-
-    def test_rejects_nonfinite_window(self):
-        with pytest.raises(ValueError, match="invalid history"):
-            eval_X1_quadrature(np.array([1.0, np.inf, 1.0]), 0.0, 0.01)
-
-    def test_matrix_window(self):
-        win = np.vstack([np.full(11, 1.0), np.full(11, 2.0)])
-        out = eval_X1_quadrature(win, 0.0, 0.01)
-        assert out == pytest.approx([0.1, 0.2])
 
     def test_incremental_identity_on_simulated_paths(self):
         # the forward-difference update X1 += (X - lam*X1 - e^{-lam*delta}*X2) dt,
@@ -239,7 +230,7 @@ class TestGeneralizedHamiltonian:
     def test_gbar_with_zero_g_equals_gtilde(self):
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, sx=0.2, fx=1.0,
                                    fy=-0.5, f0=0.7)
-        driver = LinearDriver.constants(fbar=-0.5)
+        driver = LinearDriver(fbar=-0.5)
         rng = np.random.default_rng(0)
         pts = rng.normal(0.0, 2.0, size=(10_000, 9))
         t = np.abs(pts[:, 0])
@@ -252,7 +243,7 @@ class TestGeneralizedHamiltonian:
         # f independent of z and linear in y: G coincides with Gbar (g = 0)
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, sx=0.2, fx=1.2,
                                    fy=-0.5, f0=0.7)
-        driver = LinearDriver.constants(fbar=-0.5)
+        driver = LinearDriver(fbar=-0.5)
         rng = np.random.default_rng(1)
         pts = rng.normal(0.0, 2.0, size=(2000, 9))
         t = np.abs(pts[:, 0])
@@ -263,8 +254,8 @@ class TestGeneralizedHamiltonian:
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
-        ("Gbar", LinearDriver.constants(fbar=-0.5, gbar=0.3)),
-        ("Gtilde", LinearDriver.constants(fbar=-0.5)),
+        ("Gbar", LinearDriver(fbar=-0.5, gbar=0.3)),
+        ("Gtilde", LinearDriver(fbar=-0.5)),
     ])
     def test_bit_equal_to_formula_summed_left_to_right(self, variant, driver):
         # the HJB sweep sums G through the same code, so this pins the order
@@ -280,9 +271,9 @@ class TestGeneralizedHamiltonian:
         if variant == "G":
             want = 0.5 * R * sig ** 2 + p * b + q * tr + coeffs.f(t, x, x1, x2, k, p * sig, u)
         else:
-            drift = b + sig * driver.gbar_at(t) if variant == "Gbar" else b
+            drift = b + sig * driver.gbar if variant == "Gbar" else b
             want = (0.5 * R * sig ** 2 + p * drift + q * tr + coeffs.f(t, x, x1, x2, 0.0, 0.0, u)
-                    + driver.fbar_at(t) * k)
+                    + driver.fbar * k)
         got = eval_G(variant, t, x, x1, x2, u, k, p, R, q, coeffs, 0.2, driver)
         assert np.array_equal(got, want)
 
@@ -292,7 +283,7 @@ class TestGeneralizedHamiltonian:
             eval_G("Gbar", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, coeffs, 0.1)
         with pytest.raises(ConfigurationError):
             eval_G("Gtilde", 0, 0, 0, 0, 0, 0, 0, 0, 0, coeffs, 0.1,
-                   LinearDriver.constants(gbar=0.5))
+                   LinearDriver(gbar=0.5))
         with pytest.raises(ConfigurationError):
             eval_G("Gx", 0, 0, 0, 0, 0, 0, 0, 0, 0, coeffs, 0.1)
 

@@ -69,7 +69,7 @@ class TestGate:
 
     @pytest.mark.parametrize("family,variant,driver", [
         ("linear_quadratic", "G", None),
-        ("linear_quadratic", "Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+        ("linear_quadratic", "Gbar", LinearDriver(fbar=-0.2, gbar=0.3)),
         ("bilinear", "G", None),
     ])
     def test_worst_deviation_matches_per_control_loop(self, family, variant, driver):
@@ -267,7 +267,7 @@ class TestTimeFree:
         grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=5)
         inst = Instance(coeffs=coeffs, grid=grid, history=HistoryPath.constant(1.0, 5),
                         domain=ControlDomain(-1.0, 1.0, n_u=5),
-                        driver=LinearDriver.constants(fbar=-0.1, gbar=0.3))
+                        driver=LinearDriver(fbar=-0.1, gbar=0.3))
         assert coeffs.time_free
         assert not girsanov_reduce(inst).instance.coeffs.time_free
 
@@ -280,8 +280,8 @@ class TestSweepEquivalence:
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
-        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
-        ("Gtilde", LinearDriver.constants(fbar=0.1)),
+        ("Gbar", LinearDriver(fbar=-0.2, gbar=0.3)),
+        ("Gtilde", LinearDriver(fbar=0.1)),
     ])
     def test_matches_eval_G_sweep(self, variant, driver):
         grid = HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20)
@@ -314,7 +314,7 @@ class TestSweepEquivalence:
     @pytest.mark.parametrize("n_u", [1, 8, 19])
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
-        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+        ("Gbar", LinearDriver(fbar=-0.2, gbar=0.3)),
     ])
     def test_control_terms_once_per_solve_when_time_free(self, n_u, variant, driver,
                                                         monkeypatch):
@@ -407,7 +407,7 @@ class TestSweepEquivalence:
             f"bound {dt_max:.3e}; use n_t >= {int(np.ceil(1.0 / dt_max))}")
 
     def test_gtilde_refuses_nonzero_g(self):
-        driver = LinearDriver.constants(gbar=0.3)
+        driver = LinearDriver(gbar=0.3)
         with pytest.raises(ConfigurationError, match="Gtilde"):
             solve_hjb(lq_coeffs(), ControlDomain(-1.0, 1.0, n_u=7),
                       HjbGrid(-3.0, 3.0, 21, -3.0, 3.0, 11, 20), tg(),
@@ -430,8 +430,8 @@ class TestOneColumnSweep:
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
-        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
-        ("Gtilde", LinearDriver.constants(fbar=0.1)),
+        ("Gbar", LinearDriver(fbar=-0.2, gbar=0.3)),
+        ("Gtilde", LinearDriver(fbar=0.1)),
     ])
     def test_matches_two_d_sweep(self, variant, driver, monkeypatch):
         shapes = []
@@ -455,6 +455,17 @@ class TestOneColumnSweep:
                                                      self.GRID.nx1)
             assert np.array_equal(vg.V, ref.V), n_u
             assert np.array_equal(vg.u_star, ref.u_star), n_u
+
+    @pytest.mark.parametrize("variant", ["Gbar", "Gtilde"])
+    def test_negative_zero_driver_solves_as_zero_driver(self, variant):
+        # LinearDriver keeps -0.0 as given; V and u_star keep their zero signs
+        for coeffs in self.sets():
+            want, got = (solve_hjb(coeffs, DOM, self.GRID, tg(), variant=variant,
+                                   linear_driver=driver)
+                         for driver in (LinearDriver(), LinearDriver(-0.0, -0.0)))
+            for a, b in ((got.V, want.V), (got.u_star, want.u_star)):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_read_only_views_of_one_column(self):
         base, two_d = self.sets()
@@ -771,7 +782,7 @@ class TestViscosityResidual:
 
     @pytest.mark.parametrize("variant,driver", [
         ("G", None),
-        ("Gbar", LinearDriver.constants(fbar=-0.2, gbar=0.3)),
+        ("Gbar", LinearDriver(fbar=-0.2, gbar=0.3)),
     ])
     def test_matches_per_control_loop(self, variant, driver):
         # the maxima lie between the end controls

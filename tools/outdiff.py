@@ -16,15 +16,17 @@ LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
-``test_girsanov_report``, and ``solve-hjb`` on that config, on a linear
-instance whose value function varies in x1 and on the LQ config with
-out-of-order, repeated ``dump_slices``.  One line is printed per output file
-(142 files); a call that exits 3 on either side also has its stderr text
-compared.  The bad-config calls carry one fault each, at least one per
-subcommand, one per error of the ``solve_hjb`` prologue and one for a key the
-``constant`` family does not accept, and two carry two faults; their exit
-code and exact stderr text are compared, and one line is printed per call
-(35 stderr texts in all).  The exit status is 1 if any exit
+``test_girsanov_report`` and on the LQ config (gbar = 0), and ``solve-hjb``
+on that config, on a linear instance whose value function varies in x1, on
+the LQ config with out-of-order, repeated ``dump_slices`` and on the LQ
+config with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed per
+output file (147 files); a call that exits 3 on either side also has its
+stderr text compared.  The bad-config calls carry one fault each, at least
+one per subcommand, one per error of the ``solve_hjb`` prologue, one for a
+key the ``constant`` family does not accept and one for an ``[instance2]``
+on another grid, and two carry two faults; their exit code and exact stderr
+text are compared, and one line is printed per call (36 stderr texts in
+all).  The exit status is 1 if any exit
 code, stderr text, file list or file differs, else 0.
 """
 
@@ -125,6 +127,10 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                               "--set", "driver.gbar=0.3"]),
     ("solve-hjb-gtilde", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
                                 "--set", "driver.fbar=0.1"]),
+    # a driver constant of -0.0 is kept as given and solves as 0.0
+    ("solve-hjb-gtilde-negzero", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
+                                        "--set", "driver.fbar=-0.0",
+                                        "--set", "numerics.dump_slices=all"]),
     ("solve-hjb-g", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=G",
                            "--set", "numerics.dump_slices=all"]),
     # a linear instance whose f reads z: G forms f at p * sigma, Gbar shifts
@@ -174,6 +180,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                               "--set", "numerics.dump_paths=500"]),
     ("verify", "lq", ["verify"]),
     ("girsanov", "girsanov", ["girsanov"]),
+    # gbar = 0: the identity reduction, every weight 1
+    ("girsanov-lq", "lq", ["girsanov"]),
     ("check-comparison", "cmp", ["check-comparison"]),
     ("check-moments", "cmp", ["check-moments"]),
     # the per-chunk reductions across a chunk boundary, with and without
@@ -225,6 +233,9 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     ("bad-check-comparison-tol-negative", "cmp", ["check-comparison",
                                                   "--set", "comparison.tol=-1"]),
     ("bad-check-comparison-instance2", "cmp", ["check-comparison", "--set", "instance2.dt=q"]),
+    # [instance2] on another grid than [instance]
+    ("bad-check-comparison-grid2", "cmp", ["check-comparison", "--set", "instance2.T=0.2",
+                                           "--set", "instance2.dt=0.002"]),
     ("bad-check-scaling-p", "lq", ["check-scaling", "--set", "scaling.p=0"]),
     ("bad-simulate-unknown-key", "lq", ["simulate", "--set", "numerics.npaths=5"]),
     ("bad-simulate-dt-nan", "lq", ["simulate", "--set", "instance.dt=nan"]),
