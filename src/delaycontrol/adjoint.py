@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H, max_abs
+from .core import ControlDomain, HypothesisViolation, derived_rng, eval_H, eval_H_state, max_abs
 from .bsde import BackwardSolution, RegressionBasis, backward_sweep
 from .smdde import TrajectoryBundle
 
@@ -107,19 +107,14 @@ def solve_adjoint_p(bundle: TrajectoryBundle, solution: BackwardSolution,
     ok = bundle.valid
 
     def update(i, hats, qs):
-        t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        (p1_hat, p2_hat), q1_hat = hats, qs[0]
-        g = gamma[ok, i]
-        H_x = (p1_hat * coeffs.slope("b_x", t, x, x1, x2, u) + p2_hat
-               + q1_hat * coeffs.slope("sigma_x", t, x, x1, x2, u)
-               - g * coeffs.slope("f_x", t, x, x1, x2, y, z, u))
-        H_x1 = (p1_hat * coeffs.slope("b_x1", t, x, x1, x2, u) - lam * p2_hat
-                + q1_hat * coeffs.slope("sigma_x1", t, x, x1, x2, u)
-                - g * coeffs.slope("f_x1", t, x, x1, x2, y, z, u))
-        return p1_hat + H_x * dt, p2_hat + H_x1 * dt
+        point = _along(bundle, solution, i, ok)
+        adj = (gamma[ok, i], hats[0], hats[1], qs[0])
+        H_x = eval_H_state("x", 1.0, *point, *adj, coeffs)
+        H_x1 = eval_H_state("x1", -lam, *point, *adj, coeffs)
+        return hats[0] + H_x * dt, hats[1] + H_x1 * dt
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
-    terminal = (-coeffs.phi_x(xT, x1T) * gamma[ok, n], -coeffs.phi_x1(xT, x1T) * gamma[ok, n])
+    terminal = tuple(-coeffs.slope(slot, xT, x1T) * gamma[ok, n] for slot in ("phi_x", "phi_x1"))
     (p1, p2), (q1, q2), _ = backward_sweep(bundle, basis, terminal, update,
                                            solution.shared_factors(bundle, basis),
                                            q_rows=(None, rows))
@@ -138,17 +133,15 @@ def compute_p3_pathwise(bundle: TrajectoryBundle, solution: BackwardSolution,
     array, taken column by column as the sum runs."""
     grid = bundle.grid
     n, dt = grid.n_steps, grid.dt
-    decay = math.exp(-coeffs.lam * grid.delay)
+    tr_x2 = -math.exp(-coeffs.lam * grid.delay)
     ok = bundle.valid
     p3, kept, count = bundle.sweep_array(n + 1, rows)
     p3[kept, n] = 0.0
     col = np.zeros(bundle.n_paths - int(bundle.diverged.sum()))
     top = 0.0
     for i in range(n - 1, -1, -1):
-        t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        H_x2 = (p1[ok, i] * coeffs.slope("b_x2", t, x, x1, x2, u) - decay * p2[ok, i]
-                + q1[ok, i] * coeffs.slope("sigma_x2", t, x, x1, x2, u)
-                - gamma[ok, i] * coeffs.slope("f_x2", t, x, x1, x2, y, z, u))
+        H_x2 = eval_H_state("x2", tr_x2, *_along(bundle, solution, i, ok),
+                            *(a[ok, i] for a in (gamma, p1, p2, q1)), coeffs)
         col = col + H_x2 * dt
         p3[kept, i] = col[:count]
         # fmax skips NaN as max_abs does, without its all-NaN warning
@@ -187,23 +180,19 @@ def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolutio
     def update(i, hats, qs):
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
         (pt_hat, pc_hat), (qt_hat, qc_hat) = hats, qs
-        bx = coeffs.b_x(t, x, x1, x2, u)
-        bx1 = coeffs.b_x1(t, x, x1, x2, u)
-        sx = coeffs.sigma_x(t, x, x1, x2, u)
-        sx1 = coeffs.sigma_x1(t, x, x1, x2, u)
-        fx = coeffs.f_x(t, x, x1, x2, y, z, u)
-        fx1 = coeffs.f_x1(t, x, x1, x2, y, z, u)
-        fy = coeffs.f_y(t, x, x1, x2, y, z, u)
-        fz = coeffs.f_z(t, x, x1, x2, y, z, u)
+        bx, bx1, sx, sx1 = (coeffs.slope(slot, t, x, x1, x2, u)
+                            for slot in ("b_x", "b_x1", "sigma_x", "sigma_x1"))
+        fx, fx1, fy, fz = (coeffs.slope(slot, t, x, x1, x2, y, z, u)
+                           for slot in ("f_x", "f_x1", "f_y", "f_z"))
         drift_t = fx - pt_hat * (bx + fy + sx * fz) - qt_hat * (sx + fz) - pc_hat
         drift_c = (pc_hat * (lam - fy) - qc_hat * fz + fx1
                    - pt_hat * (bx1 + fz * sx1) - qt_hat * sx1)
         return pt_hat - drift_t * dt, pc_hat - drift_c * dt
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
-    (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis,
-                                           (-coeffs.phi_x(xT, x1T), -coeffs.phi_x1(xT, x1T)),
-                                           update, solution.shared_factors(bundle, basis))
+    terminal = tuple(-coeffs.slope(slot, xT, x1T) for slot in ("phi_x", "phi_x1"))
+    (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis, terminal, update,
+                                           solution.shared_factors(bundle, basis))
     return pt, pc, qt, qc
 
 

@@ -9,8 +9,9 @@ A :class:`CoefficientSet` carries the evaluators
                                 apart from the initial history segment)
 
 together with their first derivatives in the state/cost slots and the
-distributed-delay decay rate ``lam``.  Evaluators must be pure,
-vectorized over numpy arrays, and reentrant.
+distributed-delay decay rate ``lam``.  A derivative that is constant is
+stored as its number; the others are evaluators.  Evaluators must be
+pure, vectorized over numpy arrays, and reentrant.
 
 Sets are normally built from the parametric registry below (families
 ``constant``, ``linear``, ``bilinear``, ``linear_quadratic``), which keeps
@@ -20,13 +21,17 @@ may also assemble a :class:`CoefficientSet` from arbitrary callables.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Union
 
 import numpy as np
 
 from .core import ConfigurationError
+
+# a derivative slot: the number of a constant derivative, or an evaluator
+Slope = Union[float, Callable]
 
 
 def _fill(value, *args):
@@ -63,11 +68,11 @@ class CoefficientSet:
     evaluate ``bx1 * x1`` and the like even where the factor is 0, and a
     ``0.0 * x1`` term can flip the sign of an exact-zero sum.
 
-    :meth:`constant` names the b, sigma and f slopes that
-    :func:`make_coefficients` built as finite constants, by the same
-    identity rule.  :meth:`slope` is the one reader of a slope: the adjoint
-    sweeps and the comparison harness use the number and call no evaluator
-    for such a slope, and the variational remainders skip it.
+    Each derivative slot holds a number where the derivative is constant,
+    as the registry stores it (``-0.0`` as ``+0.0``, the value an evaluator
+    pads with), or an evaluator.  :meth:`slope` is the one reader of a
+    slope: it returns the number, which multiplies as an array filled with
+    it, and calls no evaluator for it; the variational remainders skip it.
     """
 
     name: str
@@ -76,19 +81,19 @@ class CoefficientSet:
     sigma: Callable
     f: Callable
     phi: Callable
-    b_x: Callable
-    b_x1: Callable
-    b_x2: Callable
-    sigma_x: Callable
-    sigma_x1: Callable
-    sigma_x2: Callable
-    f_x: Callable
-    f_x1: Callable
-    f_x2: Callable
-    f_y: Callable
-    f_z: Callable
-    phi_x: Callable
-    phi_x1: Callable
+    b_x: Slope
+    b_x1: Slope
+    b_x2: Slope
+    sigma_x: Slope
+    sigma_x1: Slope
+    sigma_x2: Slope
+    f_x: Slope
+    f_x1: Slope
+    f_x2: Slope
+    f_y: Slope
+    f_z: Slope
+    phi_x: Slope
+    phi_x1: Slope
     params: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -101,18 +106,11 @@ class CoefficientSet:
         """Are b, sigma, f and phi registry evaluators that read no x1?"""
         return all(fn in _X1_FREE_EVALUATORS for fn in (self.b, self.sigma, self.f, self.phi))
 
-    def constant(self, slot: str) -> Optional[float]:
-        """The number the derivative in ``slot`` returns at every state, if
-        make_coefficients built it as a finite constant; else None."""
-        fn = getattr(self, slot)
-        return _CONSTANTS[fn] if fn in _CONSTANTS else None
-
     def slope(self, slot: str, *args):
-        """The derivative in ``slot`` at ``args``: a recorded constant is that
-        number, which multiplies as an array filled with it, and any other
-        slope is evaluated."""
-        c = self.constant(slot)
-        return getattr(self, slot)(*args) if c is None else c
+        """The derivative in ``slot`` at ``args``: the stored number, or the
+        evaluator's value."""
+        d = getattr(self, slot)
+        return d(*args) if callable(d) else d
 
     def a_part(self, t, x, x1, x2, u):
         """Driver with the (y, z) slots zeroed: a(t,x,x1,x2,u) = f(t,...,0,0,u)."""
@@ -123,22 +121,9 @@ class CoefficientSet:
 _REGISTRY_EVALUATORS = weakref.WeakSet()
 # b, sigma, f and phi of the registry sets whose formulas read no x1
 _X1_FREE_EVALUATORS = weakref.WeakSet()
-# each constant b, sigma or f slope the registry built -> its value c + 0.0,
-# which is what _fill pads an array with (so -0.0 is stored as +0.0)
-_CONSTANTS = weakref.WeakKeyDictionary()
 
 
-def _constant(c: float) -> Callable:
-    """The b, sigma or f slope that is ``c`` at every state, recorded in
-    _CONSTANTS when finite."""
-    def slope(t, *state):
-        return _fill(c, *state)
-    if np.isfinite(c):
-        _CONSTANTS[slope] = c + 0.0
-    return slope
-
-
-def _linear(p: Dict[str, float]) -> Dict[str, Callable]:
+def _linear(p: Dict[str, float]) -> Dict[str, Slope]:
     b0, bx, bx1, bx2, bu = (p[k] for k in ("b0", "bx", "bx1", "bx2", "bu"))
     s0, sx, sx1, sx2, su = (p[k] for k in ("s0", "sx", "sx1", "sx2", "su"))
     f0, fx, fx1, fx2, fy, fz, fu = (p[k] for k in ("f0", "fx", "fx1", "fx2", "fy", "fz", "fu"))
@@ -156,16 +141,13 @@ def _linear(p: Dict[str, float]) -> Dict[str, Callable]:
     def phi(x, x1):
         return phi0 + phix * x + phix1 * x1
 
+    # c + 0.0 is what _fill pads an array with (so -0.0 is stored as +0.0)
     slopes = dict(b_x=bx, b_x1=bx1, b_x2=bx2, sigma_x=sx, sigma_x1=sx1, sigma_x2=sx2,
-                  f_x=fx, f_x1=fx1, f_x2=fx2, f_y=fy, f_z=fz)
-    evaluators = {slot: _constant(c) for slot, c in slopes.items()}
-    evaluators.update(b=b, sigma=sigma, f=f, phi=phi,
-                      phi_x=lambda x, x1: _fill(phix, x, x1),
-                      phi_x1=lambda x, x1: _fill(phix1, x, x1))
-    return evaluators
+                  f_x=fx, f_x1=fx1, f_x2=fx2, f_y=fy, f_z=fz, phi_x=phix, phi_x1=phix1)
+    return dict({slot: c + 0.0 for slot, c in slopes.items()}, b=b, sigma=sigma, f=f, phi=phi)
 
 
-def _bilinear(p: Dict[str, float]) -> Dict[str, Callable]:
+def _bilinear(p: Dict[str, float]) -> Dict[str, Slope]:
     L = p["clip"]
     if L <= 0.0:
         raise ConfigurationError("bilinear clip bound must be positive")
@@ -189,24 +171,24 @@ def _bilinear(p: Dict[str, float]) -> Dict[str, Callable]:
         return lsigma(t, x, x1, x2, u) + sxx1 * clamp(x) * clamp(x1) + sxx2 * clamp(x) * clamp(x2)
 
     evaluators = dict(ld, b=b, sigma=sigma)
-    evaluators["b_x"] = lambda t, x, x1, x2, u: (ld["b_x"](t, x, x1, x2, u)
+    evaluators["b_x"] = lambda t, x, x1, x2, u: (_fill(ld["b_x"], x, x1, x2, u)
                                                  + bxx1 * clamp_d(x) * clamp(x1)
                                                  + bxx2 * clamp_d(x) * clamp(x2))
-    evaluators["b_x1"] = lambda t, x, x1, x2, u: (ld["b_x1"](t, x, x1, x2, u)
+    evaluators["b_x1"] = lambda t, x, x1, x2, u: (_fill(ld["b_x1"], x, x1, x2, u)
                                                   + bxx1 * clamp(x) * clamp_d(x1))
-    evaluators["b_x2"] = lambda t, x, x1, x2, u: (ld["b_x2"](t, x, x1, x2, u)
+    evaluators["b_x2"] = lambda t, x, x1, x2, u: (_fill(ld["b_x2"], x, x1, x2, u)
                                                   + bxx2 * clamp(x) * clamp_d(x2))
-    evaluators["sigma_x"] = lambda t, x, x1, x2, u: (ld["sigma_x"](t, x, x1, x2, u)
+    evaluators["sigma_x"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x"], x, x1, x2, u)
                                                      + sxx1 * clamp_d(x) * clamp(x1)
                                                      + sxx2 * clamp_d(x) * clamp(x2))
-    evaluators["sigma_x1"] = lambda t, x, x1, x2, u: (ld["sigma_x1"](t, x, x1, x2, u)
+    evaluators["sigma_x1"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x1"], x, x1, x2, u)
                                                       + sxx1 * clamp(x) * clamp_d(x1))
-    evaluators["sigma_x2"] = lambda t, x, x1, x2, u: (ld["sigma_x2"](t, x, x1, x2, u)
+    evaluators["sigma_x2"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x2"], x, x1, x2, u)
                                                       + sxx2 * clamp(x) * clamp_d(x2))
     return evaluators
 
 
-def _linear_quadratic(p: Dict[str, float]) -> Dict[str, Callable]:
+def _linear_quadratic(p: Dict[str, float]) -> Dict[str, Slope]:
     a, bu, b0 = p["a"], p["bu"], p["b0"]
     sigma0 = p["sigma0"]
     q, r, fy = p["q"], p["r"], p["fy"]
@@ -227,12 +209,10 @@ def _linear_quadratic(p: Dict[str, float]) -> Dict[str, Callable]:
     _X1_FREE_EVALUATORS.update((b, sigma, f, phi))
     return dict(
         b=b, sigma=sigma, f=f, phi=phi,
-        b_x=_constant(a), b_x1=_constant(0.0), b_x2=_constant(0.0),
-        sigma_x=_constant(0.0), sigma_x1=_constant(0.0), sigma_x2=_constant(0.0),
+        b_x=a + 0.0, b_x1=0.0, b_x2=0.0, sigma_x=0.0, sigma_x1=0.0, sigma_x2=0.0,
         f_x=lambda t, x, x1, x2, y, z, u: _fill(-2.0 * q * x, x1, x2, y, z, u),
-        f_x1=_constant(0.0), f_x2=_constant(0.0), f_y=_constant(fy), f_z=_constant(0.0),
-        phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1),
-        phi_x1=lambda x, x1: _fill(0.0, x, x1),
+        f_x1=0.0, f_x2=0.0, f_y=fy + 0.0, f_z=0.0,
+        phi_x=lambda x, x1: _fill(2.0 * phi_quad * x + phi_lin, x1), phi_x1=0.0,
     )
 
 
@@ -245,7 +225,7 @@ _LQ_KEYS = ("a", "bu", "b0", "sigma0", "q", "r", "fy", "phi_quad", "phi_lin", "p
 # every key a family builder reads, at the value an omitted parameter takes
 _DEFAULTS = dict.fromkeys(_BILINEAR_KEYS + _LQ_KEYS, 0.0) | {"clip": 3.0}
 
-# family -> (builder of its evaluators from the filled parameters, accepted keys)
+# family -> (builder of its slots from the filled parameters, accepted keys)
 FAMILIES = {
     "constant": (_linear, ("b0", "s0", "f0", "phi0")),
     "linear": (_linear, _LINEAR_KEYS),
@@ -257,8 +237,9 @@ FAMILIES = {
 def make_coefficients(family: str, lam: float = 0.0, **params) -> CoefficientSet:
     """Build a coefficient set from the named parametric family.
 
-    Unknown parameter names raise; omitted parameters default to zero
-    (``clip`` defaults to 3.0 for the bilinear family).
+    Unknown parameter names and non-finite values of ``lam`` or a parameter
+    raise; omitted parameters default to zero (``clip`` defaults to 3.0 for
+    the bilinear family).
     """
     if family not in FAMILIES:
         raise ConfigurationError(
@@ -269,6 +250,9 @@ def make_coefficients(family: str, lam: float = 0.0, **params) -> CoefficientSet
     if unknown:
         raise ConfigurationError(f"unknown parameters for family {family!r}: {sorted(unknown)}")
     given = {k: float(v) for k, v in params.items()}
+    bad = sorted(k for k, v in dict(given, lam=float(lam)).items() if not math.isfinite(v))
+    if bad:
+        raise ConfigurationError(f"non-finite values for family {family!r}: {bad}")
     coeffs = CoefficientSet(name=family, lam=float(lam), params=given,
                             **builder(_DEFAULTS | given))
     _REGISTRY_EVALUATORS.update((coeffs.b, coeffs.sigma, coeffs.f))

@@ -17,13 +17,13 @@ candidate controls, and the measure-change reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .core import (ConfigurationError, Instance, LinearDriver, derived_rng,
                    eval_G, mc_estimate, x1_weights)
-from .coeffs import CoefficientSet
 from .bsde import assert_linear_driver, linear_driver_oracle
 from .hjb import GridValueFunction, Jet, jet_membership, jets_along
 from .smdde import NoiseSource, TrajectoryBundle, simulate_smdde
@@ -330,18 +330,11 @@ def girsanov_reduce(instance: Instance) -> GirsanovReduction:
             return fn(t, x, x1, x2, y, 0.0 * np.asarray(z), u)
         return wrapped
 
-    def fz_zero(t, x, x1, x2, y, z, u):
-        return 0.0 * (np.asarray(x, dtype=float) + np.asarray(z, dtype=float))
-
-    new_coeffs = CoefficientSet(
-        name=c.name + "+measure-shift", lam=c.lam,
-        b=shift(c.b, c.sigma), sigma=c.sigma, f=at_z0(c.f), phi=c.phi,
-        b_x=shift(c.b_x, c.sigma_x), b_x1=shift(c.b_x1, c.sigma_x1),
-        b_x2=shift(c.b_x2, c.sigma_x2),
-        sigma_x=c.sigma_x, sigma_x1=c.sigma_x1, sigma_x2=c.sigma_x2,
-        f_x=at_z0(c.f_x), f_x1=at_z0(c.f_x1), f_x2=at_z0(c.f_x2),
-        f_y=at_z0(c.f_y), f_z=fz_zero,
-        phi_x=c.phi_x, phi_x1=c.phi_x1, params=dict(c.params))
+    new_coeffs = replace(
+        c, name=c.name + "+measure-shift", b=shift(c.b, c.sigma), f=at_z0(c.f), f_z=0.0,
+        **{"b" + s: shift(partial(c.slope, "b" + s), partial(c.slope, "sigma" + s))
+           for s in ("_x", "_x1", "_x2")},
+        **{slot: at_z0(partial(c.slope, slot)) for slot in ("f_x", "f_x1", "f_x2", "f_y")})
     new_instance = Instance(coeffs=new_coeffs, grid=instance.grid, history=instance.history,
                             domain=instance.domain, driver=LinearDriver(fbar=driver.fbar))
     return GirsanovReduction(instance=new_instance, weights=weights)

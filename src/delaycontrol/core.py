@@ -205,6 +205,16 @@ def eval_H(t, x, x1, x2, y, z, u, gamma, p1, p2, q1, coeffs, delay: float):
     return p1 * b + p2 * tr + q1 * sig - gamma * f
 
 
+def eval_H_state(s: str, tr_s, t, x, x1, x2, y, z, u, gamma, p1, p2, q1, coeffs):
+    """Derivative of the Hamiltonian in the state slot ``s`` ("x", "x1" or
+    "x2"): H_s = p1*b_s + p2*tr_s + q1*sigma_s - gamma*f_s, with tr_s the
+    transport term's (1, -lam or -e^{-lam*delta}) and the slopes read
+    through ``CoefficientSet.slope``."""
+    return (p1 * coeffs.slope("b_" + s, t, x, x1, x2, u) + p2 * tr_s
+            + q1 * coeffs.slope("sigma_" + s, t, x, x1, x2, u)
+            - gamma * coeffs.slope("f_" + s, t, x, x1, x2, y, z, u))
+
+
 @dataclass(frozen=True)
 class LinearDriver:
     """Linear-driver constants (fbar, gbar) of a + fbar*y + gbar*z; gbar == 0.0

@@ -180,7 +180,7 @@ def _x1_insensitive(coeffs, scale: float, n: int = 128, seed: int = 19) -> bool:
     worst = max(float(np.max(np.abs(coeffs.slope("b_x1", t, x, x1, x2, u)))),
                 float(np.max(np.abs(coeffs.slope("sigma_x1", t, x, x1, x2, u)))),
                 float(np.max(np.abs(coeffs.slope("f_x1", t, x, x1, x2, y, z, u)))),
-                float(np.max(np.abs(coeffs.phi_x1(x, x1)))))
+                float(np.max(np.abs(coeffs.slope("phi_x1", x, x1)))))
     return worst <= 1e-12
 
 

@@ -65,9 +65,8 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
 
     Averaging the gap rather than the derivative keeps the result exactly
     zero for constant derivatives, so linear families produce identically
-    vanishing remainders instead of rounding dust; a slope the registry
-    recorded as a constant (``CoefficientSet.constant``) gets that gap, 0.0,
-    without being evaluated.  Steps are taken in slabs of (n_paths, slab)
+    vanishing remainders instead of rounding dust; a slope stored as its
+    number gets that gap, 0.0, without being evaluated.  Steps are taken in slabs of (n_paths, slab)
     arrays; every element sees the same operations in the same order as a
     step-by-step evaluation, so the result is bit-identical.
     """
@@ -76,7 +75,7 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
     n_paths, n_sub = bundle.n_paths, n - t_index
     slots = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2")
     live = [(k, getattr(coeffs, slot)) for k, slot in enumerate(slots)
-            if coeffs.constant(slot) is None]
+            if callable(getattr(coeffs, slot))]
     eps1 = np.empty((n_paths, n_sub))
     eps2 = np.empty((n_paths, n_sub))
     slab = max(1, _SLAB_PATH_STEPS // n_paths)

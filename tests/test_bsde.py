@@ -8,7 +8,6 @@ import pytest
 
 from delaycontrol.core import (ConfigurationError, HistoryPath, LinearDriver,
                                TimeGrid)
-from delaycontrol import coeffs as coeffs_module
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol import bsde
@@ -239,23 +238,22 @@ class TestBackwardSolver:
         with pytest.raises(ConfigurationError, match="step too large"):
             solve_bsde_lsmc(run(coeffs, g, n_paths=100), coeffs, RegressionBasis())
 
-    def test_lipschitz_gate_reads_recorded_slopes_as_numbers(self, monkeypatch):
+    def test_lipschitz_gate_reads_recorded_slopes_as_numbers(self):
         coeffs = make_coefficients("linear_quadratic", lam=0.0, a=0.1, sigma0=0.2, fy=-0.3)
         g = grid(T=0.5)
         bundle = run(coeffs, g, n_paths=100)
         calls = []
-        # every constant slope of the registry pads its number with _fill
-        fill = coeffs_module._fill
-        monkeypatch.setattr(coeffs_module, "_fill",
-                            lambda *args: calls.append("_fill") or fill(*args))
-        bsde._lipschitz_gate(coeffs, bundle, g.dt)
+
+        def counted(slot):
+            return lambda *args: calls.append(slot) or coeffs.slope(slot, *args)
+
+        # every callable slot counts its calls
+        bsde._lipschitz_gate(dataclasses.replace(coeffs, **{
+            f.name: counted(f.name) for f in dataclasses.fields(coeffs)
+            if callable(getattr(coeffs, f.name))}), bundle, g.dt)
         assert calls == []
 
-        # a wrapped slope, as a traced run holds, is evaluated at each of the
-        # three probe steps
-        def counted(slot):
-            fn = getattr(coeffs, slot)
-            return lambda *args: calls.append(slot) or fn(*args)
+        # an evaluated slope is evaluated at each of the three probe steps
         wrapped = dataclasses.replace(coeffs, f_y=counted("f_y"), f_z=counted("f_z"))
         bsde._lipschitz_gate(wrapped, bundle, g.dt)
         assert calls.count("f_y") == calls.count("f_z") == 3

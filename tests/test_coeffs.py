@@ -80,44 +80,105 @@ def test_lq_shapes():
     assert np.all(coeffs.sigma(0.0, x, 0.0, 0.0, 0.0) == 0.2)
 
 
+SLOPES = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2",
+          "f_x", "f_x1", "f_x2", "f_y", "f_z", "phi_x", "phi_x1")
+# the slopes of FAMILY_SAMPLES that depend on the state, per family
+EVALUATED = {"constant": (), "linear": (), "bilinear": SLOPES[:6],
+             "linear_quadratic": ("f_x", "phi_x")}
+
+
+def slope_reads(coeffs, n):
+    """(slot, arguments) of each slope of ``coeffs`` at n random points."""
+    t, x, x1, x2, y, z, u = np.random.default_rng(11).normal(size=(7, n))
+    for slot in SLOPES:
+        yield slot, ((x, x1) if slot.startswith("phi") else
+                     (t, x, x1, x2, y, z, u) if slot.startswith("f") else (t, x, x1, x2, u))
+
+
 class TestRecordedConstants:
     def test_linear_slopes_are_recorded_as_their_values(self):
         coeffs = make_coefficients("linear", bx=0.3, sx2=-0.0, fy=-0.4)
-        assert coeffs.constant("b_x") == 0.3 and coeffs.constant("f_y") == -0.4
+        assert coeffs.b_x == 0.3 and coeffs.f_y == -0.4
         # stored as _fill pads it: -0.0 + 0.0 is +0.0
-        c, padded = coeffs.constant("sigma_x2"), coeffs.sigma_x2(0.0, np.zeros(2), 0.0, 0.0, 0.0)
-        assert c == 0.0 and math.copysign(1.0, c) == 1.0 and not np.signbit(padded).any()
+        c, read = coeffs.sigma_x2, coeffs.slope("sigma_x2", 0.0, np.zeros(2), 0.0, 0.0, 0.0)
+        assert c == 0.0 and math.copysign(1.0, c) == 1.0 and not np.signbit(read).any()
 
-    def test_infinite_slope_records_no_constant(self):
-        coeffs = make_coefficients("linear", bx=float("inf"), sx=float("-inf"))
-        assert coeffs.constant("b_x") is None and coeffs.constant("sigma_x") is None
-        assert coeffs.constant("b_x1") == 0.0
+    @pytest.mark.parametrize("family,lam,params,bad", [
+        ("linear", 0.0, dict(bx=float("inf"), sx=float("-inf"), fy=0.3), ["bx", "sx"]),
+        ("linear_quadratic", float("nan"), dict(a=0.2, q=float("nan")), ["lam", "q"]),
+        ("bilinear", float("inf"), dict(clip=3.0), ["lam"]),
+        ("constant", 0.5, dict(b0=float("nan")), ["b0"]),
+    ])
+    def test_non_finite_values_are_refused(self, family, lam, params, bad):
+        # every registry slope is then a finite number or an evaluator
+        with pytest.raises(ConfigurationError) as err:
+            make_coefficients(family, lam=lam, **params)
+        assert str(err.value) == f"non-finite values for family {family!r}: {bad}"
 
     def test_state_dependent_and_replaced_slopes_are_evaluated(self):
         lq = make_coefficients("linear_quadratic", a=0.2, q=0.5, fy=-0.1)
-        assert lq.constant("f_x") is None
-        assert lq.constant("b_x") == 0.2 and lq.constant("f_y") == -0.1
+        assert callable(lq.f_x)
+        assert lq.b_x == 0.2 and lq.f_y == -0.1
         bil = make_coefficients("bilinear", bx=0.2, bxx1=0.5, fy=-0.1)
-        assert bil.constant("b_x") is None and bil.constant("f_y") == -0.1
+        assert all(callable(getattr(bil, s)) for s in ("b_x", "b_x1", "b_x2", "sigma_x",
+                                                        "sigma_x1", "sigma_x2"))
+        assert bil.f_y == -0.1
         # a replaced slot is evaluated, also by a callable that takes no weak reference
         swapped = dataclasses.replace(lq, b_x=lambda t, x, x1, x2, u: 0.2 + 0.0 * x,
                                       sigma_x=np.cos)
-        assert swapped.constant("b_x") is None and swapped.constant("sigma_x") is None
-        assert swapped.constant("b_x1") == 0.0
-
-    def test_slope_reads_a_recorded_constant_without_evaluating(self, monkeypatch):
-        coeffs = make_coefficients("linear", bx=0.3, fy=-0.4)
-
-        def no_evaluation(*args):
-            raise AssertionError("a recorded constant slope was evaluated")
-
-        # every constant slope of the registry pads its number with _fill
-        monkeypatch.setattr(coeffs_module, "_fill", no_evaluation)
         x = np.linspace(-1.0, 1.0, 5)
-        assert coeffs.slope("b_x", 0.0, x, x, x, 0.0) == 0.3
-        assert coeffs.slope("f_y", 0.0, x, x, x, x, x, 0.0) == -0.4
-        with pytest.raises(AssertionError, match="was evaluated"):
-            coeffs.b_x(0.0, x, x, x, 0.0)
+        assert np.array_equal(swapped.slope("b_x", 0.0, x, x, x, 0.0), np.full(5, 0.2))
+        assert swapped.sigma_x is np.cos and swapped.b_x1 == 0.0
+
+    def test_slope_reads_a_recorded_constant_without_evaluating(self):
+        coeffs = make_coefficients("linear_quadratic", a=0.3, q=0.5, fy=-0.4)
+        calls = []
+
+        def counted(slot):
+            fn = getattr(coeffs, slot)
+            return lambda *args: calls.append(slot) or fn(*args)
+
+        # every callable slot counts its calls
+        guarded = dataclasses.replace(coeffs, **{
+            f.name: counted(f.name) for f in dataclasses.fields(coeffs)
+            if callable(getattr(coeffs, f.name))})
+        x = np.linspace(-1.0, 1.0, 5)
+        assert guarded.slope("b_x", 0.0, x, x, x, 0.0) == 0.3
+        assert guarded.slope("f_y", 0.0, x, x, x, x, x, 0.0) == -0.4
+        assert guarded.slope("phi_x1", x, x) == 0.0
+        assert calls == []
+        assert np.array_equal(guarded.slope("f_x", 0.0, x, x, x, x, x, 0.0), -x)
+        assert calls == ["f_x"]
+
+    @pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
+    def test_registry_constant_slots_hold_floats(self, family, params):
+        coeffs = make_coefficients(family, lam=0.5, **params)
+        assert [s for s in SLOPES if callable(getattr(coeffs, s))] == list(EVALUATED[family])
+        for slot, args in slope_reads(coeffs, 5):
+            if slot not in EVALUATED[family]:
+                assert type(getattr(coeffs, slot)) is float
+                # the stored number itself: no evaluator ran
+                assert coeffs.slope(slot, *args) is getattr(coeffs, slot)
+
+    @pytest.mark.parametrize("family,params", FAMILY_SAMPLES)
+    def test_wrapped_evaluators_keep_constant_slopes_numbers(self, family, params):
+        # every callable replaced by a counting wrapper, as a traced run does
+        coeffs = make_coefficients(family, lam=0.5, **params)
+        calls = []
+
+        def counted(fn):
+            return lambda *args: calls.append(fn) or fn(*args)
+
+        wrapped = dataclasses.replace(coeffs, **{
+            f.name: counted(getattr(coeffs, f.name)) for f in dataclasses.fields(coeffs)
+            if callable(getattr(coeffs, f.name))})
+        for slot, args in slope_reads(wrapped, 5):
+            got = wrapped.slope(slot, *args)
+            if slot in EVALUATED[family]:
+                assert np.array_equal(got, coeffs.slope(slot, *args))
+            else:
+                assert got is getattr(coeffs, slot)
+        assert len(calls) == len(EVALUATED[family])
 
     def test_slope_evaluates_state_dependent_and_replaced_slopes(self):
         rng = np.random.default_rng(5)
@@ -203,7 +264,7 @@ class TestFamilyBuilder:
         for slot in TestFamilyBuilder.SLOTS:
             args = ((x, x1) if slot.startswith("phi") else
                     (t, x, x1, x2, y, z, u) if slot.startswith("f") else (t, x, x1, x2, u))
-            yield slot, getattr(coeffs, slot)(*args)
+            yield slot, coeffs.slope(slot, *args)
 
     def test_constant_is_linear_on_its_four_keys(self):
         const = make_coefficients("constant", lam=0.5, **self.CONSTANT)
@@ -213,7 +274,7 @@ class TestFamilyBuilder:
         for (slot, got), (_, want) in zip(self.evaluations(const, 2.0),
                                           self.evaluations(lin, 2.0)):
             assert np.array_equal(got, want), slot
-            assert const.constant(slot) == lin.constant(slot), slot
+            assert callable(getattr(const, slot)) == callable(getattr(lin, slot)), slot
         assert (const.time_free, const.x1_free) == (lin.time_free, lin.x1_free) == (True, False)
         assert make_coefficients("constant").params == {}
 

@@ -13,6 +13,7 @@ from delaycontrol.connect import (check_duality_inclusion, girsanov_reduce,
                                   start_state, verify_optimality)
 
 from conftest import solve_pipeline
+from oracles import check_derivative_consistency
 
 
 def control_tournament(instance, noise, n_paths, n_controls, seed):
@@ -187,6 +188,29 @@ class TestGirsanov:
         w = red.weights(bundle)
         se = w.std() / math.sqrt(w.size)
         assert abs(w.mean() - 1.0) <= 3 * se
+
+    @pytest.mark.parametrize("family,params", [
+        ("linear", dict(bx=0.2, bx1=-0.1, bx2=0.3, s0=0.3, sx=0.2, sx1=0.1, sx2=-0.2,
+                        fx=-0.5, fx1=0.2, fy=-0.1, fz=0.3)),
+        ("bilinear", dict(bx=0.2, bxx1=0.5, bxx2=-0.3, s0=0.3, sx=0.1, sxx1=0.2, sxx2=0.4,
+                          fx=-0.5, fy=-0.1, fz=0.3)),
+    ])
+    def test_shifted_slopes(self, family, params):
+        gbar = 0.3
+        inst = self._instance()
+        c = make_coefficients(family, lam=0.3, **params)
+        shifted = girsanov_reduce(Instance(coeffs=c, grid=inst.grid, history=inst.history,
+                                           domain=inst.domain, driver=inst.driver)
+                                  ).instance.coeffs
+        assert check_derivative_consistency(shifted, seed=2) <= 1e-6
+        assert shifted.f_z == 0.0 and not (shifted.time_free or shifted.x1_free)
+        t, x, x1, x2, u = np.random.default_rng(9).normal(size=(5, 16))
+        for s in ("_x", "_x1", "_x2"):
+            got = np.broadcast_to(shifted.slope("b" + s, t, x, x1, x2, u), x.shape)
+            want = np.broadcast_to(c.slope("b" + s, t, x, x1, x2, u)
+                                   + c.slope("sigma" + s, t, x, x1, x2, u) * gbar, x.shape)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want)), s
 
     def test_cost_invariance_two_routes(self):
         inst = self._instance()

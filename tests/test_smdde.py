@@ -417,7 +417,7 @@ def test_order_flips_evaluate_state_dependent_slopes_per_step():
     g = TimeGrid(s=0.0, T=0.1, dt=0.001, delay_steps=10)
     hist = HistoryPath.constant(1.0, 10)
     c = make_coefficients("bilinear", lam=0.5, bx=300.0, bxx1=100.0, sx=15.0, sxx2=10.0)
-    assert c.constant("b_x") is None and c.constant("sigma_x") is None
+    assert callable(c.b_x) and callable(c.sigma_x)
     rep = simulate_coupled_pair(c, c, hist, hist, g, NoiseSource(4), 300)
     paths = simulate_smdde(c, hist, 0.0, g, NoiseSource(4), 300)
     flips = 0

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from delaycontrol import coeffs as coeffs_module
 from delaycontrol import variational
 from delaycontrol.core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
                               x1_weights)
@@ -204,11 +203,33 @@ SLOPES = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2",
 STATE_SLOPES = SLOPES[:6]
 
 
-def counting(fn, calls):
+# the slopes the remainders and the adjoint sweeps read
+READ = SLOPES + ("phi_x", "phi_x1")
+
+
+def counting(fn, calls, label=None):
     def counted(*args):
-        calls.append(fn)
+        calls.append(label)
         return fn(*args)
     return counted
+
+
+def evaluator(coeffs, slot):
+    """The slope in ``slot`` if it is callable; for a number, the evaluator
+    that pads it to the common shape of the state arguments (``t``, which
+    the phi slopes do not take, excluded)."""
+    slope = getattr(coeffs, slot)
+    if callable(slope):
+        return slope
+    skip = 0 if slot.startswith("phi") else 1
+    return lambda *args: slope + np.zeros(np.broadcast(slope, *args[skip:]).shape)
+
+
+def counted_slots(coeffs, calls):
+    """``coeffs`` with every callable slot counting its calls into ``calls``."""
+    return dataclasses.replace(coeffs, **{
+        f.name: counting(getattr(coeffs, f.name), calls, f.name)
+        for f in dataclasses.fields(coeffs) if callable(getattr(coeffs, f.name))})
 
 
 class TestConstantSlopes:
@@ -231,11 +252,13 @@ class TestConstantSlopes:
                              ids=[f[0] for f in FAMILIES])
     def test_recorded_constants_match_evaluated_slopes(self, family, params, evaluated):
         coeffs = make_coefficients(family, lam=0.4, **params)
-        assert [s for s in SLOPES if coeffs.constant(s) is None] == list(evaluated)
+        assert [s for s in SLOPES if callable(getattr(coeffs, s))] == list(evaluated)
         calls = []
+        # every slope an evaluator; a number c as the padded closure that is
+        # c at every state
         wrapped = dataclasses.replace(
-            coeffs, **{s: counting(getattr(coeffs, s), calls) for s in SLOPES})
-        assert all(wrapped.constant(s) is None for s in SLOPES)
+            coeffs, **{s: counting(evaluator(coeffs, s), calls, s) for s in READ})
+        assert all(callable(getattr(wrapped, s)) for s in READ)
         bundle = make_bundle(coeffs, T=0.3, n_paths=300, seed=5, control=0.2)
         basis = RegressionBasis(degree=2)
         solution = solve_bsde_lsmc(bundle, coeffs, basis)
@@ -245,7 +268,7 @@ class TestConstantSlopes:
             adj = solve_adjoints(bundle, solution, cs, basis)
             results.append([run.eps1, run.eps2, adj.gamma, adj.p1, adj.p2, adj.p3,
                             adj.q1, adj.q2])
-        assert {id(fn) for fn in calls} == {id(getattr(coeffs, s)) for s in SLOPES}
+        assert set(calls) == set(READ)
         for recorded, evaluated_run in zip(*results):
             assert np.array_equal(recorded, evaluated_run, equal_nan=True)
             assert np.array_equal(np.signbit(recorded), np.signbit(evaluated_run))
@@ -254,24 +277,23 @@ class TestConstantSlopes:
         # the LQ benchmark: every b and sigma slope is a recorded constant
         coeffs = make_coefficients("linear_quadratic", lam=LQ_LAM, **LQ_PARAMS)
         bundle = make_bundle(coeffs, T=1.0, n_paths=500, seed=3, control=0.1, x0=0.6)
-        fills = []
-        monkeypatch.setattr(coeffs_module, "_fill", counting(coeffs_module._fill, fills))
+        calls = []
         remainders, slope_calls = variational._remainders, []
 
         def counted_remainders(bundle, cs, *args):
-            before = len(fills)
+            before = len(calls)
             out = remainders(bundle, cs, *args)
-            slope_calls.append(len(fills) - before)
+            slope_calls.append(len(calls) - before)
             return out
 
         monkeypatch.setattr(variational, "_remainders", counted_remainders)
         for t_index in (20, 50, 80):
-            scaling_reports(bundle, coeffs, t_index, OFFSETS)
+            scaling_reports(bundle, counted_slots(coeffs, calls), t_index, OFFSETS)
         assert slope_calls == [0] * 12
         # the same variations with every slope evaluated: 6 slopes at the base
         # point and 8 nodes per slab; 500 paths make slabs of 16 steps
         wrapped = dataclasses.replace(
-            coeffs, **{s: counting(getattr(coeffs, s), []) for s in STATE_SLOPES})
+            coeffs, **{s: counting(evaluator(coeffs, s), calls, s) for s in STATE_SLOPES})
         slope_calls.clear()
         for t_index in (20, 50, 80):
             scaling_reports(bundle, wrapped, t_index, OFFSETS)

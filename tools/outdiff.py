@@ -11,7 +11,8 @@ call runs in a fresh process (``python -m delaycontrol.cli``) once against
 REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
-``check-mp`` on a linear and a bilinear instance, ``solve-bsde`` and
+``check-mp`` on a linear and a bilinear instance and on the linear one with
+``-0.0`` slopes, ``solve-bsde`` and
 ``check-mp`` on a constant instance, ``check-mp`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
@@ -20,7 +21,7 @@ also with no dumped path and with more dumped paths than paths),
 on that config, on a linear instance whose value function varies in x1, on
 the LQ config with out-of-order, repeated ``dump_slices`` and on the LQ
 config with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed per
-output file (147 files); a call that exits 3 on either side also has its
+output file (153 files); a call that exits 3 on either side also has its
 stderr text compared.  The bad-config calls carry one fault each, at least
 one per subcommand, one per error of the ``solve_hjb`` prologue, one for a
 key the ``constant`` family does not accept and one for an ``[instance2]``
@@ -81,7 +82,7 @@ GIRSANOV_HJB = [arg for item in ("instance.params.phix=0.5", "instance.params.bu
 # the LQ config's [instance.params] replaced: a linear instance, whose b,
 # sigma and f slopes are all nonzero constants, and a bilinear one, whose b
 # and sigma slopes depend on the state, so check-scaling and check-mp run
-# both the recorded-constant path and the evaluated one; a constant instance
+# both the stored-number path and the evaluated one; a constant instance
 # pins the linear builder on the constant family's four keys
 FAMILY_PARAMS = {
     "constant": {"b0": 0.1, "s0": 0.2, "f0": -0.1, "phi0": 0.3},
@@ -100,6 +101,11 @@ DIVERGING = [arg for item in ("instance.params.bx=5", "instance.params.sx=20",
                                 ("bx1", "sx1", "fx1", "phix1", "bx2", "sx2", "fx2")),
                               "numerics.dump_paths=20", "numerics.nx=9",
                               "numerics.n_t_pde=7000") for arg in ("--set", item)]
+
+# the linear instance with -0.0 for a b, a sigma, an f and a phi slope: each is
+# stored as +0.0, the terminal reads -phi_x, and the remainders skip sx2
+NEGZERO = [arg for k in ("bx", "sx2", "fy", "phix")
+           for arg in ("--set", f"instance.params.{k}=-0.0")]
 
 # the linear instance with b, sigma, f and phi reading x1 and nothing reading
 # x2: the x1 transport is live and V varies in x1, so the 2-D sweep is pinned
@@ -168,6 +174,8 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-scaling-bilinear", "bilinear", ["check-scaling"]),
     ("check-mp-linear", "linear", ["check-mp"]),
     ("check-mp-bilinear", "bilinear", ["check-mp"]),
+    ("check-mp-linear-negzero", "linear", ["check-mp", *NEGZERO]),
+    ("check-scaling-linear-negzero", "linear", ["check-scaling", *NEGZERO]),
     ("solve-bsde-constant", "constant", ["solve-bsde"]),
     ("check-mp-constant", "constant", ["check-mp"]),
     ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
