@@ -67,10 +67,21 @@ def _scaled_columns(design: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> 
     yields: the layout fixes the order in which BLAS sums the terms of each
     fitted value.  A design whose columns are all kept is divided as it is:
     a second design-sized array per fit made one fit at 8000 rows about
-    three times slower (2-CPU host, numpy 2.4.6)."""
-    A = np.empty((design.shape[0], scale.size), order="F")
-    np.divide(design if keep.all() else design[:, keep], scale, out=A)
+    three times slower (2-CPU host, numpy 2.4.6).  A ``(K, k)`` scale divides
+    each of K equal row blocks by its own row."""
+    A = np.empty((design.shape[0], scale.shape[-1]), order="F")
+    kept = design if keep.all() else design[:, keep]
+    if scale.ndim == 1:
+        np.divide(kept, scale, out=A)
+    else:
+        np.divide(_blocks(kept, len(scale)), scale[:, :, None], out=_blocks(A, len(scale)))
     return A
+
+
+def _blocks(M: np.ndarray, k: int) -> np.ndarray:
+    """``(k, cols, rows)``: the transposes of k equal row blocks of M, as a
+    view (a split of the row axis)."""
+    return M.T.reshape(M.shape[1], k, -1).transpose(1, 0, 2)
 
 
 class RegressionFactor(NamedTuple):
@@ -83,6 +94,10 @@ class RegressionFactor(NamedTuple):
     lam: float
 
 
+def _first_ridge(gram: np.ndarray, eps_reg: float) -> float:
+    return eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
+
+
 class ConditionalRegression:
     """One time-step conditional-expectation operator.
 
@@ -90,20 +105,48 @@ class ConditionalRegression:
     with (numerically) zero variance beyond the intercept are dropped so
     degenerate states (e.g. the deterministic initial slice) reduce to a
     plain mean.
+
+    With ``blocks`` = K > 1 the design's rows are K equal blocks, and the
+    operator is K independent ones, each bit for bit the operator of its
+    block alone: ``state[k]`` is block k's factor, and ``fit_values`` fits
+    each block's rows of a response on its own operator.  The fixed cost
+    of a fit is paid once for all blocks, not once per block.  The column
+    ranges and the scaling are one call each over every row.  Blocks that
+    keep the same columns (all of them, unless a column is flat in some
+    blocks only) share one scaled matrix, and their Gram matrices,
+    condition checks, Cholesky factors and solves are one call each on the
+    stack of the blocks' matrices: numpy's stacked BLAS and LAPACK calls
+    give each matrix the bits of its own call.  A block whose ridge must
+    grow escalates on its own, with its own warning.
     """
 
     _COND_LIMIT = 1e12
 
-    def __init__(self, design: np.ndarray, eps_reg: float):
-        # max and min are exact in any order
-        hi = design.max(axis=0)
-        lo = design.min(axis=0)
-        self.keep = np.ones(design.shape[1], dtype=bool)
-        self.keep[1:] = (hi - lo)[1:] > 1e-12
-        self.scale = np.maximum(np.maximum(np.abs(hi), np.abs(lo))[self.keep], 1.0)
-        A = self.A = _scaled_columns(design, self.keep, self.scale)
-        gram = A.T @ A
-        lam = eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
+    def __init__(self, design: np.ndarray, eps_reg: float, blocks: int = 1):
+        self.blocks = blocks
+        if blocks > 1:
+            escalated = self._fit_blocks(design, eps_reg)
+        else:
+            # max and min are exact in any order
+            hi = design.max(axis=0)
+            lo = design.min(axis=0)
+            self.keep = np.ones(design.shape[1], dtype=bool)
+            self.keep[1:] = (hi - lo)[1:] > 1e-12
+            self.scale = np.maximum(np.maximum(np.abs(hi), np.abs(lo))[self.keep], 1.0)
+            A = self.A = _scaled_columns(design, self.keep, self.scale)
+            gram = A.T @ A
+            self.factor, self.lam, again = self._factor(gram, _first_ridge(gram, eps_reg))
+            escalated = [self.lam] if again else []
+        for lam in escalated:
+            warnings.warn(f"rank-deficient regression; ridge increased to {lam:.2e}",
+                          RuntimeWarning, stacklevel=2)
+
+    @classmethod
+    def _factor(cls, gram: np.ndarray, lam: float) -> Tuple[np.ndarray, float, bool]:
+        """Cholesky factor of ``gram`` plus the ridge ``lam`` on every column
+        but the intercept, the ridge it took, and whether that ridge grew: by
+        100 per attempt, up to six, while the condition number exceeds the
+        limit or the factor fails."""
         # the intercept is never penalized, so constant responses fit exactly
         penalty = np.eye(gram.shape[0])
         penalty[0, 0] = 0.0
@@ -113,18 +156,55 @@ class ConditionalRegression:
                 # np.linalg.cond: s[0] / s[-1], and inf for a singular matrix
                 s = np.linalg.svd(mat, compute_uv=False)
                 cond = s[0] / s[-1] if s[-1] else np.inf
-                if cond > self._COND_LIMIT:
+                if cond > cls._COND_LIMIT:
                     raise np.linalg.LinAlgError(f"condition number {cond:.2e}")
-                self.factor = np.linalg.cholesky(mat)
-                self.lam = lam
-                if attempt:
-                    warnings.warn(
-                        f"rank-deficient regression; ridge increased to {lam:.2e}",
-                        RuntimeWarning, stacklevel=2)
-                return
+                return np.linalg.cholesky(mat), lam, attempt > 0
             except np.linalg.LinAlgError:
                 lam = max(lam, 1e-12) * 100.0
         raise ConfigurationError("regression design is irreparably rank-deficient")
+
+    def _fit_blocks(self, design: np.ndarray, eps_reg: float) -> List[float]:
+        """Fit the blocks' factors and the stacks ``fit_values`` reads;
+        returns the final ridge of each block whose ridge grew, in block
+        order."""
+        K = self.blocks
+        cols = _blocks(design, K)
+        hi, lo = cols.max(axis=2), cols.min(axis=2)
+        keep = np.ones(hi.shape, dtype=bool)
+        keep[:, 1:] = (hi - lo)[:, 1:] > 1e-12
+        big = np.maximum(np.abs(hi), np.abs(lo))
+        n = design.shape[0] // K
+        groups = ([slice(0, K)] if (keep == keep[0]).all()
+                  else [slice(k, k + 1) for k in range(K)])
+        self._states, self._stacks, escalated = [], [], []
+        for rows in groups:
+            kept = keep[rows.start]
+            scale = np.maximum(big[rows][:, kept], 1.0)
+            A3 = _blocks(_scaled_columns(design[rows.start * n : rows.stop * n], kept, scale),
+                         len(scale))
+            grams = A3 @ A3.mT
+            lams = [_first_ridge(gram, eps_reg) for gram in grams]
+            factors = np.empty_like(grams)
+            done = np.zeros(len(grams), dtype=bool)
+            if len(grams) > 1:  # one stacked first attempt; what it leaves retries per block
+                penalty = np.eye(grams.shape[1])
+                penalty[0, 0] = 0.0
+                mats = grams + np.array(lams)[:, None, None] * penalty
+                try:
+                    s = np.linalg.svd(mats, compute_uv=False)
+                    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
+                                     where=s[:, -1] != 0.0)
+                    done = ~(cond > self._COND_LIMIT)
+                    factors[done] = np.linalg.cholesky(mats[done])
+                except np.linalg.LinAlgError:
+                    done[:] = False
+            for g in np.flatnonzero(~done):
+                factors[g], lams[g], again = self._factor(grams[g], lams[g])
+                if again:
+                    escalated.append(lams[g])
+            self._stacks.append((rows, A3, factors))
+            self._states += [RegressionFactor(kept, *fit) for fit in zip(scale, factors, lams)]
+        return escalated
 
     @classmethod
     def from_factor(cls, design: np.ndarray, state: RegressionFactor) -> "ConditionalRegression":
@@ -132,19 +212,32 @@ class ConditionalRegression:
         same design: only the scaled matrix is rebuilt, with no Gram matrix,
         condition check or Cholesky step."""
         reg = cls.__new__(cls)
+        reg.blocks = 1
         reg.keep, reg.scale, reg.factor, reg.lam = state
         reg.A = _scaled_columns(design, reg.keep, reg.scale)
         return reg
 
     @property
-    def state(self) -> RegressionFactor:
+    def state(self):
+        """The fit's RegressionFactor; the list of the blocks' ones when
+        ``blocks`` > 1."""
+        if self.blocks > 1:
+            return self._states
         return RegressionFactor(self.keep, self.scale, self.factor, self.lam)
 
     def fit_values(self, response: np.ndarray) -> np.ndarray:
         """Fitted conditional expectation of response at the design points."""
         # a strided response (a column of a row-major array) would be summed
         # in a different order by BLAS when only the intercept is kept
-        rhs = self.A.T @ np.ascontiguousarray(response)
+        response = np.ascontiguousarray(response)
+        if self.blocks > 1:
+            r = response.reshape(self.blocks, -1, 1)
+            out = np.empty(r.shape)
+            for rows, A3, factors in self._stacks:
+                coef = np.linalg.solve(factors.mT, np.linalg.solve(factors, A3 @ r[rows]))
+                np.matmul(A3.mT, coef, out=out[rows])
+            return out.reshape(-1)
+        rhs = self.A.T @ response
         coef = np.linalg.solve(self.factor.T, np.linalg.solve(self.factor, rhs))
         return self.A @ coef
 
@@ -202,7 +295,7 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
 def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
                    terminal: Sequence[np.ndarray], update: Callable,
                    factors: Optional[List[RegressionFactor]] = None,
-                   q_rows: Optional[Sequence[Optional[int]]] = None):
+                   q_rows: Optional[Sequence[Optional[int]]] = None, blocks: int = 1):
     """The backward LSMC sweep of a system of BSDEs along ``bundle``.
 
     ``terminal`` holds each component's values at T on the valid rows.  At
@@ -214,35 +307,46 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
     arrays NaN on diverged rows; q at step n copies step n - 1.  A
     component's q is stored on its first ``q_rows[j]`` paths only (all when
     None), though every step fits it on all of them.
+
+    With ``blocks`` = K > 1 the bundle's rows are K equal blocks stepped on
+    the increments of one, which ``bundle.dW`` holds once, and each step
+    fits the blocks apart, on one grouped operator (see
+    ``ConditionalRegression``).  The values are then stored at step 0 only
+    (one column; two roll in the sweep) and q nowhere.
     """
     n, dt = bundle.grid.n_steps, bundle.grid.dt
     ok = bundle.valid
-    values = [bundle.sweep_array(n + 1)[0] for _ in terminal]
-    qs = [bundle.sweep_array(n + 1, rows) for rows in q_rows or [None] * len(terminal)]
+    ok_dw = ok if isinstance(ok, slice) else ok[: bundle.dW.shape[0]]
+    cols = n + 1 if blocks == 1 else 2  # step i in column i % cols
+    values = [bundle.sweep_array(cols)[0] for _ in terminal]
+    q_rows = (q_rows or [None] * len(terminal)) if blocks == 1 else [0] * len(terminal)
+    qs = [bundle.sweep_array(n + 1, rows) for rows in q_rows]
     used: List[RegressionFactor] = [None] * n
     for v, term in zip(values, terminal):
-        v[ok, n] = term
+        v[ok, n % cols] = term
     for i in range(n - 1, -1, -1):
         _, x, x1, _, _ = bundle.state(i, ok)
         design = basis.design(x, x1)
         if factors is None:
-            reg = ConditionalRegression(design, basis.eps_reg)
+            reg = ConditionalRegression(design, basis.eps_reg, blocks)
         else:
             reg = ConditionalRegression.from_factor(design, factors[i])
         used[i] = reg.state
-        dw = bundle.dW[ok, i]
-        nxts = [v[ok, i + 1] for v in values]
+        dw = bundle.dW[ok_dw, i]
+        nxts = [v[ok, (i + 1) % cols] for v in values]
         hats = [reg.fit_values(nxt) for nxt in nxts]
-        q_hats = [reg.fit_values((nxt - hat) * dw / dt) for nxt, hat in zip(nxts, hats)]
+        q_hats = [reg.fit_values(((nxt - hat).reshape(blocks, -1) * dw).reshape(-1) / dt)
+                  for nxt, hat in zip(nxts, hats)]
         for v, (q, kept, count), new, q_hat in zip(values, qs, update(i, hats, q_hats), q_hats):
-            v[ok, i] = new
+            v[ok, i % cols] = new
             q[kept, i] = q_hat[:count]
     for q, kept, _ in qs:
         q[kept, n] = q[kept, n - 1]
-    return values, [q for q, _, _ in qs], used
+    return [v if blocks == 1 else v[:, :1] for v in values], [q for q, _, _ in qs], used
 
 
-def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) -> BackwardSolution:
+def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis,
+                    blocks: int = 1) -> BackwardSolution:
     """Backward LSMC sweep for the recursive cost.
 
     Per step: Z is regressed from martingale residuals
@@ -250,6 +354,14 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
     continuation plus one implicit Picard correction of the driver (the
     contraction factor is Lipschitz * dt, so a single sweep is
     sub-tolerance).
+
+    With ``blocks`` = K > 1 the bundle's rows are K equal blocks of paths
+    stepped on the same increments, which ``bundle.dW`` holds once, for one
+    block.  Each block's Y is then bit for bit its own solve's, from one
+    sweep (see ``backward_sweep``), and is stored at s only, the one column
+    a first-order expansion at s reads: Y has one column, Z no row, ``y_s``
+    is the mean over every block and ``factors[i]`` lists the blocks'
+    factors.
     """
     if bundle.dW is None:
         raise ConfigurationError("bundle must store Brownian increments for the backward solve")
@@ -265,7 +377,7 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis) ->
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
     terminal = coeffs.phi(xT, x1T)
-    (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update)
+    (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update, blocks=blocks)
     return BackwardSolution(bundle=bundle, Y=Y, Z=Z, y_s=float(np.mean(Y[ok, 0])),
                             basis=basis, factors=factors, coeffs=coeffs)
 

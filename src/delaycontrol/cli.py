@@ -624,8 +624,8 @@ def _cmd_check_comparison(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_check_moments(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     inst = inputs.inst
-    rep = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, inputs.p,
-                                NoiseSource(cfg.seed), inputs.n_paths)
+    rep, = estimate_moment_bound(inst.coeffs, inst.history, inst.grid, (inputs.p,),
+                                 NoiseSource(cfg.seed), inputs.n_paths)
     write_manifest(cfg, "check-moments")
     write_kv(os.path.join(cfg.out_dir, "report.txt"), [
         f"p={rep.p}", f"lhs={rep.lhs:.12g}", f"lhs_se={rep.lhs_se:.6g}",

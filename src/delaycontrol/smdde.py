@@ -14,7 +14,7 @@ p-th-moment-estimate harness, which return only their reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGri
 DIVERGENCE_LIMIT = 1e12
 CHUNK_PATHS = 4096  # paths stepped per chunk; bounds every per-chunk buffer
 _BLOCK_BYTES = 100 * 1024  # uniforms per Box-Muller block: 64 rows at 100 steps
+_WORD = (1 << 64) - 1  # one of the four words of a Philox counter
 
 Control = Union[float, np.ndarray, Callable]
 
@@ -66,24 +67,28 @@ class NoiseSource:
         out = np.empty((n_paths, n_steps))
         scale = np.sqrt(dt)
         two_pi = 2.0 * np.pi
-        # One generator per call.  A path's 2 * n_steps uniforms move the
-        # counter by ceil(2 * n_steps / 4) (four 64-bit words per Philox
-        # block); one advance by the rest of the block lands on the next
-        # path's block and empties the output buffer, so each path starts
-        # from the state of Philox(key=seed).advance(path * stride).
-        # Box-Muller runs in place over blocks of rows whose uniforms fit
-        # _BLOCK_BYTES, so long horizons do not grow the buffer.
+        # One generator per call.  Each path starts from the state of
+        # Philox(key=seed).advance(path * stride): its 256-bit counter is
+        # path * stride, written into one state dict of plain ints (numpy
+        # arrays there make the assignment slower) with the output buffer
+        # empty, which is the state an advance leaves.  Box-Muller runs in
+        # place over blocks of rows whose uniforms fit _BLOCK_BYTES, so long
+        # horizons do not grow the buffer.
         bg = np.random.Philox(key=self.seed)
         gen = np.random.Generator(bg)
-        bg.advance(first_path * self._PATH_STRIDE)
-        skip = self._PATH_STRIDE - (2 * n_steps + 3) // 4
+        counter = [0] * 4
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": counter, "key": [int(k) for k in bg.state["state"]["key"]]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         rows = max(1, _BLOCK_BYTES // max(1, 16 * n_steps))
         uni = np.empty((min(rows, n_paths), 2 * n_steps))
         for lo in range(0, n_paths, rows):
             block = uni[: min(rows, n_paths - lo)]
-            for row in block:
+            for path, row in enumerate(block, start=first_path + lo):
+                start = path * self._PATH_STRIDE
+                counter[:] = [(start >> shift) & _WORD for shift in (0, 64, 128, 192)]
+                bg.state = state
                 gen.random(out=row)
-                bg.advance(skip)
             k = block.shape[0]
             # sqrt(-2 log1p(-u0)) * cos(2 pi u1) * scale, in `out`
             z = np.log1p(-block[:, 0::2], out=out[lo : lo + k])
@@ -432,26 +437,26 @@ class MomentReport:
         return self.lhs / self.rhs_total if self.rhs_total > 0 else float("inf")
 
 
-def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid,
-                          p: int, noise: NoiseSource, n_paths: int) -> MomentReport:
-    """Monte Carlo ingredients of the p-th-moment estimate (u = 0 reference).
+def estimate_moment_bound(coeffs, history: HistoryPath, grid: TimeGrid, orders: Sequence[int],
+                          noise: NoiseSource, n_paths: int) -> List[MomentReport]:
+    """Monte Carlo ingredients of the p-th-moment estimate (u = 0 reference),
+    one report per even order p in ``orders``, all from one simulation.
 
-    Only each path's sup |X| is kept.  Divergent paths are excluded from
-    the estimate and counted; raises ``HypothesisViolation`` if all diverged.
+    Only each path's sup |X| is kept, and each order raises it to its power.
+    Divergent paths are excluded from the estimate and counted; raises
+    ``HypothesisViolation`` if all diverged.
     """
-    if p < 2 or p % 2 != 0:
+    if any(p < 2 or p % 2 != 0 for p in orders):
         raise ConfigurationError("moment order p must be an even integer >= 2")
     chunks = _zero_control_chunks([(coeffs, history)], grid, noise, n_paths)
-    sup_p = np.concatenate([np.max(np.abs(X[ok, grid.m :]), axis=1)
-                            for ok, _, ((X, _),) in chunks]) ** p  # over [s, T], valid paths
-    lhs, lhs_se = mc_estimate(sup_p)
+    sup = np.concatenate([np.max(np.abs(X[ok, grid.m :]), axis=1)
+                          for ok, _, ((X, _),) in chunks])  # over [s, T], valid paths
     times = grid.times()
     zeros = np.zeros_like(times)
-    b0 = np.abs(coeffs.b(times, zeros, zeros, zeros, zeros))
-    s0 = np.abs(coeffs.sigma(times, zeros, zeros, zeros, zeros)) ** 2
-    rhs_drift = float(np.trapezoid(b0, times) ** p)
-    rhs_diff = float(np.trapezoid(s0, times) ** (p / 2))
-    rhs_hist = float(np.max(np.abs(history.samples)) ** p)
-    return MomentReport(p=p, lhs=lhs, lhs_se=lhs_se, rhs_history=rhs_hist,
-                        rhs_drift=rhs_drift, rhs_diffusion=rhs_diff,
-                        n_diverged=n_paths - sup_p.size)
+    drift = np.trapezoid(np.abs(coeffs.b(times, zeros, zeros, zeros, zeros)), times)
+    diffusion = np.trapezoid(np.abs(coeffs.sigma(times, zeros, zeros, zeros, zeros)) ** 2, times)
+    hist = np.max(np.abs(history.samples))
+    return [MomentReport(p, *mc_estimate(sup ** p), rhs_history=float(hist ** p),
+                         rhs_drift=float(drift ** p), rhs_diffusion=float(diffusion ** (p / 2)),
+                         n_diverged=n_paths - sup.size)
+            for p in orders]

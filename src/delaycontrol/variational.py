@@ -36,6 +36,8 @@ _GL_WEIGHTS = np.array([0.05061426814518853, 0.11119051722668721, 0.156853322938
 # path-steps per remainder slab: 16 steps at 500 paths keeps a slab's arrays
 # (64 KiB each) in cache
 _SLAB_PATH_STEPS = 8192
+# the slopes of eps1 and of eps2, each in the order of (Xhat, Xhat1, Xhat2)
+_EPS_SLOTS = (("b_x", "b_x1", "b_x2"), ("sigma_x", "sigma_x1", "sigma_x2"))
 
 
 @dataclass
@@ -45,7 +47,7 @@ class PerturbationRun:
 
     All arrays live on the sub-horizon [t, T]; the difference paths are
     zero on [t - delta, t) by construction, and Xhat2 vanishes on
-    [t, t + delta) exactly.
+    [t, t + delta) exactly.  ``_remainders`` forms the run's eps1/eps2.
     """
 
     t_index: int
@@ -53,15 +55,17 @@ class PerturbationRun:
     Xhat: np.ndarray
     Xhat1: np.ndarray
     Xhat2: np.ndarray
-    eps1: np.ndarray
-    eps2: np.ndarray
 
 
 def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray,
-                Xhat1: np.ndarray, Xhat2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """eps1/eps2 on the steps t_index..n-1: each derivative's Gauss-Legendre
-    average of d(base + theta*hat) - d(base) over theta in [0, 1] (exact for
-    polynomial integrands of degree <= 15), times the matching hat component.
+                Xhat1: np.ndarray, Xhat2: np.ndarray, slots: Sequence[str]) -> np.ndarray:
+    """The remainder eps1 (``slots`` the b slopes) or eps2 (the sigma
+    slopes) of a run's differences on the steps t_index..n-1: how far the
+    realized difference dynamics are from their linearization around the
+    base path.  It sums, over the three slopes, each derivative's
+    Gauss-Legendre average of d(base + theta*hat) - d(base) over theta in
+    [0, 1] (exact for polynomial integrands of degree <= 15), times the
+    matching hat component.
 
     Averaging the gap rather than the derivative keeps the result exactly
     zero for constant derivatives, so linear families produce identically
@@ -73,11 +77,9 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
     grid = bundle.grid
     m, n = grid.m, grid.n_steps
     n_paths, n_sub = bundle.n_paths, n - t_index
-    slots = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2")
     live = [(k, getattr(coeffs, slot)) for k, slot in enumerate(slots)
             if callable(getattr(coeffs, slot))]
-    eps1 = np.empty((n_paths, n_sub))
-    eps2 = np.empty((n_paths, n_sub))
+    eps = np.empty((n_paths, n_sub))
     slab = max(1, _SLAB_PATH_STEPS // n_paths)
     for j0 in range(0, n_sub, slab):
         j1 = min(j0 + slab, n_sub)
@@ -94,13 +96,29 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
                 xs, x1s, x2s = x + theta * hx, x1 + theta * hx1, x2 + theta * hx2
                 for (k, d), star in zip(live, stars):
                     gaps[k] = gaps[k] + w * (d(t, xs, x1s, x2s, u) - star)
-        eps1[:, j0:j1] = gaps[0] * hx + gaps[1] * hx1 + gaps[2] * hx2
-        eps2[:, j0:j1] = gaps[3] * hx + gaps[4] * hx1 + gaps[5] * hx2
-    return eps1, eps2
+        eps[:, j0:j1] = gaps[0] * hx + gaps[1] * hx1 + gaps[2] * hx2
+    return eps
 
 
-def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
-                       offset: float) -> PerturbationRun:
+def perturbed_bundle(bundle: TrajectoryBundle, t_index: int, X: np.ndarray, X1: np.ndarray,
+                     blocks: int = 1) -> TrajectoryBundle:
+    """The bundle on [t, T] of paths ``X``, ``X1`` restarted from ``bundle`` at
+    grid index ``t_index``: ``blocks`` row blocks of its paths, each under
+    its control and on its increments, which the result holds once."""
+    grid = bundle.grid
+    sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=grid.dt, delay_steps=grid.m)
+    u = bundle.u_at(np.arange(t_index, grid.n_steps))
+    if blocks > 1:  # a per-path control and the diverged flags are read per row
+        u = np.tile(u, (blocks, 1)) if np.ndim(u) == 2 else u
+        diverged = np.tile(bundle.diverged, blocks)
+    else:
+        diverged = bundle.diverged
+    return TrajectoryBundle(grid=sub_grid, X=X, X1=X1, u=u, dW=bundle.dW[:, t_index:],
+                            diverged=diverged)
+
+
+def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int, offset: float,
+                       out: Optional[Sequence[np.ndarray]] = None) -> PerturbationRun:
     """Re-run the dynamics from grid time t with the state bumped by ``offset``.
 
     The perturbed path consumes the increments stored in the base bundle
@@ -108,24 +126,22 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
     same per-step control, and restarts the distributed-delay state at its
     base value.  It is stepped by the simulation's own Euler loop, so a path
     that turns non-finite or leaves [-1e12, 1e12] diverges, which aborts the
-    run unless its base path diverged too.  The remainders eps1/eps2 measure
-    how far the realized difference dynamics are from their linearization
-    around the base path.
+    run unless its base path diverged too.  ``out`` = (X, X1) are the
+    arrays to step the perturbed paths into, say row blocks of a stack (new
+    arrays when None).
     """
     if bundle.dW is None:
         raise ConfigurationError("base bundle must store increments for coupling")
     grid = bundle.grid
-    m, n, dt = grid.m, grid.n_steps, grid.dt
+    m, n = grid.m, grid.n_steps
     if not (0 <= t_index <= n - 1):
         raise ConfigurationError("perturbation time must satisfy t + dt <= T")
     n_paths, n_sub = bundle.n_paths, n - t_index
-    sub_dW = bundle.dW[:, t_index:]
-    Xp = path_array(n_paths, n_sub + m + 1)
+    Xp, X1p = out or (path_array(n_paths, n_sub + m + 1), path_array(n_paths, n_sub + 1))
     Xp[:, : m + 1] = bundle.X[:, t_index : t_index + m + 1]
     Xp[:, m] += offset
-    X1p = path_array(n_paths, n_sub + 1)
     # the distributed delay restarts at its base value
-    _step_chunk(coeffs, bundle.u, grid, sub_dW, Xp, X1p, None, start=t_index,
+    _step_chunk(coeffs, bundle.u, grid, bundle.dW[:, t_index:], Xp, X1p, None, start=t_index,
                 x1_start=bundle.X1[:, t_index])
     # a base path that diverged restarts from NaN; only valid rows can abort
     finite = np.isfinite(Xp[:, m + 1 :]) | bundle.diverged[:, None]
@@ -135,17 +151,12 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
             f"perturbed path became non-finite at step {t_index + k} "
             f"(path {int(np.argmin(finite[:, k]))}); offset too large for this instance")
 
-    sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=dt, delay_steps=m)
-    pert = TrajectoryBundle(grid=sub_grid, X=Xp, X1=X1p, u=bundle.u_at(np.arange(t_index, n)),
-                            dW=sub_dW, diverged=bundle.diverged)
-
-    Xhat = Xp[:, m:] - bundle.X[:, t_index + m :]
+    pert = perturbed_bundle(bundle, t_index, Xp, X1p)
+    # Xhat and Xhat2 are the columns from t and up to T - delta of one difference
+    diff = Xp - bundle.X[:, t_index:]
+    Xhat, Xhat2 = diff[:, m:], diff[:, : n_sub + 1]
     Xhat1 = X1p - bundle.X1[:, t_index:]
-    Xhat2 = Xp[:, : n_sub + 1] - bundle.X[:, t_index : n + 1]
-
-    eps1, eps2 = _remainders(bundle, coeffs, t_index, Xhat, Xhat1, Xhat2)
-    return PerturbationRun(t_index=t_index, pert=pert, Xhat=Xhat, Xhat1=Xhat1,
-                           Xhat2=Xhat2, eps1=eps1, eps2=eps2)
+    return PerturbationRun(t_index=t_index, pert=pert, Xhat=Xhat, Xhat1=Xhat1, Xhat2=Xhat2)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +217,8 @@ def _stat_rows(offset: float, stats: Dict[str, np.ndarray]) -> List[ScalingRow]:
 
 @dataclass
 class DualityProcesses:
-    """The pointwise duality pair and the combined process on [t, T].
+    """The pointwise duality pair and the combined process of one perturbed
+    run, on the columns of [t, T] they were formed on.
 
     ``delta_y_t`` holds the per-path first-order differences
     -Y_pert(t) + Y_base(t); ``mean_abs_ytilde_t`` is E|Ytilde(t)|.
@@ -219,28 +231,39 @@ class DualityProcesses:
     mean_abs_ytilde_t: float
 
 
-def duality_processes(run: PerturbationRun, solution: BackwardSolution, adjoints,
-                      coeffs) -> DualityProcesses:
+def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoints, coeffs,
+                      blocks: int = 1) -> List[DualityProcesses]:
     """Form Yhat = ptilde*Xhat, Ycheck = pcheck*Xhat1 and the combination
-    Ytilde = -Y_pert + Y_base - Yhat - Ycheck on the sub-horizon.
+    Ytilde = -Y_pert + Y_base - Yhat - Ycheck of each perturbed run in
+    ``pert``, on the sub-horizon [t, T], or at t alone when ``blocks`` > 1.
 
-    ``solution`` is the base run's own backward solution: on [t, T] it is
-    the solve of the sub-horizon bundle, since the sweep's step-i
-    regression sees the same rows and responses.  The perturbed paths are
-    solved in ``solution.basis``, so the regression biases of the two
-    cancel in the difference.
+    ``pert`` holds ``blocks`` runs restarted at one grid time t of the
+    base run, one row block each (``perturbed_bundle``); the differences
+    Xhat and Xhat1 are read off it.  ``solution`` is the base run's own
+    backward solution: on [t, T] it is the solve of the sub-horizon bundle,
+    since the sweep's step-i regression sees the same rows and responses.
+    The perturbed paths are solved in ``solution.basis``, so the regression
+    biases of the two cancel in the difference.  Several runs are solved in
+    one sweep, each as by its own solve, which stores Y_pert at t only.
     """
-    pert_sol = solve_bsde_lsmc(run.pert, coeffs, solution.basis)
-    ti = run.t_index
-    base_Y = solution.Y[:, ti:]
-    Yhat, Ycheck = adjoints.normalized(cols=slice(ti, None))
-    Yhat *= run.Xhat
-    Ycheck *= run.Xhat1
-    Ytilde = -pert_sol.Y + base_Y - Yhat - Ycheck
-    delta_y = -pert_sol.Y[:, 0] + base_Y[:, 0]
-    mean_abs = float(np.mean(np.abs(Ytilde[~run.pert.diverged, 0])))
-    return DualityProcesses(Yhat=Yhat, Ycheck=Ycheck, Ytilde=Ytilde,
-                            delta_y_t=delta_y, mean_abs_ytilde_t=mean_abs)
+    base = solution.bundle
+    n_paths, m = base.n_paths, base.grid.m
+    ti = base.grid.n_steps - pert.grid.n_steps
+    c = pert.grid.n_steps + 1 if blocks == 1 else 1  # the columns formed
+    pert_Y = solve_bsde_lsmc(pert, coeffs, solution.basis, blocks).Y
+    base_Y = solution.Y[:, ti : ti + c]
+    ptilde, pcheck = adjoints.normalized(cols=slice(ti, ti + c))
+    duals = []
+    for k in range(blocks):
+        rows = slice(k * n_paths, (k + 1) * n_paths)
+        Yhat = ptilde * (pert.X[rows, m : m + c] - base.X[:, ti + m : ti + m + c])
+        Ycheck = pcheck * (pert.X1[rows, :c] - base.X1[:, ti : ti + c])
+        Ytilde = -pert_Y[rows, :c] + base_Y - Yhat - Ycheck
+        delta_y = -pert_Y[rows, 0] + base_Y[:, 0]
+        mean_abs = float(np.mean(np.abs(Ytilde[~pert.diverged[rows], 0])))
+        duals.append(DualityProcesses(Yhat=Yhat, Ycheck=Ycheck, Ytilde=Ytilde,
+                                      delta_y_t=delta_y, mean_abs_ytilde_t=mean_abs))
+    return duals
 
 
 def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
@@ -257,31 +280,46 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
     first-order expansion defect, both o(h); it needs ``solution``.  Both
     reports average over the non-diverged base paths only; a non-finite
     estimate gives a NaN slope.
+
+    For the duality report the variations are stepped into the row blocks
+    of one stack and solved in one sweep; each variation's remainder
+    statistics are taken, and its differences freed, before that solve.
     """
     offsets = check_offsets(offsets)
     if adjoints is not None and solution is None:
         raise ConfigurationError("the duality report needs the run's backward solution")
-    dt = bundle.grid.dt
+    grid, n_paths, K = bundle.grid, bundle.n_paths, len(offsets)
+    dt = grid.dt
     ok = bundle.valid
+    stack = None
+    if adjoints is not None:
+        n_sub = grid.n_steps - t_index
+        stack = (path_array(K * n_paths, n_sub + grid.m + 1), path_array(K * n_paths, n_sub + 1))
     remainders = ScalingReport([])
-    duality = ScalingReport([]) if adjoints is not None else None
-    for h in offsets:
+    for k, h in enumerate(offsets):
         h = float(h)
-        run = simulate_variation(bundle, coeffs, t_index, h)
-        remainders.rows += _stat_rows(h, {
-            "sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
-            "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
-            "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p,
-            "eps1_int": (np.sum(run.eps1[ok] ** 2, axis=1) * dt) ** (p / 2),
-            "eps2_int": (np.sum(run.eps2[ok] ** 2, axis=1) * dt) ** (p / 2),
+        rows = slice(k * n_paths, (k + 1) * n_paths)
+        run = simulate_variation(bundle, coeffs, t_index, h,
+                                 None if stack is None else [a[rows] for a in stack])
+        stats = {"sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
+                 "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
+                 "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p}
+        for key, slots in zip(("eps1_int", "eps2_int"), _EPS_SLOTS):
+            eps = _remainders(bundle, coeffs, t_index, run.Xhat, run.Xhat1, run.Xhat2, slots)[ok]
+            # squared where it lies, and freed before the next is formed
+            stats[key] = (np.sum(np.square(eps, out=eps), axis=1) * dt) ** (p / 2)
+            del eps
+        remainders.rows += _stat_rows(h, stats)
+        del run  # one run's differences alive at a time
+    if adjoints is None:
+        return remainders, None
+    duality = ScalingReport([])
+    pert = perturbed_bundle(bundle, t_index, *stack, blocks=K)
+    ptilde_t = adjoints.normalized(ok, t_index)[0]
+    for h, dual in zip(offsets, duality_processes(pert, solution, adjoints, coeffs, K)):
+        defect = dual.delta_y_t[ok] - ptilde_t * float(h)
+        duality.rows += _stat_rows(float(h), {
+            "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),
+            "expansion_defect_pos": np.maximum(defect, 0.0),
         })
-        if adjoints is not None:
-            dual = duality_processes(run, solution, adjoints, coeffs)
-            defect = dual.delta_y_t[ok] - adjoints.normalized(ok, t_index)[0] * h
-            duality.rows += _stat_rows(h, {
-                "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),
-                "expansion_defect_pos": np.maximum(defect, 0.0),
-            })
-            del dual
-        del run  # one run alive at a time
     return remainders, duality

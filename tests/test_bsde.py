@@ -197,6 +197,91 @@ class TestRegressionOperator:
         assert reg.lam == max(lam0, 1e-12) * 100.0
 
 
+class TestGroupedRegression:
+    """K row blocks fitted on one grouped operator must equal K separate
+    operators bit for bit: kept columns, scale, factor, ridge, fitted values
+    and ridge warnings."""
+
+    @staticmethod
+    def _block(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "deterministic":
+            return np.full(n, 0.6), np.full(n, 0.35)
+        x = rng.normal(0.6, 0.05 if "collinear" in kind else 2.0, n)
+        if kind == "collinear":  # x1 affine in x: singular without a ridge
+            return x, 0.3 + 0.2 * x
+        if kind == "near_collinear":  # condition number near 1e16, yet a Cholesky factor
+            return x, 0.3 + 0.2 * x + 1e-4 * rng.normal(size=n)
+        return x, np.full(n, -1.7) if kind == "constant_x1" else rng.uniform(-0.6, 0.4, n)
+
+    def _check(self, kinds, eps_reg, degree=2, n=257):
+        basis = RegressionBasis(degree=degree, eps_reg=eps_reg)
+        blocks = [self._block(kind, n, seed) for seed, kind in enumerate(kinds)]
+        design = basis.design(np.concatenate([x for x, _ in blocks]),
+                              np.concatenate([x1 for _, x1 in blocks]))
+        y = np.sin(np.arange(len(kinds) * n) * 0.37)
+        with warnings.catch_warnings(record=True) as grouped_log:
+            warnings.simplefilter("always")
+            reg = ConditionalRegression(design, eps_reg, len(kinds))
+        states = reg.state if len(kinds) > 1 else [reg.state]
+        fitted = reg.fit_values(y)
+        separate_warnings = 0
+        for k, (x, x1) in enumerate(blocks):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                sep = ConditionalRegression(basis.design(x, x1), eps_reg)
+            separate_warnings += ridge_warnings(log)
+            for name in ("keep", "scale", "factor"):
+                assert np.array_equal(getattr(states[k], name), getattr(sep, name)), (k, name)
+            assert states[k].lam == sep.lam, k
+            rows = slice(k * n, (k + 1) * n)
+            assert np.array_equal(fitted[rows], sep.fit_values(y[rows])), k
+        assert ridge_warnings(grouped_log) == separate_warnings
+        return states, separate_warnings
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_blocks_match_separate_fits(self, K, degree):
+        states, escalated = self._check(["random"] * K, 1e-9, degree)
+        assert all(state.keep.all() for state in states) and escalated == 0
+
+    @pytest.mark.parametrize("kinds", [["random", "near_collinear", "random"],
+                                       ["random", "collinear", "near_collinear", "random"]])
+    def test_collinear_blocks_escalate_alone(self, kinds):
+        # no ridge: each collinear block escalates, with one warning, and the
+        # random blocks keep a zero ridge; the near-collinear block fails the
+        # condition check only, the collinear one also its Cholesky factor
+        states, escalated = self._check(kinds, 0.0)
+        assert escalated == sum("collinear" in kind for kind in kinds)
+        assert [state.lam > 0.0 for state in states] == ["collinear" in k for k in kinds]
+
+    @pytest.mark.parametrize("kinds", [["random", "constant_x1", "random"],
+                                       ["deterministic", "random"],
+                                       ["deterministic"] * 3])
+    def test_blocks_keeping_other_columns(self, kinds):
+        states, _ = self._check(kinds, 1e-9)
+        kept = [int(state.keep.sum()) for state in states]
+        if kinds == ["deterministic"] * 3:
+            assert kept == [1, 1, 1]
+        else:
+            assert len(set(kept)) == 2
+
+    def test_stacked_failure_retries_each_block(self, monkeypatch):
+        # a stacked Cholesky call that fails hands every block to its own
+        # ridge loop, which gives the same factors
+        cholesky, stacked = np.linalg.cholesky, []
+
+        def failing_on_stacks(a):
+            if a.ndim == 3:
+                stacked.append(1)
+                raise np.linalg.LinAlgError("stack")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_on_stacks)
+        _, escalated = self._check(["random"] * 3, 1e-9)
+        assert stacked and escalated == 0
+
+
 class TestBackwardSolver:
     def test_constant_terminal(self):
         coeffs = make_coefficients("constant", lam=0.0, s0=0.5, phi0=3.0)

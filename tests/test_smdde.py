@@ -55,10 +55,11 @@ class TestNoiseSource:
         assert np.allclose(coarse, fine.reshape(3, 25, 2).sum(axis=2), atol=1e-15)
 
     @pytest.mark.parametrize("n_steps", [7, 21])
-    @pytest.mark.parametrize("first_path", [0, 4097, 2**24 + 3])
+    @pytest.mark.parametrize("first_path", [0, 4097, 2**24 + 3, 2**30, 2**100 + 1])
     def test_bits_match_one_philox_per_path(self, first_path, n_steps):
         # reference: a fresh Philox(key=seed) advanced to the path's block;
-        # from path 2**24 on, path * 2**40 carries into the second counter word
+        # from path 2**24 on, path * 2**40 carries into the second counter
+        # word, and from 2**88 on into the third
         seed, n_paths, dt = 0xDEADBEEF12345678, 5, 0.01
         got = NoiseSource(seed).increments(first_path, n_paths, n_steps, dt)
         want = np.empty((n_paths, n_steps))
@@ -345,8 +346,8 @@ class TestComparison:
 class TestMomentBound:
     def test_deterministic_constant_path(self):
         coeffs = make_coefficients("constant", lam=0.0)
-        rep = estimate_moment_bound(coeffs, HistoryPath.constant(2.0, 10), grid(),
-                                    2, NoiseSource(1), 200)
+        rep, = estimate_moment_bound(coeffs, HistoryPath.constant(2.0, 10), grid(),
+                                     (2,), NoiseSource(1), 200)
         assert rep.lhs == pytest.approx(4.0)
         assert rep.rhs_history == pytest.approx(4.0)
         assert rep.ratio == pytest.approx(1.0)
@@ -354,8 +355,8 @@ class TestMomentBound:
     def test_pure_drift_matches_integral_term(self):
         T = 0.5
         coeffs = make_coefficients("constant", lam=0.0, b0=1.0)
-        rep = estimate_moment_bound(coeffs, HistoryPath.constant(0.0, 10),
-                                    grid(T=T), 4, NoiseSource(1), 50)
+        rep, = estimate_moment_bound(coeffs, HistoryPath.constant(0.0, 10),
+                                     grid(T=T), (4,), NoiseSource(1), 50)
         assert rep.lhs == pytest.approx(T ** 4, rel=1e-6)
         assert rep.rhs_drift == pytest.approx(T ** 4, rel=1e-12)
 
@@ -367,8 +368,8 @@ class TestMomentBound:
             scales = np.array([1.0, 2.0, 4.0])
             lhs = []
             for s in scales:
-                rep = estimate_moment_bound(coeffs, HistoryPath.constant(s, 10),
-                                            grid(), p, NoiseSource(33), 2000)
+                rep, = estimate_moment_bound(coeffs, HistoryPath.constant(s, 10),
+                                             grid(), (p,), NoiseSource(33), 2000)
                 lhs.append(rep.lhs)
             slope = np.polyfit(np.log(scales), np.log(lhs), 1)[0]
             assert slope == pytest.approx(p, abs=0.05)
@@ -377,7 +378,23 @@ class TestMomentBound:
         coeffs = make_coefficients("constant")
         with pytest.raises(ConfigurationError):
             estimate_moment_bound(coeffs, HistoryPath.constant(0.0, 10), grid(),
-                                  3, NoiseSource(1), 10)
+                                  (3,), NoiseSource(1), 10)
+
+    @pytest.mark.parametrize("explosive", [False, True])
+    def test_each_order_matches_a_single_order_call(self, explosive):
+        # one simulation for every order: each report equals, field for
+        # field, the report of a call with that order alone (with diverged
+        # paths left out of every one of them when explosive)
+        params = dict(bx=400.0, bx2=1.0, sx=20.0) if explosive else dict(bx=0.3, sx=0.25)
+        coeffs = make_coefficients("linear", lam=0.0, b0=0.2, **params)
+        g = TimeGrid(s=0.0, T=0.1, dt=0.001, delay_steps=10)
+        hist = HistoryPath.constant(0.8, 10)
+        reports = estimate_moment_bound(coeffs, hist, g, (4, 2, 6, 2), NoiseSource(3), 700)
+        assert [rep.p for rep in reports] == [4, 2, 6, 2]
+        assert (reports[0].n_diverged > 0) == explosive
+        for rep in reports:
+            single, = estimate_moment_bound(coeffs, hist, g, (rep.p,), NoiseSource(3), 700)
+            assert dataclasses.astuple(rep) == dataclasses.astuple(single)
 
 
 def test_harness_reductions_independent_of_chunking(monkeypatch):
@@ -389,7 +406,7 @@ def test_harness_reductions_independent_of_chunking(monkeypatch):
 
     def run():
         cmp = simulate_coupled_pair(c1, c2, hist, hist, g, NoiseSource(3), 700)
-        mom = estimate_moment_bound(c1, hist, g, 2, NoiseSource(3), 700)
+        mom, = estimate_moment_bound(c1, hist, g, (2,), NoiseSource(3), 700)
         return cmp, mom
 
     one_chunk = run()
@@ -442,7 +459,7 @@ def test_mismatched_history_is_refused_alike():
     with pytest.raises(ConfigurationError, match=message):
         simulate_smdde(coeffs, hist, 0.0, g, NoiseSource(1), 10)
     with pytest.raises(ConfigurationError, match=message):
-        estimate_moment_bound(coeffs, hist, g, 2, NoiseSource(1), 10)
+        estimate_moment_bound(coeffs, hist, g, (2,), NoiseSource(1), 10)
 
 
 @pytest.mark.parametrize("n_diverged", [0, 6])

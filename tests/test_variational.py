@@ -5,16 +5,22 @@ import pytest
 
 from delaycontrol import variational
 from delaycontrol.core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGrid,
-                              x1_weights)
+                              mc_estimate, x1_weights)
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import solve_adjoints
-from delaycontrol.variational import (_GL_NODES, _GL_WEIGHTS, duality_processes,
-                                      scaling_reports, simulate_variation)
+from delaycontrol.variational import (_GL_NODES, _GL_WEIGHTS, ScalingRow, duality_processes,
+                                      perturbed_bundle, scaling_reports, simulate_variation)
 from conftest import LQ_LAM, LQ_PARAMS
 
 OFFSETS = [0.2, 0.1, 0.05, 0.025]
+
+
+def remainders(bundle, coeffs, run):
+    """eps1 and eps2 of a run."""
+    return tuple(variational._remainders(bundle, coeffs, run.t_index, run.Xhat, run.Xhat1,
+                                         run.Xhat2, slots) for slots in variational._EPS_SLOTS)
 
 
 def make_bundle(coeffs, T=0.5, dt=0.01, m=10, n_paths=2000, seed=1, control=0.0,
@@ -32,15 +38,17 @@ class TestSimulateVariation:
         assert np.all(run.Xhat == 0.0)
         assert np.all(run.Xhat1 == 0.0)
         assert np.all(run.Xhat2 == 0.0)
-        assert np.all(run.eps1 == 0.0) and np.all(run.eps2 == 0.0)
+        eps1, eps2 = remainders(bundle, coeffs, run)
+        assert np.all(eps1 == 0.0) and np.all(eps2 == 0.0)
 
     def test_linear_coefficients_have_zero_remainders(self):
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, bx1=0.2, bx2=0.1,
                                    sx=0.2, sx2=0.1)
         bundle = make_bundle(coeffs)
         run = simulate_variation(bundle, coeffs, 10, 0.1)
-        assert np.all(run.eps1 == 0.0)
-        assert np.all(run.eps2 == 0.0)
+        eps1, eps2 = remainders(bundle, coeffs, run)
+        assert np.all(eps1 == 0.0)
+        assert np.all(eps2 == 0.0)
         assert np.max(np.abs(run.Xhat)) > 0.0
 
     def test_discrete_delay_difference_vanishes_on_first_window(self):
@@ -194,8 +202,9 @@ class TestSlabRemainders:
             run = simulate_variation(bundle, coeffs, t_index, 0.1)
             eps1, eps2 = step_remainders(bundle, coeffs, run)
             assert np.any(eps1 != 0.0) and np.any(eps2 != 0.0)
-            assert np.array_equal(run.eps1, eps1)
-            assert np.array_equal(run.eps2, eps2)
+            got = remainders(bundle, coeffs, run)
+            assert np.array_equal(got[0], eps1)
+            assert np.array_equal(got[1], eps2)
 
 
 SLOPES = ("b_x", "b_x1", "b_x2", "sigma_x", "sigma_x1", "sigma_x2",
@@ -266,7 +275,7 @@ class TestConstantSlopes:
         for cs in (coeffs, wrapped):
             run = simulate_variation(bundle, cs, 8, 0.1)
             adj = solve_adjoints(bundle, solution, cs, basis)
-            results.append([run.eps1, run.eps2, adj.gamma, adj.p1, adj.p2, adj.p3,
+            results.append([*remainders(bundle, cs, run), adj.gamma, adj.p1, adj.p2, adj.p3,
                             adj.q1, adj.q2])
         assert set(calls) == set(READ)
         for recorded, evaluated_run in zip(*results):
@@ -289,7 +298,8 @@ class TestConstantSlopes:
         monkeypatch.setattr(variational, "_remainders", counted_remainders)
         for t_index in (20, 50, 80):
             scaling_reports(bundle, counted_slots(coeffs, calls), t_index, OFFSETS)
-        assert slope_calls == [0] * 12
+        # one pass for eps1 and one for eps2 per variation, none evaluating
+        assert slope_calls == [0] * 24
         # the same variations with every slope evaluated: 6 slopes at the base
         # point and 8 nodes per slab; 500 paths make slabs of 16 steps
         wrapped = dataclasses.replace(
@@ -369,7 +379,7 @@ class TestDualityProcesses:
     def test_zero_offset_gives_zero_processes(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         run = simulate_variation(bundle, coeffs, 20, 0.0)
-        dual = duality_processes(run, sol, adj, coeffs)
+        dual, = duality_processes(run.pert, sol, adj, coeffs)
         assert np.nanmax(np.abs(dual.Yhat)) == 0.0
         assert np.nanmax(np.abs(dual.Ycheck)) == 0.0
         assert np.nanmax(np.abs(dual.Ytilde)) < 1e-12
@@ -378,7 +388,7 @@ class TestDualityProcesses:
     def test_terminal_identity(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         run = simulate_variation(bundle, coeffs, 20, 0.1)
-        dual = duality_processes(run, sol, adj, coeffs)
+        dual, = duality_processes(run.pert, sol, adj, coeffs)
         n = bundle.grid.n_steps
         xT = bundle.state(n)[1]
         ptilde_T = adj.normalized(cols=n)[0]
@@ -403,8 +413,9 @@ class TestDualityProcesses:
         monkeypatch.setattr(variational, "solve_bsde_lsmc",
                             spy("lsmc", variational.solve_bsde_lsmc))
         rem, dual = scaling_reports(bundle, coeffs, 20, OFFSETS, solution=sol, adjoints=adj)
-        # the base Y is the run's own solution: one solve per perturbed run
-        assert calls == {"variation": 4, "lsmc": 4}
+        # the base Y is the run's own solution, and the four perturbed runs
+        # are solved in one sweep
+        assert calls == {"variation": 4, "lsmc": 1}
         assert len(rem.rows) == 5 * 4 and len(dual.rows) == 2 * 4
 
     def test_perturbed_solves_run_no_standard_error_pass(self):
@@ -417,8 +428,9 @@ class TestDualityProcesses:
 
         counted = dataclasses.replace(coeffs, f=f)
         scaling_reports(bundle, counted, 20, OFFSETS, solution=sol, adjoints=adj)
-        # one driver call per step of each perturbed sweep, none for y_s_se
-        assert len(calls) == len(OFFSETS) * (bundle.grid.n_steps - 20)
+        # one driver call per step of the one sweep of the perturbed runs,
+        # none for y_s_se
+        assert len(calls) == bundle.grid.n_steps - 20
         assert "y_s_se" not in vars(sol)
 
     @pytest.mark.parametrize("t_index", [0, 7, 49])
@@ -446,3 +458,84 @@ class TestDualityProcesses:
         _, rep = scaling_reports(bundle, coeffs, 30, OFFSETS, solution=sol, adjoints=adj)
         assert rep.slope("abs_ytilde_t") >= 1.5
         assert rep.slope("expansion_defect_pos") >= 1.5
+
+
+def reference_scaling(bundle, coeffs, t_index, offsets, p, sol, adj):
+    """The rows of scaling_reports from one variation and one LSMC solve per
+    offset, the duality processes formed on the whole sub-horizon."""
+    ok, dt, ti = bundle.valid, bundle.grid.dt, t_index
+    rem, dual = [], []
+    for h in sorted(offsets, reverse=True):
+        run = simulate_variation(bundle, coeffs, ti, h)
+        eps1, eps2 = remainders(bundle, coeffs, run)
+        stats = {"sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
+                 "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
+                 "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p,
+                 "eps1_int": (np.sum(eps1[ok] ** 2, axis=1) * dt) ** (p / 2),
+                 "eps2_int": (np.sum(eps2[ok] ** 2, axis=1) * dt) ** (p / 2)}
+        rem += [ScalingRow(key, h, *mc_estimate(vals)) for key, vals in stats.items()]
+        pert_Y = solve_bsde_lsmc(run.pert, coeffs, sol.basis).Y
+        ptilde, pcheck = adj.normalized(cols=slice(ti, None))
+        ytilde = -pert_Y + sol.Y[:, ti:] - ptilde * run.Xhat - pcheck * run.Xhat1
+        defect = (-pert_Y[:, 0] + sol.Y[:, ti])[ok] - adj.normalized(ok, ti)[0] * h
+        dual += [ScalingRow("abs_ytilde_t", h, *mc_estimate(np.abs(ytilde[ok, 0]))),
+                 ScalingRow("expansion_defect_pos", h, *mc_estimate(np.maximum(defect, 0.0)))]
+    return rem, dual
+
+
+def same_rows(got, want):
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    assert np.array_equal([r[2:] for r in got], [r[2:] for r in want], equal_nan=True)
+
+
+class TestGroupedPerturbedSolve:
+    """The perturbed runs of one t_index are solved in one sweep; every row
+    of both reports must equal a loop of one variation and one solve per
+    offset."""
+
+    CASES = {
+        "lq": ("linear_quadratic", dict(lam=0.5, a=0.1, bu=0.5, sigma0=0.2, q=0.15, r=1.0,
+                                        phi_quad=-0.15), OFFSETS, 0.6),
+        "linear": ("linear", dict(lam=0.5, b0=0.1, bx=-0.3, bx1=0.2, bx2=0.1, bu=0.5, s0=0.2,
+                                  sx=0.1, sx1=0.05, sx2=-0.05, fx=-0.2, fx1=0.1, fx2=0.05,
+                                  fy=-0.1, fz=0.05, fu=0.1, phix=0.3, phix1=-0.1),
+                   OFFSETS, 0.6),
+        # about a quarter of the paths diverge, so every block has NaN rows
+        "diverging": ("linear", dict(lam=0.5, b0=0.1, bx=5.0, s0=0.2, sx=20.0, fx=-0.2,
+                                     fy=-0.1, fz=0.05, phix=0.3), [1e-6, 5e-7, 2.5e-7], 0.6),
+    }
+
+    @pytest.mark.parametrize("t_index", [0, 13])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reports_match_per_offset_loop(self, case, t_index):
+        family, params, offsets, x0 = self.CASES[case]
+        coeffs = make_coefficients(family, **params)
+        bundle = make_bundle(coeffs, n_paths=400, seed=4, control=0.1, x0=x0)
+        assert (case == "diverging") == bool(bundle.diverged.any())
+        basis = RegressionBasis(degree=2)
+        sol = solve_bsde_lsmc(bundle, coeffs, basis)
+        adj = solve_adjoints(bundle, sol, coeffs, basis)
+        rem, dual = scaling_reports(bundle, coeffs, t_index, offsets, solution=sol, adjoints=adj)
+        want_rem, want_dual = reference_scaling(bundle, coeffs, t_index, offsets, 2, sol, adj)
+        same_rows(rem.rows, want_rem)
+        same_rows(dual.rows, want_dual)
+
+    def test_grouped_solve_matches_separate_solves(self):
+        # a feedback control (tiled per block) and a diverged base row
+        coeffs = make_coefficients("linear_quadratic", lam=0.5, a=0.1, bu=0.5, sigma0=0.2,
+                                   q=0.15, r=1.0, phi_quad=-0.15)
+        bundle = make_bundle(coeffs, n_paths=300, seed=9, x0=0.6,
+                             control=lambda t, x, x1: np.clip(-0.3 * x + 0.1 * x1, -1.0, 1.0))
+        m = bundle.grid.m
+        bundle.X[7, m + 30 :] = np.nan
+        bundle.X1[7, 30:] = np.nan
+        bundle.diverged[7] = True
+        basis = RegressionBasis(degree=2)
+        runs = [simulate_variation(bundle, coeffs, 12, h) for h in (0.2, 0.1, 0.0)]
+        stack = perturbed_bundle(bundle, 12, np.concatenate([r.pert.X for r in runs]),
+                                 np.concatenate([r.pert.X1 for r in runs]), blocks=3)
+        grouped = solve_bsde_lsmc(stack, coeffs, basis, blocks=3)
+        assert grouped.Y.shape == (900, 1) and grouped.Z.shape[0] == 0
+        for k, run in enumerate(runs):
+            want = solve_bsde_lsmc(run.pert, coeffs, basis).Y[:, :1]
+            assert np.array_equal(grouped.Y[300 * k : 300 * (k + 1)], want, equal_nan=True), k

@@ -12,7 +12,8 @@ REV's ``src/`` and once against the working tree's, on identical configs:
 the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-mp`` on a linear and a bilinear instance and on the linear one with
-``-0.0`` slopes, ``solve-bsde`` and
+``-0.0`` slopes, ``check-scaling`` at the edges of its grouped perturbed
+solve (no ridge, a perturbation at t = 0, diverged paths), ``solve-bsde`` and
 ``check-mp`` on a constant instance, ``check-mp`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
@@ -21,7 +22,7 @@ also with no dumped path and with more dumped paths than paths),
 on that config, on a linear instance whose value function varies in x1, on
 the LQ config with out-of-order, repeated ``dump_slices`` and on the LQ
 config with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed per
-output file (153 files); a call that exits 3 on either side also has its
+output file (166 files); a call that exits 3 on either side also has its
 stderr text compared.  The bad-config calls carry one fault each, at least
 one per subcommand, one per error of the ``solve_hjb`` prologue, one for a
 key the ``constant`` family does not accept and one for an ``[instance2]``
@@ -176,6 +177,15 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-mp-bilinear", "bilinear", ["check-mp"]),
     ("check-mp-linear-negzero", "linear", ["check-mp", *NEGZERO]),
     ("check-scaling-linear-negzero", "linear", ["check-scaling", *NEGZERO]),
+    # the edges of the grouped sweep of the perturbed runs: no ridge, so their
+    # collinear designs escalate it; a deterministic start state at t = 0,
+    # where every block keeps only the intercept; 113 NaN base rows in every
+    # block, at offsets small enough for the diverging instance
+    ("check-scaling-ridge", "lq", ["check-scaling", "--set", "numerics.eps_reg=0",
+                                   "--set", "scaling.t_indices=0,25"]),
+    ("check-scaling-t0", "lq", ["check-scaling", "--set", "scaling.t_indices=0,50"]),
+    ("check-scaling-diverged", "linear", ["check-scaling", *DIVERGING,
+                                          "--set", "scaling.offsets=1e-6,5e-7,2.5e-7"]),
     ("solve-bsde-constant", "constant", ["solve-bsde"]),
     ("check-mp-constant", "constant", ["check-mp"]),
     ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
