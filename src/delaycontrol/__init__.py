@@ -22,8 +22,7 @@ _EXPORTS = {
     "bsde": ("BackwardSolution", "RegressionBasis", "cost_functional_J",
              "linear_driver_oracle", "solve_bsde_lsmc"),
     "adjoint": ("AdjointBundle", "MPReport", "check_sufficient_mp", "compute_p3_pathwise",
-                "solve_adjoint_p", "solve_adjoints", "solve_gamma",
-                "solve_transformed_direct"),
+                "solve_adjoint_p", "solve_adjoints", "solve_gamma"),
     "variational": ("PerturbationRun", "ScalingReport", "duality_processes",
                     "scaling_reports", "simulate_variation"),
     "hjb": ("GridValueFunction", "HjbGrid", "Jet", "check_x2_independence", "feedback_control",

@@ -12,9 +12,7 @@ p3 is computed as a plain pathwise backward integral: the theory only
 uses it through the reduction hypothesis "p3 identically zero", so
 max|p3| is treated as a hypothesis-violation metric rather than a solved
 adjoint.  The normalized pair ptilde = p1/gamma, pcheck = p2/gamma is
-derived where it is read (``AdjointBundle.normalized``), and can also be
-solved directly from its own backward system (with its martingale
-loadings qtilde, qcheck) as a cross-check.
+derived where it is read (``AdjointBundle.normalized``).
 """
 
 from __future__ import annotations
@@ -157,43 +155,6 @@ def solve_adjoints(bundle: TrajectoryBundle, solution: BackwardSolution, coeffs,
     p1, p2, q1, q2 = solve_adjoint_p(bundle, solution, gamma, coeffs, basis, rows)
     p3, top = compute_p3_pathwise(bundle, solution, gamma, p1, p2, q1, coeffs, rows)
     return AdjointBundle(gamma=gamma, p1=p1, p2=p2, p3=p3, q1=q1, q2=q2, max_abs_p3=top)
-
-
-def solve_transformed_direct(bundle: TrajectoryBundle, solution: BackwardSolution,
-                             coeffs, basis: RegressionBasis,
-                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the gamma-normalized adjoint pair from its own backward system.
-
-    d ptilde = { f_x - ptilde*(b_x + f_y + sigma_x f_z) - qtilde*(sigma_x + f_z)
-                 - pcheck } dt + qtilde dW,          ptilde(T) = -phi_x,
-    d pcheck = { pcheck*(lam - f_y) - qcheck*f_z + f_x1
-                 - ptilde*(b_x1 + f_z sigma_x1) - qtilde*sigma_x1 } dt
-                 + qcheck dW,                        pcheck(T) = -phi_x1.
-
-    Cross-validates the identity ptilde = p1/gamma without ever forming
-    gamma.
-    """
-    n, dt = bundle.grid.n_steps, bundle.grid.dt
-    lam = coeffs.lam
-    ok = bundle.valid
-
-    def update(i, hats, qs):
-        t, x, x1, x2, y, z, u = _along(bundle, solution, i, ok)
-        (pt_hat, pc_hat), (qt_hat, qc_hat) = hats, qs
-        bx, bx1, sx, sx1 = (coeffs.slope(slot, t, x, x1, x2, u)
-                            for slot in ("b_x", "b_x1", "sigma_x", "sigma_x1"))
-        fx, fx1, fy, fz = (coeffs.slope(slot, t, x, x1, x2, y, z, u)
-                           for slot in ("f_x", "f_x1", "f_y", "f_z"))
-        drift_t = fx - pt_hat * (bx + fy + sx * fz) - qt_hat * (sx + fz) - pc_hat
-        drift_c = (pc_hat * (lam - fy) - qc_hat * fz + fx1
-                   - pt_hat * (bx1 + fz * sx1) - qt_hat * sx1)
-        return pt_hat - drift_t * dt, pc_hat - drift_c * dt
-
-    _, xT, x1T, _, _ = bundle.state(n, ok)
-    terminal = tuple(-coeffs.slope(slot, xT, x1T) for slot in ("phi_x", "phi_x1"))
-    (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis, terminal, update,
-                                           solution.shared_factors(bundle, basis))
-    return pt, pc, qt, qc
 
 
 # ---------------------------------------------------------------------------

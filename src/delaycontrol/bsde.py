@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,20 +62,18 @@ class RegressionBasis:
         return out
 
 
-def _scaled_columns(design: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``design[:, keep] / scale`` in the column-major layout that expression
-    yields: the layout fixes the order in which BLAS sums the terms of each
-    fitted value.  A design whose columns are all kept is divided as it is:
-    a second design-sized array per fit made one fit at 8000 rows about
-    three times slower (2-CPU host, numpy 2.4.6).  A ``(K, k)`` scale divides
-    each of K equal row blocks by its own row."""
-    A = np.empty((design.shape[0], scale.shape[-1]), order="F")
-    kept = design if keep.all() else design[:, keep]
-    if scale.ndim == 1:
-        np.divide(kept, scale, out=A)
-    else:
-        np.divide(_blocks(kept, len(scale)), scale[:, :, None], out=_blocks(A, len(scale)))
-    return A
+def _scaled_columns(cols: np.ndarray, keep: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``cols[:, keep] / scale[:, :, None]`` for the ``_blocks`` view
+    ``cols`` of a design: the transposes of each block's kept columns
+    divided by the block's row of ``scale``, the layout each block's fit
+    reads (the transpose of a column-major matrix), which fixes the order in
+    which BLAS sums the terms of each fitted value.  A design whose columns
+    are all kept is divided as it is: a second design-sized array per fit
+    made one fit at 8000 rows about three times slower (2-CPU host, numpy
+    2.4.6)."""
+    A3 = np.empty(scale.shape + cols.shape[2:])
+    np.divide(cols if keep.all() else cols[:, keep], scale[:, :, None], out=A3)
+    return A3
 
 
 def _blocks(M: np.ndarray, k: int) -> np.ndarray:
@@ -85,8 +83,8 @@ def _blocks(M: np.ndarray, k: int) -> np.ndarray:
 
 
 class RegressionFactor(NamedTuple):
-    """What a ConditionalRegression keeps of its design besides the matrix
-    itself: kept columns, column scale, Cholesky factor and final ridge."""
+    """What a ConditionalRegression keeps of a block besides its matrix:
+    kept columns, column scale, Cholesky factor and final ridge."""
 
     keep: np.ndarray
     scale: np.ndarray
@@ -94,8 +92,25 @@ class RegressionFactor(NamedTuple):
     lam: float
 
 
+def _grouped(keep: List[list]) -> List[slice]:
+    """The groups of the ``len(keep)`` row blocks, block k keeping columns
+    ``keep[k]`` (a list of flags): one group of every block when all keep
+    the same columns, else one group per block."""
+    if keep.count(keep[0]) == len(keep):
+        return [slice(0, len(keep))]
+    return [slice(k, k + 1) for k in range(len(keep))]
+
+
+def _pick(rows: slice, stack: np.ndarray) -> Tuple[Union[slice, int], np.ndarray]:
+    """``(rows, stack)`` for a group of blocks ``rows``, and for a group of
+    one block ``(its index, its matrix)``: an index drops the stack axis of
+    what it picks from, so that the group's BLAS and LAPACK calls are the
+    plain 2-D ones (see ``ConditionalRegression``)."""
+    return (rows, stack) if len(stack) > 1 else (rows.start, stack[0])
+
+
 def _first_ridge(gram: np.ndarray, eps_reg: float) -> float:
-    return eps_reg * max(float(np.trace(gram)) / gram.shape[0], 1e-300)
+    return eps_reg * max(float(gram.trace()) / gram.shape[0], 1e-300)
 
 
 class ConditionalRegression:
@@ -106,37 +121,68 @@ class ConditionalRegression:
     degenerate states (e.g. the deterministic initial slice) reduce to a
     plain mean.
 
-    With ``blocks`` = K > 1 the design's rows are K equal blocks, and the
-    operator is K independent ones, each bit for bit the operator of its
-    block alone: ``state[k]`` is block k's factor, and ``fit_values`` fits
-    each block's rows of a response on its own operator.  The fixed cost
-    of a fit is paid once for all blocks, not once per block.  The column
-    ranges and the scaling are one call each over every row.  Blocks that
-    keep the same columns (all of them, unless a column is flat in some
-    blocks only) share one scaled matrix, and their Gram matrices,
-    condition checks, Cholesky factors and solves are one call each on the
-    stack of the blocks' matrices: numpy's stacked BLAS and LAPACK calls
-    give each matrix the bits of its own call.  A block whose ridge must
-    grow escalates on its own, with its own warning.
+    The design's rows are ``blocks`` = K equal blocks, and the operator is
+    K independent ones, each bit for bit the operator of its block alone:
+    ``state[k]`` is block k's factor, and ``fit_values`` fits each block's
+    rows of a response on its own operator; a single fit is the one-block
+    case.  The fixed cost of a fit is paid once for all blocks, not once
+    per block.  The column ranges and the scaling are one call each over
+    every row.  Blocks that keep the same columns (all of them, unless a
+    column is flat in some blocks only) form one group, which shares one
+    scaled matrix, and whose Gram matrices, condition checks, Cholesky
+    factors and solves are one call each on the stack of the blocks'
+    matrices: numpy's stacked BLAS and LAPACK calls give each matrix the
+    bits of its own call.  A group of one block makes no stacked first
+    attempt, and its BLAS and LAPACK calls are the plain 2-D ones on its
+    matrix: stacked calls and that attempt on a stack of one made a fit
+    with two fitted values about 15 % slower at 500 rows and 6 % at 8000
+    (2-CPU host, numpy 2.4.6), and a sweep of one block fits one per step.
+    A block whose ridge must grow escalates on its own, with its own
+    warning.
     """
 
     _COND_LIMIT = 1e12
 
     def __init__(self, design: np.ndarray, eps_reg: float, blocks: int = 1):
-        self.blocks = blocks
-        if blocks > 1:
-            escalated = self._fit_blocks(design, eps_reg)
-        else:
-            # max and min are exact in any order
-            hi = design.max(axis=0)
-            lo = design.min(axis=0)
-            self.keep = np.ones(design.shape[1], dtype=bool)
-            self.keep[1:] = (hi - lo)[1:] > 1e-12
-            self.scale = np.maximum(np.maximum(np.abs(hi), np.abs(lo))[self.keep], 1.0)
-            A = self.A = _scaled_columns(design, self.keep, self.scale)
-            gram = A.T @ A
-            self.factor, self.lam, again = self._factor(gram, _first_ridge(gram, eps_reg))
-            escalated = [self.lam] if again else []
+        cols = _blocks(design, blocks)
+        # max and min are exact in any order
+        hi, lo = cols.max(axis=2), cols.min(axis=2)
+        keep = (hi - lo) > 1e-12
+        keep[:, 0] = True  # the intercept
+        big = np.maximum(np.abs(hi), np.abs(lo))
+        # each group: its blocks' slice or index, scaled matrices and factors
+        self.blocks, self.state, self._groups, escalated = blocks, [], [], []
+        for rows in _grouped(keep.tolist()):
+            kept = keep[rows.start].copy()
+            scale = np.maximum(big[rows, kept], 1.0)
+            ix, A = _pick(rows, _scaled_columns(cols[rows], kept, scale))
+            gram = A @ A.mT
+            k = scale.shape[1]
+            grams = gram.reshape(-1, k, k)  # a stack, of one for one block
+            lams = [_first_ridge(g, eps_reg) for g in grams]
+            factors = np.empty_like(grams)
+            todo = range(len(grams))
+            if len(grams) > 1:  # one stacked first attempt; what it leaves retries per block
+                penalty = np.eye(k)
+                penalty[0, 0] = 0.0
+                mats = grams + np.array(lams)[:, None, None] * penalty
+                try:
+                    s = np.linalg.svd(mats, compute_uv=False)
+                    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
+                                     where=s[:, -1] != 0.0)
+                    done = ~(cond > self._COND_LIMIT)
+                    factors[done] = np.linalg.cholesky(mats[done])
+                    todo = np.flatnonzero(~done)
+                except np.linalg.LinAlgError:
+                    pass
+            for g in todo:
+                factors[g], lams[g], again = self._factor(grams[g], lams[g])
+                if again:
+                    escalated.append(lams[g])
+            self._groups.append((ix, A, _pick(rows, factors)[1]))
+            # copies, not views: a stored state then keeps no stack alive
+            self.state += [RegressionFactor(kept, scale[g].copy(), factors[g].copy(), lams[g])
+                           for g in range(len(lams))]
         for lam in escalated:
             warnings.warn(f"rank-deficient regression; ridge increased to {lam:.2e}",
                           RuntimeWarning, stacklevel=2)
@@ -163,83 +209,31 @@ class ConditionalRegression:
                 lam = max(lam, 1e-12) * 100.0
         raise ConfigurationError("regression design is irreparably rank-deficient")
 
-    def _fit_blocks(self, design: np.ndarray, eps_reg: float) -> List[float]:
-        """Fit the blocks' factors and the stacks ``fit_values`` reads;
-        returns the final ridge of each block whose ridge grew, in block
-        order."""
-        K = self.blocks
-        cols = _blocks(design, K)
-        hi, lo = cols.max(axis=2), cols.min(axis=2)
-        keep = np.ones(hi.shape, dtype=bool)
-        keep[:, 1:] = (hi - lo)[:, 1:] > 1e-12
-        big = np.maximum(np.abs(hi), np.abs(lo))
-        n = design.shape[0] // K
-        groups = ([slice(0, K)] if (keep == keep[0]).all()
-                  else [slice(k, k + 1) for k in range(K)])
-        self._states, self._stacks, escalated = [], [], []
-        for rows in groups:
-            kept = keep[rows.start]
-            scale = np.maximum(big[rows][:, kept], 1.0)
-            A3 = _blocks(_scaled_columns(design[rows.start * n : rows.stop * n], kept, scale),
-                         len(scale))
-            grams = A3 @ A3.mT
-            lams = [_first_ridge(gram, eps_reg) for gram in grams]
-            factors = np.empty_like(grams)
-            done = np.zeros(len(grams), dtype=bool)
-            if len(grams) > 1:  # one stacked first attempt; what it leaves retries per block
-                penalty = np.eye(grams.shape[1])
-                penalty[0, 0] = 0.0
-                mats = grams + np.array(lams)[:, None, None] * penalty
-                try:
-                    s = np.linalg.svd(mats, compute_uv=False)
-                    cond = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
-                                     where=s[:, -1] != 0.0)
-                    done = ~(cond > self._COND_LIMIT)
-                    factors[done] = np.linalg.cholesky(mats[done])
-                except np.linalg.LinAlgError:
-                    done[:] = False
-            for g in np.flatnonzero(~done):
-                factors[g], lams[g], again = self._factor(grams[g], lams[g])
-                if again:
-                    escalated.append(lams[g])
-            self._stacks.append((rows, A3, factors))
-            self._states += [RegressionFactor(kept, *fit) for fit in zip(scale, factors, lams)]
-        return escalated
-
     @classmethod
-    def from_factor(cls, design: np.ndarray, state: RegressionFactor) -> "ConditionalRegression":
-        """The operator on ``design`` from the factor of an earlier fit on the
-        same design: only the scaled matrix is rebuilt, with no Gram matrix,
-        condition check or Cholesky step."""
+    def from_factor(cls, design: np.ndarray,
+                    state: Sequence[RegressionFactor]) -> "ConditionalRegression":
+        """The operator on ``design`` from the ``state`` of an earlier fit on
+        the same design: only the scaled matrices are rebuilt, with no Gram
+        matrix, condition check or Cholesky step (and no ``__init__``)."""
         reg = cls.__new__(cls)
-        reg.blocks = 1
-        reg.keep, reg.scale, reg.factor, reg.lam = state
-        reg.A = _scaled_columns(design, reg.keep, reg.scale)
+        reg.blocks, reg.state, reg._groups = len(state), list(state), []
+        cols = _blocks(design, reg.blocks)
+        for rows in _grouped([s.keep.tolist() for s in state]):
+            ix, A = _pick(rows, _scaled_columns(cols[rows], state[rows.start].keep,
+                                                np.array([s.scale for s in state[rows]])))
+            reg._groups.append((ix, A, _pick(rows, np.array([s.factor for s in state[rows]]))[1]))
         return reg
-
-    @property
-    def state(self):
-        """The fit's RegressionFactor; the list of the blocks' ones when
-        ``blocks`` > 1."""
-        if self.blocks > 1:
-            return self._states
-        return RegressionFactor(self.keep, self.scale, self.factor, self.lam)
 
     def fit_values(self, response: np.ndarray) -> np.ndarray:
         """Fitted conditional expectation of response at the design points."""
         # a strided response (a column of a row-major array) would be summed
         # in a different order by BLAS when only the intercept is kept
-        response = np.ascontiguousarray(response)
-        if self.blocks > 1:
-            r = response.reshape(self.blocks, -1, 1)
-            out = np.empty(r.shape)
-            for rows, A3, factors in self._stacks:
-                coef = np.linalg.solve(factors.mT, np.linalg.solve(factors, A3 @ r[rows]))
-                np.matmul(A3.mT, coef, out=out[rows])
-            return out.reshape(-1)
-        rhs = self.A.T @ response
-        coef = np.linalg.solve(self.factor.T, np.linalg.solve(self.factor, rhs))
-        return self.A @ coef
+        r = np.ascontiguousarray(response).reshape(self.blocks, -1, 1)
+        out = np.empty(r.shape)
+        for ix, A, factor in self._groups:
+            np.matmul(A.mT, np.linalg.solve(factor.mT, np.linalg.solve(factor, A @ r[ix])),
+                      out=out[ix])
+        return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +247,10 @@ class BackwardSolution:
     Y[:, n] equals phi(X(T), X1(T)) exactly per path.  ``y_s`` is the mean
     of Y at the start; ``y_s_se`` is the Monte Carlo standard error taken
     from the pathwise integral representation of Y(s), computed with
-    ``coeffs`` on its first read.  ``factors[i]`` is the step-i regression
-    factor of the sweep in ``basis``, shared with the adjoint sweeps on the
-    same bundle (see ``shared_factors``).
+    ``coeffs`` on its first read.  ``factors[i]`` is the list of the step-i
+    regression factors of the sweep in ``basis``, one per row block of the
+    bundle, shared with the adjoint sweeps on the same bundle (see
+    ``shared_factors``).
     """
 
     bundle: TrajectoryBundle
@@ -263,7 +258,7 @@ class BackwardSolution:
     Z: np.ndarray
     y_s: float
     basis: RegressionBasis
-    factors: List[RegressionFactor]
+    factors: List[List[RegressionFactor]]
     coeffs: object
 
     @cached_property
@@ -294,8 +289,8 @@ def _lipschitz_gate(coeffs, bundle: TrajectoryBundle, dt: float):
 
 def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
                    terminal: Sequence[np.ndarray], update: Callable,
-                   factors: Optional[List[RegressionFactor]] = None,
-                   q_rows: Optional[Sequence[Optional[int]]] = None, blocks: int = 1):
+                   factors: Optional[List[List[RegressionFactor]]] = None,
+                   q_rows: Optional[Sequence[Optional[int]]] = None):
     """The backward LSMC sweep of a system of BSDEs along ``bundle``.
 
     ``terminal`` holds each component's values at T on the valid rows.  At
@@ -308,45 +303,46 @@ def backward_sweep(bundle: TrajectoryBundle, basis: RegressionBasis,
     component's q is stored on its first ``q_rows[j]`` paths only (all when
     None), though every step fits it on all of them.
 
-    With ``blocks`` = K > 1 the bundle's rows are K equal blocks stepped on
-    the increments of one, which ``bundle.dW`` holds once, and each step
-    fits the blocks apart, on one grouped operator (see
-    ``ConditionalRegression``).  The values are then stored at step 0 only
-    (one column; two roll in the sweep) and q nowhere.
+    The bundle's rows are ``bundle.blocks`` = K equal blocks stepped on the
+    increments of one, which ``bundle.dW`` holds once, and each step fits
+    the blocks apart, on one grouped operator (see
+    ``ConditionalRegression``).  For K > 1 the values are stored at step 0
+    only (one column; two roll in the sweep) and q nowhere.
     """
     n, dt = bundle.grid.n_steps, bundle.grid.dt
-    ok = bundle.valid
+    K, ok = bundle.blocks, bundle.valid
     ok_dw = ok if isinstance(ok, slice) else ok[: bundle.dW.shape[0]]
-    cols = n + 1 if blocks == 1 else 2  # step i in column i % cols
+    stored, q_rows = ((n + 1, q_rows or [None] * len(terminal)) if K == 1
+                      else (1, [0] * len(terminal)))
+    cols = max(stored, 2)  # step i in column i % cols
     values = [bundle.sweep_array(cols)[0] for _ in terminal]
-    q_rows = (q_rows or [None] * len(terminal)) if blocks == 1 else [0] * len(terminal)
     qs = [bundle.sweep_array(n + 1, rows) for rows in q_rows]
-    used: List[RegressionFactor] = [None] * n
+    used: List[List[RegressionFactor]] = [None] * n
     for v, term in zip(values, terminal):
         v[ok, n % cols] = term
     for i in range(n - 1, -1, -1):
         _, x, x1, _, _ = bundle.state(i, ok)
         design = basis.design(x, x1)
         if factors is None:
-            reg = ConditionalRegression(design, basis.eps_reg, blocks)
+            reg = ConditionalRegression(design, basis.eps_reg, K)
         else:
             reg = ConditionalRegression.from_factor(design, factors[i])
         used[i] = reg.state
         dw = bundle.dW[ok_dw, i]
         nxts = [v[ok, (i + 1) % cols] for v in values]
         hats = [reg.fit_values(nxt) for nxt in nxts]
-        q_hats = [reg.fit_values(((nxt - hat).reshape(blocks, -1) * dw).reshape(-1) / dt)
+        q_hats = [reg.fit_values(((nxt - hat).reshape(K, -1) * dw).reshape(-1) / dt)
                   for nxt, hat in zip(nxts, hats)]
         for v, (q, kept, count), new, q_hat in zip(values, qs, update(i, hats, q_hats), q_hats):
             v[ok, i % cols] = new
             q[kept, i] = q_hat[:count]
     for q, kept, _ in qs:
         q[kept, n] = q[kept, n - 1]
-    return [v if blocks == 1 else v[:, :1] for v in values], [q for q, _, _ in qs], used
+    return [v[:, :stored] for v in values], [q for q, _, _ in qs], used
 
 
-def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis,
-                    blocks: int = 1) -> BackwardSolution:
+def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis
+                    ) -> BackwardSolution:
     """Backward LSMC sweep for the recursive cost.
 
     Per step: Z is regressed from martingale residuals
@@ -355,13 +351,12 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis,
     contraction factor is Lipschitz * dt, so a single sweep is
     sub-tolerance).
 
-    With ``blocks`` = K > 1 the bundle's rows are K equal blocks of paths
-    stepped on the same increments, which ``bundle.dW`` holds once, for one
-    block.  Each block's Y is then bit for bit its own solve's, from one
-    sweep (see ``backward_sweep``), and is stored at s only, the one column
-    a first-order expansion at s reads: Y has one column, Z no row, ``y_s``
-    is the mean over every block and ``factors[i]`` lists the blocks'
-    factors.
+    A bundle of ``bundle.blocks`` = K > 1 equal blocks of paths stepped on
+    the same increments, which ``bundle.dW`` holds once, for one block, is
+    solved in one sweep (see ``backward_sweep``): each block's Y is bit for
+    bit its own solve's, and is stored at s only, the one column a
+    first-order expansion at s reads.  Y then has one column, Z no row, and
+    ``y_s`` is the mean over every block.
     """
     if bundle.dW is None:
         raise ConfigurationError("bundle must store Brownian increments for the backward solve")
@@ -377,7 +372,7 @@ def solve_bsde_lsmc(bundle: TrajectoryBundle, coeffs, basis: RegressionBasis,
 
     _, xT, x1T, _, _ = bundle.state(n, ok)
     terminal = coeffs.phi(xT, x1T)
-    (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update, blocks=blocks)
+    (Y,), (Z,), factors = backward_sweep(bundle, basis, [terminal], update)
     return BackwardSolution(bundle=bundle, Y=Y, Z=Z, y_s=float(np.mean(Y[ok, 0])),
                             basis=basis, factors=factors, coeffs=coeffs)
 

@@ -130,6 +130,16 @@ class TrajectoryBundle:
         return self.X.shape[0]
 
     @property
+    def blocks(self) -> int:
+        """K: the number of equal row blocks of paths stepped on the one set
+        of increments ``dW`` holds (1 for a bundle of its own increments)."""
+        K, rest = divmod(self.n_paths, self.dW.shape[0])
+        if rest:
+            raise ConfigurationError(f"{self.n_paths} paths are not whole blocks of the "
+                                     f"{self.dW.shape[0]} rows of increments")
+        return K
+
+    @property
     def valid(self) -> Union[slice, np.ndarray]:
         """Row index of the non-diverged paths: ``slice(None)`` when none
         diverged (so column reads are views, not gathers), else the mask."""

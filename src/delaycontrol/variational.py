@@ -100,21 +100,20 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
     return eps
 
 
-def perturbed_bundle(bundle: TrajectoryBundle, t_index: int, X: np.ndarray, X1: np.ndarray,
-                     blocks: int = 1) -> TrajectoryBundle:
+def perturbed_bundle(bundle: TrajectoryBundle, t_index: int, X: np.ndarray, X1: np.ndarray
+                     ) -> TrajectoryBundle:
     """The bundle on [t, T] of paths ``X``, ``X1`` restarted from ``bundle`` at
-    grid index ``t_index``: ``blocks`` row blocks of its paths, each under
-    its control and on its increments, which the result holds once."""
+    grid index ``t_index``: ``len(X) // bundle.n_paths`` row blocks of its
+    paths, each under its control and on its increments, which the result
+    holds once."""
     grid = bundle.grid
     sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=grid.dt, delay_steps=grid.m)
+    K = len(X) // bundle.n_paths
     u = bundle.u_at(np.arange(t_index, grid.n_steps))
-    if blocks > 1:  # a per-path control and the diverged flags are read per row
-        u = np.tile(u, (blocks, 1)) if np.ndim(u) == 2 else u
-        diverged = np.tile(bundle.diverged, blocks)
-    else:
-        diverged = bundle.diverged
-    return TrajectoryBundle(grid=sub_grid, X=X, X1=X1, u=u, dW=bundle.dW[:, t_index:],
-                            diverged=diverged)
+    # a per-path control and the diverged flags are read per row
+    return TrajectoryBundle(grid=sub_grid, X=X, X1=X1, dW=bundle.dW[:, t_index:],
+                            u=np.tile(u, (K, 1)) if np.ndim(u) == 2 else u,
+                            diverged=np.tile(bundle.diverged, K))
 
 
 def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int, offset: float,
@@ -231,13 +230,14 @@ class DualityProcesses:
     mean_abs_ytilde_t: float
 
 
-def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoints, coeffs,
-                      blocks: int = 1) -> List[DualityProcesses]:
+def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoints, coeffs
+                      ) -> List[DualityProcesses]:
     """Form Yhat = ptilde*Xhat, Ycheck = pcheck*Xhat1 and the combination
     Ytilde = -Y_pert + Y_base - Yhat - Ycheck of each perturbed run in
-    ``pert``, on the sub-horizon [t, T], or at t alone when ``blocks`` > 1.
+    ``pert``, on the sub-horizon [t, T], or at t alone when ``pert`` holds
+    more than one.
 
-    ``pert`` holds ``blocks`` runs restarted at one grid time t of the
+    ``pert`` holds ``pert.blocks`` runs restarted at one grid time t of the
     base run, one row block each (``perturbed_bundle``); the differences
     Xhat and Xhat1 are read off it.  ``solution`` is the base run's own
     backward solution: on [t, T] it is the solve of the sub-horizon bundle,
@@ -249,12 +249,12 @@ def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoin
     base = solution.bundle
     n_paths, m = base.n_paths, base.grid.m
     ti = base.grid.n_steps - pert.grid.n_steps
-    c = pert.grid.n_steps + 1 if blocks == 1 else 1  # the columns formed
-    pert_Y = solve_bsde_lsmc(pert, coeffs, solution.basis, blocks).Y
+    pert_Y = solve_bsde_lsmc(pert, coeffs, solution.basis).Y
+    c = pert_Y.shape[1]  # the columns formed
     base_Y = solution.Y[:, ti : ti + c]
     ptilde, pcheck = adjoints.normalized(cols=slice(ti, ti + c))
     duals = []
-    for k in range(blocks):
+    for k in range(pert.blocks):
         rows = slice(k * n_paths, (k + 1) * n_paths)
         Yhat = ptilde * (pert.X[rows, m : m + c] - base.X[:, ti + m : ti + m + c])
         Ycheck = pcheck * (pert.X1[rows, :c] - base.X1[:, ti : ti + c])
@@ -314,9 +314,9 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
     if adjoints is None:
         return remainders, None
     duality = ScalingReport([])
-    pert = perturbed_bundle(bundle, t_index, *stack, blocks=K)
+    pert = perturbed_bundle(bundle, t_index, *stack)
     ptilde_t = adjoints.normalized(ok, t_index)[0]
-    for h, dual in zip(offsets, duality_processes(pert, solution, adjoints, coeffs, K)):
+    for h, dual in zip(offsets, duality_processes(pert, solution, adjoints, coeffs)):
         defect = dual.delta_y_t[ok] - ptilde_t * float(h)
         duality.rows += _stat_rows(float(h), {
             "abs_ytilde_t": np.abs(dual.Ytilde[ok, 0]),

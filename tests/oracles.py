@@ -1,13 +1,16 @@
-"""Closed-form and ODE oracles used by the tests.
+"""Closed-form, ODE and cross-check oracles used by the tests.
 
-Everything here is independent of the library's own solvers: Riccati
-systems are integrated with scipy, delay segments come from the
+Riccati systems are integrated with scipy, delay segments come from the
 method-of-steps closed forms, discounted expectations from textbook
-formulas.
+formulas; these are independent of the library's own solvers.  The
+gamma-normalized adjoint pair is solved from its own backward system on
+the library's LSMC sweep, a second route to ptilde = p1/gamma.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from delaycontrol.bsde import backward_sweep
 
 
 def riccati_lq(a, bu, sigma0, q, r, phi_quad=0.0, phi_lin=0.0, phi0=0.0,
@@ -104,3 +107,39 @@ def check_derivative_consistency(coeffs, seed: int = 0, n_points: int = 64,
         d = coeffs.slope(dslot, x, x1)
         worst = max(worst, float(np.max(np.abs(fd - d) / (1.0 + np.abs(d)))))
     return worst
+
+
+def solve_transformed_direct(bundle, solution, coeffs, basis):
+    """Solve the gamma-normalized adjoint pair from its own backward system.
+
+    d ptilde = { f_x - ptilde*(b_x + f_y + sigma_x f_z) - qtilde*(sigma_x + f_z)
+                 - pcheck } dt + qtilde dW,          ptilde(T) = -phi_x,
+    d pcheck = { pcheck*(lam - f_y) - qcheck*f_z + f_x1
+                 - ptilde*(b_x1 + f_z sigma_x1) - qtilde*sigma_x1 } dt
+                 + qcheck dW,                        pcheck(T) = -phi_x1.
+
+    Cross-validates the identity ptilde = p1/gamma without ever forming
+    gamma.
+    """
+    n, dt = bundle.grid.n_steps, bundle.grid.dt
+    lam = coeffs.lam
+    ok = bundle.valid
+
+    def update(i, hats, qs):
+        t, x, x1, x2, u = bundle.state(i, ok)
+        y, z = solution.Y[ok, i], solution.Z[ok, i]
+        (pt_hat, pc_hat), (qt_hat, qc_hat) = hats, qs
+        bx, bx1, sx, sx1 = (coeffs.slope(slot, t, x, x1, x2, u)
+                            for slot in ("b_x", "b_x1", "sigma_x", "sigma_x1"))
+        fx, fx1, fy, fz = (coeffs.slope(slot, t, x, x1, x2, y, z, u)
+                           for slot in ("f_x", "f_x1", "f_y", "f_z"))
+        drift_t = fx - pt_hat * (bx + fy + sx * fz) - qt_hat * (sx + fz) - pc_hat
+        drift_c = (pc_hat * (lam - fy) - qc_hat * fz + fx1
+                   - pt_hat * (bx1 + fz * sx1) - qt_hat * sx1)
+        return pt_hat - drift_t * dt, pc_hat - drift_c * dt
+
+    _, xT, x1T, _, _ = bundle.state(n, ok)
+    terminal = tuple(-coeffs.slope(slot, xT, x1T) for slot in ("phi_x", "phi_x1"))
+    (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis, terminal, update,
+                                           solution.shared_factors(bundle, basis))
+    return pt, pc, qt, qc

@@ -11,11 +11,10 @@ from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, TrajectoryBundle, path_array, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import (check_sufficient_mp, compute_p3_pathwise,
-                                  solve_adjoint_p, solve_adjoints, solve_gamma,
-                                  solve_transformed_direct)
+                                  solve_adjoint_p, solve_adjoints, solve_gamma)
 
 from conftest import LQ_MP_PARAMS, make_lq_instance
-from oracles import riccati_lq
+from oracles import riccati_lq, solve_transformed_direct
 
 
 def pipeline(coeffs, g, n_paths=2000, seed=1, control=0.0, x0=1.0, degree=2):

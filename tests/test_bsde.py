@@ -127,16 +127,18 @@ class TestRegressionOperator:
         assert np.array_equal(design, reference_design(basis, x, x1))
         reg = ConditionalRegression(design, basis.eps_reg)
         keep, scale, A, factor, lam = reference_factor(design, basis.eps_reg)
-        assert np.array_equal(reg.keep, keep)
-        assert np.array_equal(reg.scale, scale)
-        assert np.array_equal(reg.A, A)
-        assert np.array_equal(reg.factor, factor)
-        assert reg.lam == lam
+        state, = reg.state
+        assert np.array_equal(state.keep, keep)
+        assert np.array_equal(state.scale, scale)
+        (_, At, _), = reg._groups  # (block index, scaled matrix transposed, factor)
+        assert np.array_equal(At.T, A)
+        assert np.array_equal(state.factor, factor)
+        assert state.lam == lam
         # the layout of the scaled matrix fixes the summation order of a fit
         y = np.sin(np.arange(x.size))
         coef = np.linalg.solve(factor.T, np.linalg.solve(factor, A.T @ y))
         assert np.array_equal(reg.fit_values(y), A @ coef)
-        return reg
+        return state
 
     @pytest.mark.parametrize("kind", ["random", "constant_x1", "deterministic"])
     @pytest.mark.parametrize("eps_reg", [1e-9, 1e-6])
@@ -171,7 +173,7 @@ class TestRegressionOperator:
             warnings.simplefilter("always")
             reg = ConditionalRegression(design, 0.0)
         assert escalated and ridge_warnings(log) == 1
-        assert reg.lam == lam > 0.0
+        assert reg.state[0].lam == lam > 0.0
 
     @pytest.mark.parametrize("tail", ["last", "all"])
     def test_zero_singular_value_is_infinite_condition(self, monkeypatch, tail):
@@ -194,7 +196,7 @@ class TestRegressionOperator:
             reg = ConditionalRegression(design, 1e-9)
         lam0 = reference_factor(design, 1e-9)[4]
         assert len(calls) == 2 and ridge_warnings(log) == 1
-        assert reg.lam == max(lam0, 1e-12) * 100.0
+        assert reg.state[0].lam == max(lam0, 1e-12) * 100.0
 
 
 class TestGroupedRegression:
@@ -223,7 +225,7 @@ class TestGroupedRegression:
         with warnings.catch_warnings(record=True) as grouped_log:
             warnings.simplefilter("always")
             reg = ConditionalRegression(design, eps_reg, len(kinds))
-        states = reg.state if len(kinds) > 1 else [reg.state]
+        states = reg.state
         fitted = reg.fit_values(y)
         separate_warnings = 0
         for k, (x, x1) in enumerate(blocks):
@@ -232,8 +234,9 @@ class TestGroupedRegression:
                 sep = ConditionalRegression(basis.design(x, x1), eps_reg)
             separate_warnings += ridge_warnings(log)
             for name in ("keep", "scale", "factor"):
-                assert np.array_equal(getattr(states[k], name), getattr(sep, name)), (k, name)
-            assert states[k].lam == sep.lam, k
+                assert np.array_equal(getattr(states[k], name),
+                                      getattr(sep.state[0], name)), (k, name)
+            assert states[k].lam == sep.state[0].lam, k
             rows = slice(k * n, (k + 1) * n)
             assert np.array_equal(fitted[rows], sep.fit_values(y[rows])), k
         assert ridge_warnings(grouped_log) == separate_warnings
@@ -280,6 +283,37 @@ class TestGroupedRegression:
         monkeypatch.setattr(np.linalg, "cholesky", failing_on_stacks)
         _, escalated = self._check(["random"] * 3, 1e-9)
         assert stacked and escalated == 0
+
+    @pytest.mark.parametrize("kinds", [["random"], ["random", "constant_x1", "deterministic"],
+                                       ["random"] * 3])
+    def test_groups_of_one_make_2d_calls(self, monkeypatch, kinds):
+        # a group of one block, fitted or rebuilt from its factors, makes no
+        # stacked first attempt and only the plain 2-D calls, which cost less
+        # than stacked ones on one matrix; a group of three makes stacked ones
+        basis = RegressionBasis(degree=2)
+        blocks = [self._block(kind, 257, seed) for seed, kind in enumerate(kinds)]
+        design = basis.design(np.concatenate([x for x, _ in blocks]),
+                              np.concatenate([x1 for _, x1 in blocks]))
+        y = np.sin(np.arange(len(design)) * 0.37)
+        ndims = {"svd": [], "cholesky": [], "solve": []}
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                ndims[name] += [np.ndim(a) for a in args]
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ndims:
+            monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+        reg = ConditionalRegression(design, basis.eps_reg, len(kinds))
+        fitted = reg.fit_values(y)
+        fit_solves = len(ndims["solve"])
+        rebuilt = ConditionalRegression.from_factor(design, reg.state)
+        assert np.array_equal(rebuilt.fit_values(y), fitted)
+        assert len(ndims["solve"]) == 2 * fit_solves > 0
+        assert all(ndims.values())
+        want = 3 if kinds == ["random"] * 3 else 2
+        assert {d for calls in ndims.values() for d in calls} == {want}, ndims
 
 
 class TestBackwardSolver:

@@ -479,3 +479,14 @@ def test_sample_valid_draws_as_the_inline_expression(n_diverged, n):
     assert not diverged[got].any()
     # the generator is left where the inline expression leaves it
     assert rng.random() == rng_inline.random()
+
+
+def test_blocks_are_read_off_the_increments():
+    # a stack of K row blocks holds the increments of one block once
+    bundle = simulate_smdde(make_coefficients("constant"), HistoryPath.constant(1.0, 10), 0.0,
+                            grid(), NoiseSource(1), 20)
+    assert bundle.blocks == 1
+    stack = dataclasses.replace(bundle, X=np.tile(bundle.X, (3, 1)))
+    assert stack.blocks == 3
+    with pytest.raises(ConfigurationError, match="not whole blocks"):
+        dataclasses.replace(bundle, X=bundle.X[:-1]).blocks

@@ -533,8 +533,8 @@ class TestGroupedPerturbedSolve:
         basis = RegressionBasis(degree=2)
         runs = [simulate_variation(bundle, coeffs, 12, h) for h in (0.2, 0.1, 0.0)]
         stack = perturbed_bundle(bundle, 12, np.concatenate([r.pert.X for r in runs]),
-                                 np.concatenate([r.pert.X1 for r in runs]), blocks=3)
-        grouped = solve_bsde_lsmc(stack, coeffs, basis, blocks=3)
+                                 np.concatenate([r.pert.X1 for r in runs]))
+        grouped = solve_bsde_lsmc(stack, coeffs, basis)
         assert grouped.Y.shape == (900, 1) and grouped.Z.shape[0] == 0
         for k, run in enumerate(runs):
             want = solve_bsde_lsmc(run.pert, coeffs, basis).Y[:, :1]
