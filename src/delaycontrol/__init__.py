@@ -23,8 +23,8 @@ _EXPORTS = {
              "linear_driver_oracle", "solve_bsde_lsmc"),
     "adjoint": ("AdjointBundle", "MPReport", "check_sufficient_mp", "compute_p3_pathwise",
                 "solve_adjoint_p", "solve_adjoints", "solve_gamma"),
-    "variational": ("PerturbationRun", "ScalingReport", "duality_processes",
-                    "scaling_reports", "simulate_variation"),
+    "variational": ("ScalingReport", "duality_processes", "scaling_reports",
+                    "simulate_variation"),
     "hjb": ("GridValueFunction", "HjbGrid", "Jet", "check_x2_independence", "feedback_control",
             "jet_membership", "solve_hjb", "viscosity_residual"),
     "connect": ("DualityReport", "GirsanovReduction", "VerificationReport",

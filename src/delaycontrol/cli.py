@@ -30,8 +30,8 @@ from .core import (G_VARIANTS, ConfigurationError, ControlDomain, HistoryPath,
                    HypothesisViolation, Instance, LinearDriver, TimeGrid, mc_estimate)
 from .coeffs import FAMILIES, make_coefficients
 from .smdde import NoiseSource, estimate_moment_bound, simulate_coupled_pair, simulate_smdde
-from .bsde import (RegressionBasis, cost_functional_J, linear_driver_oracle,
-                   solve_bsde_lsmc)
+from .bsde import (RegressionBasis, assert_linear_driver, cost_functional_J,
+                   linear_driver_oracle, solve_bsde_lsmc)
 from .adjoint import check_sufficient_mp, solve_adjoints
 
 # hjb, connect and variational are imported by the subcommands that use
@@ -505,21 +505,26 @@ def _inputs(cfg: RunConfig, name: str, needs: Sequence[str]) -> SimpleNamespace:
     return got
 
 
-def _value_grid(inputs: SimpleNamespace):
-    """The value function on ``inputs.grid`` for generalized Hamiltonian ``inputs.variant``."""
+def _value_grid(inputs: SimpleNamespace, seed: int):
+    """The value function on ``inputs.grid`` for generalized Hamiltonian
+    ``inputs.variant``.  A variant that reads the declared driver needs
+    ``f`` to have it: that is checked on probes drawn from the run seed
+    ``seed``, as ``verify`` checks it."""
     from .hjb import solve_hjb
     inst = inputs.inst
+    if inputs.variant != "G" and inst.driver is not None:
+        assert_linear_driver(inst.coeffs, inst.driver, seed=seed)
     return solve_hjb(inst.coeffs, inst.domain, inputs.grid, inst.grid,
                      variant=inputs.variant, linear_driver=inst.driver)
 
 
-def _control(inputs: SimpleNamespace):
+def _control(inputs: SimpleNamespace, seed: int):
     """Control from the [control] section: constant value, or the value-grid
     argmax feedback (optionally perturbed by a constant on the first half
     of the horizon); and the value grid, solved when ``inputs.grid`` is set.
     """
     inst = inputs.inst
-    vgrid = None if inputs.grid is None else _value_grid(inputs)
+    vgrid = None if inputs.grid is None else _value_grid(inputs, seed)
     if inputs.ctype == "constant":
         rule = inputs.value
     else:
@@ -540,7 +545,7 @@ def _control(inputs: SimpleNamespace):
 def _simulate(cfg: RunConfig, inputs: SimpleNamespace):
     """Forward paths under the [control] rule, and the value grid (or None)."""
     inst = inputs.inst
-    control, vgrid = _control(inputs)
+    control, vgrid = _control(inputs, cfg.seed)
     return simulate_smdde(inst.coeffs, inst.history, control, inst.grid,
                           NoiseSource(cfg.seed), inputs.n_paths), vgrid
 
@@ -586,7 +591,7 @@ def _cmd_solve_bsde(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_solve_hjb(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     from .connect import start_state
-    inst, vgrid = inputs.inst, _value_grid(inputs)
+    inst, vgrid = inputs.inst, _value_grid(inputs, cfg.seed)
     write_manifest(cfg, "solve-hjb")
     its = range(len(vgrid.times)) if inputs.slices is None else inputs.slices
     ts = vgrid.times.tolist()
@@ -681,7 +686,7 @@ def _cmd_check_scaling(cfg: RunConfig, inputs: SimpleNamespace) -> int:
 
 def _cmd_verify(cfg: RunConfig, inputs: SimpleNamespace) -> int:
     from .connect import verify_optimality
-    control, vgrid = _control(inputs)
+    control, vgrid = _control(inputs, cfg.seed)
     report = verify_optimality(inputs.inst, control, vgrid, NoiseSource(cfg.seed),
                                inputs.n_paths, budget=inputs.budget)
     write_manifest(cfg, "verify")

@@ -22,7 +22,12 @@ from .core import (ConfigurationError, HistoryPath, HypothesisViolation, TimeGri
                    derived_rng, mc_estimate, x1_weights)
 
 DIVERGENCE_LIMIT = 1e12
-CHUNK_PATHS = 4096  # paths stepped per chunk; bounds every per-chunk buffer
+# paths stepped per chunk; bounds every per-chunk buffer.  Chunking changes no
+# result only while this is a multiple of the row unroll of the gemv that sums
+# the delay quadrature (4 rows in OpenBLAS 0.3.31, numpy 2.4.6, x86-64): a row's
+# sum order depends on its position in the call, and chunks of 250, 333 or 999
+# paths change X1 bits where chunks of 8, 64 or 500 do not
+CHUNK_PATHS = 4096
 _BLOCK_BYTES = 100 * 1024  # uniforms per Box-Muller block: 64 rows at 100 steps
 _WORD = (1 << 64) - 1  # one of the four words of a Philox counter
 
@@ -267,8 +272,8 @@ def simulate_smdde(coeffs, history: HistoryPath, control: Control, grid: TimeGri
     divergence indicates misconfiguration.
 
     Paths are stepped in chunks of ``CHUNK_PATHS``, which bounds the noise
-    buffer; the chunking does not change any result.  Paths are simulated
-    serially.
+    buffer; the chunking does not change any result (see ``CHUNK_PATHS``).
+    Paths are simulated serially.
     """
     grid.check_history(history)
     m, n = grid.m, grid.n_steps

@@ -40,27 +40,10 @@ _SLAB_PATH_STEPS = 8192
 _EPS_SLOTS = (("b_x", "b_x1", "b_x2"), ("sigma_x", "sigma_x1", "sigma_x2"))
 
 
-@dataclass
-class PerturbationRun:
-    """Perturbed paths restarted at one grid time, and their differences
-    from the base run.
-
-    All arrays live on the sub-horizon [t, T]; the difference paths are
-    zero on [t - delta, t) by construction, and Xhat2 vanishes on
-    [t, t + delta) exactly.  ``_remainders`` forms the run's eps1/eps2.
-    """
-
-    t_index: int
-    pert: TrajectoryBundle
-    Xhat: np.ndarray
-    Xhat1: np.ndarray
-    Xhat2: np.ndarray
-
-
 def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray,
                 Xhat1: np.ndarray, Xhat2: np.ndarray, slots: Sequence[str]) -> np.ndarray:
     """The remainder eps1 (``slots`` the b slopes) or eps2 (the sigma
-    slopes) of a run's differences on the steps t_index..n-1: how far the
+    slopes) of one offset's differences on the steps t_index..n-1: how far the
     realized difference dynamics are from their linearization around the
     base path.  It sums, over the three slopes, each derivative's
     Gauss-Legendre average of d(base + theta*hat) - d(base) over theta in
@@ -100,34 +83,20 @@ def _remainders(bundle: TrajectoryBundle, coeffs, t_index: int, Xhat: np.ndarray
     return eps
 
 
-def perturbed_bundle(bundle: TrajectoryBundle, t_index: int, X: np.ndarray, X1: np.ndarray
-                     ) -> TrajectoryBundle:
-    """The bundle on [t, T] of paths ``X``, ``X1`` restarted from ``bundle`` at
-    grid index ``t_index``: ``len(X) // bundle.n_paths`` row blocks of its
-    paths, each under its control and on its increments, which the result
-    holds once."""
-    grid = bundle.grid
-    sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=grid.dt, delay_steps=grid.m)
-    K = len(X) // bundle.n_paths
-    u = bundle.u_at(np.arange(t_index, grid.n_steps))
-    # a per-path control and the diverged flags are read per row
-    return TrajectoryBundle(grid=sub_grid, X=X, X1=X1, dW=bundle.dW[:, t_index:],
-                            u=np.tile(u, (K, 1)) if np.ndim(u) == 2 else u,
-                            diverged=np.tile(bundle.diverged, K))
+def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int,
+                       offsets: Sequence[float]) -> TrajectoryBundle:
+    """Re-run the dynamics from grid time t with the state bumped by each of
+    ``offsets``: the bundle on [t, T] of one row block of paths per offset,
+    in the order given, on the increments of ``bundle``, which it holds once.
 
-
-def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int, offset: float,
-                       out: Optional[Sequence[np.ndarray]] = None) -> PerturbationRun:
-    """Re-run the dynamics from grid time t with the state bumped by ``offset``.
-
-    The perturbed path consumes the increments stored in the base bundle
-    (exact coupling: offset 0 reproduces the base bit for bit), keeps the
-    same per-step control, and restarts the distributed-delay state at its
-    base value.  It is stepped by the simulation's own Euler loop, so a path
-    that turns non-finite or leaves [-1e12, 1e12] diverges, which aborts the
-    run unless its base path diverged too.  ``out`` = (X, X1) are the
-    arrays to step the perturbed paths into, say row blocks of a stack (new
-    arrays when None).
+    The perturbed paths consume the base increments (exact coupling: offset
+    0 reproduces the base bit for bit), keep the same per-step control (a
+    per-path one and the diverged flags tiled per block), and restart the
+    distributed-delay state at its base value.  Each block is stepped by
+    the simulation's own Euler loop in a call of its own, so its rows sum
+    the delay quadrature as the base rows do.  A path that turns non-finite
+    or leaves [-1e12, 1e12] diverges, which aborts the run at the first
+    offset with such a path unless its base path diverged too.
     """
     if bundle.dW is None:
         raise ConfigurationError("base bundle must store increments for coupling")
@@ -135,27 +104,44 @@ def simulate_variation(bundle: TrajectoryBundle, coeffs, t_index: int, offset: f
     m, n = grid.m, grid.n_steps
     if not (0 <= t_index <= n - 1):
         raise ConfigurationError("perturbation time must satisfy t + dt <= T")
-    n_paths, n_sub = bundle.n_paths, n - t_index
-    Xp, X1p = out or (path_array(n_paths, n_sub + m + 1), path_array(n_paths, n_sub + 1))
-    Xp[:, : m + 1] = bundle.X[:, t_index : t_index + m + 1]
-    Xp[:, m] += offset
-    # the distributed delay restarts at its base value
-    _step_chunk(coeffs, bundle.u, grid, bundle.dW[:, t_index:], Xp, X1p, None, start=t_index,
-                x1_start=bundle.X1[:, t_index])
-    # a base path that diverged restarts from NaN; only valid rows can abort
-    finite = np.isfinite(Xp[:, m + 1 :]) | bundle.diverged[:, None]
-    if not finite.all():
-        k = int(np.argmin(finite.all(axis=0)))
-        raise HypothesisViolation(
-            f"perturbed path became non-finite at step {t_index + k} "
-            f"(path {int(np.argmin(finite[:, k]))}); offset too large for this instance")
+    n_paths, n_sub, K = bundle.n_paths, n - t_index, len(offsets)
+    X, X1 = path_array(K * n_paths, n_sub + m + 1), path_array(K * n_paths, n_sub + 1)
+    for k, offset in enumerate(offsets):
+        rows = slice(k * n_paths, (k + 1) * n_paths)
+        Xp = X[rows]
+        Xp[:, : m + 1] = bundle.X[:, t_index : t_index + m + 1]
+        Xp[:, m] += offset
+        # the distributed delay restarts at its base value
+        _step_chunk(coeffs, bundle.u, grid, bundle.dW[:, t_index:], Xp, X1[rows], None,
+                    start=t_index, x1_start=bundle.X1[:, t_index])
+        # a base path that diverged restarts from NaN; only valid rows can abort
+        finite = np.isfinite(Xp[:, m + 1 :]) | bundle.diverged[:, None]
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=0)))
+            raise HypothesisViolation(
+                f"perturbed path became non-finite at step {t_index + j} "
+                f"(path {int(np.argmin(finite[:, j]))}); offset too large for this instance")
+    sub_grid = TimeGrid(s=grid.time(t_index), T=grid.T, dt=grid.dt, delay_steps=m)
+    u = bundle.u_at(np.arange(t_index, n))
+    return TrajectoryBundle(grid=sub_grid, X=X, X1=X1, dW=bundle.dW[:, t_index:],
+                            u=np.tile(u, (K, 1)) if np.ndim(u) == 2 else u,
+                            diverged=np.tile(bundle.diverged, K))
 
-    pert = perturbed_bundle(bundle, t_index, Xp, X1p)
-    # Xhat and Xhat2 are the columns from t and up to T - delta of one difference
-    diff = Xp - bundle.X[:, t_index:]
-    Xhat, Xhat2 = diff[:, m:], diff[:, : n_sub + 1]
-    Xhat1 = X1p - bundle.X1[:, t_index:]
-    return PerturbationRun(t_index=t_index, pert=pert, Xhat=Xhat, Xhat1=Xhat1, Xhat2=Xhat2)
+
+def _differences(pert: TrajectoryBundle, base: TrajectoryBundle, k: int,
+                 cols: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(Xhat, Xhat1, Xhat2)``: row block ``k`` of ``pert``, a
+    ``simulate_variation`` bundle of ``base``, minus the base paths, on the
+    first ``cols`` columns of [t, T] (all when None).  The differences are
+    zero on [t - delta, t) by construction, and Xhat2 vanishes on
+    [t, t + delta) exactly; Xhat and Xhat2 are views of one difference.
+    """
+    m, n_paths = base.grid.m, base.n_paths
+    ti = base.grid.n_steps - pert.grid.n_steps
+    c = pert.grid.n_steps + 1 if cols is None else cols
+    rows = slice(k * n_paths, (k + 1) * n_paths)
+    diff = pert.X[rows, : m + c] - base.X[:, ti : ti + m + c]
+    return diff[:, m:], pert.X1[rows, :c] - base.X1[:, ti : ti + c], diff[:, :c]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +168,6 @@ class ScalingReport:
         return {q: _loglog_slope(np.array([r.offset for r in rows]),
                                  np.array([r.estimate for r in rows]))
                 for q, rows in by_quantity.items()}
-
-    def slope(self, quantity: str) -> float:
-        return self.slopes[quantity]
 
 
 def _loglog_slope(offsets: np.ndarray, estimates: np.ndarray) -> float:
@@ -220,14 +203,13 @@ class DualityProcesses:
     run, on the columns of [t, T] they were formed on.
 
     ``delta_y_t`` holds the per-path first-order differences
-    -Y_pert(t) + Y_base(t); ``mean_abs_ytilde_t`` is E|Ytilde(t)|.
+    -Y_pert(t) + Y_base(t).
     """
 
     Yhat: np.ndarray
     Ycheck: np.ndarray
     Ytilde: np.ndarray
     delta_y_t: np.ndarray
-    mean_abs_ytilde_t: float
 
 
 def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoints, coeffs
@@ -238,7 +220,7 @@ def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoin
     more than one.
 
     ``pert`` holds ``pert.blocks`` runs restarted at one grid time t of the
-    base run, one row block each (``perturbed_bundle``); the differences
+    base run, one row block each (``simulate_variation``); the differences
     Xhat and Xhat1 are read off it.  ``solution`` is the base run's own
     backward solution: on [t, T] it is the solve of the sub-horizon bundle,
     since the sweep's step-i regression sees the same rows and responses.
@@ -247,22 +229,19 @@ def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoin
     one sweep, each as by its own solve, which stores Y_pert at t only.
     """
     base = solution.bundle
-    n_paths, m = base.n_paths, base.grid.m
-    ti = base.grid.n_steps - pert.grid.n_steps
+    n_paths, ti = base.n_paths, base.grid.n_steps - pert.grid.n_steps
     pert_Y = solve_bsde_lsmc(pert, coeffs, solution.basis).Y
     c = pert_Y.shape[1]  # the columns formed
     base_Y = solution.Y[:, ti : ti + c]
     ptilde, pcheck = adjoints.normalized(cols=slice(ti, ti + c))
     duals = []
     for k in range(pert.blocks):
-        rows = slice(k * n_paths, (k + 1) * n_paths)
-        Yhat = ptilde * (pert.X[rows, m : m + c] - base.X[:, ti + m : ti + m + c])
-        Ycheck = pcheck * (pert.X1[rows, :c] - base.X1[:, ti : ti + c])
-        Ytilde = -pert_Y[rows, :c] + base_Y - Yhat - Ycheck
-        delta_y = -pert_Y[rows, 0] + base_Y[:, 0]
-        mean_abs = float(np.mean(np.abs(Ytilde[~pert.diverged[rows], 0])))
-        duals.append(DualityProcesses(Yhat=Yhat, Ycheck=Ycheck, Ytilde=Ytilde,
-                                      delta_y_t=delta_y, mean_abs_ytilde_t=mean_abs))
+        Xhat, Xhat1, _ = _differences(pert, base, k, c)
+        Yhat, Ycheck = ptilde * Xhat, pcheck * Xhat1
+        Y_k = pert_Y[k * n_paths : (k + 1) * n_paths]
+        duals.append(DualityProcesses(Yhat=Yhat, Ycheck=Ycheck,
+                                      Ytilde=-Y_k + base_Y - Yhat - Ycheck,
+                                      delta_y_t=-Y_k[:, 0] + base_Y[:, 0]))
     return duals
 
 
@@ -272,7 +251,7 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
                     ) -> Tuple[ScalingReport, Optional[ScalingReport]]:
     """Log-log slopes of the remainder and, given the run's backward
     solution and adjoints, the duality statistics against the offset, from
-    one variation per offset.
+    one ``simulate_variation`` call over all offsets.
 
     Remainder report: slope ~ p for E sup|Xhat|^p (and the delayed
     variants), slope > p for the eps integrals.  Duality report (None
@@ -281,40 +260,31 @@ def scaling_reports(bundle: TrajectoryBundle, coeffs, t_index: int,
     reports average over the non-diverged base paths only; a non-finite
     estimate gives a NaN slope.
 
-    For the duality report the variations are stepped into the row blocks
-    of one stack and solved in one sweep; each variation's remainder
-    statistics are taken, and its differences freed, before that solve.
+    The offsets are stepped into the row blocks of one bundle, which the
+    duality report solves in one sweep; each offset's remainder statistics
+    are taken, and its differences freed, before the next is formed.
     """
     offsets = check_offsets(offsets)
     if adjoints is not None and solution is None:
         raise ConfigurationError("the duality report needs the run's backward solution")
-    grid, n_paths, K = bundle.grid, bundle.n_paths, len(offsets)
-    dt = grid.dt
-    ok = bundle.valid
-    stack = None
-    if adjoints is not None:
-        n_sub = grid.n_steps - t_index
-        stack = (path_array(K * n_paths, n_sub + grid.m + 1), path_array(K * n_paths, n_sub + 1))
+    ok, dt = bundle.valid, bundle.grid.dt
+    pert = simulate_variation(bundle, coeffs, t_index, offsets)
     remainders = ScalingReport([])
     for k, h in enumerate(offsets):
-        h = float(h)
-        rows = slice(k * n_paths, (k + 1) * n_paths)
-        run = simulate_variation(bundle, coeffs, t_index, h,
-                                 None if stack is None else [a[rows] for a in stack])
-        stats = {"sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
-                 "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
-                 "sup_xhat2": np.max(np.abs(run.Xhat2[ok]), axis=1) ** p}
+        Xhat, Xhat1, Xhat2 = _differences(pert, bundle, k)
+        stats = {"sup_xhat": np.max(np.abs(Xhat[ok]), axis=1) ** p,
+                 "sup_xhat1": np.max(np.abs(Xhat1[ok]), axis=1) ** p,
+                 "sup_xhat2": np.max(np.abs(Xhat2[ok]), axis=1) ** p}
         for key, slots in zip(("eps1_int", "eps2_int"), _EPS_SLOTS):
-            eps = _remainders(bundle, coeffs, t_index, run.Xhat, run.Xhat1, run.Xhat2, slots)[ok]
+            eps = _remainders(bundle, coeffs, t_index, Xhat, Xhat1, Xhat2, slots)[ok]
             # squared where it lies, and freed before the next is formed
             stats[key] = (np.sum(np.square(eps, out=eps), axis=1) * dt) ** (p / 2)
             del eps
-        remainders.rows += _stat_rows(h, stats)
-        del run  # one run's differences alive at a time
+        remainders.rows += _stat_rows(float(h), stats)
+        del Xhat, Xhat1, Xhat2  # one offset's differences alive at a time
     if adjoints is None:
         return remainders, None
     duality = ScalingReport([])
-    pert = perturbed_bundle(bundle, t_index, *stack)
     ptilde_t = adjoints.normalized(ok, t_index)[0]
     for h, dual in zip(offsets, duality_processes(pert, solution, adjoints, coeffs)):
         defect = dual.delta_y_t[ok] - ptilde_t * float(h)

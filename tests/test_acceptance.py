@@ -228,8 +228,8 @@ def test_criterion_6_scaling_laws():
     bundle = simulate_smdde(bil, HistoryPath.constant(1.0, 10), 0.0, grid,
                             NoiseSource(61), 10_000)
     rem, _ = scaling_reports(bundle, bil, 10, offsets, p=2)
-    xhat_slope = rem.slope("sup_xhat")
-    eps_slopes = (rem.slope("eps1_int"), rem.slope("eps2_int"))
+    xhat_slope = rem.slopes["sup_xhat"]
+    eps_slopes = (rem.slopes["eps1_int"], rem.slopes["eps2_int"])
 
     inst = make_lq_instance()
     lq_bundle, sol, adj = solve_pipeline(inst, 0.1, 62, 6000)
@@ -237,7 +237,7 @@ def test_criterion_6_scaling_laws():
     for ti in (20, 50, 80):
         _, rep = scaling_reports(lq_bundle, inst.coeffs, ti, offsets, solution=sol,
                                  adjoints=adj)
-        ytilde_slopes.append(rep.slope("abs_ytilde_t"))
+        ytilde_slopes.append(rep.slopes["abs_ytilde_t"])
 
     ok = (abs(xhat_slope - 2.0) <= 0.2 and all(s >= 2.5 for s in eps_slopes)
           and all(s >= 1.5 for s in ytilde_slopes))

@@ -621,6 +621,34 @@ seed = 1
                    "--set", "control.type=hjb", "--set", "driver.fbar=remove"])
         assert rc == 2  # unparsable driver entry -> config error
 
+    @pytest.mark.parametrize("subcommand,overrides", [
+        ("solve-hjb", ["driver.fbar=0.1"]),
+        ("solve-hjb", ["numerics.hjb_variant=Gbar", "driver.gbar=0.3"]),
+        ("check-mp", ["control.type=hjb", "driver.fbar=0.1"]),
+        ("check-duality", ["driver.fbar=0.1"]),
+        ("verify", ["control.type=hjb", "driver.fbar=0.1"]),
+    ])
+    def test_driver_that_f_lacks_exits_2(self, subcommand, overrides, lq_config, tmp_path,
+                                         capsys):
+        # the LQ f reads neither y nor z; every subcommand that solves a
+        # variant reading the declared driver rejects it, verify with the
+        # same text it printed before the value grid was gated
+        out = tmp_path / "o"
+        argv = [subcommand, "--config", lq_config, "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle inapplicable: driver deviates from the "
+                              "linear form by ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_driver_that_f_has_solves(self, lq_config, tmp_path):
+        out = str(tmp_path / "o")
+        assert main(["solve-hjb", "--config", lq_config, "--out", out,
+                     "--set", "instance.params.fy=0.1", "--set", "driver.fbar=0.1"]) == 0
+
 
 class TestCheckers:
     def test_comparison_ok(self, cmp_config, tmp_path):

@@ -232,7 +232,7 @@ class TestSimulate:
         assert np.array_equal(got.X1, X1)
         # the variation restarts the same loop mid-grid: offset 0 is the base
         for t_index in (0, 37, n - 1):
-            pert = simulate_variation(got, coeffs, t_index, 0.0).pert
+            pert = simulate_variation(got, coeffs, t_index, [0.0])
             assert np.array_equal(pert.X, got.X[:, t_index:])
             assert np.array_equal(pert.X1, got.X1[:, t_index:])
 

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,10 +12,17 @@ from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, solve_bsde_lsmc
 from delaycontrol.adjoint import solve_adjoints
 from delaycontrol.variational import (_GL_NODES, _GL_WEIGHTS, ScalingRow, duality_processes,
-                                      perturbed_bundle, scaling_reports, simulate_variation)
+                                      scaling_reports, simulate_variation)
 from conftest import LQ_LAM, LQ_PARAMS
 
 OFFSETS = [0.2, 0.1, 0.05, 0.025]
+
+
+def variation(bundle, coeffs, t_index, offset):
+    """One offset's perturbed bundle and its differences from the base."""
+    pert = simulate_variation(bundle, coeffs, t_index, [offset])
+    Xhat, Xhat1, Xhat2 = variational._differences(pert, bundle, 0)
+    return SimpleNamespace(t_index=t_index, pert=pert, Xhat=Xhat, Xhat1=Xhat1, Xhat2=Xhat2)
 
 
 def remainders(bundle, coeffs, run):
@@ -34,7 +42,7 @@ class TestSimulateVariation:
     def test_zero_offset_is_bitwise_base(self):
         coeffs = make_coefficients("bilinear", lam=0.4, bx=0.2, sx=0.2, bxx1=0.7)
         bundle = make_bundle(coeffs)
-        run = simulate_variation(bundle, coeffs, 10, 0.0)
+        run = variation(bundle, coeffs, 10, 0.0)
         assert np.all(run.Xhat == 0.0)
         assert np.all(run.Xhat1 == 0.0)
         assert np.all(run.Xhat2 == 0.0)
@@ -45,7 +53,7 @@ class TestSimulateVariation:
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, bx1=0.2, bx2=0.1,
                                    sx=0.2, sx2=0.1)
         bundle = make_bundle(coeffs)
-        run = simulate_variation(bundle, coeffs, 10, 0.1)
+        run = variation(bundle, coeffs, 10, 0.1)
         eps1, eps2 = remainders(bundle, coeffs, run)
         assert np.all(eps1 == 0.0)
         assert np.all(eps2 == 0.0)
@@ -55,7 +63,7 @@ class TestSimulateVariation:
         coeffs = make_coefficients("bilinear", lam=0.4, bx=0.2, sx=0.2, bxx2=0.5)
         bundle = make_bundle(coeffs)
         m = bundle.grid.m
-        run = simulate_variation(bundle, coeffs, 5, 0.1)
+        run = variation(bundle, coeffs, 5, 0.1)
         # Xhat2 = 0 on [t, t+delta) exactly, then jumps to the offset
         assert np.all(run.Xhat2[:, :m] == 0.0)
         assert np.allclose(run.Xhat2[:, m], 0.1)
@@ -63,7 +71,7 @@ class TestSimulateVariation:
     def test_distributed_delay_restarts_at_base_value(self):
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, sx=0.2)
         bundle = make_bundle(coeffs)
-        run = simulate_variation(bundle, coeffs, 10, 0.2)
+        run = variation(bundle, coeffs, 10, 0.2)
         assert np.all(run.Xhat1[:, 0] == 0.0)
 
     def test_non_finite_perturbed_path_is_hypothesis_violation(self):
@@ -72,16 +80,16 @@ class TestSimulateVariation:
         bundle = make_bundle(coeffs, n_paths=50)
         assert not bundle.diverged.any()
         with pytest.raises(HypothesisViolation, match="perturbed path became non-finite"):
-            simulate_variation(bundle, coeffs, 10, 1e308)
+            simulate_variation(bundle, coeffs, 10, [1e308])
 
     def test_short_per_step_control_holds_on_sub_horizon(self):
         coeffs = make_coefficients("linear", lam=0.4, bx=0.1, sx=0.2)
         bundle = make_bundle(coeffs, n_paths=50, control=np.linspace(-0.5, 0.5, 50))
         bundle = dataclasses.replace(bundle, u=bundle.u[:23])
         for t_index in (10, 40):
-            run = simulate_variation(bundle, coeffs, t_index, 0.1)
+            pert = simulate_variation(bundle, coeffs, t_index, [0.1])
             steps = range(bundle.grid.n_steps - t_index)
-            assert ([run.pert.u_at(j) for j in steps]
+            assert ([pert.u_at(j) for j in steps]
                     == [bundle.u_at(t_index + j) for j in steps])
 
     def test_finite_path_beyond_divergence_limit_is_hypothesis_violation(self):
@@ -91,7 +99,7 @@ class TestSimulateVariation:
         bundle = make_bundle(coeffs, n_paths=50)
         with pytest.raises(HypothesisViolation,
                            match=r"non-finite at step 10 \(path 0\)"):
-            simulate_variation(bundle, coeffs, 10, 5e12)
+            simulate_variation(bundle, coeffs, 10, [5e12])
 
     @pytest.mark.parametrize("t_index", [0, 7, 49])
     def test_matches_row_major_euler_loop(self, t_index):
@@ -120,7 +128,7 @@ class TestSimulateVariation:
             X[:, k + m + 1] = (x + coeffs.b(t, x, x1, x2, u) * dt
                                + coeffs.sigma(t, x, x1, x2, u) * bundle.dW[:, i])
         X1[:, -1] = X[:, -(m + 1):] @ w
-        pert = simulate_variation(bundle, coeffs, t_index, 0.1).pert
+        pert = simulate_variation(bundle, coeffs, t_index, [0.1])
         assert np.array_equal(pert.X, X)
         assert np.array_equal(pert.X1, X1)
 
@@ -128,7 +136,48 @@ class TestSimulateVariation:
         coeffs = make_coefficients("linear", lam=0.0, bx=0.1)
         bundle = make_bundle(coeffs)
         with pytest.raises(ConfigurationError):
-            simulate_variation(bundle, coeffs, bundle.grid.n_steps, 0.1)
+            simulate_variation(bundle, coeffs, bundle.grid.n_steps, [0.1])
+
+    @pytest.mark.parametrize("t_index", [12, 35])
+    def test_offsets_in_one_call_match_one_call_each(self, t_index):
+        # 333 paths: a block that the delay quadrature's gemv summed at another
+        # row offset than its own call would change X1 bits; a feedback control
+        # (per path, tiled per block) and a diverged base row, NaN from step 30
+        coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
+                                   sxx2=0.4, clip=2.5)
+        bundle = make_bundle(coeffs, n_paths=333, seed=9,
+                             control=lambda t, x, x1: np.tanh(x - 0.5 * x1) * (1.0 - t))
+        m = bundle.grid.m
+        bundle.X[7, m + 30 :] = np.nan
+        bundle.X1[7, 30:] = np.nan
+        bundle.diverged[7] = True
+        offsets = [0.2, 0.1, 0.0, 0.05]
+        pert = simulate_variation(bundle, coeffs, t_index, offsets)
+        assert pert.blocks == 4 and pert.u.shape == (4 * 333, bundle.grid.n_steps - t_index)
+        for k, h in enumerate(offsets):
+            one = simulate_variation(bundle, coeffs, t_index, [h])
+            rows = slice(333 * k, 333 * (k + 1))
+            for name in ("X", "X1", "u", "diverged"):
+                assert np.array_equal(getattr(pert, name)[rows], getattr(one, name),
+                                      equal_nan=True), (name, k)
+
+    def test_first_failing_offset_is_reported(self):
+        # 1e11 leaves [-1e12, 1e12] at step 32, 3e11 already at step 21: the
+        # error names the first failing offset in the order given, with the
+        # path's index within its block
+        coeffs = make_coefficients("linear", lam=0.0, bx=10.0, sx=0.2)
+        bundle = make_bundle(coeffs, n_paths=50)
+        messages = {}
+        for h in (1e11, 3e11):
+            with pytest.raises(HypothesisViolation) as one:
+                simulate_variation(bundle, coeffs, 10, [h])
+            messages[h] = str(one.value)
+        assert "non-finite at step 32 (path 4)" in messages[1e11]
+        assert "non-finite at step 21 (path 7)" in messages[3e11]
+        for offsets, first in (([0.1, 1e11, 3e11], 1e11), ([0.1, 3e11, 1e11], 3e11)):
+            with pytest.raises(HypothesisViolation) as got:
+                simulate_variation(bundle, coeffs, 10, offsets)
+            assert str(got.value) == messages[first]
 
 
 def test_gauss_legendre_literals_are_leggauss_on_unit_interval():
@@ -199,7 +248,7 @@ class TestSlabRemainders:
             # fewer entries than steps: the last one holds to T
             bundle = dataclasses.replace(bundle, u=bundle.u[:23])
         for t_index in (0, 10, n - 1):
-            run = simulate_variation(bundle, coeffs, t_index, 0.1)
+            run = variation(bundle, coeffs, t_index, 0.1)
             eps1, eps2 = step_remainders(bundle, coeffs, run)
             assert np.any(eps1 != 0.0) and np.any(eps2 != 0.0)
             got = remainders(bundle, coeffs, run)
@@ -273,7 +322,7 @@ class TestConstantSlopes:
         solution = solve_bsde_lsmc(bundle, coeffs, basis)
         results = []
         for cs in (coeffs, wrapped):
-            run = simulate_variation(bundle, cs, 8, 0.1)
+            run = variation(bundle, cs, 8, 0.1)
             adj = solve_adjoints(bundle, solution, cs, basis)
             results.append([*remainders(bundle, cs, run), adj.gamma, adj.p1, adj.p2, adj.p3,
                             adj.q1, adj.q2])
@@ -315,20 +364,20 @@ class TestRemainderScaling:
         coeffs = make_coefficients("linear", lam=0.4, bx=0.3, bx1=0.2, sx=0.2)
         bundle = make_bundle(coeffs)
         rep, _ = scaling_reports(bundle, coeffs, 10, OFFSETS, p=2)
-        assert rep.slope("sup_xhat") == pytest.approx(2.0, abs=0.05)
-        assert rep.slope("sup_xhat1") == pytest.approx(2.0, abs=0.05)
-        assert rep.slope("sup_xhat2") == pytest.approx(2.0, abs=0.05)
-        assert rep.slope("eps1_int") == float("inf")
-        assert rep.slope("eps2_int") == float("inf")
+        assert rep.slopes["sup_xhat"] == pytest.approx(2.0, abs=0.05)
+        assert rep.slopes["sup_xhat1"] == pytest.approx(2.0, abs=0.05)
+        assert rep.slopes["sup_xhat2"] == pytest.approx(2.0, abs=0.05)
+        assert rep.slopes["eps1_int"] == float("inf")
+        assert rep.slopes["eps2_int"] == float("inf")
 
     def test_bilinear_family_remainder_slopes(self):
         coeffs = make_coefficients("bilinear", lam=0.4, bx=0.1, sx=0.15, bxx1=0.8,
                                    sxx2=0.4, clip=2.5)
         bundle = make_bundle(coeffs, seed=2)
         rep, _ = scaling_reports(bundle, coeffs, 10, OFFSETS, p=2)
-        assert rep.slope("sup_xhat") == pytest.approx(2.0, abs=0.2)
-        assert rep.slope("eps1_int") >= 3.0
-        assert rep.slope("eps2_int") >= 3.0
+        assert rep.slopes["sup_xhat"] == pytest.approx(2.0, abs=0.2)
+        assert rep.slopes["eps1_int"] >= 3.0
+        assert rep.slopes["eps2_int"] >= 3.0
 
     def test_diverged_base_path_is_left_out(self):
         # one base path NaN from step 30 on: every remainder statistic (and
@@ -378,16 +427,17 @@ class TestDualityProcesses:
 
     def test_zero_offset_gives_zero_processes(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
-        run = simulate_variation(bundle, coeffs, 20, 0.0)
-        dual, = duality_processes(run.pert, sol, adj, coeffs)
+        pert = simulate_variation(bundle, coeffs, 20, [0.0])
+        dual, = duality_processes(pert, sol, adj, coeffs)
         assert np.nanmax(np.abs(dual.Yhat)) == 0.0
         assert np.nanmax(np.abs(dual.Ycheck)) == 0.0
         assert np.nanmax(np.abs(dual.Ytilde)) < 1e-12
-        assert dual.mean_abs_ytilde_t == pytest.approx(0.0, abs=1e-12)
+        mean_abs_ytilde_t = np.mean(np.abs(dual.Ytilde[~pert.diverged, 0]))
+        assert mean_abs_ytilde_t == pytest.approx(0.0, abs=1e-12)
 
     def test_terminal_identity(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
-        run = simulate_variation(bundle, coeffs, 20, 0.1)
+        run = variation(bundle, coeffs, 20, 0.1)
         dual, = duality_processes(run.pert, sol, adj, coeffs)
         n = bundle.grid.n_steps
         xT = bundle.state(n)[1]
@@ -398,7 +448,7 @@ class TestDualityProcesses:
         assert np.allclose(ptilde_T,
                            -coeffs.phi_x(xT, bundle.X1[:, n]), atol=1e-12)
 
-    def test_one_variation_per_offset_and_one_base_solve(self, monkeypatch):
+    def test_one_variation_and_one_solve_per_time(self, monkeypatch):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         calls = {"variation": 0, "lsmc": 0}
 
@@ -414,8 +464,8 @@ class TestDualityProcesses:
                             spy("lsmc", variational.solve_bsde_lsmc))
         rem, dual = scaling_reports(bundle, coeffs, 20, OFFSETS, solution=sol, adjoints=adj)
         # the base Y is the run's own solution, and the four perturbed runs
-        # are solved in one sweep
-        assert calls == {"variation": 4, "lsmc": 1}
+        # are stepped in one variation and solved in one sweep
+        assert calls == {"variation": 1, "lsmc": 1}
         assert len(rem.rows) == 5 * 4 and len(dual.rows) == 2 * 4
 
     def test_perturbed_solves_run_no_standard_error_pass(self):
@@ -448,7 +498,7 @@ class TestDualityProcesses:
         bundle.diverged[7] = True
         basis = RegressionBasis(degree=2)
         sol = solve_bsde_lsmc(bundle, coeffs, basis)
-        sub = solve_bsde_lsmc(simulate_variation(bundle, coeffs, t_index, 0.0).pert,
+        sub = solve_bsde_lsmc(simulate_variation(bundle, coeffs, t_index, [0.0]),
                               coeffs, basis)
         assert np.array_equal(sub.Y, sol.Y[:, t_index:], equal_nan=True)
         assert np.array_equal(sub.Z, sol.Z[:, t_index:], equal_nan=True)
@@ -456,8 +506,8 @@ class TestDualityProcesses:
     def test_ytilde_slope_exceeds_linear_rate(self):
         coeffs, bundle, basis, sol, adj = self._setup()
         _, rep = scaling_reports(bundle, coeffs, 30, OFFSETS, solution=sol, adjoints=adj)
-        assert rep.slope("abs_ytilde_t") >= 1.5
-        assert rep.slope("expansion_defect_pos") >= 1.5
+        assert rep.slopes["abs_ytilde_t"] >= 1.5
+        assert rep.slopes["expansion_defect_pos"] >= 1.5
 
 
 def reference_scaling(bundle, coeffs, t_index, offsets, p, sol, adj):
@@ -466,7 +516,7 @@ def reference_scaling(bundle, coeffs, t_index, offsets, p, sol, adj):
     ok, dt, ti = bundle.valid, bundle.grid.dt, t_index
     rem, dual = [], []
     for h in sorted(offsets, reverse=True):
-        run = simulate_variation(bundle, coeffs, ti, h)
+        run = variation(bundle, coeffs, ti, h)
         eps1, eps2 = remainders(bundle, coeffs, run)
         stats = {"sup_xhat": np.max(np.abs(run.Xhat[ok]), axis=1) ** p,
                  "sup_xhat1": np.max(np.abs(run.Xhat1[ok]), axis=1) ** p,
@@ -531,11 +581,11 @@ class TestGroupedPerturbedSolve:
         bundle.X1[7, 30:] = np.nan
         bundle.diverged[7] = True
         basis = RegressionBasis(degree=2)
-        runs = [simulate_variation(bundle, coeffs, 12, h) for h in (0.2, 0.1, 0.0)]
-        stack = perturbed_bundle(bundle, 12, np.concatenate([r.pert.X for r in runs]),
-                                 np.concatenate([r.pert.X1 for r in runs]))
+        offsets = (0.2, 0.1, 0.0)
+        stack = simulate_variation(bundle, coeffs, 12, offsets)
         grouped = solve_bsde_lsmc(stack, coeffs, basis)
         assert grouped.Y.shape == (900, 1) and grouped.Z.shape[0] == 0
-        for k, run in enumerate(runs):
-            want = solve_bsde_lsmc(run.pert, coeffs, basis).Y[:, :1]
+        for k, h in enumerate(offsets):
+            want = solve_bsde_lsmc(simulate_variation(bundle, coeffs, 12, [h]), coeffs,
+                                   basis).Y[:, :1]
             assert np.array_equal(grouped.Y[300 * k : 300 * (k + 1)], want, equal_nan=True), k

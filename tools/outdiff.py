@@ -13,23 +13,27 @@ the three perfbench workload configs at one seed, every subcommand on the
 LQ and CMP configs of ``tests/test_cli.py``, ``check-scaling`` and
 ``check-mp`` on a linear and a bilinear instance and on the linear one with
 ``-0.0`` slopes, ``check-scaling`` at the edges of its grouped perturbed
-solve (no ridge, a perturbation at t = 0, diverged paths), ``solve-bsde`` and
+solve (no ridge, a perturbation at t = 0, diverged paths) and with offsets
+so large that a perturbed path diverges, ``solve-bsde`` and
 ``check-mp`` on a constant instance, ``check-mp`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
 ``test_girsanov_report`` and on the LQ config (gbar = 0), and ``solve-hjb``
 on that config, on a linear instance whose value function varies in x1, on
-the LQ config with out-of-order, repeated ``dump_slices`` and on the LQ
-config with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed per
-output file (166 files); a call that exits 3 on either side also has its
-stderr text compared.  The bad-config calls carry one fault each, at least
-one per subcommand, one per error of the ``solve_hjb`` prologue, one for a
-key the ``constant`` family does not accept and one for an ``[instance2]``
-on another grid, and two carry two faults; their exit code and exact stderr
-text are compared, and one line is printed per call (36 stderr texts in
-all).  The exit status is 1 if any exit
-code, stderr text, file list or file differs, else 0.
+the LQ config with out-of-order, repeated ``dump_slices``, on the LQ
+config with ``Gbar`` and with ``Gtilde`` at a driver constant its ``f``
+has and with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed
+per output file (166 files, 169 against a revision that lets ``solve-hjb``
+solve for a driver its ``f`` does not have); a call that exits 3 on either
+side also has its stderr text compared.  The bad-config calls carry one
+fault each, at least one per subcommand, one per error of the
+``solve_hjb`` prologue, one for a key the ``constant`` family does not
+accept, one for an ``[instance2]`` on another grid and one for a declared
+driver that ``f`` does not have, and two carry two faults; their exit code
+and exact stderr text are compared, and one line is printed per call (38
+stderr texts in all).  The exit status is 1 if any exit code, stderr text,
+file list or file differs, else 0.
 """
 
 from __future__ import annotations
@@ -94,6 +98,10 @@ FAMILY_PARAMS = {
                  "sxx1": 0.2, "sxx2": 0.1, "fx": -0.2, "fy": -0.1, "phix": 0.3},
 }
 
+# the linear instance with f free of y and z, so that f has the zero [driver]
+# inherited from the LQ config, which the HJB variants Gbar and Gtilde read
+ZERO_DRIVER = [arg for k in ("fy", "fz") for arg in ("--set", f"instance.params.{k}=0")]
+
 # the linear instance free of x1 and x2, with bx=5 and sx=20: 113 of its 400
 # paths diverge, so the adjoint readers and max|x| meet NaN rows, 3 of them
 # among the 20 dumped; the value grid is coarse in x for the HJB step bound
@@ -130,10 +138,13 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("solve-bsde-ridge", "lq", ["solve-bsde", "--set", "numerics.eps_reg=0"]),
     ("solve-hjb", "lq", ["solve-hjb", "--set", "numerics.dump_slices=all",
                          "--set", "numerics.svg=yes"]),
+    # Gbar without a z-loading (the LQ f reads no z); solve-hjb-girsanov-gbar
+    # has one
     ("solve-hjb-gbar", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gbar",
-                              "--set", "driver.gbar=0.3"]),
+                              "--set", "instance.params.fy=0.1", "--set", "driver.fbar=0.1"]),
+    # a nonzero driver constant that f has: fy = fbar = 0.1
     ("solve-hjb-gtilde", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
-                                "--set", "driver.fbar=0.1"]),
+                                "--set", "instance.params.fy=0.1", "--set", "driver.fbar=0.1"]),
     # a driver constant of -0.0 is kept as given and solves as 0.0
     ("solve-hjb-gtilde-negzero", "lq", ["solve-hjb", "--set", "numerics.hjb_variant=Gtilde",
                                         "--set", "driver.fbar=-0.0",
@@ -146,7 +157,7 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
                                           "--set", "numerics.hjb_variant=G"]),
     ("solve-hjb-girsanov-gbar", "girsanov", ["solve-hjb", *GIRSANOV_HJB,
                                              "--set", "numerics.hjb_variant=Gbar"]),
-    ("solve-hjb-linear-x1", "linear", ["solve-hjb", *LINEAR_X1]),
+    ("solve-hjb-linear-x1", "linear", ["solve-hjb", *LINEAR_X1, *ZERO_DRIVER]),
     # the slices in the order given, the repeat included
     ("solve-hjb-slices", "lq", ["solve-hjb", "--set", "numerics.dump_slices=60,0,60"]),
     ("check-mp", "lq", ["check-mp"]),
@@ -186,10 +197,14 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-scaling-t0", "lq", ["check-scaling", "--set", "scaling.t_indices=0,50"]),
     ("check-scaling-diverged", "linear", ["check-scaling", *DIVERGING,
                                           "--set", "scaling.offsets=1e-6,5e-7,2.5e-7"]),
+    # offsets too large for the instance: the first perturbed block with a
+    # path beyond 1e12 aborts the run (exit 3)
+    ("check-scaling-pert-diverges", "lq", ["check-scaling",
+                                           "--set", "scaling.offsets=1e13,5e12,2e12"]),
     ("solve-bsde-constant", "constant", ["solve-bsde"]),
     ("check-mp-constant", "constant", ["check-mp"]),
     ("check-mp-diverged", "linear", ["check-mp", *DIVERGING]),
-    ("check-duality-diverged", "linear", ["check-duality", *DIVERGING]),
+    ("check-duality-diverged", "linear", ["check-duality", *DIVERGING, *ZERO_DRIVER]),
     # the edges of the adjoint rows kept for the writer: none, and more than
     # there are paths, so every one of the 113 NaN rows is written
     ("check-mp-diverged-dump0", "linear", ["check-mp", *DIVERGING,
@@ -268,10 +283,13 @@ BAD_CALLS: List[Tuple[str, str, List[str]]] = [
     # b reads x, x1, x2 and u), the x2 gate (exit 3) and a variant without
     # its driver
     ("bad-solve-hjb-cfl", "lq", ["solve-hjb", "--set", "numerics.n_t_pde=5"]),
-    ("bad-solve-hjb-cfl-linear", "linear", ["solve-hjb"]),
-    ("bad-solve-hjb-x2-gate", "linear", ["solve-hjb", "--set", "numerics.n_t_pde=400"]),
+    ("bad-solve-hjb-cfl-linear", "linear", ["solve-hjb", *ZERO_DRIVER]),
+    ("bad-solve-hjb-x2-gate", "linear", ["solve-hjb", *ZERO_DRIVER,
+                                         "--set", "numerics.n_t_pde=400"]),
     ("bad-solve-hjb-gbar-nodriver", "lq-nodriver", ["solve-hjb",
                                                      "--set", "numerics.hjb_variant=Gbar"]),
+    # a declared driver that f does not have: the LQ f reads no y
+    ("bad-solve-hjb-driver", "lq", ["solve-hjb", "--set", "driver.fbar=0.1"]),
     # two faults, one config error line each: both from load_config, then
     # both from the parse pass
     ("bad-simulate-load-two", "lq", ["simulate", "--set", "numerics.bogus=1", "--threads", "0"]),
