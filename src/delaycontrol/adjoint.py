@@ -277,22 +277,19 @@ def check_sufficient_mp(bundle: TrajectoryBundle, solution: BackwardSolution,
     for i in sorted(rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)):
         i = int(i)
         t, x, x1, x2, y, z, u = _along(bundle, solution, i, sub)
-        ustar = np.broadcast_to(u, sub.shape)
-        adj = weights(sub, i)
-        h = 1e-5 * (np.abs(ustar) + 1.0)
-        hu = (eval_H(t, x, x1, x2, y, z, ustar + h, *adj, coeffs, delay)
-              - eval_H(t, x, x1, x2, y, z, ustar - h, *adj, coeffs, delay)) / (2.0 * h)
-        gaps = hu[:, None] * (ustar[:, None] - u_grid[None, :])
+        # one (path, control) block per step: the candidate u* in column 0
+        # and the discretized control set in the rest, each with its own step
+        us = np.column_stack((np.broadcast_to(u, sub.shape), np.tile(u_grid, (sub.size, 1))))
+        h = 1e-5 * (np.abs(us) + 1.0)
+        col = (x[:, None], x1[:, None], x2[:, None], y[:, None], z[:, None])
+        adj = tuple(a[:, None] for a in weights(sub, i))
+        hu = (eval_H(t, *col, us + h, *adj, coeffs, delay)
+              - eval_H(t, *col, us - h, *adj, coeffs, delay)) / (2.0 * h)
+        gaps = hu[:, :1] * (us[:, :1] - u_grid)
         worst_var = max(worst_var, float(np.max(gaps)))
         # tolerance scale: |H_u| over the whole discretized control box, so
-        # the near-stationarity of the candidate does not shrink its own gate;
-        # one (path, control) block per step
-        col = (x[:, None], x1[:, None], x2[:, None], y[:, None], z[:, None])
-        adj = tuple(a[:, None] for a in adj)
-        hp = 1e-5 * (np.abs(u_grid) + 1.0)
-        hu_probe = (eval_H(t, *col, u_grid + hp, *adj, coeffs, delay)
-                    - eval_H(t, *col, u_grid - hp, *adj, coeffs, delay)) / (2.0 * hp)
-        max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
+        # the near-stationarity of the candidate does not shrink its own gate
+        max_hu = max(max_hu, float(np.max(np.abs(hu[:, 1:]))))
     tol_var = VARIATIONAL_REL_TOL * max(max_hu, 1e-12)
     variational_ok = worst_var <= tol_var
 

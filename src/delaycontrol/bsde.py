@@ -83,22 +83,15 @@ def _blocks(M: np.ndarray, k: int) -> np.ndarray:
 
 
 class RegressionFactor(NamedTuple):
-    """What a ConditionalRegression keeps of a block besides its matrix:
-    kept columns, column scale, Cholesky factor and final ridge."""
+    """What a ConditionalRegression keeps of a group of row blocks besides
+    its matrix: the group's blocks, the columns they keep, and each block's
+    column scale, Cholesky factor and final ridge, stacked in block order."""
 
+    rows: slice
     keep: np.ndarray
     scale: np.ndarray
     factor: np.ndarray
-    lam: float
-
-
-def _grouped(keep: List[list]) -> List[slice]:
-    """The groups of the ``len(keep)`` row blocks, block k keeping columns
-    ``keep[k]`` (a list of flags): one group of every block when all keep
-    the same columns, else one group per block."""
-    if keep.count(keep[0]) == len(keep):
-        return [slice(0, len(keep))]
-    return [slice(k, k + 1) for k in range(len(keep))]
+    lam: List[float]
 
 
 def _pick(rows: slice, stack: np.ndarray) -> Tuple[Union[slice, int], np.ndarray]:
@@ -121,24 +114,23 @@ class ConditionalRegression:
     degenerate states (e.g. the deterministic initial slice) reduce to a
     plain mean.
 
-    The design's rows are ``blocks`` = K equal blocks, and the operator is
-    K independent ones, each bit for bit the operator of its block alone:
-    ``state[k]`` is block k's factor, and ``fit_values`` fits each block's
-    rows of a response on its own operator; a single fit is the one-block
-    case.  The fixed cost of a fit is paid once for all blocks, not once
-    per block.  The column ranges and the scaling are one call each over
-    every row.  Blocks that keep the same columns (all of them, unless a
-    column is flat in some blocks only) form one group, which shares one
-    scaled matrix, and whose Gram matrices, condition checks, Cholesky
-    factors and solves are one call each on the stack of the blocks'
-    matrices: numpy's stacked BLAS and LAPACK calls give each matrix the
-    bits of its own call.  A group of one block makes no stacked first
-    attempt, and its BLAS and LAPACK calls are the plain 2-D ones on its
-    matrix: stacked calls and that attempt on a stack of one made a fit
-    with two fitted values about 15 % slower at 500 rows and 6 % at 8000
-    (2-CPU host, numpy 2.4.6), and a sweep of one block fits one per step.
-    A block whose ridge must grow escalates on its own, with its own
-    warning.
+    The design's rows are ``blocks`` = K equal blocks, and the operator is K
+    independent ones, each bit for bit the operator of its block alone:
+    ``state`` holds one ``RegressionFactor`` per group of blocks (below), and
+    ``fit_values`` fits each block's rows of a response on its own operator; a
+    single fit is the one-block case.  The fixed cost of a fit is paid once for
+    all blocks, not once per block.  The column ranges and the scaling are one
+    call each over every row.  Blocks that keep the same columns (all of them,
+    unless a column is flat in some blocks only) form one group, which shares
+    one scaled matrix, and whose Gram matrices, condition checks, Cholesky
+    factors and solves are one call each on the stack of the blocks' matrices:
+    numpy's stacked BLAS and LAPACK calls give each matrix the bits of its own
+    call.  A group of one block makes no stacked first attempt, and its BLAS
+    and LAPACK calls are the plain 2-D ones on its matrix: stacked calls and
+    that attempt on a stack of one made a fit with two fitted values about 15 %
+    slower at 500 rows and 6 % at 8000 (2-CPU host, numpy 2.4.6), and a sweep
+    of one block fits one per step.  A block whose ridge must grow escalates on
+    its own, with its own warning.
     """
 
     _COND_LIMIT = 1e12
@@ -150,10 +142,12 @@ class ConditionalRegression:
         keep = (hi - lo) > 1e-12
         keep[:, 0] = True  # the intercept
         big = np.maximum(np.abs(hi), np.abs(lo))
-        # each group: its blocks' slice or index, scaled matrices and factors
+        # each group: its blocks' slice or index, scaled matrices and factors;
+        # one group of every block when all keep the same columns, else one per block
         self.blocks, self.state, self._groups, escalated = blocks, [], [], []
-        for rows in _grouped(keep.tolist()):
-            kept = keep[rows.start].copy()
+        same = bool((keep == keep[0]).all())
+        for rows in [slice(0, blocks)] if same else [slice(k, k + 1) for k in range(blocks)]:
+            kept = keep[rows.start].copy()  # a record keeps no view of every block's flags
             scale = np.maximum(big[rows, kept], 1.0)
             ix, A = _pick(rows, _scaled_columns(cols[rows], kept, scale))
             gram = A @ A.mT
@@ -180,9 +174,7 @@ class ConditionalRegression:
                 if again:
                     escalated.append(lams[g])
             self._groups.append((ix, A, _pick(rows, factors)[1]))
-            # copies, not views: a stored state then keeps no stack alive
-            self.state += [RegressionFactor(kept, scale[g].copy(), factors[g].copy(), lams[g])
-                           for g in range(len(lams))]
+            self.state.append(RegressionFactor(rows, kept, scale, factors, lams))
         for lam in escalated:
             warnings.warn(f"rank-deficient regression; ridge increased to {lam:.2e}",
                           RuntimeWarning, stacklevel=2)
@@ -216,12 +208,10 @@ class ConditionalRegression:
         the same design: only the scaled matrices are rebuilt, with no Gram
         matrix, condition check or Cholesky step (and no ``__init__``)."""
         reg = cls.__new__(cls)
-        reg.blocks, reg.state, reg._groups = len(state), list(state), []
+        reg.blocks, reg.state = state[-1].rows.stop, list(state)
         cols = _blocks(design, reg.blocks)
-        for rows in _grouped([s.keep.tolist() for s in state]):
-            ix, A = _pick(rows, _scaled_columns(cols[rows], state[rows.start].keep,
-                                                np.array([s.scale for s in state[rows]])))
-            reg._groups.append((ix, A, _pick(rows, np.array([s.factor for s in state[rows]]))[1]))
+        reg._groups = [(*_pick(g.rows, _scaled_columns(cols[g.rows], g.keep, g.scale)),
+                        _pick(g.rows, g.factor)[1]) for g in state]
         return reg
 
     def fit_values(self, response: np.ndarray) -> np.ndarray:
@@ -247,10 +237,10 @@ class BackwardSolution:
     Y[:, n] equals phi(X(T), X1(T)) exactly per path.  ``y_s`` is the mean
     of Y at the start; ``y_s_se`` is the Monte Carlo standard error taken
     from the pathwise integral representation of Y(s), computed with
-    ``coeffs`` on its first read.  ``factors[i]`` is the list of the step-i
-    regression factors of the sweep in ``basis``, one per row block of the
-    bundle, shared with the adjoint sweeps on the same bundle (see
-    ``shared_factors``).
+    ``coeffs`` on its first read.  ``factors[i]`` is the ``state`` of the
+    step-i regression of the sweep in ``basis``, one record per group of
+    the bundle's row blocks, shared with the adjoint sweeps on the same
+    bundle (see ``shared_factors``).
     """
 
     bundle: TrajectoryBundle

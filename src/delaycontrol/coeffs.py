@@ -151,10 +151,7 @@ def _bilinear(p: Dict[str, float]) -> Dict[str, Slope]:
     L = p["clip"]
     if L <= 0.0:
         raise ConfigurationError("bilinear clip bound must be positive")
-    bxx1, bxx2 = p["bxx1"], p["bxx2"]
-    sxx1, sxx2 = p["sxx1"], p["sxx2"]
     ld = _linear(p)
-    lb, lsigma = ld["b"], ld["sigma"]
 
     # smooth saturation keeps the product terms globally Lipschitz with
     # bounded first derivatives
@@ -164,28 +161,29 @@ def _bilinear(p: Dict[str, float]) -> Dict[str, Slope]:
     def clamp_d(v):
         return 1.0 / np.cosh(np.asarray(v, dtype=float) / L) ** 2
 
-    def b(t, x, x1, x2, u):
-        return lb(t, x, x1, x2, u) + bxx1 * clamp(x) * clamp(x1) + bxx2 * clamp(x) * clamp(x2)
+    def product_rule(name, c1, c2):
+        """``name``'s linear part plus c1*clamp(x)*clamp(x1) +
+        c2*clamp(x)*clamp(x2), and its x, x1 and x2 slopes."""
+        lin, d_x, d_x1, d_x2 = (ld[name + s] for s in ("", "_x", "_x1", "_x2"))
 
-    def sigma(t, x, x1, x2, u):
-        return lsigma(t, x, x1, x2, u) + sxx1 * clamp(x) * clamp(x1) + sxx2 * clamp(x) * clamp(x2)
+        def value(t, x, x1, x2, u):
+            return lin(t, x, x1, x2, u) + c1 * clamp(x) * clamp(x1) + c2 * clamp(x) * clamp(x2)
 
-    evaluators = dict(ld, b=b, sigma=sigma)
-    evaluators["b_x"] = lambda t, x, x1, x2, u: (_fill(ld["b_x"], x, x1, x2, u)
-                                                 + bxx1 * clamp_d(x) * clamp(x1)
-                                                 + bxx2 * clamp_d(x) * clamp(x2))
-    evaluators["b_x1"] = lambda t, x, x1, x2, u: (_fill(ld["b_x1"], x, x1, x2, u)
-                                                  + bxx1 * clamp(x) * clamp_d(x1))
-    evaluators["b_x2"] = lambda t, x, x1, x2, u: (_fill(ld["b_x2"], x, x1, x2, u)
-                                                  + bxx2 * clamp(x) * clamp_d(x2))
-    evaluators["sigma_x"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x"], x, x1, x2, u)
-                                                     + sxx1 * clamp_d(x) * clamp(x1)
-                                                     + sxx2 * clamp_d(x) * clamp(x2))
-    evaluators["sigma_x1"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x1"], x, x1, x2, u)
-                                                      + sxx1 * clamp(x) * clamp_d(x1))
-    evaluators["sigma_x2"] = lambda t, x, x1, x2, u: (_fill(ld["sigma_x2"], x, x1, x2, u)
-                                                      + sxx2 * clamp(x) * clamp_d(x2))
-    return evaluators
+        def slope_x(t, x, x1, x2, u):
+            return (_fill(d_x, x, x1, x2, u) + c1 * clamp_d(x) * clamp(x1)
+                    + c2 * clamp_d(x) * clamp(x2))
+
+        def slope_x1(t, x, x1, x2, u):
+            return _fill(d_x1, x, x1, x2, u) + c1 * clamp(x) * clamp_d(x1)
+
+        def slope_x2(t, x, x1, x2, u):
+            return _fill(d_x2, x, x1, x2, u) + c2 * clamp(x) * clamp_d(x2)
+
+        return {name: value, name + "_x": slope_x, name + "_x1": slope_x1,
+                name + "_x2": slope_x2}
+
+    return dict(ld, **product_rule("b", p["bxx1"], p["bxx2"]),
+                **product_rule("sigma", p["sxx1"], p["sxx2"]))
 
 
 def _linear_quadratic(p: Dict[str, float]) -> Dict[str, Slope]:

@@ -200,16 +200,18 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
     """Run the verification-theorem checks for a candidate control.
 
     Requires the instance driver in the z-free linear form (apply
-    ``girsanov_reduce`` first otherwise).  The verdict is true iff the
-    integral statistic is nonpositive within 3 standard errors plus the
-    grid budget AND jet membership holds at the required fraction of
+    ``girsanov_reduce`` first otherwise); an ``f`` that does not have it is
+    refused by the gate of ``linear_driver_oracle``.  The verdict is true
+    iff the integral statistic is nonpositive within 3 standard errors plus
+    the grid budget AND jet membership holds at the required fraction of
     sampled points.  Aborts if fewer than half the trajectory points stay
     inside the grid interior.
 
     Membership is tested at min(12, n) sampled steps, each time on the same
     paths: the first ``N_MEMBERSHIP_SAMPLE // min(12, n)`` of the
     ``N_MEMBERSHIP_SAMPLE`` sampled paths (33 of 400), skipping points
-    within ``MEMBERSHIP_RADIUS`` cells of the grid edge.
+    within ``MEMBERSHIP_RADIUS`` cells of the grid edge.  It reads the jets
+    that the integrand of the step computed.
     """
     if instance.driver is None:
         raise ConfigurationError("verification needs the linear-driver form; none declared")
@@ -217,18 +219,28 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
         raise ConfigurationError(
             "driver has a z term; apply the measure-change reduction first")
     coeffs = instance.coeffs
-    assert_linear_driver(coeffs, instance.driver, seed=noise.seed)
     grid = instance.grid
     bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths)
     n, dt = grid.n_steps, grid.dt
     ok = ~bundle.diverged
+    rng = derived_rng(noise.seed, 707)
+    sample = bundle.sample_valid(rng, N_MEMBERSHIP_SAMPLE)
+    steps = set(rng.choice(n, size=min(12, n), replace=False).tolist())
+    paths = sample[: max(N_MEMBERSHIP_SAMPLE // len(steps), 1)]
 
     integrand = np.zeros(bundle.n_paths)
-    n_inside = 0
+    n_inside = n_pass = n_checked = 0
     per_step: List[Tuple[float, float]] = []
     for i in range(n):
         t, x, x1, x2, u = bundle.state(i)
         theta, p, q, P, v0, inside = jets_along(vgrid, t, x, x1)
+        if i in steps:  # membership of the step's own jets on the sampled paths
+            at = paths[vgrid.is_interior(x[paths], x1[paths], margin=MEMBERSHIP_RADIUS)]
+            good, _ = jet_membership(vgrid, (t, x[at], x1[at]),
+                                     Jet(theta[at], p[at], q[at], P[at]), side="super",
+                                     radius=MEMBERSHIP_RADIUS, tol=MEMBERSHIP_TOL)
+            n_checked += at.size
+            n_pass += int(np.sum(good))
         inside &= ok
         g = eval_G("Gtilde", t, x, x1, x2, u, -v0, -p, -P, -q,
                    coeffs, grid.delay, instance.driver)
@@ -242,23 +254,6 @@ def verify_optimality(instance: Instance, control, vgrid: GridValueFunction,
             f"trajectory covers only {coverage:.1%} of the grid interior; "
             "enlarge the grid or move the start state")
     stat, stat_se = mc_estimate(integrand[ok])
-
-    rng = derived_rng(noise.seed, 707)
-    sample = bundle.sample_valid(rng, N_MEMBERSHIP_SAMPLE)
-    steps = rng.choice(n, size=min(12, n), replace=False)
-    n_pass = 0
-    n_checked = 0
-    paths = sample[: max(N_MEMBERSHIP_SAMPLE // len(steps), 1)]
-    for i in sorted(int(s) for s in steps):
-        # t, and with it the time window, is shared by the step's points
-        t, x, x1, _, _ = bundle.state(i, paths)
-        keep = vgrid.is_interior(x, x1, margin=MEMBERSHIP_RADIUS)
-        x, x1 = x[keep], x1[keep]
-        jet = Jet(*jets_along(vgrid, t, x, x1)[:4])
-        good, _ = jet_membership(vgrid, (t, x, x1), jet, side="super",
-                                 radius=MEMBERSHIP_RADIUS, tol=MEMBERSHIP_TOL)
-        n_checked += x.size
-        n_pass += int(np.sum(good))
     membership_frac = n_pass / max(n_checked, 1)
 
     j_est, j_se = linear_driver_oracle(coeffs, instance.driver, bundle)

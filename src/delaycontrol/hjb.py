@@ -411,15 +411,14 @@ def jet_membership(vgrid: GridValueFunction, point: Tuple[float, float, float],
     mode); the sub side reverses the inequality.  Returns
     (verdict, worst residual), the residual normalized by rho.
 
-    ``x`` and ``x1`` of the point may also be aligned arrays of N points
-    at the one time ``t``, with the candidate (the Jet fields or the
-    slope) aligned to them; verdicts and residuals are then arrays, each
-    entry equal to that of the point's own scalar call.
+    ``x`` and ``x1`` of the point are aligned arrays of N points at the one
+    time ``t`` (a scalar counts as one point), with the candidate (the Jet
+    fields or the slope) aligned to them; verdicts and residuals are arrays,
+    each entry equal to that of the point's own one-point call.
     """
     if side not in ("super", "sub"):
         raise ValueError("side must be 'super' or 'sub'")
     t, x, x1 = point
-    scalar = np.ndim(x) == 0
     nt, nx, nx1 = len(vgrid.times) - 1, len(vgrid.xs), len(vgrid.x1s)
     it0 = vgrid.slice_index(t)
     j0 = np.clip(np.round((np.atleast_1d(x) - vgrid.xs[0]) / vgrid.dx).astype(int), 0, nx - 1)
@@ -466,8 +465,6 @@ def jet_membership(vgrid: GridValueFunction, point: Tuple[float, float, float],
             resid = resid / np.maximum(rho, 1e-300)
         resid[:, 0, radius, radius] = -np.inf  # the point itself
         worst = resid.max(axis=(1, 2, 3))
-    if scalar:
-        return bool(worst[0] <= tol), float(worst[0])
     return worst <= tol, worst
 
 

@@ -199,25 +199,23 @@ def _stat_rows(offset: float, stats: Dict[str, np.ndarray]) -> List[ScalingRow]:
 
 @dataclass
 class DualityProcesses:
-    """The pointwise duality pair and the combined process of one perturbed
-    run, on the columns of [t, T] they were formed on.
+    """The combined duality process of one perturbed run, on the columns of
+    [t, T] it was formed on.
 
     ``delta_y_t`` holds the per-path first-order differences
     -Y_pert(t) + Y_base(t).
     """
 
-    Yhat: np.ndarray
-    Ycheck: np.ndarray
     Ytilde: np.ndarray
     delta_y_t: np.ndarray
 
 
 def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoints, coeffs
                       ) -> List[DualityProcesses]:
-    """Form Yhat = ptilde*Xhat, Ycheck = pcheck*Xhat1 and the combination
-    Ytilde = -Y_pert + Y_base - Yhat - Ycheck of each perturbed run in
-    ``pert``, on the sub-horizon [t, T], or at t alone when ``pert`` holds
-    more than one.
+    """Form Ytilde = -Y_pert + Y_base - Yhat - Ycheck, with the pointwise
+    duality pair Yhat = ptilde*Xhat and Ycheck = pcheck*Xhat1, of each
+    perturbed run in ``pert``, on the sub-horizon [t, T], or at t alone
+    when ``pert`` holds more than one.
 
     ``pert`` holds ``pert.blocks`` runs restarted at one grid time t of the
     base run, one row block each (``simulate_variation``); the differences
@@ -237,10 +235,8 @@ def duality_processes(pert: TrajectoryBundle, solution: BackwardSolution, adjoin
     duals = []
     for k in range(pert.blocks):
         Xhat, Xhat1, _ = _differences(pert, base, k, c)
-        Yhat, Ycheck = ptilde * Xhat, pcheck * Xhat1
         Y_k = pert_Y[k * n_paths : (k + 1) * n_paths]
-        duals.append(DualityProcesses(Yhat=Yhat, Ycheck=Ycheck,
-                                      Ytilde=-Y_k + base_Y - Yhat - Ycheck,
+        duals.append(DualityProcesses(Ytilde=-Y_k + base_Y - ptilde * Xhat - pcheck * Xhat1,
                                       delta_y_t=-Y_k[:, 0] + base_Y[:, 0]))
     return duals
 

@@ -5,12 +5,24 @@ method-of-steps closed forms, discounted expectations from textbook
 formulas; these are independent of the library's own solvers.  The
 gamma-normalized adjoint pair is solved from its own backward system on
 the library's LSMC sweep, a second route to ptilde = p1/gamma.
+
+The term-by-term forms that the library has since folded into one rule
+each are kept here too, for the tests that pin the bits: the bilinear
+family's value and slope evaluators, the verification checker's second
+jet pass and the maximum-principle checker's two H_u differences.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from delaycontrol.adjoint import (N_CONVEXITY, N_PATH_SAMPLES, N_TIME_SAMPLES,
+                                  VARIATIONAL_REL_TOL, _along)
 from delaycontrol.bsde import backward_sweep
+from delaycontrol.coeffs import _fill, _linear
+from delaycontrol.connect import MEMBERSHIP_RADIUS, MEMBERSHIP_TOL, N_MEMBERSHIP_SAMPLE
+from delaycontrol.core import derived_rng, eval_G, eval_H
+from delaycontrol.hjb import Jet, jet_membership, jets_along
+from delaycontrol.smdde import simulate_smdde
 
 
 def riccati_lq(a, bu, sigma0, q, r, phi_quad=0.0, phi_lin=0.0, phi0=0.0,
@@ -143,3 +155,114 @@ def solve_transformed_direct(bundle, solution, coeffs, basis):
     (pt, pc), (qt, qc), _ = backward_sweep(bundle, basis, terminal, update,
                                            solution.shared_factors(bundle, basis))
     return pt, pc, qt, qc
+
+
+def bilinear_term_by_term(p):
+    """The bilinear family's b, sigma and their six slopes, each product
+    term written out in its own evaluator; ``p`` holds every parameter."""
+    L = p["clip"]
+    bxx1, bxx2 = p["bxx1"], p["bxx2"]
+    sxx1, sxx2 = p["sxx1"], p["sxx2"]
+    ld = _linear(p)
+    lb, lsigma = ld["b"], ld["sigma"]
+
+    def clamp(v):
+        return L * np.tanh(np.asarray(v, dtype=float) / L)
+
+    def clamp_d(v):
+        return 1.0 / np.cosh(np.asarray(v, dtype=float) / L) ** 2
+
+    def b(t, x, x1, x2, u):
+        return lb(t, x, x1, x2, u) + bxx1 * clamp(x) * clamp(x1) + bxx2 * clamp(x) * clamp(x2)
+
+    def sigma(t, x, x1, x2, u):
+        return lsigma(t, x, x1, x2, u) + sxx1 * clamp(x) * clamp(x1) + sxx2 * clamp(x) * clamp(x2)
+
+    return {
+        "b": b, "sigma": sigma,
+        "b_x": lambda t, x, x1, x2, u: (_fill(ld["b_x"], x, x1, x2, u)
+                                        + bxx1 * clamp_d(x) * clamp(x1)
+                                        + bxx2 * clamp_d(x) * clamp(x2)),
+        "b_x1": lambda t, x, x1, x2, u: (_fill(ld["b_x1"], x, x1, x2, u)
+                                         + bxx1 * clamp(x) * clamp_d(x1)),
+        "b_x2": lambda t, x, x1, x2, u: (_fill(ld["b_x2"], x, x1, x2, u)
+                                         + bxx2 * clamp(x) * clamp_d(x2)),
+        "sigma_x": lambda t, x, x1, x2, u: (_fill(ld["sigma_x"], x, x1, x2, u)
+                                            + sxx1 * clamp_d(x) * clamp(x1)
+                                            + sxx2 * clamp_d(x) * clamp(x2)),
+        "sigma_x1": lambda t, x, x1, x2, u: (_fill(ld["sigma_x1"], x, x1, x2, u)
+                                             + sxx1 * clamp(x) * clamp_d(x1)),
+        "sigma_x2": lambda t, x, x1, x2, u: (_fill(ld["sigma_x2"], x, x1, x2, u)
+                                             + sxx2 * clamp(x) * clamp_d(x2)),
+    }
+
+
+def verify_two_pass(instance, control, vgrid, noise, n_paths):
+    """``(per_step, membership_pass_fraction)`` of ``verify_optimality``
+    with membership in a second pass: after the integrand loop, each
+    membership step reads its sampled paths' state and jets again."""
+    coeffs, grid = instance.coeffs, instance.grid
+    bundle = simulate_smdde(coeffs, instance.history, control, grid, noise, n_paths)
+    n, ok = grid.n_steps, ~bundle.diverged
+    per_step = []
+    for i in range(n):
+        t, x, x1, x2, u = bundle.state(i)
+        theta, p, q, P, v0, inside = jets_along(vgrid, t, x, x1)
+        inside &= ok
+        g = eval_G("Gtilde", t, x, x1, x2, u, -v0, -p, -P, -q,
+                   coeffs, grid.delay, instance.driver)
+        step_term = np.where(inside, theta - g, 0.0)
+        per_step.append((float(t), float(np.mean(step_term[inside])) if np.any(inside) else 0.0))
+    rng = derived_rng(noise.seed, 707)
+    sample = bundle.sample_valid(rng, N_MEMBERSHIP_SAMPLE)
+    steps = rng.choice(n, size=min(12, n), replace=False)
+    n_pass = n_checked = 0
+    paths = sample[: max(N_MEMBERSHIP_SAMPLE // len(steps), 1)]
+    for i in sorted(int(s) for s in steps):
+        t, x, x1, _, _ = bundle.state(i, paths)
+        keep = vgrid.is_interior(x, x1, margin=MEMBERSHIP_RADIUS)
+        x, x1 = x[keep], x1[keep]
+        jet = Jet(*jets_along(vgrid, t, x, x1)[:4])
+        good, _ = jet_membership(vgrid, (t, x, x1), jet, side="super",
+                                 radius=MEMBERSHIP_RADIUS, tol=MEMBERSHIP_TOL)
+        n_checked += x.size
+        n_pass += int(np.sum(good))
+    return per_step, n_pass / max(n_checked, 1)
+
+
+def variational_two_pairs(bundle, solution, adjoints, coeffs, domain, seed):
+    """``(variational_ok, variational_worst, variational_tol)`` of
+    ``check_sufficient_mp``'s check (d) with two H_u differences per step:
+    one at the candidate u* on the sampled paths, one over the control grid
+    on a (path, control) block.  The draws of checks (a) and (b), which
+    come first from the same generator, are taken and dropped."""
+    n, delay = bundle.grid.n_steps, bundle.grid.delay
+    rng = derived_rng(seed, 303)
+    steps = rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)
+    per_step = max(N_CONVEXITY // max(len(steps), 1), 1)
+    for _ in steps:  # (a): paths, then two probe points of (x, x1, x2, y, z, u)
+        rng.choice(np.flatnonzero(~bundle.diverged), size=per_step)
+        rng.normal(size=(per_step, 6))
+        rng.normal(size=(per_step, 6))
+    rng.normal(size=512)  # (b): the terminal-cost probes
+    rng.normal(size=512)
+    u_grid = domain.points()
+    worst_var, max_hu = -np.inf, 0.0
+    sub = bundle.sample_valid(rng, N_PATH_SAMPLES)
+    for i in sorted(rng.choice(n, size=min(N_TIME_SAMPLES, n), replace=False)):
+        t, x, x1, x2, y, z, u = _along(bundle, solution, int(i), sub)
+        ustar = np.broadcast_to(u, sub.shape)
+        adj = tuple(a[sub, i] for a in (adjoints.gamma, adjoints.p1, adjoints.p2, adjoints.q1))
+        h = 1e-5 * (np.abs(ustar) + 1.0)
+        hu = (eval_H(t, x, x1, x2, y, z, ustar + h, *adj, coeffs, delay)
+              - eval_H(t, x, x1, x2, y, z, ustar - h, *adj, coeffs, delay)) / (2.0 * h)
+        gaps = hu[:, None] * (ustar[:, None] - u_grid[None, :])
+        worst_var = max(worst_var, float(np.max(gaps)))
+        col = (x[:, None], x1[:, None], x2[:, None], y[:, None], z[:, None])
+        adj = tuple(a[:, None] for a in adj)
+        hp = 1e-5 * (np.abs(u_grid) + 1.0)
+        hu_probe = (eval_H(t, *col, u_grid + hp, *adj, coeffs, delay)
+                    - eval_H(t, *col, u_grid - hp, *adj, coeffs, delay)) / (2.0 * hp)
+        max_hu = max(max_hu, float(np.max(np.abs(hu_probe))))
+    tol_var = VARIATIONAL_REL_TOL * max(max_hu, 1e-12)
+    return worst_var <= tol_var, worst_var, tol_var

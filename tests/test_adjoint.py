@@ -14,7 +14,7 @@ from delaycontrol.adjoint import (check_sufficient_mp, compute_p3_pathwise,
                                   solve_adjoint_p, solve_adjoints, solve_gamma)
 
 from conftest import LQ_MP_PARAMS, make_lq_instance
-from oracles import riccati_lq, solve_transformed_direct
+from oracles import riccati_lq, solve_transformed_direct, variational_two_pairs
 
 
 def pipeline(coeffs, g, n_paths=2000, seed=1, control=0.0, x0=1.0, degree=2):
@@ -413,6 +413,28 @@ class TestSufficientMP:
             assert all(np.array_equal(a, b) for a, b in zip(arrays, runs[0][0]))
             assert y_s_se == runs[0][1]
             assert lines == runs[0][2]
+
+    @pytest.mark.parametrize("case", ["lq-scalar", "lq-feedback", "bilinear-scalar"])
+    def test_variational_check_matches_two_pair_form(self, lq_small, case):
+        # one H_u difference over (u*, control grid) per step gives check (d)
+        # the bits of a pair at u* and a pair over the grid
+        if case == "lq-feedback":  # a per-path control record
+            inst, bundle, sol, adj = (lq_small[k] for k in
+                                      ("inst", "bundle", "solution", "adjoints"))
+            coeffs, domain = inst.coeffs, inst.domain
+        else:
+            coeffs = (make_lq_instance(LQ_MP_PARAMS).coeffs if case == "lq-scalar" else
+                      make_coefficients("bilinear", lam=0.5, bx=0.2, bxx1=0.5, bxx2=-0.3,
+                                        bu=0.5, s0=0.2, sx=0.1, sxx1=0.2, sxx2=0.1, su=0.1,
+                                        fx=-0.2, fu=0.3, phix=0.3))
+            domain = ControlDomain(-1, 1, 21)
+            bundle, sol, basis = pipeline(coeffs, grid(T=0.5), n_paths=400, control=0.1)
+            adj = solve_adjoints(bundle, sol, coeffs, basis)
+        assert np.ndim(bundle.u) == (2 if case == "lq-feedback" else 0)
+        rep = check_sufficient_mp(bundle, sol, adj, coeffs, domain, seed=7)
+        want = variational_two_pairs(bundle, sol, adj, coeffs, domain, seed=7)
+        assert (rep.variational_ok, rep.variational_worst, rep.variational_tol) == want
+        assert rep.variational_worst != 0.0
 
     def test_quadratic_terminal_fails_linearity(self, lq_small):
         rep = check_sufficient_mp(lq_small["bundle"], lq_small["solution"],

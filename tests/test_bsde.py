@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ def ridge_warnings(log):
     return sum("ridge increased" in str(w.message) for w in log)
 
 
+def block_factor(reg, k):
+    """Block k's kept columns, scale, factor and ridge, read off the record
+    of its group in ``reg.state``."""
+    group = next(g for g in reg.state if g.rows.start <= k < g.rows.stop)
+    j = k - group.rows.start
+    return SimpleNamespace(keep=group.keep, scale=group.scale[j], factor=group.factor[j],
+                           lam=group.lam[j])
+
+
 class TestRegressionOperator:
     """The design fill and the column-wise spread, scale and scaled matrix
     must reproduce the column-stacked design, the axis-0 reductions and
@@ -127,7 +137,8 @@ class TestRegressionOperator:
         assert np.array_equal(design, reference_design(basis, x, x1))
         reg = ConditionalRegression(design, basis.eps_reg)
         keep, scale, A, factor, lam = reference_factor(design, basis.eps_reg)
-        state, = reg.state
+        assert len(reg.state) == 1
+        state = block_factor(reg, 0)
         assert np.array_equal(state.keep, keep)
         assert np.array_equal(state.scale, scale)
         (_, At, _), = reg._groups  # (block index, scaled matrix transposed, factor)
@@ -173,7 +184,7 @@ class TestRegressionOperator:
             warnings.simplefilter("always")
             reg = ConditionalRegression(design, 0.0)
         assert escalated and ridge_warnings(log) == 1
-        assert reg.state[0].lam == lam > 0.0
+        assert block_factor(reg, 0).lam == lam > 0.0
 
     @pytest.mark.parametrize("tail", ["last", "all"])
     def test_zero_singular_value_is_infinite_condition(self, monkeypatch, tail):
@@ -196,7 +207,7 @@ class TestRegressionOperator:
             reg = ConditionalRegression(design, 1e-9)
         lam0 = reference_factor(design, 1e-9)[4]
         assert len(calls) == 2 and ridge_warnings(log) == 1
-        assert reg.state[0].lam == max(lam0, 1e-12) * 100.0
+        assert block_factor(reg, 0).lam == max(lam0, 1e-12) * 100.0
 
 
 class TestGroupedRegression:
@@ -225,7 +236,7 @@ class TestGroupedRegression:
         with warnings.catch_warnings(record=True) as grouped_log:
             warnings.simplefilter("always")
             reg = ConditionalRegression(design, eps_reg, len(kinds))
-        states = reg.state
+        states = [block_factor(reg, k) for k in range(len(kinds))]
         fitted = reg.fit_values(y)
         separate_warnings = 0
         for k, (x, x1) in enumerate(blocks):
@@ -235,8 +246,8 @@ class TestGroupedRegression:
             separate_warnings += ridge_warnings(log)
             for name in ("keep", "scale", "factor"):
                 assert np.array_equal(getattr(states[k], name),
-                                      getattr(sep.state[0], name)), (k, name)
-            assert states[k].lam == sep.state[0].lam, k
+                                      getattr(block_factor(sep, 0), name)), (k, name)
+            assert states[k].lam == block_factor(sep, 0).lam, k
             rows = slice(k * n, (k + 1) * n)
             assert np.array_equal(fitted[rows], sep.fit_values(y[rows])), k
         assert ridge_warnings(grouped_log) == separate_warnings

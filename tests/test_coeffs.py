@@ -11,7 +11,7 @@ from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath, I
 from delaycontrol.coeffs import FAMILIES, CoefficientSet, make_coefficients
 from delaycontrol.connect import girsanov_reduce
 from delaycontrol.hjb import HjbGrid, default_probe_set, solve_hjb
-from oracles import check_derivative_consistency
+from oracles import bilinear_term_by_term, check_derivative_consistency
 
 FAMILY_SAMPLES = [
     ("constant", dict(b0=1.0, s0=-0.5, f0=2.0, phi0=3.0)),
@@ -29,6 +29,24 @@ FAMILY_SAMPLES = [
 def test_derivatives_match_central_differences(family, params):
     coeffs = make_coefficients(family, lam=0.5, **params)
     assert check_derivative_consistency(coeffs, seed=1) <= 1e-6
+
+
+def test_bilinear_product_rule_matches_term_by_term_form():
+    # one product rule gives b, sigma and their six slopes the bits of the
+    # evaluators that wrote each term out, NaN rows and broadcasting included
+    params = dict(FAMILY_SAMPLES[2][1], b0=0.1, bx1=-0.2, bx2=0.3, bu=0.7, s0=0.2,
+                  sx=0.4, sx1=0.1, sx2=-0.3, su=0.2)
+    c = make_coefficients("bilinear", lam=0.5, **params)
+    want = bilinear_term_by_term(coeffs_module._DEFAULTS | params)
+    pts = np.random.default_rng(4).normal(0.0, 3.0, size=(64, 5))
+    pts[[3, 17]] = np.nan
+    pts[29, 2] = pts[40, 4] = np.nan
+    t, x, x1, x2, u = pts.T
+    for args in ((t, x, x1, x2, u), (t[:8, None], x[:8, None], x1[:8, None], x2[:8, None],
+                                     u[None, 8:13])):
+        for slot, fn in want.items():
+            got, ref = getattr(c, slot)(*args), fn(*args)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), slot
 
 
 def test_registry_names_complete():

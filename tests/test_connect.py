@@ -8,12 +8,12 @@ from delaycontrol.core import (ConfigurationError, ControlDomain, HistoryPath,
 from delaycontrol.coeffs import make_coefficients
 from delaycontrol.smdde import NoiseSource, simulate_smdde
 from delaycontrol.bsde import RegressionBasis, linear_driver_oracle, solve_bsde_lsmc
-from delaycontrol.hjb import HjbGrid, solve_hjb
+from delaycontrol.hjb import GridValueFunction, HjbGrid, feedback_control, solve_hjb
 from delaycontrol.connect import (check_duality_inclusion, girsanov_reduce,
                                   start_state, verify_optimality)
 
 from conftest import solve_pipeline
-from oracles import check_derivative_consistency
+from oracles import check_derivative_consistency, verify_two_pass
 
 
 def control_tournament(instance, noise, n_paths, n_controls, seed):
@@ -128,6 +128,39 @@ class TestVerification:
                         domain=inst.domain, driver=None)
         with pytest.raises(ConfigurationError, match="linear-driver"):
             verify_optimality(none, 0.0, lq_small["vgrid"], NoiseSource(1), 100)
+
+    def test_refuses_a_driver_that_f_does_not_have(self, lq_small):
+        # the LQ f reads no y: the oracle's gate refuses fbar = 0.1
+        inst = lq_small["inst"]
+        bad = Instance(coeffs=inst.coeffs, grid=inst.grid, history=inst.history,
+                       domain=inst.domain, driver=LinearDriver(fbar=0.1))
+        with pytest.raises(ConfigurationError, match="oracle inapplicable"):
+            verify_optimality(bad, 0.0, lq_small["vgrid"], NoiseSource(1), 500)
+
+    @pytest.mark.parametrize("control", ["constant", "hjb"])
+    def test_membership_reads_the_integrand_jets(self, control):
+        # on a value grid that varies in x1, membership tested on the jets of
+        # the integrand loop has the bits of a second pass over the sampled
+        # paths; some jets pass and some fail
+        coeffs = make_coefficients("linear", lam=0.5, bx=-0.2, bx1=0.3, bu=0.5, s0=0.3,
+                                   sx=0.1, sx1=0.1, fx=-0.2, fx1=0.1, fu=0.1, phix=0.3,
+                                   phix1=-0.2)
+        grid = TimeGrid(s=0.0, T=0.5, dt=0.01, delay_steps=10)
+        inst = Instance(coeffs=coeffs, grid=grid, history=HistoryPath.constant(0.5, 10),
+                        domain=ControlDomain(-1, 1, n_u=5), driver=LinearDriver())
+        times, xs, x1s = np.linspace(0.0, 0.5, 26), np.linspace(-3, 3, 61), np.linspace(-3, 3, 41)
+        T, X, X1 = np.meshgrid(times, xs, x1s, indexing="ij")
+        V = (-0.3 * X ** 2 + 0.2 * X * X1 - 0.1 * X1 ** 2 + 0.05 * T * X
+             + 0.002 * np.random.default_rng(3).normal(size=X.shape))
+        vgrid = GridValueFunction(times=times, xs=xs, x1s=x1s, V=V,
+                                  u_star=np.clip(0.5 * X - 0.3 * X1, -1, 1), x2_ref=0.0,
+                                  variant="Gtilde")
+        rule = 0.2 if control == "constant" else feedback_control(vgrid, inst.domain)
+        rep = verify_optimality(inst, rule, vgrid, NoiseSource(3), 600)
+        per_step, fraction = verify_two_pass(inst, rule, vgrid, NoiseSource(3), 600)
+        assert rep.per_step == per_step
+        assert rep.membership_pass_fraction == fraction
+        assert 0.0 < fraction < 1.0
 
     def test_value_lower_bounds_every_cost(self, lq_small):
         # V(s, x, x1) <= J(u) + tolerance for each registry control tested

@@ -425,12 +425,22 @@ class TestDualityProcesses:
         adj = solve_adjoints(bundle, sol, coeffs, basis)
         return coeffs, bundle, basis, sol, adj
 
+    @staticmethod
+    def _pair(pert, bundle, adj, t_index, cols):
+        """The pointwise duality pair (Yhat, Ycheck) = (ptilde*Xhat,
+        pcheck*Xhat1) of the one run in ``pert``, on its first ``cols``
+        columns."""
+        Xhat, Xhat1, _ = variational._differences(pert, bundle, 0, cols)
+        ptilde, pcheck = adj.normalized(cols=slice(t_index, t_index + cols))
+        return ptilde * Xhat, pcheck * Xhat1
+
     def test_zero_offset_gives_zero_processes(self):
         coeffs, bundle, basis, sol, adj = self._setup(500)
         pert = simulate_variation(bundle, coeffs, 20, [0.0])
         dual, = duality_processes(pert, sol, adj, coeffs)
-        assert np.nanmax(np.abs(dual.Yhat)) == 0.0
-        assert np.nanmax(np.abs(dual.Ycheck)) == 0.0
+        Yhat, Ycheck = self._pair(pert, bundle, adj, 20, dual.Ytilde.shape[1])
+        assert np.nanmax(np.abs(Yhat)) == 0.0
+        assert np.nanmax(np.abs(Ycheck)) == 0.0
         assert np.nanmax(np.abs(dual.Ytilde)) < 1e-12
         mean_abs_ytilde_t = np.mean(np.abs(dual.Ytilde[~pert.diverged, 0]))
         assert mean_abs_ytilde_t == pytest.approx(0.0, abs=1e-12)
@@ -439,11 +449,12 @@ class TestDualityProcesses:
         coeffs, bundle, basis, sol, adj = self._setup(500)
         run = variation(bundle, coeffs, 20, 0.1)
         dual, = duality_processes(run.pert, sol, adj, coeffs)
+        Yhat, _ = self._pair(run.pert, bundle, adj, 20, dual.Ytilde.shape[1])
         n = bundle.grid.n_steps
         xT = bundle.state(n)[1]
         ptilde_T = adj.normalized(cols=n)[0]
         expect = ptilde_T * run.Xhat[:, -1]
-        assert np.allclose(dual.Yhat[:, -1], expect, atol=1e-12)
+        assert np.allclose(Yhat[:, -1], expect, atol=1e-12)
         # ptilde(T) is the negative terminal-cost x-gradient
         assert np.allclose(ptilde_T,
                            -coeffs.phi_x(xT, bundle.X1[:, n]), atol=1e-12)

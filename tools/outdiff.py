@@ -19,15 +19,16 @@ so large that a perturbed path diverges, ``solve-bsde`` and
 ``check-duality`` on a linear instance where some paths diverge (``check-mp``
 also with no dumped path and with more dumped paths than paths),
 ``check-comparison`` on a bilinear pair, ``girsanov`` on the config of its
-``test_girsanov_report`` and on the LQ config (gbar = 0), and ``solve-hjb``
-on that config, on a linear instance whose value function varies in x1, on
-the LQ config with out-of-order, repeated ``dump_slices``, on the LQ
-config with ``Gbar`` and with ``Gtilde`` at a driver constant its ``f``
-has and with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is printed
-per output file (166 files, 169 against a revision that lets ``solve-hjb``
-solve for a driver its ``f`` does not have); a call that exits 3 on either
-side also has its stderr text compared.  The bad-config calls carry one
-fault each, at least one per subcommand, one per error of the
+``test_girsanov_report`` and on the LQ config (gbar = 0), ``verify`` under
+a constant and an HJB control on a linear instance whose value function
+varies in x1, and ``solve-hjb`` on the girsanov config, on that linear
+instance, on the LQ config with out-of-order, repeated ``dump_slices``, on
+the LQ config with ``Gbar`` and with ``Gtilde`` at a driver constant its
+``f`` has and with ``Gtilde`` at ``driver.fbar = -0.0``.  One line is
+printed per output file (172 files, 175 against a revision that lets
+``solve-hjb`` solve for a driver its ``f`` does not have); a call that
+exits 3 on either side also has its stderr text compared.  The bad-config
+calls carry one fault each, at least one per subcommand, one per error of the
 ``solve_hjb`` prologue, one for a key the ``constant`` family does not
 accept, one for an ``[instance2]`` on another grid and one for a declared
 driver that ``f`` does not have, and two carry two faults; their exit code
@@ -212,6 +213,12 @@ TEST_CALLS: List[Tuple[str, str, List[str]]] = [
     ("check-mp-diverged-dump-all", "linear", ["check-mp", *DIVERGING,
                                               "--set", "numerics.dump_paths=500"]),
     ("verify", "lq", ["verify"]),
+    # membership of whole jets on a value grid that varies in x1: under the
+    # constant control the verdict is false (exit 1), under the HJB feedback
+    # true
+    ("verify-linear-x1", "linear", ["verify", *LINEAR_X1, *ZERO_DRIVER]),
+    ("verify-linear-x1-hjb", "linear", ["verify", *LINEAR_X1, *ZERO_DRIVER,
+                                        "--set", "control.type=hjb"]),
     ("girsanov", "girsanov", ["girsanov"]),
     # gbar = 0: the identity reduction, every weight 1
     ("girsanov-lq", "lq", ["girsanov"]),
